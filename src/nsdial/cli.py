@@ -174,6 +174,21 @@ def _corpus_item(path: Path, args) -> dict:
     raise ParseError(f"unrecognised corpus file {name}")
 
 
+def _int_at_least(low: int):
+    """Argparse type: an integer no smaller than low (else a usage error, exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsdial",
@@ -183,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_grid(p):
-        p.add_argument("--nat-bound", type=int, default=3)
-        p.add_argument("--len-bound", type=int, default=2)
+        p.add_argument("--nat-bound", type=_int_at_least(0), default=3)
+        p.add_argument("--len-bound", type=_int_at_least(1), default=2)
         p.add_argument("--depth-bound", type=int, default=2)
 
     def add_flavor(p):

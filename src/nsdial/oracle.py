@@ -1,13 +1,20 @@
-"""Brute-force semantic layer: finite enumeration, evaluation, and bundle checking.
+"""Brute-force semantic layer: finite enumeration, compiled matrix evaluation, bundle checking.
 
 A GridValid verdict certifies truth over the enumerated grid only; reports
 always carry the grid parameters.
+
+Each internal matrix is compiled once into a Python closure over native
+environments (normalisation by evaluation, Berger & Schwichtenberg 1991):
+N is ``int``, ``t*`` is ``tuple`` and arrows are one-argument callables. The
+grid is then swept over native values; canonical ``Nat``/``Seq`` values are
+rebuilt only to report a counterexample.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ftypes import FiniteType, Ground, Star, is_data_type, type_depth
 from .formulas import (
@@ -27,15 +34,29 @@ from .formulas import (
 )
 from .reduce import (
     CanonicalValue,
+    Closure,
     Nat,
+    NotClosed,
     NotDataType,
     Seq,
-    eval_nat,
     normalize,
-    term_to_value,
     value_to_term,
 )
-from .terms import Term, alpha_eq, substitute
+from .terms import (
+    App,
+    Const,
+    ConstKind,
+    IllTyped,
+    Lam,
+    SUCC,
+    SeqAbs,
+    Term,
+    Var,
+    alpha_eq,
+    substitute,
+    synth_type,
+)
+from .terms import free_vars as term_free_vars
 
 
 @dataclass(frozen=True)
@@ -45,7 +66,10 @@ class Grid:
     depth_bound: int = 2
 
     def __post_init__(self):
-        assert self.nat_bound >= 0 and self.seq_len_bound >= 1
+        if self.nat_bound < 0:
+            raise ValueError(f"nat_bound must be at least 0, got {self.nat_bound}")
+        if self.seq_len_bound < 1:
+            raise ValueError(f"seq_len_bound must be at least 1, got {self.seq_len_bound}")
 
 
 @dataclass(frozen=True)
@@ -88,84 +112,265 @@ def enumerate_values(t: FiniteType, grid: Grid):
             yield Seq(t.element, combo)
 
 
-def _subst_env(t: Term, env: dict[str, CanonicalValue]) -> Term:
-    for name, v in env.items():
-        t = substitute(t, name, value_to_term(v))
-    return t
+# -- native values -------------------------------------------------------------
 
 
-def _eval3(f: Formula, env: dict[str, CanonicalValue], grid: Grid):
-    """Three-valued evaluation of an internal matrix: True, False, or UNKNOWN."""
+def to_native(v: CanonicalValue):
+    """Native value of a canonical data value: ``int`` or nested ``tuple``."""
+    if isinstance(v, Nat):
+        return v.value
+    if isinstance(v, Seq):
+        return tuple(to_native(i) for i in v.items)
+    raise NotDataType(f"no native data value for {v!r}")
+
+
+def to_canonical(v, t: FiniteType) -> CanonicalValue:
+    """Canonical value of a native value at the data type t."""
+    if isinstance(t, Ground):
+        return Nat(v)
+    assert isinstance(t, Star)
+    return Seq(t.element, tuple(to_canonical(i, t.element) for i in v))
+
+
+def _default(t: FiniteType):
+    """Native counterpart of ``terms.default_term``."""
+    if isinstance(t, Ground):
+        return 0
+    if isinstance(t, Star):
+        return ()
+    d = _default(t.codomain)
+    return lambda _x: d
+
+
+def _nrec(x, y, n):
+    for k in range(n):
+        x = y(k)(x)
+    return x
+
+
+def _lrec(x, y, s):
+    for h in reversed(s):
+        x = y(x)(h)
+    return x
+
+
+def _proj(s, i, d):
+    return s[i] if i < len(s) else d
+
+
+def _sapp(fs, a):
+    if len(fs) == 1:
+        return fs[0](a)
+    return tuple(itertools.chain.from_iterable(f(a) for f in fs))
+
+
+# Operators by arity; each entry builds the uncurried native function of a constant.
+_OPERATORS = {
+    ConstKind.SUCC: (1, lambda c: lambda n: n + 1),
+    ConstKind.LEN: (1, lambda c: len),
+    ConstKind.SINGLETON: (1, lambda c: lambda x: (x,)),
+    ConstKind.CONS: (2, lambda c: lambda h, s: (h,) + s),
+    ConstKind.CONCAT: (2, lambda c: lambda s, t: s + t),
+    ConstKind.PROJ: (2, lambda c: lambda s, i, d=_default(c.types[0]): _proj(s, i, d)),
+    ConstKind.SEQAPP: (2, lambda c: _sapp),
+    ConstKind.NATREC: (3, lambda c: _nrec),
+    ConstKind.LISTREC: (3, lambda c: _lrec),
+}
+
+
+def _curry(fn, arity: int):
+    if arity == 1:
+        return fn
+    return lambda x: _curry(functools.partial(fn, x), arity - 1)
+
+
+def _const(c: Const):
+    """Native value of a constant; operators are curried callables."""
+    if c.kind is ConstKind.ZERO:
+        return 0
+    if c.kind is ConstKind.EMPTY:
+        return ()
+    arity, op = _OPERATORS[c.kind]
+    return _curry(op(c), arity)
+
+
+def _compile_term(t: Term):
+    """Closure env -> native value of the term."""
+    if isinstance(t, Var):
+        name = t.name
+        return lambda env: env[name]
+    if isinstance(t, Const):
+        value = _const(t)
+        return lambda env: value
+    if isinstance(t, (Lam, SeqAbs)):
+        body, var = _compile_term(t.body), t.var
+
+        def make(env):
+            return lambda x: body({**env, var: x})
+
+        return make if isinstance(t, Lam) else lambda env: (make(env),)
+    assert isinstance(t, App)
+    if t.fun == SUCC:
+        # numerals and other successor chains compile flat, whatever their depth
+        k = 0
+        while isinstance(t, App) and t.fun == SUCC:
+            k, t = k + 1, t.arg
+        inner = _compile_term(t)
+        return lambda env: inner(env) + k
+    head, args = t, []
+    while isinstance(head, App):
+        args.append(_compile_term(head.arg))
+        head = head.fun
+    args.reverse()
+    operator = isinstance(head, Const) and head.kind in _OPERATORS
+    if operator and len(args) >= _OPERATORS[head.kind][0]:
+        arity, op = _OPERATORS[head.kind]
+        run = _saturated(op(head), args[:arity])
+        args = args[arity:]
+    else:
+        run = _compile_term(head)
+    for arg in args:
+        run = _apply(run, arg)
+    return run
+
+
+def _saturated(op, args):
+    """A fully applied operator, called directly on the native arguments."""
+    if len(args) == 1:
+        (a,) = args
+        return lambda env: op(a(env))
+    if len(args) == 2:
+        a, b = args
+        return lambda env: op(a(env), b(env))
+    a, b, c = args
+    return lambda env: op(a(env), b(env), c(env))
+
+
+def _apply(fun, arg):
+    return lambda env: fun(env)(arg(env))
+
+
+def _compile(f: Formula, grid: Grid):
+    """Closure env -> True | False | UNKNOWN for an internal matrix (Kleene logic)."""
     if isinstance(f, Eq):
-        lt = normalize(_subst_env(f.left, env))
-        rt = normalize(_subst_env(f.right, env))
-        if is_data_type(f.type):
-            try:
-                return term_to_value(lt, f.type) == term_to_value(rt, f.type)
-            except NotDataType:
-                return UNKNOWN
-        return True if alpha_eq(lt, rt) else UNKNOWN
-    if isinstance(f, And):
-        a = _eval3(f.left, env, grid)
-        if a is False:
-            return False
-        b = _eval3(f.right, env, grid)
-        if b is False:
-            return False
-        return UNKNOWN if UNKNOWN in (a, b) else True
-    if isinstance(f, Or):
-        a = _eval3(f.left, env, grid)
-        if a is True:
-            return True
-        b = _eval3(f.right, env, grid)
-        if b is True:
-            return True
-        return UNKNOWN if UNKNOWN in (a, b) else False
-    if isinstance(f, Imp):
-        a = _eval3(f.left, env, grid)
-        if a is False:
-            return True
-        b = _eval3(f.right, env, grid)
-        if b is True:
-            return True
-        if a is UNKNOWN or b is UNKNOWN:
-            return UNKNOWN
-        return False
+        if not is_data_type(f.type):
+            return _arrow_eq(f)
+        left, right = _compile_term(f.left), _compile_term(f.right)
+        return lambda env: left(env) == right(env)
+    if isinstance(f, (And, Or, Imp)):
+        a, b = _compile(f.left, grid), _compile(f.right, grid)
+        return _connective(type(f), a, b)
     if isinstance(f, (BoundedForall, BoundedExists)):
-        bound_term = normalize(_subst_env(f.bound, env))
-        n = eval_nat(bound_term)
-        results = [
-            _eval3(f.body, {**env, f.var: Nat(i)}, grid) for i in range(n)
-        ]
-        if isinstance(f, BoundedForall):
-            if False in results:
-                return False
-            return UNKNOWN if UNKNOWN in results else True
-        if True in results:
-            return True
-        return UNKNOWN if UNKNOWN in results else False
+        bound = _compile_term(f.bound)
+        return _quantifier(
+            isinstance(f, BoundedForall), f.var, lambda env: range(bound(env)),
+            _compile(f.body, grid),
+        )
     if isinstance(f, (Forall, Exists)):
         if not is_data_type(f.var_type) or type_depth(f.var_type) > grid.depth_bound:
-            return UNKNOWN
-        results = []
-        for v in enumerate_values(f.var_type, grid):
-            r = _eval3(f.body, {**env, f.var: v}, grid)
-            if isinstance(f, Forall) and r is False:
-                return False
-            if isinstance(f, Exists) and r is True:
-                return True
-            results.append(r)
-        if UNKNOWN in results:
-            return UNKNOWN
-        return isinstance(f, Forall)
-    raise AssertionError(f"non-internal node in matrix: {f!r}")
+            return lambda env: UNKNOWN
+        domain = _domain(f.var_type, grid)
+        return _quantifier(
+            isinstance(f, Forall), f.var, lambda env: domain, _compile(f.body, grid)
+        )
+
+    def non_internal(env):
+        raise AssertionError(f"non-internal node in matrix: {f!r}")
+
+    return non_internal
+
+
+def _arrow_eq(f: Eq):
+    """Arrow-typed equation: True when the normal forms are alpha-equal, UNKNOWN otherwise.
+
+    The one node that still substitutes the environment and normalises.
+    """
+    names = {**term_free_vars(f.left), **term_free_vars(f.right)}
+
+    def run(env):
+        left, right = f.left, f.right
+        for name, ty in names.items():
+            value = value_to_term(to_canonical(env[name], ty))
+            left = substitute(left, name, value)
+            right = substitute(right, name, value)
+        return True if alpha_eq(normalize(left), normalize(right)) else UNKNOWN
+
+    return run
+
+
+# Kleene connectives: (left value that decides, right value that decides, decided value)
+_CONNECTIVES = {And: (False, False, False), Or: (True, True, True), Imp: (False, True, True)}
+
+
+def _connective(kind, a, b):
+    left_stop, right_stop, decided = _CONNECTIVES[kind]
+
+    def run(env):
+        x = a(env)
+        if x is left_stop:
+            return decided
+        y = b(env)
+        if y is right_stop:
+            return decided
+        return UNKNOWN if x is UNKNOWN or y is UNKNOWN else not decided
+
+    return run
+
+
+def _quantifier(universal: bool, var: str, values, body):
+    """Universal stops at the first False, existential at the first True."""
+    decisive = not universal
+
+    def run(env):
+        unknown = False
+        for v in values(env):
+            r = body({**env, var: v})
+            if r is decisive:
+                return decisive
+            if r is UNKNOWN:
+                unknown = True
+        return UNKNOWN if unknown else universal
+
+    return run
+
+
+def compile_matrix(matrix: Formula, grid: Grid):
+    """Compile an internal matrix once: env -> True | False | UNKNOWN.
+
+    The environment maps every free variable of the matrix to its native
+    value (see ``to_native``). Quantifier domains are enumerated here, once.
+    """
+    return _compile(desugar(matrix), grid)
+
+
+def _domain(t: FiniteType, grid: Grid) -> list:
+    return [to_native(v) for v in enumerate_values(t, grid)]
+
+
+def _native_env(matrix: Formula, env: dict[str, CanonicalValue]) -> tuple[Formula, dict]:
+    """Substitute arrow-typed values into the matrix and convert the rest to natives."""
+    native = {}
+    for name, v in env.items():
+        if isinstance(v, Closure):
+            matrix = subst_formula(matrix, name, v.term)
+        else:
+            native[name] = to_native(v)
+    _require_closed(matrix, native)
+    return matrix, native
+
+
+def _require_closed(matrix: Formula, names) -> None:
+    missing = sorted(set(free_vars(matrix)) - set(names))
+    if missing:
+        raise NotClosed(f"free variables: {missing}")
 
 
 def eval_formula(matrix: Formula, env: dict[str, CanonicalValue], grid: Grid) -> Verdict:
     """Verdict for one assignment. The matrix must be internal."""
     m = desugar(matrix)
     assert classify(m).internal, "eval_formula needs an internal formula"
-    r = _eval3(m, env, grid)
+    m, native = _native_env(m, env)
+    r = compile_matrix(m, grid)(native)
     if r is True:
         return GridValid()
     if r is False:
@@ -174,36 +379,62 @@ def eval_formula(matrix: Formula, env: dict[str, CanonicalValue], grid: Grid) ->
 
 
 def _assignments(names: list[tuple[str, FiniteType]], grid: Grid):
-    """All grid environments for the given typed names, in enumeration order."""
-    domains = [list(enumerate_values(t, grid)) for _, t in names]
+    """All native grid environments for the given typed names, in enumeration order."""
+    keys = [name for name, _ in names]
+    domains = [_domain(t, grid) for _, t in names]
     for combo in itertools.product(*domains):
-        yield {name: v for (name, _), v in zip(names, combo)}
+        yield dict(zip(keys, combo))
+
+
+def _counterexample(env: dict, names: list[tuple[str, FiniteType]]) -> CounterexampleFound:
+    return CounterexampleFound(
+        tuple(sorted((name, to_canonical(env[name], t)) for name, t in names))
+    )
+
+
+def _sweep_names(names, matrix: Formula) -> list[tuple[str, FiniteType]]:
+    """The given typed names, then the matrix's other free variables by name."""
+    names = list(names)
+    seen = {n for n, _ in names}
+    for name, ty in sorted(free_vars(matrix).items()):
+        if name not in seen:
+            names.append((name, ty))
+    return names
 
 
 def _data_typed(names) -> bool:
     return all(is_data_type(t) for _, t in names)
 
 
-def verify_bundle(bundle, grid: Grid) -> Verdict:
-    """Check a realiser bundle by substituting its terms and sweeping the grid."""
+def _instantiate(bundle) -> Formula:
+    """The bundle's desugared matrix with its realiser terms substituted.
+
+    Realisers are type-checked first: the compiled evaluator trusts types.
+    """
     tf = bundle.translated
     matrix = desugar(tf.matrix)
     for (name, ty), term in zip(tf.exist_tuple, bundle.terms):
+        found = synth_type(term)
+        if found != ty:
+            raise IllTyped(f"realiser for {name}", ty, found)
         matrix = subst_formula(matrix, name, term)
-    remaining = list(tf.univ_tuple)
-    fv = free_vars(matrix)
-    for name, ty in sorted(fv.items()):
-        if name not in [n for n, _ in remaining]:
-            remaining.append((name, ty))
+    return matrix
+
+
+def verify_bundle(bundle, grid: Grid) -> Verdict:
+    """Check a realiser bundle by substituting its terms and sweeping the grid."""
+    matrix = _instantiate(bundle)
+    remaining = _sweep_names(bundle.translated.univ_tuple, matrix)
     if not _data_typed(remaining):
         return Unknown("non-data universal variable")
     if any(type_depth(t) > grid.depth_bound for _, t in remaining):
         return Unknown("universal variable type deeper than the grid bound")
+    evaluate = compile_matrix(matrix, grid)
     saw_unknown = False
     for env in _assignments(remaining, grid):
-        r = _eval3(matrix, env, grid)
+        r = evaluate(env)
         if r is False:
-            return CounterexampleFound(tuple(sorted(env.items())))
+            return _counterexample(env, remaining)
         if r is UNKNOWN:
             saw_unknown = True
     if saw_unknown:
@@ -213,16 +444,8 @@ def verify_bundle(bundle, grid: Grid) -> Verdict:
 
 def replay(bundle, verdict: CounterexampleFound, grid: Grid) -> bool:
     """Re-evaluate a counterexample environment; True iff the matrix is false there."""
-    tf = bundle.translated
-    matrix = desugar(tf.matrix)
-    for (name, ty), term in zip(tf.exist_tuple, bundle.terms):
-        matrix = subst_formula(matrix, name, term)
-    return _eval3(matrix, verdict.env_dict(), grid) is False
-
-
-def _subset_as_set(a: CanonicalValue, b: CanonicalValue) -> bool:
-    assert isinstance(a, Seq) and isinstance(b, Seq)
-    return set(a.items) <= set(b.items)
+    matrix, env = _native_env(_instantiate(bundle), verdict.env_dict())
+    return compile_matrix(matrix, grid)(env) is False
 
 
 def check_upward_closed(tf, grid: Grid) -> Verdict:
@@ -230,34 +453,35 @@ def check_upward_closed(tf, grid: Grid) -> Verdict:
     from .translate import Flavor
 
     assert tf.flavor is Flavor.DST
-    names = list(tf.exist_tuple) + list(tf.univ_tuple)
     matrix = desugar(tf.matrix)
-    fv = free_vars(matrix)
-    for name, ty in sorted(fv.items()):
-        if name not in [n for n, _ in names]:
-            names.append((name, ty))
+    names = _sweep_names(list(tf.exist_tuple) + list(tf.univ_tuple), matrix)
     if not _data_typed(names) or any(type_depth(t) > grid.depth_bound for _, t in names):
         return Unknown("non-data tuple or free variable")
+    if not tf.exist_tuple:
+        return GridValid()  # no witness sequence to extend
+    evaluate = compile_matrix(matrix, grid)
     exist_names = [n for n, _ in tf.exist_tuple]
     rest = [(n, t) for n, t in names if n not in exist_names]
-    exist_domains = [list(enumerate_values(t, grid)) for _, t in tf.exist_tuple]
+    exist_domains = [_domain(t, grid) for _, t in tf.exist_tuple]
     pairs_per_comp = [
-        [(a, b) for a in dom for b in dom if _subset_as_set(a, b)]
-        for dom in exist_domains
+        [(a, b) for a in dom for b in dom if set(a) <= set(b)] for dom in exist_domains
     ]
     for env in _assignments(rest, grid):
         # evaluate once per witness assignment, then sweep the extension pairs
         truth: dict[tuple, object] = {}
         for combo in itertools.product(*exist_domains):
-            truth[combo] = _eval3(
-                matrix, {**env, **dict(zip(exist_names, combo))}, grid
-            )
-        for pair_combo in itertools.product(*pairs_per_comp):
-            small = tuple(p[0] for p in pair_combo)
-            big = tuple(p[1] for p in pair_combo)
+            truth[combo] = evaluate({**env, **dict(zip(exist_names, combo))})
+        # keep, in order, the pairs whose ends occur in some true / false witness tuple
+        viable = []
+        for k, pairs in enumerate(pairs_per_comp):
+            smalls = {c[k] for c, r in truth.items() if r is True}
+            bigs = {c[k] for c, r in truth.items() if r is False}
+            viable.append([(a, b) for a, b in pairs if a in smalls and b in bigs])
+        for pair_combo in itertools.product(*viable):
+            small, big = zip(*pair_combo)
             if truth[small] is True and truth[big] is False:
                 bad = {**env, **dict(zip(exist_names, big))}
-                return CounterexampleFound(tuple(sorted(bad.items())))
+                return _counterexample(bad, names)
     return GridValid()
 
 
@@ -265,7 +489,10 @@ def brute_force_witness(formula: Formula, grid: Grid):
     """First witness of a leading existential, in enumeration order, or None."""
     f = desugar(formula)
     assert isinstance(f, Exists), "needs a leading existential"
-    for v in enumerate_values(f.var_type, grid):
-        if _eval3(f.body, {f.var: v}, grid) is True:
+    values = list(enumerate_values(f.var_type, grid))
+    _require_closed(f, ())
+    body = compile_matrix(f.body, grid)
+    for v in values:
+        if body({f.var: to_native(v)}) is True:
             return v
     return None

@@ -119,7 +119,7 @@ def check_proof(proof: Proof, flavor: Flavor) -> Formula:
     return _check_proof_cached(proof, flavor)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _check_proof_cached(proof: Proof, flavor: Flavor) -> Formula:
     if isinstance(proof, AxiomNode):
         return build_axiom(proof.schema, proof.params_dict(), flavor)

@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from nsdial.cli import run
+from nsdial.oracle import Grid
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -101,3 +103,43 @@ def test_report_structure(tmp_path, capsys):
     data = json.loads(j.read_text())
     assert set(data) == {"command", "grid", "inputs", "outcome", "wall_time_s"}
     assert data["inputs"][0]["sha256"]
+
+
+def test_grid_flags_out_of_range_exit_two(capsys):
+    bundle = str(CORPUS / "doubling.u.bundle")
+    for flags in (["--nat-bound", "-1"], ["--len-bound", "0"], ["--len-bound", "x"]):
+        for argv in (["verify", bundle] + flags, ["corpus", "run", str(CORPUS)] + flags):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2, argv
+            assert f"argument {flags[0]}" in capsys.readouterr().err
+    # the smallest grid is accepted
+    assert run(["verify", bundle, "--nat-bound", "0", "--len-bound", "1"]) == 0
+
+
+def test_grid_rejects_out_of_range_bounds():
+    with pytest.raises(ValueError):
+        Grid(-1, 2)
+    with pytest.raises(ValueError):
+        Grid(2, 0)
+    assert Grid(0, 1).nat_bound == 0
+
+
+def test_verify_ill_typed_realiser_exits_two(tmp_path, capsys):
+    text = (CORPUS / "doubling.u.bundle").read_text()
+    head = text[: text.index("(terms ")]
+    for realiser in ("zero", "(lam (n N) (nil N))"):
+        bad = tmp_path / "bad.u.bundle"
+        bad.write_text(head + f"(terms {realiser}))\n")
+        assert run(["verify", str(bad)]) == 2
+        assert "realiser for X" in capsys.readouterr().err
+
+
+def test_verify_deep_numeral_in_matrix(tmp_path, capsys):
+    bundle = tmp_path / "deep.u.bundle"
+    bundle.write_text(
+        "(bundle u (target (eq N zero zero)) (translated (exists-st () (forall-st ((a N))"
+        " (eq N (var a) 600)))) (terms))\n"
+    )
+    assert run(["verify", str(bundle), "--nat-bound", "1", "--len-bound", "1"]) == 1
+    assert "a = zero" in capsys.readouterr().out

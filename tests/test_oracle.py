@@ -1,26 +1,68 @@
-from nsdial.ftypes import Arrow, N, Star
+import itertools
+
+import pytest
+
+from nsdial.ftypes import Arrow, N, Star, is_data_type, type_depth
 from nsdial.formulas import (
+    And,
+    BoundedExists,
+    BoundedForall,
     Eq,
     Exists,
     Forall,
+    Imp,
     In,
+    Or,
+    desugar,
 )
-from nsdial.gen import rng
+from nsdial.gen import random_internal, rng
 from nsdial.oracle import (
+    UNKNOWN,
     CounterexampleFound,
     Grid,
     GridValid,
     Unknown,
     brute_force_witness,
     check_upward_closed,
+    compile_matrix,
     enumerate_values,
     eval_formula,
     replay,
+    to_native,
     verify_bundle,
 )
-from nsdial.reduce import Nat, Seq
-from nsdial.terms import App, Var, ZERO, numeral, seq_len
-from nsdial.translate import dst_translate
+from nsdial.reduce import (
+    Closure,
+    Nat,
+    NotClosed,
+    NotDataType,
+    Seq,
+    normalize,
+    term_to_value,
+    value_to_term,
+)
+from nsdial.terms import (
+    App,
+    Const,
+    ConstKind,
+    Lam,
+    SUCC,
+    Var,
+    ZERO,
+    alpha_eq,
+    lam,
+    list_rec,
+    nat_rec,
+    numeral,
+    proj,
+    sabs,
+    seq_app,
+    seq_len,
+    seq_term,
+    singleton,
+    substitute,
+)
+from nsdial.translate import Flavor, TranslatedFormula, dst_translate
 
 import fixture_defs as fx
 
@@ -150,3 +192,211 @@ def test_monotone_grids():
     b = fx.os_u_bundle()
     assert verify_bundle(b, Grid(1, 1)) == GridValid()
     assert verify_bundle(b, Grid(3, 2)) == GridValid()
+
+
+# -- differential test: compiled evaluator against the substitution evaluator --
+
+
+def reference_eval(f, env, grid):
+    """Three-valued evaluation by substituting numerals and normalising at every node."""
+
+    def close(t, env):
+        for name, v in env.items():
+            t = substitute(t, name, value_to_term(v))
+        return normalize(t)
+
+    def go(f, env):
+        if isinstance(f, Eq):
+            lt, rt = close(f.left, env), close(f.right, env)
+            if not is_data_type(f.type):
+                return True if alpha_eq(lt, rt) else UNKNOWN
+            try:
+                return term_to_value(lt, f.type) == term_to_value(rt, f.type)
+            except NotDataType:
+                return UNKNOWN
+        if isinstance(f, (And, Or, Imp)):
+            a, b = go(f.left, env), go(f.right, env)
+            if isinstance(f, And):
+                return False if False in (a, b) else UNKNOWN if UNKNOWN in (a, b) else True
+            if isinstance(f, Or):
+                return True if True in (a, b) else UNKNOWN if UNKNOWN in (a, b) else False
+            if a is False or b is True:
+                return True
+            return UNKNOWN if UNKNOWN in (a, b) else False
+        if isinstance(f, (BoundedForall, BoundedExists)):
+            n = term_to_value(close(f.bound, env), N).value
+            rs = [go(f.body, {**env, f.var: Nat(i)}) for i in range(n)]
+            universal = isinstance(f, BoundedForall)
+        else:
+            assert isinstance(f, (Forall, Exists))
+            if not is_data_type(f.var_type) or type_depth(f.var_type) > grid.depth_bound:
+                return UNKNOWN
+            rs = [go(f.body, {**env, f.var: v}) for v in enumerate_values(f.var_type, grid)]
+            universal = isinstance(f, Forall)
+        if (not universal) in rs:
+            return not universal
+        return UNKNOWN if UNKNOWN in rs else universal
+
+    return go(desugar(f), env)
+
+
+def envs(scope, grid):
+    names = [n for n, _ in scope]
+    domains = [list(enumerate_values(t, grid)) for _, t in scope]
+    for combo in itertools.product(*domains):
+        yield dict(zip(names, combo))
+
+
+def compiled_results(f, scope, grid):
+    """Compiled results over every grid environment, checked against the reference."""
+    evaluate = compile_matrix(f, grid)
+    out = []
+    for env in envs(scope, grid):
+        got = evaluate({k: to_native(v) for k, v in env.items()})
+        assert got is reference_eval(f, env, grid), (f, env)
+        out.append(got)
+    return out
+
+
+def test_compiled_matches_reference_on_random_matrices():
+    r = rng(43)
+    scope = [("a", N), ("s", Star(N))]
+    grid = Grid(2, 2)
+    seen = set()
+    for _ in range(40):
+        f = random_internal(r, scope, 3)
+        seen.update(compiled_results(f, scope, grid))
+    assert seen == {True, False}
+
+
+a_, n_, s_ = Var("a", N), Var("n", N), Var("s", Star(N))
+
+
+def test_compiled_nrec_doubles():
+    double = nat_rec(N, ZERO, lam([("k", N), ("m", N)], App(SUCC, App(SUCC, Var("m", N)))), n_)
+    f = Eq(N, double, App(SUCC, n_))
+    # 2n = n + 1 only at n = 1
+    assert compiled_results(f, [("n", N)], Grid(3, 1)) == [False, True, False, False]
+
+
+def test_compiled_lrec_sums():
+    step = lam([("acc", N), ("x", N)], nat_rec(N, Var("acc", N),
+               lam([("k", N), ("m", N)], App(SUCC, Var("m", N))), Var("x", N)))
+    total = list_rec(N, N, ZERO, step, s_)
+    f = Eq(N, total, numeral(2))
+    results = compiled_results(f, [("s", Star(N))], Grid(2, 2))
+    sums = [sum(v.value for v in env["s"].items) for env in envs([("s", Star(N))], Grid(2, 2))]
+    assert results == [x == 2 for x in sums]
+
+
+def test_compiled_proj_out_of_range_is_default():
+    f = Eq(N, proj(N, s_, numeral(2)), ZERO)
+    assert all(compiled_results(f, [("s", Star(N))], Grid(2, 2)))
+    nested = Var("ss", Star(Star(N)))
+    g = Eq(Star(N), proj(Star(N), nested, numeral(2)), seq_term(N, []))
+    assert all(compiled_results(g, [("ss", Star(Star(N)))], Grid(1, 2)))
+
+
+def test_compiled_sapp_on_sabs_and_on_a_sequence_of_functions():
+    x = Var("x", N)
+    one_fn = sabs([("x", N)], seq_term(N, [x, App(SUCC, x)]))
+    f = Eq(Star(N), seq_app(N, N, one_fn, a_), seq_term(N, [a_, App(SUCC, a_)]))
+    assert all(compiled_results(f, [("a", N)], Grid(2, 1)))
+    fns = seq_term(Arrow(N, Star(N)), [
+        lam([("x", N)], singleton(N, x)),
+        lam([("x", N)], seq_term(N, [x, x])),
+    ])
+    g = Eq(Star(N), seq_app(N, N, fns, a_), seq_term(N, [a_, a_, a_]))
+    assert all(compiled_results(g, [("a", N)], Grid(2, 1)))
+    empty = seq_term(Arrow(N, Star(N)), [])
+    h = Eq(Star(N), seq_app(N, N, empty, a_), seq_term(N, []))
+    assert all(compiled_results(h, [("a", N)], Grid(2, 1)))
+
+
+def test_compiled_arrow_eq_is_alpha_equality_or_unknown():
+    x, y = Var("x", N), Var("y", N)
+    fn = Arrow(N, N)
+    same = Eq(fn, lam([("x", N)], App(SUCC, x)), lam([("y", N)], App(SUCC, y)))
+    assert compiled_results(same, [], Grid(1, 1)) == [True]
+    beta = Eq(fn, lam([("x", N)], a_), App(lam([("y", N)], lam([("x", N)], y)), numeral(1)))
+    assert compiled_results(beta, [("a", N)], Grid(2, 1)) == [UNKNOWN, True, UNKNOWN]
+    # extensionally equal, but with different normal forms
+    ext = Eq(fn, lam([("x", N)], x),
+             lam([("x", N)], nat_rec(N, ZERO, lam([("k", N), ("m", N)], App(SUCC, Var("m", N))), x)))
+    assert compiled_results(ext, [], Grid(1, 1)) == [UNKNOWN]
+
+
+def test_compiled_forall_over_arrow_type_is_unknown():
+    f = Forall("f", Arrow(N, N), Eq(N, App(Var("f", Arrow(N, N)), a_), a_))
+    assert compiled_results(f, [("a", N)], Grid(1, 1)) == [UNKNOWN, UNKNOWN]
+    g = Or(Eq(N, a_, ZERO), f)
+    assert compiled_results(g, [("a", N)], Grid(1, 1)) == [True, UNKNOWN]
+    # an unknown body makes a data quantifier unknown, unless a decisive instance exists
+    assert compiled_results(Forall("a", N, g), [], Grid(1, 1)) == [UNKNOWN]
+    assert compiled_results(Exists("a", N, g), [], Grid(1, 1)) == [True]
+
+
+def test_compiled_unsaturated_operators_as_arguments():
+    ss = Var("ss", Star(Star(N)))
+    # lrec nil concat [a, b] = (nil . b) . a
+    flat = list_rec(Star(N), Star(N), seq_term(N, []), Const(ConstKind.CONCAT, (N,)), ss)
+    f = Eq(Star(N), flat, seq_term(N, [ZERO, numeral(1)]))
+    results = compiled_results(f, [("ss", Star(Star(N)))], Grid(1, 2))
+    want = [
+        [v for part in reversed(env["ss"].items) for v in part.items] == [Nat(0), Nat(1)]
+        for env in envs([("ss", Star(Star(N)))], Grid(1, 2))
+    ]
+    assert results == want and any(want)
+    # nrec nil cons n = [n-1, ..., 1, 0]
+    countdown = nat_rec(Star(N), seq_term(N, []), Const(ConstKind.CONS, (N,)), n_)
+    g = Eq(Star(N), countdown, seq_term(N, [numeral(1), ZERO]))
+    assert compiled_results(g, [("n", N)], Grid(3, 1)) == [False, False, True, False]
+
+
+def test_upward_closure_counterexample_is_first_in_pair_order():
+    grid = Grid(1, 2)
+    exist = (("s", Star(N)), ("s2", Star(N)))
+    univ = (("a", N),)
+    r = rng(44)
+    a, s, s2 = Var("a", N), Var("s", Star(N)), Var("s2", Star(N))
+    hand = [
+        Imp(In(N, a, s), In(N, numeral(1), s2)),
+        And(In(N, a, s2), Imp(In(N, ZERO, s), Eq(N, a, ZERO))),
+    ]
+    verdicts = set()
+    for matrix in hand + [random_internal(r, list(exist + univ), 2) for _ in range(12)]:
+        got = check_upward_closed(TranslatedFormula(exist, univ, matrix, Flavor.DST), grid)
+        # reference: every extension pair in product order, evaluated by substitution
+        domain = list(enumerate_values(Star(N), grid))
+        pairs = [(x, y) for x in domain for y in domain if set(x.items) <= set(y.items)]
+        want = GridValid()
+        for a in enumerate_values(N, grid):
+            truth = {}
+            for combo in itertools.product(pairs, repeat=2):
+                for side in (0, 1):
+                    key = (combo[0][side], combo[1][side])
+                    if key not in truth:
+                        env = {"a": a, "s": key[0], "s2": key[1]}
+                        truth[key] = reference_eval(matrix, env, grid)
+                small, big = (combo[0][0], combo[1][0]), (combo[0][1], combo[1][1])
+                if truth[small] is True and truth[big] is False:
+                    want = CounterexampleFound(tuple(sorted({"a": a, "s": big[0], "s2": big[1]}.items())))
+                    break
+            if want != GridValid():
+                break
+        assert got == want, matrix
+        verdicts.add(type(got))
+    assert verdicts == {GridValid, CounterexampleFound}
+
+
+def test_eval_formula_closure_values_and_missing_variables():
+    f = Eq(N, App(Var("f", Arrow(N, N)), a_), a_)
+    identity = Closure(Lam("x", N, Var("x", N)))
+    constant = Closure(Lam("x", N, ZERO))
+    assert eval_formula(f, {"f": identity, "a": Nat(2)}, Grid(2, 1)) == GridValid()
+    verdict = eval_formula(f, {"f": constant, "a": Nat(2)}, Grid(2, 1))
+    assert verdict == CounterexampleFound((("a", Nat(2)), ("f", constant)))
+    with pytest.raises(NotClosed):
+        eval_formula(f, {"f": identity}, Grid(2, 1))
+    with pytest.raises(NotClosed):
+        brute_force_witness(Exists("y", N, Eq(N, Var("y", N), a_)), Grid(2, 1))
