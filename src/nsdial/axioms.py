@@ -24,6 +24,7 @@ from .formulas import (
     Not,
     Or,
     St,
+    all_names,
     bot,
     check_formula,
     classify,
@@ -35,11 +36,15 @@ from .reduce import normalize
 from .terms import (
     App,
     NsdialError,
+    SUCC,
     Term,
     Var,
+    ZERO,
     alpha_eq,
     cons,
+    empty_seq,
     free_vars as term_free_vars,
+    fresh_name,
     numeral,
     seq_app,
     synth_type,
@@ -176,12 +181,8 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
         return Eq(ty, t, u)
 
     if schema is Schema.SUCC_NONZERO:
-        from .terms import SUCC, ZERO
-
         return Imp(Eq(N, App(SUCC, p["t"]), ZERO), bot())
     if schema is Schema.SUCC_INJ:
-        from .terms import SUCC
-
         t, u = p["t"], p["u"]
         return Imp(Eq(N, App(SUCC, t), App(SUCC, u)), Eq(N, t, u))
 
@@ -207,8 +208,6 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
     if schema is Schema.IA:
         n, body = p["var"], p["body"]
         _require_internal(body, schema, flavor, "induction formula")
-        from .terms import SUCC, ZERO
-
         base = subst_formula(body, n, ZERO)
         step = Forall(n, N, Imp(body, subst_formula(body, n, App(SUCC, Var(n, N)))))
         return Imp(And(base, step), Forall(n, N, body))
@@ -326,13 +325,8 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
 
 
 def _nil(ty: FiniteType) -> Term:
-    from .terms import empty_seq
-
     return empty_seq(ty)
 
 
 def _fresh_binder(base: str, body: Formula) -> str:
-    from .formulas import all_names
-    from .terms import fresh_name
-
     return fresh_name(base, all_names(body))

@@ -22,10 +22,11 @@ from .sexpr import (
     print_formula,
     print_term,
     print_translated,
+    print_type,
     read_one,
 )
-from .terms import NsdialError, type_check
-from .translate import Flavor, dst_translate, u_translate
+from .terms import IllTyped, NsdialError, TypeMismatch, UnboundVariable, type_check
+from .translate import Flavor, IllTypedInput, dst_translate, u_translate
 from .extract import extract
 
 EXIT_OK = 0
@@ -67,8 +68,6 @@ def cmd_check_term(path: Path, args) -> tuple[int, dict]:
     ty = type_check(term, {})
     nf = normalize(term)
     out = {"type": None, "normal_form": print_term(nf)}
-    from .sexpr import print_type
-
     out["type"] = print_type(ty)
     print(out["normal_form"])
     return EXIT_OK, out
@@ -200,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_grid(p):
         p.add_argument("--nat-bound", type=_int_at_least(0), default=3)
         p.add_argument("--len-bound", type=_int_at_least(1), default=2)
-        p.add_argument("--depth-bound", type=int, default=2)
+        p.add_argument("--depth-bound", type=_int_at_least(0), default=2)
 
     def add_flavor(p):
         group = p.add_mutually_exclusive_group(required=True)
@@ -269,9 +268,6 @@ def run(argv: list[str]) -> int:
     except NsdialError as e:
         kind = type(e).__name__
         print(f"{kind}: {e}", file=sys.stderr)
-        from .terms import IllTyped, TypeMismatch, UnboundVariable
-        from .translate import IllTypedInput
-
         parse_like = isinstance(e, (IllTyped, UnboundVariable, TypeMismatch, IllTypedInput))
         status = EXIT_ERROR if parse_like else EXIT_FAIL
         outcome = {"error": str(e), "kind": kind}

@@ -7,11 +7,11 @@ instantiate the propositional schemas deterministically.
 
 from __future__ import annotations
 
-from .ftypes import N
+from .ftypes import Arrow, N
 from .axioms import Schema
 from .formulas import And, Eq, Formula, Imp, St
-from .proofs import AxiomNode, ForallRuleNode, MPNode, Proof, axiom, mp
-from .terms import Var, ZERO
+from .proofs import AxiomNode, ForallRuleNode, Proof, axiom, mp
+from .terms import App, SUCC, Var, ZERO
 
 
 def k_ax(a: Formula, b: Formula) -> AxiomNode:
@@ -66,9 +66,6 @@ def forallst_intro_from(proof: Proof, body: Formula, var: str) -> Proof:
 
 def st_closure_step(t, ty=N) -> Proof:
     """|- st(t) -> st(S t) through closure of standardness under application."""
-    from .ftypes import Arrow
-    from .terms import SUCC, App
-
     sa = axiom(Schema.ST_APP, domain=N, codomain=N, fn=SUCC, arg=t)
     st_succ = axiom(Schema.ST_CLOSED, type=Arrow(N, N), term=SUCC)
     pair = axiom(Schema.AND_INTRO, a=St(Arrow(N, N), SUCC), b=St(N, t))

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 from .ftypes import Arrow, FiniteType, N, Star, seqfn
 from .axioms import Schema
-from .formulas import (
-    Forall,
-    Formula,
-    Imp,
-    subst_formula,
-)
+from .formulas import Forall, Formula, Imp, SubsetEq, all_names, desugar, subst_formula
 from .proofs import (
     AxiomNode,
     ExistsRuleNode,
@@ -34,19 +29,21 @@ from .terms import (
     NsdialError,
     Term,
     Var,
-    app,
+    ZERO,
+    concat,
     default_term,
     empty_seq,
     flat_map,
+    fresh_name,
     lam,
     nat_rec,
+    numeral,
     sabs,
     seq_app_infer,
     singleton,
-    synth_type,
     type_check,
 )
-from .translate import Flavor, TranslatedFormula, dst_translate, u_translate
+from .translate import Flavor, TranslatedFormula, bounded_exists, dst_translate, u_translate
 
 
 class UnsupportedSchema(NsdialError):
@@ -103,7 +100,7 @@ def _extract(proof: Proof, flavor: Flavor, root: bool = False) -> tuple[Translat
         _, major_terms = _extract(proof.major, flavor)
         _, minor_terms = _extract(proof.minor, flavor)
         n_fns = len(_tr(major.right, flavor).exist_tuple)
-        out = [_apply(fn, minor_terms, flavor) for fn in major_terms[:n_fns]]
+        out = [flavor.apply(fn, minor_terms) for fn in major_terms[:n_fns]]
         return _tr(conclusion, flavor), out
 
     if isinstance(proof, ForallRuleNode):
@@ -122,8 +119,8 @@ def _extract(proof: Proof, flavor: Flavor, root: bool = False) -> tuple[Translat
         vs = _bnd("v", [t for _, t in tb.univ_tuple])
         out = list(fns)
         for coll, (_, coll_ty) in zip(colls, ta.univ_tuple):
-            applied = _apply(coll, [Var(n, t) for n, t in xs + vs], flavor)
-            out.append(_abs(xs + vs, singleton(Star(coll_ty), applied), flavor))
+            applied = flavor.apply(coll, [Var(n, t) for n, t in xs + vs])
+            out.append(flavor.abs(xs + vs, singleton(Star(coll_ty), applied)))
         return _tr(conclusion, flavor), out
 
     if isinstance(proof, InductionNode):
@@ -142,18 +139,14 @@ def _extract(proof: Proof, flavor: Flavor, root: bool = False) -> tuple[Translat
                 "external induction with more than one witness needs tuple coding"
             )
         (_, wit_ty) = t_base.exist_tuple[0]
-        step_fn = step_terms[0]
-        n = Var("n", N)
-        if flavor is Flavor.U:
-            body = nat_rec(wit_ty, base_terms[0], step_fn, n)
-            term = lam([("n", N)], body)
-        else:
-            m, prev = Var("m", N), Var("prev", wit_ty)
-            step_lifted = lam(
+        step = step_terms[0]
+        if flavor is Flavor.DST:
+            # the recursor's step is a plain function of (m, prev)
+            step = lam(
                 [("m", N), ("prev", wit_ty)],
-                _apply(_apply(step_fn, [m], flavor), [prev], flavor),
+                flavor.apply(step, [Var("m", N), Var("prev", wit_ty)]),
             )
-            term = sabs([("n", N)], nat_rec(wit_ty, base_terms[0], step_lifted, n))
+        term = flavor.abs([("n", N)], nat_rec(wit_ty, base_terms[0], step, Var("n", N)))
         return _tr(conclusion, flavor), [term]
 
     raise AssertionError(proof)
@@ -167,28 +160,6 @@ def _bnd(prefix: str, types: list[FiniteType]) -> list[tuple[str, FiniteType]]:
 
 def _vs(bs: list[tuple[str, FiniteType]]) -> list[Term]:
     return [Var(n, t) for n, t in bs]
-
-
-def _abs(bs: list[tuple[str, FiniteType]], body: Term, flavor: Flavor) -> Term:
-    return lam(bs, body) if flavor is Flavor.U else sabs(bs, body)
-
-
-def _apply(fn: Term, args: list[Term], flavor: Flavor) -> Term:
-    if flavor is Flavor.U:
-        return app(fn, *args)
-    out = fn
-    for a in args:
-        out = seq_app_infer(out, a, synth_type(out))
-    return out
-
-
-def _fn_type(domains: list[FiniteType], result: FiniteType, flavor: Flavor) -> FiniteType:
-    if flavor is Flavor.U:
-        out = result
-        for d in reversed(domains):
-            out = Arrow(d, out)
-        return out
-    return seqfn(domains, result)
 
 
 def _sing_default(ty: FiniteType) -> Term:
@@ -220,6 +191,8 @@ def _axiom_realisers(node: AxiomNode, conclusion: Formula, flavor: Flavor) -> li
     tf = _tr(conclusion, flavor)
     if not tf.exist_tuple:
         return []
+    if node.schema in _IDENTITY_SHAPED:
+        return _realise_identity_shaped(conclusion, flavor)
     p = node.params_dict()
     fn = _REALISERS.get(node.schema)
     if fn is None:
@@ -246,11 +219,11 @@ def _realise_k(p, flavor):
     vs = _bnd("v", _types(tb.univ_tuple))
     out = []
     for xn, xt in xs:
-        out.append(_abs(xs, _abs(us, Var(xn, xt), flavor), flavor))
+        out.append(flavor.abs(xs, flavor.abs(us, Var(xn, xt))))
     for _, vt in vs:
-        out.append(_abs(xs, _abs(us + ys, empty_seq(vt), flavor), flavor))
+        out.append(flavor.abs(xs, flavor.abs(us + ys, empty_seq(vt))))
     for yn, yt in ys:
-        out.append(_abs(xs + us + ys, singleton(yt, Var(yn, yt)), flavor))
+        out.append(flavor.abs(xs + us + ys, singleton(yt, Var(yn, yt))))
     return out
 
 
@@ -261,51 +234,49 @@ def _realise_s(p, flavor):
     ps_t, qs_t = _types(tc.exist_tuple), _types(tc.univ_tuple)
 
     # premise tuple: witness functions and collectors of A -> (B -> C)
-    p1 = _bnd("p", [_fn_type(xs_t, _fn_type(us_t, t, flavor), flavor) for t in ps_t])
-    q1 = _bnd("q", [_fn_type(xs_t, _fn_type(us_t + qs_t, Star(t), flavor), flavor) for t in vs_t])
-    y1 = _bnd("h", [_fn_type(xs_t, _fn_type(us_t + qs_t, Star(t), flavor), flavor) for t in ys_t])
+    p1 = _bnd("p", [flavor.fn_type(xs_t, flavor.fn_type(us_t, t)) for t in ps_t])
+    q1 = _bnd("q", [flavor.fn_type(xs_t, flavor.fn_type(us_t + qs_t, Star(t))) for t in vs_t])
+    y1 = _bnd("h", [flavor.fn_type(xs_t, flavor.fn_type(us_t + qs_t, Star(t))) for t in ys_t])
     e1 = p1 + q1 + y1
     # second hypothesis tuple: witness functions and collectors of A -> B
-    u2 = _bnd("g", [_fn_type(xs_t, t, flavor) for t in us_t])
-    y2 = _bnd("k", [_fn_type(xs_t + vs_t, Star(t), flavor) for t in ys_t])
+    u2 = _bnd("g", [flavor.fn_type(xs_t, t) for t in us_t])
+    y2 = _bnd("k", [flavor.fn_type(xs_t + vs_t, Star(t)) for t in ys_t])
     e2 = u2 + y2
     xs, qs = _bnd("x", xs_t), _bnd("c", qs_t)
     vs = _bnd("v", vs_t)
 
     def u2x() -> list[Term]:
-        return [_apply(Var(n, t), _vs(xs), flavor) for n, t in u2]
+        return [flavor.apply(Var(n, t), _vs(xs)) for n, t in u2]
 
     out = []
     # functions producing the A -> C witnesses
     for j, pt in enumerate(ps_t):
-        body = _apply(_apply(Var(*p1[j]), _vs(xs), flavor), u2x(), flavor)
-        out.append(_abs(e1, _abs(e2, _abs(xs, body, flavor), flavor), flavor))
+        body = flavor.apply(Var(*p1[j]), _vs(xs) + u2x())
+        out.append(flavor.abs(e1, flavor.abs(e2, flavor.abs(xs, body))))
     # challenge collectors of A -> C: own challenges plus those routed via A -> B
     for i, yt in enumerate(ys_t):
-        own = _apply(_apply(Var(*y1[i]), _vs(xs), flavor), u2x() + _vs(qs), flavor)
+        own = flavor.apply(Var(*y1[i]), _vs(xs) + u2x() + _vs(qs))
         q1_applied = [
-            (_apply(_apply(Var(*q1[k]), _vs(xs), flavor), u2x() + _vs(qs), flavor), vs_t[k])
+            (flavor.apply(Var(*q1[k]), _vs(xs) + u2x() + _vs(qs)), vs_t[k])
             for k in range(len(vs_t))
         ]
-        inner = _apply(Var(*y2[i]), _vs(xs) + _vs(vs), flavor)
+        inner = flavor.apply(Var(*y2[i]), _vs(xs) + _vs(vs))
         routed = _union_over(q1_applied, vs, inner, yt)
-        from .terms import concat
-
         body = concat(yt, own, routed)
-        out.append(_abs(e1, _abs(e2, _abs(xs + qs, body, flavor), flavor), flavor))
+        out.append(flavor.abs(e1, flavor.abs(e2, flavor.abs(xs + qs, body))))
     # collectors for the A -> B hypothesis (challenges at x and v)
     for xn, xt in xs:
-        out.append(_abs(e1, _abs(e2 + xs + qs, singleton(xt, Var(xn, xt)), flavor), flavor))
+        out.append(flavor.abs(e1, flavor.abs(e2 + xs + qs, singleton(xt, Var(xn, xt)))))
     for k, vt in enumerate(vs_t):
-        body = _apply(_apply(Var(*q1[k]), _vs(xs), flavor), u2x() + _vs(qs), flavor)
-        out.append(_abs(e1, _abs(e2 + xs + qs, body, flavor), flavor))
+        body = flavor.apply(Var(*q1[k]), _vs(xs) + u2x() + _vs(qs))
+        out.append(flavor.abs(e1, flavor.abs(e2 + xs + qs, body)))
     # collectors for the A -> (B -> C) hypothesis (challenges at x, u, q)
     for xn, xt in xs:
-        out.append(_abs(e1 + e2 + xs + qs, singleton(xt, Var(xn, xt)), flavor))
+        out.append(flavor.abs(e1 + e2 + xs + qs, singleton(xt, Var(xn, xt))))
     for j, ut in enumerate(us_t):
-        out.append(_abs(e1 + e2 + xs + qs, singleton(ut, u2x()[j]), flavor))
+        out.append(flavor.abs(e1 + e2 + xs + qs, singleton(ut, u2x()[j])))
     for qn, qt in qs:
-        out.append(_abs(e1 + e2 + xs + qs, singleton(qt, Var(qn, qt)), flavor))
+        out.append(flavor.abs(e1 + e2 + xs + qs, singleton(qt, Var(qn, qt))))
     return out
 
 
@@ -317,13 +288,13 @@ def _realise_and_intro(p, flavor):
     vs = _bnd("v", _types(tb.univ_tuple))
     out = []
     for xn, xt in xs:
-        out.append(_abs(xs, _abs(us, Var(xn, xt), flavor), flavor))
+        out.append(flavor.abs(xs, flavor.abs(us, Var(xn, xt))))
     for un, ut in us:
-        out.append(_abs(xs, _abs(us, Var(un, ut), flavor), flavor))
+        out.append(flavor.abs(xs, flavor.abs(us, Var(un, ut))))
     for vn, vt in vs:
-        out.append(_abs(xs, _abs(us + ys + vs, singleton(vt, Var(vn, vt)), flavor), flavor))
+        out.append(flavor.abs(xs, flavor.abs(us + ys + vs, singleton(vt, Var(vn, vt)))))
     for yn, yt in ys:
-        out.append(_abs(xs + us + ys + vs, singleton(yt, Var(yn, yt)), flavor))
+        out.append(flavor.abs(xs + us + ys + vs, singleton(yt, Var(yn, yt))))
     return out
 
 
@@ -337,9 +308,9 @@ def _realise_and_elim(p, flavor, keep_left: bool):
     ws = _bnd("w", kept_univ)
     out = []
     for kn, kt in kept:
-        out.append(_abs(xs + us, Var(kn, kt), flavor))
-    ya = [_abs(xs + us + ws, singleton(t, Var(n, t)), flavor) for n, t in ws]
-    yb = [_abs(xs + us + ws, _sing_default(t), flavor) for t in other_univ]
+        out.append(flavor.abs(xs + us, Var(kn, kt)))
+    ya = [flavor.abs(xs + us + ws, singleton(t, Var(n, t))) for n, t in ws]
+    yb = [flavor.abs(xs + us + ws, _sing_default(t)) for t in other_univ]
     out.extend(ya + yb if keep_left else yb + ya)
     return out
 
@@ -354,16 +325,14 @@ def _realise_or_intro(p, flavor, left: bool):
     src_univ = ys if left else vs
     out = []
     if flavor is Flavor.U:
-        from .terms import ZERO, numeral
-
         flag = ZERO if left else numeral(1)
-        out.append(_abs(src, flag, flavor))
+        out.append(flavor.abs(src, flag))
     for xn, xt in xs:
-        out.append(_abs(src, Var(xn, xt) if left else default_term(xt), flavor))
+        out.append(flavor.abs(src, Var(xn, xt) if left else default_term(xt)))
     for un, ut in us:
-        out.append(_abs(src, default_term(ut) if left else Var(un, ut), flavor))
+        out.append(flavor.abs(src, default_term(ut) if left else Var(un, ut)))
     for yn, yt in src_univ:
-        out.append(_abs(src + ys + vs, singleton(yt, Var(yn, yt)), flavor))
+        out.append(flavor.abs(src + ys + vs, singleton(yt, Var(yn, yt))))
     return out
 
 
@@ -372,11 +341,11 @@ def _realise_or_elim(p, flavor):
     xs_t, ys_t = _types(ta.exist_tuple), _types(ta.univ_tuple)
     us_t, vs_t = _types(tb.exist_tuple), _types(tb.univ_tuple)
     ps_t, qs_t = _types(tc.exist_tuple), _types(tc.univ_tuple)
-    p1 = _bnd("p", [_fn_type(xs_t, t, flavor) for t in ps_t])
-    y1 = _bnd("h", [_fn_type(xs_t + qs_t, Star(t), flavor) for t in ys_t])
+    p1 = _bnd("p", [flavor.fn_type(xs_t, t) for t in ps_t])
+    y1 = _bnd("h", [flavor.fn_type(xs_t + qs_t, Star(t)) for t in ys_t])
     e1 = p1 + y1
-    p2 = _bnd("r", [_fn_type(us_t, t, flavor) for t in ps_t])
-    v2 = _bnd("w", [_fn_type(us_t + qs_t, Star(t), flavor) for t in vs_t])
+    p2 = _bnd("r", [flavor.fn_type(us_t, t) for t in ps_t])
+    v2 = _bnd("w", [flavor.fn_type(us_t + qs_t, Star(t)) for t in vs_t])
     e2 = p2 + v2
     xs, us, qs = _bnd("x", xs_t), _bnd("u", us_t), _bnd("c", qs_t)
     zf = [("z", N)] if flavor is Flavor.U else []
@@ -385,36 +354,34 @@ def _realise_or_elim(p, flavor):
     def z() -> Term:
         return Var("z", N)
 
-    from .terms import concat
-
     out = []
     for j, pt in enumerate(ps_t):
-        left = _apply(Var(*p1[j]), _vs(xs), flavor)
-        right = _apply(Var(*p2[j]), _vs(us), flavor)
+        left = flavor.apply(Var(*p1[j]), _vs(xs))
+        right = flavor.apply(Var(*p2[j]), _vs(us))
         body = _cond(z(), left, right, pt) if flavor is Flavor.U else concat(pt.element, left, right)
-        out.append(_abs(e1, _abs(e2, _abs(disj, body, flavor), flavor), flavor))
+        out.append(flavor.abs(e1, flavor.abs(e2, flavor.abs(disj, body))))
     for i, yt in enumerate(ys_t):
-        own = _apply(Var(*y1[i]), _vs(xs) + _vs(qs), flavor)
+        own = flavor.apply(Var(*y1[i]), _vs(xs) + _vs(qs))
         if flavor is Flavor.U:
             body = _cond(z(), own, _sing_default(yt), Star(yt))
         else:
             body = concat(yt, own, _sing_default(yt))
-        out.append(_abs(e1, _abs(e2, _abs(disj + qs, body, flavor), flavor), flavor))
+        out.append(flavor.abs(e1, flavor.abs(e2, flavor.abs(disj + qs, body))))
     for i, vt in enumerate(vs_t):
-        own = _apply(Var(*v2[i]), _vs(us) + _vs(qs), flavor)
+        own = flavor.apply(Var(*v2[i]), _vs(us) + _vs(qs))
         if flavor is Flavor.U:
             body = _cond(z(), _sing_default(vt), own, Star(vt))
         else:
             body = concat(vt, own, _sing_default(vt))
-        out.append(_abs(e1, _abs(e2, _abs(disj + qs, body, flavor), flavor), flavor))
+        out.append(flavor.abs(e1, flavor.abs(e2, flavor.abs(disj + qs, body))))
     for un, ut in us:
-        out.append(_abs(e1, _abs(e2 + disj + qs, singleton(ut, Var(un, ut)), flavor), flavor))
+        out.append(flavor.abs(e1, flavor.abs(e2 + disj + qs, singleton(ut, Var(un, ut)))))
     for qn, qt in qs:
-        out.append(_abs(e1, _abs(e2 + disj + qs, singleton(qt, Var(qn, qt)), flavor), flavor))
+        out.append(flavor.abs(e1, flavor.abs(e2 + disj + qs, singleton(qt, Var(qn, qt)))))
     for xn, xt in xs:
-        out.append(_abs(e1 + e2 + disj + qs, singleton(xt, Var(xn, xt)), flavor))
+        out.append(flavor.abs(e1 + e2 + disj + qs, singleton(xt, Var(xn, xt))))
     for qn, qt in qs:
-        out.append(_abs(e1 + e2 + disj + qs, singleton(qt, Var(qn, qt)), flavor))
+        out.append(flavor.abs(e1 + e2 + disj + qs, singleton(qt, Var(qn, qt))))
     return out
 
 
@@ -427,8 +394,8 @@ def _realise_forall_inst(p, flavor):
     ta = _tr(p["body"], flavor)
     xs = _bnd("x", _types(ta.exist_tuple))
     ys = _bnd("y", _types(ta.univ_tuple))
-    out = [_abs(xs, Var(n, t), flavor) for n, t in xs]
-    out += [_abs(xs + ys, singleton(t, Var(n, t)), flavor) for n, t in ys]
+    out = [flavor.abs(xs, Var(n, t)) for n, t in xs]
+    out += [flavor.abs(xs + ys, singleton(t, Var(n, t))) for n, t in ys]
     return out
 
 
@@ -436,8 +403,8 @@ def _realise_exists_intro(p, flavor):
     ta = _tr(p["body"], flavor)
     xs = _bnd("x", _types(ta.exist_tuple))
     ts = _bnd("t", [Star(t) for t in _types(ta.univ_tuple)])
-    out = [_abs(xs, Var(n, t), flavor) for n, t in xs]
-    out += [_abs(xs + ts, Var(n, t), flavor) for n, t in ts]
+    out = [flavor.abs(xs, Var(n, t)) for n, t in xs]
+    out += [flavor.abs(xs + ts, Var(n, t)) for n, t in ts]
     return out
 
 
@@ -449,12 +416,12 @@ def _realise_forallst_elim(p, flavor):
         lifted = _bnd("U", [Arrow(sigma, t) for t in us_t])
         y, vs = ("y", sigma), _bnd("v", vs_t)
         out = [
-            _abs(lifted, lam([("y", sigma)], App(Var(n, t), Var("y", sigma))), flavor)
+            flavor.abs(lifted, lam([("y", sigma)], App(Var(n, t), Var("y", sigma))))
             for n, t in lifted
         ]
         for vn, vt in vs:
-            out.append(_abs(lifted + [y] + vs, singleton(vt, Var(vn, vt)), flavor))
-        out.append(_abs(lifted + [y] + vs, singleton(sigma, Var("y", sigma)), flavor))
+            out.append(flavor.abs(lifted + [y] + vs, singleton(vt, Var(vn, vt))))
+        out.append(flavor.abs(lifted + [y] + vs, singleton(sigma, Var("y", sigma))))
         return out
     lifted = _bnd("U", [Star(Arrow(sigma, t)) for t in us_t])
     w, vs = ("w", Star(sigma)), _bnd("v", vs_t)
@@ -467,10 +434,10 @@ def _realise_forallst_elim(p, flavor):
             "xe",
             seq_app_infer(Var(n, t), Var("xe", sigma), t),
         )
-        out.append(_abs(lifted, sabs([("w2", Star(sigma))], body), flavor))
+        out.append(flavor.abs(lifted, sabs([("w2", Star(sigma))], body)))
     for vn, vt in vs:
-        out.append(_abs(lifted + [w] + vs, singleton(vt, Var(vn, vt)), flavor))
-    out.append(_abs(lifted + [w] + vs, Var("w", Star(sigma)), flavor))
+        out.append(flavor.abs(lifted + [w] + vs, singleton(vt, Var(vn, vt))))
+    out.append(flavor.abs(lifted + [w] + vs, Var("w", Star(sigma))))
     return out
 
 
@@ -491,24 +458,24 @@ def _realise_forallst_intro(p, flavor):
         fns = _bnd("U", [Arrow(sigma, t) for t in us_t])
         xp = ("xp", sigma)
         out = [
-            _abs(fns, lam([("xp", sigma)], App(Var(n, t), Var("xp", sigma))), flavor)
+            flavor.abs(fns, lam([("xp", sigma)], App(Var(n, t), Var("xp", sigma))))
             for n, t in fns
         ]
-        out.append(_abs(fns + vs + [xp], singleton(sigma, Var("xp", sigma)), flavor))
+        out.append(flavor.abs(fns + vs + [xp], singleton(sigma, Var("xp", sigma))))
         for vn, vt in vs:
-            out.append(_abs(fns + vs + [xp], singleton(vt, Var(vn, vt)), flavor))
+            out.append(flavor.abs(fns + vs + [xp], singleton(vt, Var(vn, vt))))
         return out
     fns = _bnd("T", [Star(Arrow(Star(sigma), t)) for t in us_t])
     xp = ("xp", sigma)
     out = []
     for n, t in fns:
         applied = seq_app_infer(Var(n, t), singleton(sigma, Var("xp", sigma)), t)
-        out.append(_abs(fns, sabs([("xp", sigma)], applied), flavor))
+        out.append(flavor.abs(fns, sabs([("xp", sigma)], applied)))
     out.append(
-        _abs(fns + vs + [xp], singleton(Star(sigma), singleton(sigma, Var("xp", sigma))), flavor)
+        flavor.abs(fns + vs + [xp], singleton(Star(sigma), singleton(sigma, Var("xp", sigma))))
     )
     for vn, vt in vs:
-        out.append(_abs(fns + vs + [xp], singleton(vt, Var(vn, vt)), flavor))
+        out.append(flavor.abs(fns + vs + [xp], singleton(vt, Var(vn, vt))))
     return out
 
 
@@ -520,13 +487,13 @@ def _realise_existsst_elim(p, flavor):
     us = _bnd("u", us_t)
     ts = _bnd("t", [Star(t) for t in vs_t])
     head = wit[0]
-    out = [_abs([wit] + us, Var(head, wit[1]), flavor)]
-    out += [_abs([wit] + us, Var(n, t), flavor) for n, t in us]
+    out = [flavor.abs([wit] + us, Var(head, wit[1]))]
+    out += [flavor.abs([wit] + us, Var(n, t)) for n, t in us]
     if flavor is Flavor.U:
-        out += [_abs([wit] + us + ts, Var(n, t), flavor) for n, t in ts]
+        out += [flavor.abs([wit] + us + ts, Var(n, t)) for n, t in ts]
     else:
         out += [
-            _abs([wit] + us + ts, singleton(t, Var(n, t)), flavor) for n, t in ts
+            flavor.abs([wit] + us + ts, singleton(t, Var(n, t))) for n, t in ts
         ]
     return out
 
@@ -542,28 +509,26 @@ def _realise_existsst_intro(p, flavor):
     else:
         # pad the candidate sequence: a vacuous challenge prefix must still
         # leave something to witness the bounded existential
-        from .terms import concat
-
         head = concat(sigma, Var(wit[0], wit[1]), _sing_default(sigma))
-    out = [_abs([wit] + us, head, flavor)]
-    out += [_abs([wit] + us, Var(n, t), flavor) for n, t in us]
+    out = [flavor.abs([wit] + us, head)]
+    out += [flavor.abs([wit] + us, Var(n, t)) for n, t in us]
     if flavor is Flavor.U:
         vs = _bnd("v", vs_t)
         for vn, vt in vs:
             out.append(
-                _abs([wit] + us + vs, singleton(Star(vt), singleton(vt, Var(vn, vt))), flavor)
+                flavor.abs([wit] + us + vs, singleton(Star(vt), singleton(vt, Var(vn, vt))))
             )
     else:
         ts = _bnd("t", [Star(t) for t in vs_t])
         for tn, tt in ts:
-            out.append(_abs([wit] + us + ts, singleton(tt, Var(tn, tt)), flavor))
+            out.append(flavor.abs([wit] + us + ts, singleton(tt, Var(tn, tt))))
     return out
 
 
 def _realise_st_ext(p, flavor):
     sigma = p["type"]
     w = ("w", sigma if flavor is Flavor.U else Star(sigma))
-    return [_abs([w], Var(*w), flavor)]
+    return [flavor.abs([w], Var(*w))]
 
 
 def _realise_st_closed(p, flavor):
@@ -591,71 +556,34 @@ def _realise_st_app(p, flavor):
 def _realise_os_star(p, flavor):
     sigma = p["type"]
     sp = ("sp", Star(sigma))
-    return [_abs([sp], singleton(Star(sigma), Var(*sp)), flavor)]
+    return [flavor.abs([sp], singleton(Star(sigma), Var(*sp)))]
 
 
 def _realise_us_star(p, flavor):
     sigma = p["type"]
     sp = ("sp", Star(sigma))
     if flavor is Flavor.U:
-        return [_abs([sp], Var(*sp), flavor)]
-    return [_abs([sp], singleton(Star(sigma), Var(*sp)), flavor)]
+        return [flavor.abs([sp], Var(*sp))]
+    return [flavor.abs([sp], singleton(Star(sigma), Var(*sp)))]
 
 
-def _identity_realisers(prem_tf: TranslatedFormula, flavor: Flavor) -> list[Term]:
+# Principles whose premise and conclusion share an interpretation; their
+# realisers are read off the checked instance.
+_IDENTITY_SHAPED = {Schema.NU, Schema.AC_ST, Schema.IP_FORALLST}
+
+
+def _realise_identity_shaped(instance: Imp, flavor: Flavor) -> list[Term]:
     """Premise and conclusion share an interpretation: project and collect singletons."""
-    es = _bnd("e", _types(prem_tf.exist_tuple))
-    us = _bnd("uq", _types(prem_tf.univ_tuple))
-    out = [_abs(es, Var(n, t), flavor) for n, t in es]
-    out += [_abs(es + us, singleton(t, Var(n, t)), flavor) for n, t in us]
-    return out
-
-
-def _realise_identity_shaped(p, flavor, conclusion_builder):
-    prem, concl = conclusion_builder(p)
-    t1, t2 = _tr(prem, flavor), _tr(concl, flavor)
+    t1, t2 = _tr(instance.left, flavor), _tr(instance.right, flavor)
     if _types(t1.exist_tuple) != _types(t2.exist_tuple) or _types(t1.univ_tuple) != _types(
         t2.univ_tuple
     ):
         raise UnsupportedSchema("premise and conclusion interpretations differ")
-    return _identity_realisers(t1, flavor)
-
-
-def _nu_parts(p):
-    from .formulas import ExistsSt, Forall
-
-    prem = Forall(p["y"], p["y_type"], ExistsSt(p["x"], p["x_type"], p["body"]))
-    concl = ExistsSt(p["x"], p["x_type"], Forall(p["y"], p["y_type"], p["body"]))
-    return prem, concl
-
-
-def _ac_parts(p):
-    from .formulas import ExistsSt, ForallSt
-
-    prem = ForallSt(p["x"], p["x_type"], ExistsSt(p["y"], p["y_type"], p["body"]))
-    fname = _ac_fname(p)
-    f_ty = Arrow(p["x_type"], p["y_type"])
-    applied = subst_formula(
-        p["body"], p["y"], App(Var(fname, f_ty), Var(p["x"], p["x_type"]))
-    )
-    concl = ExistsSt(fname, f_ty, ForallSt(p["x"], p["x_type"], applied))
-    return prem, concl
-
-
-def _ac_fname(p) -> str:
-    from .formulas import all_names
-    from .terms import fresh_name
-
-    return fresh_name("f", all_names(p["body"]))
-
-
-def _ip_parts(p):
-    from .formulas import ExistsSt, ForallSt, Imp
-
-    hyp = ForallSt(p["x"], p["x_type"], p["premise"])
-    prem = Imp(hyp, ExistsSt(p["y"], p["y_type"], p["conclusion"]))
-    concl = ExistsSt(p["y"], p["y_type"], Imp(hyp, p["conclusion"]))
-    return prem, concl
+    es = _bnd("e", _types(t1.exist_tuple))
+    us = _bnd("uq", _types(t1.univ_tuple))
+    out = [flavor.abs(es, Var(n, t)) for n, t in es]
+    out += [flavor.abs(es + us, singleton(t, Var(n, t))) for n, t in us]
+    return out
 
 
 def _realise_ncr(p, flavor):
@@ -666,9 +594,9 @@ def _realise_ncr(p, flavor):
     u0 = ("u0", Star(sigma))
     us = _bnd("u", us_t)
     ts = _bnd("t", [Star(Star(t)) for t in vs_t])
-    out = [_abs([u0] + us, singleton(Star(sigma), Var(*u0)), flavor)]
-    out += [_abs([u0] + us, Var(n, t), flavor) for n, t in us]
-    out += [_abs([u0] + us + ts, Var(n, t), flavor) for n, t in ts]
+    out = [flavor.abs([u0] + us, singleton(Star(sigma), Var(*u0)))]
+    out += [flavor.abs([u0] + us, Var(n, t)) for n, t in us]
+    out += [flavor.abs([u0] + us + ts, Var(n, t)) for n, t in ts]
     return out
 
 
@@ -682,10 +610,10 @@ def _realise_hac_st(p, flavor):
     us = _bnd("U", [Star(Arrow(sx, t)) for t in us_t])
     ts = _bnd("t", [Star(Star(t)) for t in vs_t])
     xs = ("xs", Star(sx))
-    out = [_abs([u0] + us, singleton(f_ty, Var(*u0)), flavor)]
-    out += [_abs([u0] + us, Var(n, t), flavor) for n, t in us]
-    out += [_abs([u0] + us + ts + [xs], Var(n, t), flavor) for n, t in ts]
-    out.append(_abs([u0] + us + ts + [xs], Var(*xs), flavor))
+    out = [flavor.abs([u0] + us, singleton(f_ty, Var(*u0)))]
+    out += [flavor.abs([u0] + us, Var(n, t)) for n, t in us]
+    out += [flavor.abs([u0] + us + ts + [xs], Var(n, t)) for n, t in ts]
+    out.append(flavor.abs([u0] + us + ts + [xs], Var(*xs)))
     return out
 
 
@@ -698,19 +626,15 @@ def _realise_hip(p, flavor):
     us = _bnd("u", us_t)
     sx_coll = ("S", seqfn([Star(t) for t in vs_t], Star(sx)))
     ts = _bnd("t", [Star(Star(t)) for t in vs_t])
-    out = [_abs([u0] + us + [sx_coll], singleton(Star(sy), Var(*u0)), flavor)]
-    out += [_abs([u0] + us + [sx_coll], Var(n, t), flavor) for n, t in us]
-    out.append(_abs([u0] + us + [sx_coll], Var(*sx_coll), flavor))
-    out += [_abs([u0] + us + [sx_coll] + ts, Var(n, t), flavor) for n, t in ts]
+    out = [flavor.abs([u0] + us + [sx_coll], singleton(Star(sy), Var(*u0)))]
+    out += [flavor.abs([u0] + us + [sx_coll], Var(n, t)) for n, t in us]
+    out.append(flavor.abs([u0] + us + [sx_coll], Var(*sx_coll)))
+    out += [flavor.abs([u0] + us + [sx_coll] + ts, Var(n, t)) for n, t in ts]
     return out
 
 
 def _us_star_dst_paper_form(p) -> tuple[TranslatedFormula, list[Term]]:
     """US* with its printed interpretation over a sequence of candidate sequences."""
-    from .formulas import SubsetEq, all_names, desugar
-    from .terms import fresh_name
-    from .translate import bounded_exists
-
     sigma, s, phi = p["type"], p["var"], p["body"]
     ss, sp = Star(sigma), Star(Star(sigma))
     coll_ty = Star(Arrow(sp, sp))
@@ -760,7 +684,4 @@ _REALISERS = {
     Schema.NCR: _realise_ncr,
     Schema.HAC_ST: _realise_hac_st,
     Schema.HIP_FORALLST: _realise_hip,
-    Schema.NU: lambda p, fl: _realise_identity_shaped(p, fl, _nu_parts),
-    Schema.AC_ST: lambda p, fl: _realise_identity_shaped(p, fl, _ac_parts),
-    Schema.IP_FORALLST: lambda p, fl: _realise_identity_shaped(p, fl, _ip_parts),
 }

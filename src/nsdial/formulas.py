@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ftypes import Arrow, FiniteType, Ground, N, Star
+from .ftypes import Arrow, FiniteType, N, Star
 from .terms import (
     App,
+    IllTyped,
     Term,
     TypeMismatch,
     Var,
     ZERO,
     all_names as term_names,
+    alpha_eq as term_alpha_eq,
     fresh_name,
     free_vars as term_free_vars,
     numeral,
@@ -19,8 +21,8 @@ from .terms import (
     seq_len,
     substitute as term_subst,
     synth_type,
+    type_check,
 )
-from .terms import alpha_eq as term_alpha_eq
 
 
 @dataclass(frozen=True)
@@ -136,10 +138,6 @@ def bot() -> Formula:
     return Eq(N, ZERO, numeral(1))
 
 
-def is_bot(f: Formula) -> bool:
-    return f == bot()
-
-
 @dataclass(frozen=True)
 class Classification:
     internal: bool
@@ -157,61 +155,53 @@ def classify(formula: Formula) -> Classification:
             internal = False
         if isinstance(f, Or):
             or_free = False
-        for child in _children(f):
+        for child in _shape(f)[2]:
             go(child)
 
     go(formula)
     return Classification(internal, or_free)
 
 
-def _children(f: Formula) -> tuple[Formula, ...]:
+def _shape(f: Formula) -> tuple[str | None, tuple[Term, ...], tuple[Formula, ...]]:
+    """The variable a node binds (or None), its embedded terms and its subformulas.
+
+    The embedded terms lie outside the binder's scope: the only node with both
+    is a bounded quantifier, whose bound does not see its own variable.
+    """
     if isinstance(f, (And, Or, Imp)):
-        return (f.left, f.right)
+        return None, (), (f.left, f.right)
     if isinstance(f, BINDERS):
-        return (f.body,)
+        return f.var, (), (f.body,)
     if isinstance(f, (BoundedForall, BoundedExists)):
-        return (f.body,)
+        return f.var, (f.bound,), (f.body,)
     if isinstance(f, Not):
-        return (f.body,)
-    return ()
+        return None, (), (f.body,)
+    if isinstance(f, (Eq, SubsetEq)):
+        return None, (f.left, f.right), ()
+    if isinstance(f, St):
+        return None, (f.term,), ()
+    if isinstance(f, In):
+        return None, (f.elem, f.seq), ()
+    if isinstance(f, Hyper):
+        return None, (f.seq,), ()
+    raise AssertionError(f)
 
 
 def free_vars(formula: Formula) -> dict[str, FiniteType]:
     out: dict[str, FiniteType] = {}
 
-    def add_term(t: Term, bound: dict[str, FiniteType]) -> None:
-        for name, ty in term_free_vars(t).items():
-            if name not in bound:
-                out[name] = ty
+    def go(f: Formula, bound: frozenset[str]) -> None:
+        var, terms, subs = _shape(f)
+        for t in terms:
+            for name, ty in term_free_vars(t).items():
+                if name not in bound:
+                    out[name] = ty
+        if var is not None:
+            bound = bound | {var}
+        for sub in subs:
+            go(sub, bound)
 
-    def go(f: Formula, bound: dict[str, FiniteType]) -> None:
-        if isinstance(f, Eq):
-            add_term(f.left, bound)
-            add_term(f.right, bound)
-        elif isinstance(f, (And, Or, Imp)):
-            go(f.left, bound)
-            go(f.right, bound)
-        elif isinstance(f, BINDERS):
-            go(f.body, {**bound, f.var: f.var_type})
-        elif isinstance(f, (BoundedForall, BoundedExists)):
-            add_term(f.bound, bound)
-            go(f.body, {**bound, f.var: N})
-        elif isinstance(f, St):
-            add_term(f.term, bound)
-        elif isinstance(f, In):
-            add_term(f.elem, bound)
-            add_term(f.seq, bound)
-        elif isinstance(f, SubsetEq):
-            add_term(f.left, bound)
-            add_term(f.right, bound)
-        elif isinstance(f, Hyper):
-            add_term(f.seq, bound)
-        elif isinstance(f, Not):
-            go(f.body, bound)
-        else:
-            raise AssertionError(f)
-
-    go(formula, {})
+    go(formula, frozenset())
     return out
 
 
@@ -219,28 +209,13 @@ def all_names(formula: Formula) -> set[str]:
     out: set[str] = set()
 
     def go(f: Formula) -> None:
-        if isinstance(f, Eq):
-            out.update(term_names(f.left) | term_names(f.right))
-        elif isinstance(f, (And, Or, Imp)):
-            go(f.left)
-            go(f.right)
-        elif isinstance(f, BINDERS):
-            out.add(f.var)
-            go(f.body)
-        elif isinstance(f, (BoundedForall, BoundedExists)):
-            out.add(f.var)
-            out.update(term_names(f.bound))
-            go(f.body)
-        elif isinstance(f, St):
-            out.update(term_names(f.term))
-        elif isinstance(f, In):
-            out.update(term_names(f.elem) | term_names(f.seq))
-        elif isinstance(f, SubsetEq):
-            out.update(term_names(f.left) | term_names(f.right))
-        elif isinstance(f, Hyper):
-            out.update(term_names(f.seq))
-        elif isinstance(f, Not):
-            go(f.body)
+        var, terms, subs = _shape(f)
+        if var is not None:
+            out.add(var)
+        for t in terms:
+            out.update(term_names(t))
+        for sub in subs:
+            go(sub)
 
     go(formula)
     return out
@@ -411,8 +386,6 @@ def check_formula(formula: Formula, context: dict[str, FiniteType] | None = None
     env = dict(context) if context else {}
 
     def expect(t: Term, ty: FiniteType, scope: dict[str, FiniteType], what: str) -> None:
-        from .terms import IllTyped, type_check
-
         found = type_check(t, scope)
         if found != ty:
             raise IllTyped(what, ty, found)

@@ -31,6 +31,7 @@ from .terms import (
     Var,
     ZERO,
     cons,
+    default_term,
     empty_seq,
     numeral,
 )
@@ -180,8 +181,6 @@ def random_term(r: random.Random, ty: FiniteType, scope: list[tuple[str, FiniteT
         if matching and r.random() < 0.6:
             name, t = r.choice(matching)
             return Var(name, t)
-        from .terms import default_term
-
         return default_term(ty)
     roll = r.random()
     if matching and roll < 0.25:

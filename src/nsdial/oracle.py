@@ -53,10 +53,11 @@ from .terms import (
     Term,
     Var,
     alpha_eq,
+    free_vars as term_free_vars,
     substitute,
     synth_type,
 )
-from .terms import free_vars as term_free_vars
+from .translate import Flavor
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,8 @@ class Grid:
             raise ValueError(f"nat_bound must be at least 0, got {self.nat_bound}")
         if self.seq_len_bound < 1:
             raise ValueError(f"seq_len_bound must be at least 1, got {self.seq_len_bound}")
+        if self.depth_bound < 0:
+            raise ValueError(f"depth_bound must be at least 0, got {self.depth_bound}")
 
 
 @dataclass(frozen=True)
@@ -450,8 +453,6 @@ def replay(bundle, verdict: CounterexampleFound, grid: Grid) -> bool:
 
 def check_upward_closed(tf, grid: Grid) -> Verdict:
     """Truth of the matrix must survive extending any witness sequence."""
-    from .translate import Flavor
-
     assert tf.flavor is Flavor.DST
     matrix = desugar(tf.matrix)
     names = _sweep_names(list(tf.exist_tuple) + list(tf.univ_tuple), matrix)

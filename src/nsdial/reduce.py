@@ -258,14 +258,6 @@ def value_to_term(v: CanonicalValue) -> Term:
     return v.term
 
 
-def value_type(v: CanonicalValue) -> FiniteType:
-    if isinstance(v, Nat):
-        return Ground()
-    if isinstance(v, Seq):
-        return Star(v.element)
-    return type_check(v.term)
-
-
 def eval_seq(term: Term, expect: FiniteType | None = None) -> list[CanonicalValue]:
     """Canonical list value of a closed term of data sequence type."""
     fv = free_vars(term)

@@ -31,8 +31,12 @@ from .terms import (
     Term,
     Var,
     default_term,
+    free_vars,
     numeral,
+    seq_term,
+    synth_type,
 )
+from .extract import RealiserBundle
 from .translate import Flavor, TranslatedFormula
 
 
@@ -131,8 +135,6 @@ class _Elab:
         self.free: dict[str, FiniteType] = {}
 
     def term(self, sx, env: dict[str, FiniteType], expected: FiniteType | None) -> Term:
-        from .terms import synth_type
-
         t = self._term(sx, env, expected)
         if expected is not None:
             found = synth_type(t)
@@ -191,8 +193,6 @@ class _Elab:
             return default_term(parse_type(sx[1]))
         if head == "seq":
             elem = parse_type(sx[1])
-            from .terms import seq_term
-
             return seq_term(elem, [self.term(s, env, elem) for s in sx[2:]])
         if head in _CONST_HEADS:
             kind, arity = _CONST_HEADS[head]
@@ -204,8 +204,6 @@ class _Elab:
         raise ParseError(f"unknown term form {sx!r}")
 
     def _app(self, parts, env) -> Term:
-        from .terms import synth_type
-
         if parts and parts[0] == "cons" and len(parts) >= 2:
             first = self.term(parts[1], env, None)
             elem = synth_type(first)
@@ -222,8 +220,6 @@ class _Elab:
         return out
 
     def _operator_sugar(self, head: str, args, env) -> Term:
-        from .terms import synth_type
-
         first = self.term(args[0], env, None)
         ty = synth_type(first)
         if head == "sing":
@@ -262,8 +258,6 @@ def parse_term(sx, env: dict[str, FiniteType] | None = None,
 
 def print_term_top(t: Term) -> str:
     """Print a term, declaring the types of its free variables when open."""
-    from .terms import free_vars
-
     fv = free_vars(t)
     if not fv:
         return print_term(t)
@@ -378,8 +372,6 @@ def _formula(sx, elab: _Elab, env) -> F.Formula:
     if head == "subseteq":
         ty = parse_type(sx[1])
         left = elab.term(sx[2], env, None)
-        from .terms import synth_type
-
         return F.SubsetEq(ty, left, elab.term(sx[3], env, synth_type(left)))
     if head == "hyper":
         ty = parse_type(sx[1])
@@ -571,8 +563,6 @@ def print_bundle(b) -> str:
 
 
 def parse_bundle(sx):
-    from .extract import RealiserBundle
-
     if not (isinstance(sx, list) and sx and sx[0] == "bundle"):
         raise ParseError("expected (bundle flavor (target ...) (translated ...) (terms ...))")
     flavor = Flavor(sx[1])

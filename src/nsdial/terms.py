@@ -139,67 +139,42 @@ def const_type(c: Const) -> FiniteType:
 
 def type_check(term: Term, context: dict[str, FiniteType] | None = None) -> FiniteType:
     """Synthesize the unique type of a term, or raise IllTyped/UnboundVariable."""
-    ctx = dict(context) if context else {}
-
-    def go(t: Term, env: dict[str, FiniteType]) -> FiniteType:
-        if isinstance(t, Var):
-            if t.name not in env:
-                raise UnboundVariable(t.name)
-            if env[t.name] != t.type:
-                raise IllTyped(f"var {t.name}", env[t.name], t.type)
-            return t.type
-        if isinstance(t, Const):
-            return const_type(t)
-        if isinstance(t, Lam):
-            body = go(t.body, {**env, t.var: t.var_type})
-            return Arrow(t.var_type, body)
-        if isinstance(t, SeqAbs):
-            body = go(t.body, {**env, t.var: t.var_type})
-            if not isinstance(body, Star):
-                raise IllTyped("seqabs body", "a sequence type", body)
-            return Star(Arrow(t.var_type, body))
-        if isinstance(t, App):
-            fun = go(t.fun, env)
-            arg = go(t.arg, env)
-            if not isinstance(fun, Arrow):
-                raise IllTyped("application head", "an arrow type", fun)
-            if fun.domain != arg:
-                raise IllTyped("application argument", fun.domain, arg)
-            return fun.codomain
-        raise AssertionError(t)
-
-    return go(term, ctx)
+    return _synth(term, context or {}, True)
 
 
 def synth_type(term: Term) -> FiniteType:
     """Type of a possibly open term, trusting the annotations on free variables."""
+    return _synth(term, {}, False)
 
-    def go(t: Term, env: dict[str, FiniteType]) -> FiniteType:
-        if isinstance(t, Var):
-            expected = env.get(t.name, t.type)
-            if expected != t.type:
-                raise IllTyped(f"var {t.name}", expected, t.type)
-            return t.type
-        if isinstance(t, Const):
-            return const_type(t)
+
+def _synth(t: Term, env: dict[str, FiniteType], closed: bool) -> FiniteType:
+    """The one type synthesiser; closed makes a variable missing from env an error."""
+    if isinstance(t, Var):
+        expected = env.get(t.name)
+        if expected is None:
+            if closed:
+                raise UnboundVariable(t.name)
+        elif expected != t.type:
+            raise IllTyped(f"var {t.name}", expected, t.type)
+        return t.type
+    if isinstance(t, Const):
+        return const_type(t)
+    if isinstance(t, (Lam, SeqAbs)):
+        body = _synth(t.body, {**env, t.var: t.var_type}, closed)
         if isinstance(t, Lam):
-            return Arrow(t.var_type, go(t.body, {**env, t.var: t.var_type}))
-        if isinstance(t, SeqAbs):
-            body = go(t.body, {**env, t.var: t.var_type})
-            if not isinstance(body, Star):
-                raise IllTyped("seqabs body", "a sequence type", body)
-            return Star(Arrow(t.var_type, body))
-        if isinstance(t, App):
-            fun = go(t.fun, env)
-            arg = go(t.arg, env)
-            if not isinstance(fun, Arrow):
-                raise IllTyped("application head", "an arrow type", fun)
-            if fun.domain != arg:
-                raise IllTyped("application argument", fun.domain, arg)
-            return fun.codomain
-        raise AssertionError(t)
-
-    return go(term, {})
+            return Arrow(t.var_type, body)
+        if not isinstance(body, Star):
+            raise IllTyped("seqabs body", "a sequence type", body)
+        return Star(Arrow(t.var_type, body))
+    if isinstance(t, App):
+        fun = _synth(t.fun, env, closed)
+        arg = _synth(t.arg, env, closed)
+        if not isinstance(fun, Arrow):
+            raise IllTyped("application head", "an arrow type", fun)
+        if fun.domain != arg:
+            raise IllTyped("application argument", fun.domain, arg)
+        return fun.codomain
+    raise AssertionError(t)
 
 
 def free_vars(term: Term) -> dict[str, FiniteType]:

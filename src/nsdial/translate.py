@@ -4,7 +4,8 @@ Each maps a formula to an existential tuple of witness variables, a universal
 tuple of challenge variables, and an internal matrix. The herbrandised flavor
 (Dst) carries sequence-typed witnesses combined by sequence application; the
 uniform flavor (U) carries plain witnesses combined by ordinary application
-and keeps its matrices free of disjunction.
+and keeps its matrices free of disjunction. Both share one set of clauses;
+the per-flavor witness builders live on Flavor, where extraction uses them too.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .ftypes import Arrow, FiniteType, N, Star, seqfn
+from .ftypes import FiniteType, N, Star, arrow, seqfn
 from .formulas import (
     And,
     BoundedExists,
@@ -36,7 +37,6 @@ from .formulas import (
     subst_formula,
 )
 from .terms import (
-    App,
     NsdialError,
     Term,
     Var,
@@ -44,9 +44,12 @@ from .terms import (
     all_names as term_names,
     app,
     fresh_name,
+    lam,
     proj,
+    sabs,
     seq_app_infer,
     seq_len,
+    synth_type,
 )
 
 
@@ -55,8 +58,33 @@ class IllTypedInput(NsdialError):
 
 
 class Flavor(Enum):
+    """The two systems, with the builders their witness terms differ in.
+
+    Herbrandised (DST) witnesses are sequences of candidate functions built by
+    sequence abstraction and applied by sequence application; uniform (U)
+    witnesses are plain functions built by lambda and ordinary application.
+    """
+
     DST = "dst"
     U = "u"
+
+    def fn_type(self, domains: list[FiniteType], result: FiniteType) -> FiniteType:
+        """Type of a witness function taking the domains in turn and yielding result."""
+        if self is Flavor.DST:
+            return seqfn(domains, result)
+        return arrow(*domains, result)
+
+    def abs(self, binders: list[tuple[str, FiniteType]], body: Term) -> Term:
+        return sabs(binders, body) if self is Flavor.DST else lam(binders, body)
+
+    def apply(self, fn: Term, args: list[Term]) -> Term:
+        if self is Flavor.U:
+            return app(fn, *args)
+        ty = synth_type(fn)
+        for a in args:
+            fn = seq_app_infer(fn, a, ty)
+            ty = ty.element.codomain
+        return fn
 
 
 @dataclass(frozen=True)
@@ -123,17 +151,6 @@ def bounded_exists(var: str, ty: FiniteType, coll: Term, body: Formula) -> Formu
     )
 
 
-def _seq_apply(fn_var: Var, args: list[Var]) -> Term:
-    """Iterated sequence application of a seqfn-typed variable to argument variables."""
-    out: Term = fn_var
-    ty = fn_var.type
-    for a in args:
-        out = seq_app_infer(out, a, ty)
-        assert isinstance(ty, Star) and isinstance(ty.element, Arrow)
-        ty = ty.element.codomain
-    return out
-
-
 def dst_translate(formula: Formula) -> TranslatedFormula:
     """Herbrandised translation; every witness variable has sequence type."""
     return _translate(formula, Flavor.DST)
@@ -150,10 +167,7 @@ def _translate(formula: Formula, flavor: Flavor) -> TranslatedFormula:
     except NsdialError as e:
         raise IllTypedInput(str(e)) from e
     fresh = FreshNames(set(free_vars(formula)), all_names(formula))
-    if flavor is Flavor.DST:
-        ex, un, m = _dst(desugar(formula), fresh)
-    else:
-        ex, un, m = _u(desugar(formula), fresh)
+    ex, un, m = _clauses(desugar(formula), fresh, flavor)
     m = desugar(m)
     tf = TranslatedFormula(tuple(ex), tuple(un), m, flavor)
     _check_invariants(tf)
@@ -177,175 +191,96 @@ def _shortcut(f: Formula, flavor: Flavor) -> bool:
     return cl.or_free if flavor is Flavor.U else True
 
 
-# -- herbrandised clauses ----------------------------------------------------
+# -- clauses ---------------------------------------------------------------
 
-def _dst(f: Formula, fr: FreshNames) -> tuple[list, list, Formula]:
-    if _shortcut(f, Flavor.DST):
+def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Formula]:
+    """One translation clause per connective; only St, Or and ExistsSt differ by flavor."""
+    if _shortcut(f, flavor):
         return [], [], f
+    dst = flavor is Flavor.DST
 
     if isinstance(f, St):
-        s = fr.issue("s")
-        return [(s, Star(f.type))], [], In(f.type, f.term, Var(s, Star(f.type)))
-
-    if isinstance(f, (And, Or)):
-        ex1, un1, m1 = _dst(f.left, fr)
-        ex2, un2, m2 = _dst(f.right, fr)
-        ctor = And if isinstance(f, And) else Or
-        return ex1 + ex2, un1 + un2, ctor(m1, m2)
-
-    if isinstance(f, Imp):
-        ex1, un1, m1 = _dst(f.left, fr)
-        ex2, un2, m2 = _dst(f.right, fr)
-        s_types = [ty for _, ty in ex1]
-        fns: list[tuple[str, FiniteType]] = []
-        for name, ty in ex2:
-            fn = fr.issue("T")
-            fns.append((fn, seqfn(s_types, ty)))
-        colls: list[tuple[str, FiniteType]] = []
-        for name, ty in un1:
-            c = fr.issue("Y")
-            colls.append((c, seqfn(s_types + [t for _, t in un2], Star(ty))))
-        s_vars = [Var(n, t) for n, t in ex1]
-        v_vars = [Var(n, t) for n, t in un2]
-        conclusion = m2
-        for (old, _), (fn, fnty) in zip(ex2, fns):
-            conclusion = subst_formula(conclusion, old, _seq_apply(Var(fn, fnty), s_vars))
-        bounds = [
-            (old, ty, _seq_apply(Var(c, cty), s_vars + v_vars))
-            for (old, ty), (c, cty) in zip(un1, colls)
-        ]
-        matrix = Imp(_bounded_all(bounds, m1), conclusion)
-        return fns + colls, ex1 + un2, matrix
-
-    if isinstance(f, Exists):
-        ex, un, m = _dst(f.body, fr)
-        seqs: list[tuple[str, FiniteType]] = []
-        bounds = []
-        for name, ty in un:
-            t = fr.issue("t")
-            seqs.append((t, Star(ty)))
-            bounds.append((name, ty, Var(t, Star(ty))))
-        return ex, seqs, Exists(f.var, f.var_type, _bounded_all(bounds, m))
-
-    if isinstance(f, Forall):
-        ex, un, m = _dst(f.body, fr)
-        return ex, un, Forall(f.var, f.var_type, m)
-
-    if isinstance(f, ExistsSt):
-        ex, un, m = _dst(f.body, fr)
-        u = fr.issue("u")
-        u_ty = Star(f.var_type)
-        seqs: list[tuple[str, FiniteType]] = []
-        bounds = []
-        for name, ty in un:
-            t = fr.issue("t")
-            seqs.append((t, Star(ty)))
-            bounds.append((name, ty, Var(t, Star(ty))))
-        matrix = bounded_exists(
-            f.var, f.var_type, Var(u, u_ty), _bounded_all(bounds, m)
-        )
-        return [(u, u_ty)] + ex, seqs, matrix
-
-    if isinstance(f, ForallSt):
-        z, z_ty, inner = _open_binder(f, fr)
-        ex, un, m = _dst(inner, fr)
-        lifts: list[tuple[str, FiniteType]] = []
-        for name, ty in ex:
-            s = fr.issue("S")
-            lift_ty = Star(Arrow(z_ty, ty))
-            lifts.append((s, lift_ty))
-            m = subst_formula(m, name, seq_app_infer(Var(s, lift_ty), Var(z, z_ty), lift_ty))
-        return lifts, un + [(z, z_ty)], m
-
-    raise AssertionError(f"untranslatable node {f!r}")
-
-
-# -- uniform clauses ---------------------------------------------------------
-
-def _u(f: Formula, fr: FreshNames) -> tuple[list, list, Formula]:
-    if _shortcut(f, Flavor.U):
-        return [], [], f
-
-    if isinstance(f, St):
+        if dst:
+            s = fr.issue("s")
+            return [(s, Star(f.type))], [], In(f.type, f.term, Var(s, Star(f.type)))
         y = fr.issue("y")
         return [(y, f.type)], [], Eq(f.type, Var(y, f.type), f.term)
 
-    if isinstance(f, And):
-        ex1, un1, m1 = _u(f.left, fr)
-        ex2, un2, m2 = _u(f.right, fr)
-        return ex1 + ex2, un1 + un2, And(m1, m2)
-
-    if isinstance(f, Or):
-        ex1, un1, m1 = _u(f.left, fr)
-        ex2, un2, m2 = _u(f.right, fr)
+    if isinstance(f, (And, Or)):
+        ex1, un1, m1 = _clauses(f.left, fr, flavor)
+        ex2, un2, m2 = _clauses(f.right, fr, flavor)
+        if isinstance(f, And) or dst:
+            return ex1 + ex2, un1 + un2, type(f)(m1, m2)
         z = fr.issue("z")
         zero_eq = Eq(N, Var(z, N), ZERO)
         matrix = And(Imp(zero_eq, m1), Imp(Not(zero_eq), m2))
         return [(z, N)] + ex1 + ex2, un1 + un2, matrix
 
     if isinstance(f, Imp):
-        ex1, un1, m1 = _u(f.left, fr)
-        ex2, un2, m2 = _u(f.right, fr)
+        ex1, un1, m1 = _clauses(f.left, fr, flavor)
+        ex2, un2, m2 = _clauses(f.right, fr, flavor)
         x_types = [ty for _, ty in ex1]
-        fns: list[tuple[str, FiniteType]] = []
-        for name, ty in ex2:
-            fn = fr.issue("U")
-            fns.append((fn, _curry(x_types, ty)))
-        colls: list[tuple[str, FiniteType]] = []
-        for name, ty in un1:
-            c = fr.issue("Y")
-            colls.append((c, _curry(x_types + [t for _, t in un2], Star(ty))))
+        fn_prefix = "T" if dst else "U"
+        fns = [(fr.issue(fn_prefix), flavor.fn_type(x_types, ty)) for _, ty in ex2]
+        colls = [
+            (fr.issue("Y"), flavor.fn_type(x_types + [t for _, t in un2], Star(ty)))
+            for _, ty in un1
+        ]
         x_vars = [Var(n, t) for n, t in ex1]
         v_vars = [Var(n, t) for n, t in un2]
         conclusion = m2
         for (old, _), (fn, fnty) in zip(ex2, fns):
-            conclusion = subst_formula(conclusion, old, app(Var(fn, fnty), *x_vars))
+            conclusion = subst_formula(conclusion, old, flavor.apply(Var(fn, fnty), x_vars))
         bounds = [
-            (old, ty, app(Var(c, cty), *(x_vars + v_vars)))
+            (old, ty, flavor.apply(Var(c, cty), x_vars + v_vars))
             for (old, ty), (c, cty) in zip(un1, colls)
         ]
         matrix = Imp(_bounded_all(bounds, m1), conclusion)
         return fns + colls, ex1 + un2, matrix
 
     if isinstance(f, Exists):
-        ex, un, m = _u(f.body, fr)
-        seqs: list[tuple[str, FiniteType]] = []
-        bounds = []
-        for name, ty in un:
-            t = fr.issue("t")
-            seqs.append((t, Star(ty)))
-            bounds.append((name, ty, Var(t, Star(ty))))
-        return ex, seqs, Exists(f.var, f.var_type, _bounded_all(bounds, m))
+        ex, un, m = _clauses(f.body, fr, flavor)
+        seqs, m = _collect(un, m, fr)
+        return ex, seqs, Exists(f.var, f.var_type, m)
 
     if isinstance(f, Forall):
-        ex, un, m = _u(f.body, fr)
+        ex, un, m = _clauses(f.body, fr, flavor)
         return ex, un, Forall(f.var, f.var_type, m)
 
     if isinstance(f, ExistsSt):
-        ex, un, m = _u(f.body, fr)
-        x = fr.issue(f.var)
-        m = subst_formula(m, f.var, Var(x, f.var_type))
-        return [(x, f.var_type)] + ex, un, m
+        ex, un, m = _clauses(f.body, fr, flavor)
+        if not dst:
+            x = fr.issue(f.var)
+            m = subst_formula(m, f.var, Var(x, f.var_type))
+            return [(x, f.var_type)] + ex, un, m
+        u = fr.issue("u")
+        u_ty = Star(f.var_type)
+        seqs, m = _collect(un, m, fr)
+        return [(u, u_ty)] + ex, seqs, bounded_exists(f.var, f.var_type, Var(u, u_ty), m)
 
     if isinstance(f, ForallSt):
         z, z_ty, inner = _open_binder(f, fr)
-        ex, un, m = _u(inner, fr)
+        ex, un, m = _clauses(inner, fr, flavor)
+        lift_prefix = "S" if dst else "X"
         lifts: list[tuple[str, FiniteType]] = []
         for name, ty in ex:
-            xfn = fr.issue("X")
-            lift_ty = Arrow(z_ty, ty)
-            lifts.append((xfn, lift_ty))
-            m = subst_formula(m, name, App(Var(xfn, lift_ty), Var(z, z_ty)))
+            lift = Var(fr.issue(lift_prefix), flavor.fn_type([z_ty], ty))
+            lifts.append((lift.name, lift.type))
+            m = subst_formula(m, name, flavor.apply(lift, [Var(z, z_ty)]))
         return lifts, un + [(z, z_ty)], m
 
     raise AssertionError(f"untranslatable node {f!r}")
 
 
-def _curry(domains: list[FiniteType], result: FiniteType) -> FiniteType:
-    out = result
-    for d in reversed(domains):
-        out = Arrow(d, out)
-    return out
+def _collect(un: Tuple, m: Formula, fr: FreshNames) -> tuple[list, Formula]:
+    """Replace each universal by a fresh sequence of challenges, bounding m over it."""
+    seqs: list[tuple[str, FiniteType]] = []
+    bounds = []
+    for name, ty in un:
+        t = fr.issue("t")
+        seqs.append((t, Star(ty)))
+        bounds.append((name, ty, Var(t, Star(ty))))
+    return seqs, _bounded_all(bounds, m)
 
 
 def _open_binder(f, fr: FreshNames) -> tuple[str, FiniteType, Formula]:

@@ -107,7 +107,12 @@ def test_report_structure(tmp_path, capsys):
 
 def test_grid_flags_out_of_range_exit_two(capsys):
     bundle = str(CORPUS / "doubling.u.bundle")
-    for flags in (["--nat-bound", "-1"], ["--len-bound", "0"], ["--len-bound", "x"]):
+    for flags in (
+        ["--nat-bound", "-1"],
+        ["--len-bound", "0"],
+        ["--len-bound", "x"],
+        ["--depth-bound", "-1"],
+    ):
         for argv in (["verify", bundle] + flags, ["corpus", "run", str(CORPUS)] + flags):
             with pytest.raises(SystemExit) as exc:
                 run(argv)
@@ -122,7 +127,18 @@ def test_grid_rejects_out_of_range_bounds():
         Grid(-1, 2)
     with pytest.raises(ValueError):
         Grid(2, 0)
+    with pytest.raises(ValueError):
+        Grid(2, 2, -1)
     assert Grid(0, 1).nat_bound == 0
+    assert Grid(0, 1, 0).depth_bound == 0
+
+
+def test_subseteq_formula_translates(tmp_path, capsys):
+    f = tmp_path / "sub.fml"
+    f.write_text("(subseteq N (seq N 1) (seq N 1 2))")
+    for flavor in ("--u", "--dst"):
+        assert run(["translate", flavor, str(f)]) == 0
+        assert capsys.readouterr().out.startswith("(exists-st () (forall-st () ")
 
 
 def test_verify_ill_typed_realiser_exits_two(tmp_path, capsys):
