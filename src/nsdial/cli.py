@@ -143,6 +143,8 @@ def cmd_corpus(directory: Path, args) -> tuple[int, dict]:
             entry["status"] = "error"
             entry["error"] = str(e)
             status = EXIT_ERROR
+        except RecursionError as e:
+            entry.update(status="fail", error=str(e), kind="RecursionError")
         if entry.get("status") == "fail" and status == EXIT_OK:
             status = EXIT_FAIL
         items.append(entry)
@@ -271,6 +273,10 @@ def run(argv: list[str]) -> int:
         parse_like = isinstance(e, (IllTyped, UnboundVariable, TypeMismatch, IllTypedInput))
         status = EXIT_ERROR if parse_like else EXIT_FAIL
         outcome = {"error": str(e), "kind": kind}
+    except RecursionError as e:
+        # input nested deeper than the recursive traversals reach
+        print(f"RecursionError: {e}", file=sys.stderr)
+        status, outcome = EXIT_FAIL, {"error": str(e), "kind": "RecursionError"}
     report["outcome"] = outcome
     report["wall_time_s"] = round(time.monotonic() - started, 6)
     if args.json:

@@ -9,6 +9,7 @@ primitive recursion over the base and step realisers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .ftypes import Arrow, FiniteType, N, Star, seqfn
 from .axioms import Schema
@@ -43,7 +44,7 @@ from .terms import (
     singleton,
     type_check,
 )
-from .translate import Flavor, TranslatedFormula, bounded_exists, dst_translate, u_translate
+from .translate import Flavor, TranslatedFormula, Tuple, bounded_exists, dst_translate, u_translate
 
 
 class UnsupportedSchema(NsdialError):
@@ -68,7 +69,7 @@ def extract_dst(proof: Proof) -> RealiserBundle:
 
 def extract(proof: Proof, flavor: Flavor) -> RealiserBundle:
     target = check_proof(proof, flavor)
-    tf, terms = _extract(proof, flavor, root=True)
+    tf, terms = _extract(proof, flavor, _translator(flavor, target), root=True)
     terms = tuple(normalize(t) for t in terms)
     if len(terms) != len(tf.exist_tuple):
         raise UnsupportedSchema(
@@ -81,38 +82,69 @@ def extract(proof: Proof, flavor: Flavor) -> RealiserBundle:
     return RealiserBundle(target, tf, terms, flavor)
 
 
-def _tr(f: Formula, flavor: Flavor) -> TranslatedFormula:
-    return dst_translate(f) if flavor is Flavor.DST else u_translate(f)
+class _Tuples(NamedTuple):
+    """A translation's witness and challenge tuples: all that realiser rules read."""
+
+    exist_tuple: Tuple
+    univ_tuple: Tuple
 
 
-def _extract(proof: Proof, flavor: Flavor, root: bool = False) -> tuple[TranslatedFormula, list[Term]]:
+Translator = Callable[[Formula], TranslatedFormula | _Tuples]
+
+
+def _translator(flavor: Flavor, target: Formula) -> Translator:
+    """The flavor's translation, each distinct formula translated once.
+
+    Extraction builds every node's realisers from the translations of its
+    premises and its conclusion, so the same formulas recur along the proof.
+    The memo lives for one extraction; sharing it is sound because a
+    translation depends only on its formula (fresh names are drawn from it).
+    Only the target's matrix is printed, so of every other formula the memo
+    keeps just the tuples, not a matrix per proof node.
+    """
+    translate = dst_translate if flavor is Flavor.DST else u_translate
+    memo: dict[Formula, TranslatedFormula | _Tuples] = {}
+
+    def tr(f: Formula) -> TranslatedFormula | _Tuples:
+        tf = memo.get(f)
+        if tf is None:
+            tf = translate(f)
+            memo[f] = tf if f == target else _Tuples(tf.exist_tuple, tf.univ_tuple)
+        return tf
+
+    return tr
+
+
+def _extract(
+    proof: Proof, flavor: Flavor, tr: Translator, root: bool = False
+) -> tuple[TranslatedFormula | _Tuples, list[Term]]:
     conclusion = check_proof(proof, flavor)
 
     if isinstance(proof, AxiomNode):
         special = _axiom_special_form(proof, flavor) if root else None
         if special is not None:
             return special
-        return _tr(conclusion, flavor), _axiom_realisers(proof, conclusion, flavor)
+        return tr(conclusion), _axiom_realisers(proof, conclusion, flavor, tr)
 
     if isinstance(proof, MPNode):
         major = check_proof(proof.major, flavor)
         assert isinstance(major, Imp)
-        _, major_terms = _extract(proof.major, flavor)
-        _, minor_terms = _extract(proof.minor, flavor)
-        n_fns = len(_tr(major.right, flavor).exist_tuple)
+        _, major_terms = _extract(proof.major, flavor, tr)
+        _, minor_terms = _extract(proof.minor, flavor, tr)
+        n_fns = len(tr(major.right).exist_tuple)
         out = [flavor.apply(fn, minor_terms) for fn in major_terms[:n_fns]]
-        return _tr(conclusion, flavor), out
+        return tr(conclusion), out
 
     if isinstance(proof, ForallRuleNode):
-        _, terms = _extract(proof.premise, flavor)
-        return _tr(conclusion, flavor), terms
+        _, terms = _extract(proof.premise, flavor, tr)
+        return tr(conclusion), terms
 
     if isinstance(proof, ExistsRuleNode):
         prem = check_proof(proof.premise, flavor)
         assert isinstance(prem, Imp)
-        _, terms = _extract(proof.premise, flavor)
-        ta = _tr(prem.left, flavor)
-        tb = _tr(prem.right, flavor)
+        _, terms = _extract(proof.premise, flavor, tr)
+        ta = tr(prem.left)
+        tb = tr(prem.right)
         n_fns = len(tb.exist_tuple)
         fns, colls = terms[:n_fns], terms[n_fns:]
         xs = _bnd("x", [t for _, t in ta.exist_tuple])
@@ -121,19 +153,19 @@ def _extract(proof: Proof, flavor: Flavor, root: bool = False) -> tuple[Translat
         for coll, (_, coll_ty) in zip(colls, ta.univ_tuple):
             applied = flavor.apply(coll, [Var(n, t) for n, t in xs + vs])
             out.append(flavor.abs(xs + vs, singleton(Star(coll_ty), applied)))
-        return _tr(conclusion, flavor), out
+        return tr(conclusion), out
 
     if isinstance(proof, InductionNode):
-        return _tr(conclusion, flavor), []
+        return tr(conclusion), []
 
     if isinstance(proof, ExternalInductionNode):
         base = check_proof(proof.base, flavor)
-        _, base_terms = _extract(proof.base, flavor)
-        _, step_terms = _extract(proof.step, flavor)
-        t_base = _tr(base, flavor)
+        _, base_terms = _extract(proof.base, flavor, tr)
+        _, step_terms = _extract(proof.step, flavor, tr)
+        t_base = tr(base)
         k = len(t_base.exist_tuple)
         if k == 0:
-            return _tr(conclusion, flavor), []
+            return tr(conclusion), []
         if k > 1:
             raise UnsupportedSchema(
                 "external induction with more than one witness needs tuple coding"
@@ -147,7 +179,7 @@ def _extract(proof: Proof, flavor: Flavor, root: bool = False) -> tuple[Translat
                 flavor.apply(step, [Var("m", N), Var("prev", wit_ty)]),
             )
         term = flavor.abs([("n", N)], nat_rec(wit_ty, base_terms[0], step, Var("n", N)))
-        return _tr(conclusion, flavor), [term]
+        return tr(conclusion), [term]
 
     raise AssertionError(proof)
 
@@ -156,6 +188,11 @@ def _extract(proof: Proof, flavor: Flavor, root: bool = False) -> tuple[Translat
 
 def _bnd(prefix: str, types: list[FiniteType]) -> list[tuple[str, FiniteType]]:
     return [(f"{prefix}{i}", t) for i, t in enumerate(types)]
+
+
+def _lead(name: str, ty: FiniteType, rest: list[tuple[str, FiniteType]]) -> tuple[str, FiniteType]:
+    """Leading binder of an abstraction over rest, renamed if rest would capture it."""
+    return fresh_name(name, {n for n, _ in rest}), ty
 
 
 def _vs(bs: list[tuple[str, FiniteType]]) -> list[Term]:
@@ -187,17 +224,19 @@ def _union_over(
 
 # -- axiom realisers ---------------------------------------------------------
 
-def _axiom_realisers(node: AxiomNode, conclusion: Formula, flavor: Flavor) -> list[Term]:
-    tf = _tr(conclusion, flavor)
+def _axiom_realisers(
+    node: AxiomNode, conclusion: Formula, flavor: Flavor, tr: Translator
+) -> list[Term]:
+    tf = tr(conclusion)
     if not tf.exist_tuple:
         return []
     if node.schema in _IDENTITY_SHAPED:
-        return _realise_identity_shaped(conclusion, flavor)
+        return _realise_identity_shaped(conclusion, flavor, tr)
     p = node.params_dict()
     fn = _REALISERS.get(node.schema)
     if fn is None:
         raise UnsupportedSchema(f"no realiser rule for {node.schema.value}")
-    return fn(p, flavor)
+    return fn(p, flavor, tr)
 
 
 def _axiom_special_form(node: AxiomNode, flavor: Flavor):
@@ -211,8 +250,8 @@ def _types(tup) -> list[FiniteType]:
     return [t for _, t in tup]
 
 
-def _realise_k(p, flavor):
-    ta, tb = _tr(p["a"], flavor), _tr(p["b"], flavor)
+def _realise_k(p, flavor, tr):
+    ta, tb = tr(p["a"]), tr(p["b"])
     xs = _bnd("x", _types(ta.exist_tuple))
     us = _bnd("u", _types(tb.exist_tuple))
     ys = _bnd("y", _types(ta.univ_tuple))
@@ -227,8 +266,8 @@ def _realise_k(p, flavor):
     return out
 
 
-def _realise_s(p, flavor):
-    ta, tb, tc = _tr(p["a"], flavor), _tr(p["b"], flavor), _tr(p["c"], flavor)
+def _realise_s(p, flavor, tr):
+    ta, tb, tc = tr(p["a"]), tr(p["b"]), tr(p["c"])
     xs_t, ys_t = _types(ta.exist_tuple), _types(ta.univ_tuple)
     us_t, vs_t = _types(tb.exist_tuple), _types(tb.univ_tuple)
     ps_t, qs_t = _types(tc.exist_tuple), _types(tc.univ_tuple)
@@ -280,8 +319,8 @@ def _realise_s(p, flavor):
     return out
 
 
-def _realise_and_intro(p, flavor):
-    ta, tb = _tr(p["a"], flavor), _tr(p["b"], flavor)
+def _realise_and_intro(p, flavor, tr):
+    ta, tb = tr(p["a"]), tr(p["b"])
     xs = _bnd("x", _types(ta.exist_tuple))
     us = _bnd("u", _types(tb.exist_tuple))
     ys = _bnd("y", _types(ta.univ_tuple))
@@ -298,8 +337,8 @@ def _realise_and_intro(p, flavor):
     return out
 
 
-def _realise_and_elim(p, flavor, keep_left: bool):
-    ta, tb = _tr(p["a"], flavor), _tr(p["b"], flavor)
+def _realise_and_elim(p, flavor, tr, keep_left: bool):
+    ta, tb = tr(p["a"]), tr(p["b"])
     xs = _bnd("x", _types(ta.exist_tuple))
     us = _bnd("u", _types(tb.exist_tuple))
     kept = xs if keep_left else us
@@ -315,8 +354,8 @@ def _realise_and_elim(p, flavor, keep_left: bool):
     return out
 
 
-def _realise_or_intro(p, flavor, left: bool):
-    ta, tb = _tr(p["a"], flavor), _tr(p["b"], flavor)
+def _realise_or_intro(p, flavor, tr, left: bool):
+    ta, tb = tr(p["a"]), tr(p["b"])
     xs = _bnd("x", _types(ta.exist_tuple))
     us = _bnd("u", _types(tb.exist_tuple))
     ys = _bnd("y", _types(ta.univ_tuple))
@@ -336,8 +375,8 @@ def _realise_or_intro(p, flavor, left: bool):
     return out
 
 
-def _realise_or_elim(p, flavor):
-    ta, tb, tc = _tr(p["a"], flavor), _tr(p["b"], flavor), _tr(p["c"], flavor)
+def _realise_or_elim(p, flavor, tr):
+    ta, tb, tc = tr(p["a"]), tr(p["b"]), tr(p["c"])
     xs_t, ys_t = _types(ta.exist_tuple), _types(ta.univ_tuple)
     us_t, vs_t = _types(tb.exist_tuple), _types(tb.univ_tuple)
     ps_t, qs_t = _types(tc.exist_tuple), _types(tc.univ_tuple)
@@ -385,13 +424,13 @@ def _realise_or_elim(p, flavor):
     return out
 
 
-def _realise_ex_falso(p, flavor):
-    ta = _tr(p["a"], flavor)
+def _realise_ex_falso(p, flavor, tr):
+    ta = tr(p["a"])
     return [default_term(t) for t in _types(ta.exist_tuple)]
 
 
-def _realise_forall_inst(p, flavor):
-    ta = _tr(p["body"], flavor)
+def _realise_forall_inst(p, flavor, tr):
+    ta = tr(p["body"])
     xs = _bnd("x", _types(ta.exist_tuple))
     ys = _bnd("y", _types(ta.univ_tuple))
     out = [flavor.abs(xs, Var(n, t)) for n, t in xs]
@@ -399,8 +438,8 @@ def _realise_forall_inst(p, flavor):
     return out
 
 
-def _realise_exists_intro(p, flavor):
-    ta = _tr(p["body"], flavor)
+def _realise_exists_intro(p, flavor, tr):
+    ta = tr(p["body"])
     xs = _bnd("x", _types(ta.exist_tuple))
     ts = _bnd("t", [Star(t) for t in _types(ta.univ_tuple)])
     out = [flavor.abs(xs, Var(n, t)) for n, t in xs]
@@ -408,8 +447,8 @@ def _realise_exists_intro(p, flavor):
     return out
 
 
-def _realise_forallst_elim(p, flavor):
-    tphi = _tr(p["body"], flavor)
+def _realise_forallst_elim(p, flavor, tr):
+    tphi = tr(p["body"])
     sigma = p["var_type"]
     us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
     if flavor is Flavor.U:
@@ -449,8 +488,8 @@ def _star_elem(fn_seq_type: FiniteType) -> FiniteType:
     return cod.element
 
 
-def _realise_forallst_intro(p, flavor):
-    tphi = _tr(p["body"], flavor)
+def _realise_forallst_intro(p, flavor, tr):
+    tphi = tr(p["body"])
     sigma = p["var_type"]
     us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
     vs = _bnd("v", vs_t)
@@ -479,8 +518,8 @@ def _realise_forallst_intro(p, flavor):
     return out
 
 
-def _realise_existsst_elim(p, flavor):
-    tphi = _tr(p["body"], flavor)
+def _realise_existsst_elim(p, flavor, tr):
+    tphi = tr(p["body"])
     sigma = p["var_type"]
     us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
     wit = ("xw", sigma if flavor is Flavor.U else Star(sigma))
@@ -498,8 +537,8 @@ def _realise_existsst_elim(p, flavor):
     return out
 
 
-def _realise_existsst_intro(p, flavor):
-    tphi = _tr(p["body"], flavor)
+def _realise_existsst_intro(p, flavor, tr):
+    tphi = tr(p["body"])
     sigma = p["var_type"]
     us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
     wit = ("yw", sigma if flavor is Flavor.U else Star(sigma))
@@ -525,20 +564,20 @@ def _realise_existsst_intro(p, flavor):
     return out
 
 
-def _realise_st_ext(p, flavor):
+def _realise_st_ext(p, flavor, tr):
     sigma = p["type"]
     w = ("w", sigma if flavor is Flavor.U else Star(sigma))
     return [flavor.abs([w], Var(*w))]
 
 
-def _realise_st_closed(p, flavor):
+def _realise_st_closed(p, flavor, tr):
     a = p["term"]
     if flavor is Flavor.U:
         return [a]
     return [singleton(p["type"], a)]
 
 
-def _realise_st_app(p, flavor):
+def _realise_st_app(p, flavor, tr):
     dom, cod = p["domain"], p["codomain"]
     if flavor is Flavor.U:
         fb = [("fp", Arrow(dom, cod)), ("xq", dom)]
@@ -553,13 +592,13 @@ def _realise_st_app(p, flavor):
     return [sabs([wf, wx], body)]
 
 
-def _realise_os_star(p, flavor):
+def _realise_os_star(p, flavor, tr):
     sigma = p["type"]
     sp = ("sp", Star(sigma))
     return [flavor.abs([sp], singleton(Star(sigma), Var(*sp)))]
 
 
-def _realise_us_star(p, flavor):
+def _realise_us_star(p, flavor, tr):
     sigma = p["type"]
     sp = ("sp", Star(sigma))
     if flavor is Flavor.U:
@@ -572,9 +611,9 @@ def _realise_us_star(p, flavor):
 _IDENTITY_SHAPED = {Schema.NU, Schema.AC_ST, Schema.IP_FORALLST}
 
 
-def _realise_identity_shaped(instance: Imp, flavor: Flavor) -> list[Term]:
+def _realise_identity_shaped(instance: Imp, flavor: Flavor, tr: Translator) -> list[Term]:
     """Premise and conclusion share an interpretation: project and collect singletons."""
-    t1, t2 = _tr(instance.left, flavor), _tr(instance.right, flavor)
+    t1, t2 = tr(instance.left), tr(instance.right)
     if _types(t1.exist_tuple) != _types(t2.exist_tuple) or _types(t1.univ_tuple) != _types(
         t2.univ_tuple
     ):
@@ -586,30 +625,30 @@ def _realise_identity_shaped(instance: Imp, flavor: Flavor) -> list[Term]:
     return out
 
 
-def _realise_ncr(p, flavor):
+def _realise_ncr(p, flavor, tr):
     assert flavor is Flavor.DST
-    tphi = _tr(p["body"], flavor)
+    tphi = tr(p["body"])
     sigma = p["x_type"]
     us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
-    u0 = ("u0", Star(sigma))
     us = _bnd("u", us_t)
     ts = _bnd("t", [Star(Star(t)) for t in vs_t])
+    u0 = _lead("u0", Star(sigma), us + ts)
     out = [flavor.abs([u0] + us, singleton(Star(sigma), Var(*u0)))]
     out += [flavor.abs([u0] + us, Var(n, t)) for n, t in us]
     out += [flavor.abs([u0] + us + ts, Var(n, t)) for n, t in ts]
     return out
 
 
-def _realise_hac_st(p, flavor):
+def _realise_hac_st(p, flavor, tr):
     assert flavor is Flavor.DST
-    tphi = _tr(p["body"], flavor)
+    tphi = tr(p["body"])
     sx, sy = p["x_type"], p["y_type"]
     us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
     f_ty = Star(Arrow(sx, Star(sy)))
-    u0 = ("U0", f_ty)
     us = _bnd("U", [Star(Arrow(sx, t)) for t in us_t])
     ts = _bnd("t", [Star(Star(t)) for t in vs_t])
     xs = ("xs", Star(sx))
+    u0 = _lead("U0", f_ty, us + ts + [xs])
     out = [flavor.abs([u0] + us, singleton(f_ty, Var(*u0)))]
     out += [flavor.abs([u0] + us, Var(n, t)) for n, t in us]
     out += [flavor.abs([u0] + us + ts + [xs], Var(n, t)) for n, t in ts]
@@ -617,15 +656,15 @@ def _realise_hac_st(p, flavor):
     return out
 
 
-def _realise_hip(p, flavor):
+def _realise_hip(p, flavor, tr):
     assert flavor is Flavor.DST
-    tpsi = _tr(p["conclusion"], flavor)
+    tpsi = tr(p["conclusion"])
     sx, sy = p["x_type"], p["y_type"]
     us_t, vs_t = _types(tpsi.exist_tuple), _types(tpsi.univ_tuple)
-    u0 = ("u0", Star(sy))
     us = _bnd("u", us_t)
     sx_coll = ("S", seqfn([Star(t) for t in vs_t], Star(sx)))
     ts = _bnd("t", [Star(Star(t)) for t in vs_t])
+    u0 = _lead("u0", Star(sy), us + [sx_coll] + ts)
     out = [flavor.abs([u0] + us + [sx_coll], singleton(Star(sy), Var(*u0)))]
     out += [flavor.abs([u0] + us + [sx_coll], Var(n, t)) for n, t in us]
     out.append(flavor.abs([u0] + us + [sx_coll], Var(*sx_coll)))
@@ -664,10 +703,10 @@ _REALISERS = {
     Schema.K: _realise_k,
     Schema.S: _realise_s,
     Schema.AND_INTRO: _realise_and_intro,
-    Schema.AND_ELIM_L: lambda p, fl: _realise_and_elim(p, fl, True),
-    Schema.AND_ELIM_R: lambda p, fl: _realise_and_elim(p, fl, False),
-    Schema.OR_INTRO_L: lambda p, fl: _realise_or_intro(p, fl, True),
-    Schema.OR_INTRO_R: lambda p, fl: _realise_or_intro(p, fl, False),
+    Schema.AND_ELIM_L: lambda p, fl, tr: _realise_and_elim(p, fl, tr, True),
+    Schema.AND_ELIM_R: lambda p, fl, tr: _realise_and_elim(p, fl, tr, False),
+    Schema.OR_INTRO_L: lambda p, fl, tr: _realise_or_intro(p, fl, tr, True),
+    Schema.OR_INTRO_R: lambda p, fl, tr: _realise_or_intro(p, fl, tr, False),
     Schema.OR_ELIM: _realise_or_elim,
     Schema.EX_FALSO: _realise_ex_falso,
     Schema.FORALL_INST: _realise_forall_inst,

@@ -162,11 +162,12 @@ def u_translate(formula: Formula) -> TranslatedFormula:
 
 
 def _translate(formula: Formula, flavor: Flavor) -> TranslatedFormula:
+    free = free_vars(formula)
     try:
-        check_formula(formula, free_vars(formula))
+        check_formula(formula, free)
     except NsdialError as e:
         raise IllTypedInput(str(e)) from e
-    fresh = FreshNames(set(free_vars(formula)), all_names(formula))
+    fresh = FreshNames(set(free), all_names(formula))
     ex, un, m = _clauses(desugar(formula), fresh, flavor)
     m = desugar(m)
     tf = TranslatedFormula(tuple(ex), tuple(un), m, flavor)
@@ -184,20 +185,20 @@ def _check_invariants(tf: TranslatedFormula) -> None:
         assert cl.or_free, "uniform matrix must be or-free"
 
 
-def _shortcut(f: Formula, flavor: Flavor) -> bool:
-    cl = classify(f)
-    if not cl.internal:
-        return False
-    return cl.or_free if flavor is Flavor.U else True
-
-
 # -- clauses ---------------------------------------------------------------
 
 def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Formula]:
-    """One translation clause per connective; only St, Or and ExistsSt differ by flavor."""
-    if _shortcut(f, flavor):
-        return [], [], f
+    """One translation clause per connective; only St, Or and ExistsSt differ by flavor.
+
+    Subformulas are translated before their parent. A translation with neither
+    witnesses nor challenges returns its input unchanged: exactly the internal
+    subformulas (or-free ones, in the uniform flavor) do. So a node is
+    classified once, from its subformulas' results, not re-walked per ancestor.
+    """
     dst = flavor is Flavor.DST
+
+    if isinstance(f, Eq):
+        return [], [], f
 
     if isinstance(f, St):
         if dst:
@@ -206,9 +207,13 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         y = fr.issue("y")
         return [(y, f.type)], [], Eq(f.type, Var(y, f.type), f.term)
 
-    if isinstance(f, (And, Or)):
+    if isinstance(f, (And, Or, Imp)):
         ex1, un1, m1 = _clauses(f.left, fr, flavor)
         ex2, un2, m2 = _clauses(f.right, fr, flavor)
+        if not (ex1 or un1 or ex2 or un2) and (dst or not isinstance(f, Or)):
+            return [], [], f
+
+    if isinstance(f, (And, Or)):
         if isinstance(f, And) or dst:
             return ex1 + ex2, un1 + un2, type(f)(m1, m2)
         z = fr.issue("z")
@@ -217,8 +222,6 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         return [(z, N)] + ex1 + ex2, un1 + un2, matrix
 
     if isinstance(f, Imp):
-        ex1, un1, m1 = _clauses(f.left, fr, flavor)
-        ex2, un2, m2 = _clauses(f.right, fr, flavor)
         x_types = [ty for _, ty in ex1]
         fn_prefix = "T" if dst else "U"
         fns = [(fr.issue(fn_prefix), flavor.fn_type(x_types, ty)) for _, ty in ex2]
@@ -238,14 +241,16 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         matrix = Imp(_bounded_all(bounds, m1), conclusion)
         return fns + colls, ex1 + un2, matrix
 
-    if isinstance(f, Exists):
+    if isinstance(f, (Forall, Exists, BoundedForall, BoundedExists)):
         ex, un, m = _clauses(f.body, fr, flavor)
-        seqs, m = _collect(un, m, fr)
-        return ex, seqs, Exists(f.var, f.var_type, m)
-
-    if isinstance(f, Forall):
-        ex, un, m = _clauses(f.body, fr, flavor)
-        return ex, un, Forall(f.var, f.var_type, m)
+        if not (ex or un):
+            return [], [], f
+        if isinstance(f, Forall):
+            return ex, un, Forall(f.var, f.var_type, m)
+        if isinstance(f, Exists):
+            seqs, m = _collect(un, m, fr)
+            return ex, seqs, Exists(f.var, f.var_type, m)
+        # a bounded quantifier over an external body has no clause
 
     if isinstance(f, ExistsSt):
         ex, un, m = _clauses(f.body, fr, flavor)

@@ -159,3 +159,18 @@ def test_verify_deep_numeral_in_matrix(tmp_path, capsys):
     )
     assert run(["verify", str(bundle), "--nat-bound", "1", "--len-bound", "1"]) == 1
     assert "a = zero" in capsys.readouterr().out
+
+
+def test_too_deep_input_exits_one_without_traceback(tmp_path, capsys):
+    term = tmp_path / "deep.term"
+    term.write_text(
+        "(app (nrec N) zero (lam (k N) (lam (m N) (app succ (app succ (var m))))) 500)\n"
+    )
+    report = tmp_path / "report.json"
+    assert run(["--json", str(report), "check-term", str(term)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("RecursionError: ") and err.count("\n") == 1
+    assert json.loads(report.read_text())["outcome"]["kind"] == "RecursionError"
+    assert run(["--json", str(report), "corpus", "run", str(tmp_path)]) == 1
+    (item,) = json.loads(report.read_text())["outcome"]["items"]
+    assert (item["status"], item["kind"]) == ("fail", "RecursionError")

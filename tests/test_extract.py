@@ -1,9 +1,13 @@
 """Realiser extraction: printed-term fidelity per schema, composition, certification."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 from nsdial.ftypes import Arrow, N, Star
 from nsdial.axioms import Schema
+from nsdial.cli import run
 from nsdial.derive import imp_refl
 from nsdial.extract import UnsupportedSchema, extract, extract_dst, extract_u
 from nsdial.formulas import And, Eq, ExistsSt, ForallSt, Imp, In, Or, St
@@ -26,11 +30,13 @@ from nsdial.terms import (
     type_check,
 )
 from nsdial.reduce import spine
+from nsdial.sexpr import parse_proof, print_bundle, read_one
 from nsdial.translate import Flavor
 
 import fixture_defs as fx
 
 U, D = Flavor.U, Flavor.DST
+CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 
 
 def both_tuples_instance(z="z"):
@@ -241,3 +247,52 @@ def test_or_elim_composition_certified_both_flavors():
         comp = mp(mp(oe, imp_refl(a)), imp_refl(a))
         verdict = verify_bundle(extract(comp, flavor), Grid(2, 2))
         assert isinstance(verdict, GridValid)
+
+
+# A body with a witness of its own, whose binder the realisers name like the
+# schema's leading witness; HAC-ST's challenges include a sequence of
+# functions, which no grid enumerates, so its bundle can only be unknown.
+_WITNESS_BODY = "(exists-st (w (* N)) (eq N (app (len N) (var w)) (var {})))"
+_CAPTURE_CASES = {
+    "ncr": (
+        f"(axiom ncr (x_type N) (y_type N) (x x) (y y) (body {_WITNESS_BODY.format('x')}))",
+        (0, "grid-valid\n"),
+    ),
+    "hip-forallst": (
+        "(axiom hip-forallst (x_type N) (y_type N) (x x) (premise (eq N (var x) (var x)))"
+        f" (y y) (conclusion {_WITNESS_BODY.format('y')}))",
+        (0, "grid-valid\n"),
+    ),
+    "hac-st": (
+        f"(axiom hac-st (x_type N) (y_type N) (x x) (y y) (body {_WITNESS_BODY.format('y')}))",
+        (1, "unknown: non-data universal variable\n"),
+    ),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(_CAPTURE_CASES))
+def test_leading_witness_binder_not_captured(schema, tmp_path, capsys):
+    text, verdict = _CAPTURE_CASES[schema]
+    proof = tmp_path / "instance.dst.proof"
+    proof.write_text(text + "\n")
+    assert run(["extract", "--dst", str(proof)]) == 0
+    bundle = tmp_path / "instance.dst.bundle"
+    bundle.write_text(capsys.readouterr().out)
+    code = run(["verify", str(bundle), "--nat-bound", "2", "--len-bound", "2"])
+    assert (code, capsys.readouterr().out) == verdict
+
+
+def test_extract_translates_each_formula_once(monkeypatch):
+    module = importlib.import_module("nsdial.extract")
+    seen = []
+    translate = module.u_translate
+
+    def counting(f):
+        seen.append(f)
+        return translate(f)
+
+    monkeypatch.setattr(module, "u_translate", counting)
+    proof = parse_proof(read_one((CORPUS / "doubling.u.proof").read_text()))
+    bundle = module.extract(proof, U)
+    assert len(seen) == len(set(seen)) == 123
+    assert print_bundle(bundle) + "\n" == (CORPUS / "doubling.u.bundle").read_text()

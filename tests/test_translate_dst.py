@@ -1,5 +1,7 @@
+from nsdial import formulas
 from nsdial.ftypes import Arrow, N, Star
 from nsdial.formulas import (
+    And,
     BoundedExists,
     Eq,
     ExistsSt,
@@ -10,7 +12,7 @@ from nsdial.formulas import (
 )
 from nsdial.gen import random_external, rng
 from nsdial.terms import Var, proj, seq_app, seq_len
-from nsdial.translate import Flavor, dst_translate
+from nsdial.translate import Flavor, dst_translate, u_translate
 
 
 def test_internal_atom_translates_to_itself():
@@ -67,3 +69,28 @@ def test_translation_deterministic():
     for i in range(50):
         f = random_external(r, [("fv", N)], 3)
         assert dst_translate(f) == dst_translate(f)
+
+
+def test_translation_work_linear_in_formula_size(monkeypatch):
+    """Each subformula is classified once per translation, not once per ancestor."""
+    calls = 0
+    shape = formulas._shape
+
+    def counting(f):
+        nonlocal calls
+        calls += 1
+        return shape(f)
+
+    monkeypatch.setattr(formulas, "_shape", counting)
+
+    def work(n: int) -> int:
+        nonlocal calls
+        chain = St(N, Var(f"x{n - 1}", N))
+        for i in reversed(range(n - 1)):
+            chain = And(St(N, Var(f"x{i}", N)), chain)
+        calls = 0
+        dst_translate(chain)
+        u_translate(chain)
+        return calls
+
+    assert work(80) <= 2.2 * work(40)
