@@ -26,7 +26,7 @@ from .sexpr import (
     read_one,
 )
 from .terms import IllTyped, NsdialError, TypeMismatch, UnboundVariable, type_check
-from .translate import Flavor, IllTypedInput, dst_translate, u_translate
+from .translate import Flavor, IllTypedInput, Untranslatable, dst_translate, u_translate
 from .extract import extract
 
 EXIT_OK = 0
@@ -270,7 +270,9 @@ def run(argv: list[str]) -> int:
     except NsdialError as e:
         kind = type(e).__name__
         print(f"{kind}: {e}", file=sys.stderr)
-        parse_like = isinstance(e, (IllTyped, UnboundVariable, TypeMismatch, IllTypedInput))
+        parse_like = isinstance(
+            e, (IllTyped, UnboundVariable, TypeMismatch, IllTypedInput, Untranslatable)
+        )
         status = EXIT_ERROR if parse_like else EXIT_FAIL
         outcome = {"error": str(e), "kind": kind}
     except RecursionError as e:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ftypes import Arrow, FiniteType, N, Star
+from .ftypes import Arrow, FiniteType, N, Node, Star, node
 from .terms import (
     App,
     IllTyped,
@@ -25,67 +23,67 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Eq:
+@node
+class Eq(Node):
     type: FiniteType
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class And:
+@node
+class And(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@node
+class Or(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Imp:
+@node
+class Imp(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@node
+class Forall(Node):
     var: str
     var_type: FiniteType
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@node
+class Exists(Node):
     var: str
     var_type: FiniteType
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class St:
+@node
+class St(Node):
     type: FiniteType
     term: Term
 
 
-@dataclass(frozen=True)
-class ForallSt:
+@node
+class ForallSt(Node):
     var: str
     var_type: FiniteType
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class ExistsSt:
+@node
+class ExistsSt(Node):
     var: str
     var_type: FiniteType
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class BoundedForall:
+@node
+class BoundedForall(Node):
     """forall i < bound, with i of ground type."""
 
     var: str
@@ -93,36 +91,36 @@ class BoundedForall:
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class BoundedExists:
+@node
+class BoundedExists(Node):
     var: str
     bound: Term
     body: "Formula"
 
 
 # Sugar nodes, removed by desugar.
-@dataclass(frozen=True)
-class In:
+@node
+class In(Node):
     type: FiniteType  # element type
     elem: Term
     seq: Term
 
 
-@dataclass(frozen=True)
-class SubsetEq:
+@node
+class SubsetEq(Node):
     type: FiniteType  # element type of the underlying sequences
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Hyper:
+@node
+class Hyper(Node):
     type: FiniteType  # element type
     seq: Term
 
 
-@dataclass(frozen=True)
-class Not:
+@node
+class Not(Node):
     body: "Formula"
 
 
@@ -138,8 +136,8 @@ def bot() -> Formula:
     return Eq(N, ZERO, numeral(1))
 
 
-@dataclass(frozen=True)
-class Classification:
+@node
+class Classification(Node):
     internal: bool
     or_free: bool
 

@@ -1,20 +1,136 @@
-"""Finite types over the ground type of naturals, closed under arrow and sequence."""
+"""Finite types over the ground type of naturals, closed under arrow and sequence.
+
+Also home to Node and the @node decorator, from which every syntax-tree class
+of the package is built: the types here, and the terms, formulas and proofs
+of the modules above this one.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Ground:
+class Node:
+    """Immutable tree node with structural equality and a hash computed once.
+
+    The hash equals hash() of the tuple of field values, as a frozen
+    dataclass's does, so set and dict orders are those of plain tuples. The
+    _type slot is the type synthesiser's memo; only terms use it. Subclasses
+    are declared with @node.
+    """
+
+    __slots__ = ("_hash", "_type")
+    _fields: tuple[str, ...] = ()
+
+    @staticmethod
+    def _values(node) -> tuple:
+        return ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self._values(self))
+            _put_hash(self, h)
+        return h
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; the memos are not carried
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def node(cls):
+    """Class decorator for a Node subclass: its annotated fields become slots.
+
+    They are registered as (fields-only) dataclass fields, and the class gets
+    a positional __init__ chosen by arity, whose defaults are the fields'.
+    Done by a decorator, not a metaclass, so that isinstance on node classes
+    keeps its fast path.
+    """
+    if cls.__doc__ is None:  # spares dataclass the signature it would print
+        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
+    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
+    declared = fields(cls)
+    names = tuple(f.name for f in declared)
+    cls._fields = names
+    if len(names) > 1:
+        cls._values = staticmethod(attrgetter(*names))
+    elif names:
+        get = attrgetter(names[0])
+        cls._values = staticmethod(lambda node: (get(node),))
+    defaults = tuple(f.default for f in declared if f.default is not MISSING)
+    cls.__init__ = _initialiser([getattr(cls, n).__set__ for n in names], defaults)
+    return cls
+
+
+_put_hash = Node._hash.__set__
+_put_type = Node._type.__set__
+
+
+def _initialiser(put, defaults):
+    """An __init__ that stores its arguments through the slot setters in put."""
+    if len(put) == 3:
+        p0, p1, p2 = put
+
+        def __init__(self, a, b, c):
+            p0(self, a)
+            p1(self, b)
+            p2(self, c)
+            _put_hash(self, None)
+            _put_type(self, None)
+    elif len(put) == 2:
+        p0, p1 = put
+
+        def __init__(self, a, b):
+            p0(self, a)
+            p1(self, b)
+            _put_hash(self, None)
+            _put_type(self, None)
+    elif len(put) == 1:
+        (p0,) = put
+
+        def __init__(self, a):
+            p0(self, a)
+            _put_hash(self, None)
+            _put_type(self, None)
+    elif not put:
+
+        def __init__(self):
+            _put_hash(self, None)
+            _put_type(self, None)
+    else:
+        raise TypeError("a node has at most three fields")
+    __init__.__defaults__ = defaults or None
+    return __init__
+
+
+@node
+class Ground(Node):
     """The type of natural numbers, written N in concrete syntax."""
 
     def __repr__(self) -> str:
         return "N"
 
 
-@dataclass(frozen=True)
-class Arrow:
+@node
+class Arrow(Node):
     domain: "FiniteType"
     codomain: "FiniteType"
 
@@ -22,8 +138,8 @@ class Arrow:
         return f"(-> {self.domain!r} {self.codomain!r})"
 
 
-@dataclass(frozen=True)
-class Star:
+@node
+class Star(Node):
     """Finite sequences over the element type."""
 
     element: "FiniteType"

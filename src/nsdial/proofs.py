@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .ftypes import FiniteType, N
+from .ftypes import FiniteType, N, Node, node
 from .axioms import BadInstantiation, FlavorViolation, Schema, build_axiom
 from .formulas import (
     Exists,
@@ -27,8 +26,8 @@ class EigenvariableViolation(NsdialError):
     pass
 
 
-@dataclass(frozen=True)
-class AxiomNode:
+@node
+class AxiomNode(Node):
     schema: Schema
     params: tuple[tuple[str, object], ...]
 
@@ -36,14 +35,14 @@ class AxiomNode:
         return dict(self.params)
 
 
-@dataclass(frozen=True)
-class MPNode:
+@node
+class MPNode(Node):
     major: "Proof"
     minor: "Proof"
 
 
-@dataclass(frozen=True)
-class ForallRuleNode:
+@node
+class ForallRuleNode(Node):
     """From B -> A conclude B -> forall z A; z not free in B."""
 
     var: str
@@ -51,8 +50,8 @@ class ForallRuleNode:
     premise: "Proof"
 
 
-@dataclass(frozen=True)
-class ExistsRuleNode:
+@node
+class ExistsRuleNode(Node):
     """From A -> B conclude (exists z A) -> B; z not free in B."""
 
     var: str
@@ -60,16 +59,16 @@ class ExistsRuleNode:
     premise: "Proof"
 
 
-@dataclass(frozen=True)
-class InductionNode:
+@node
+class InductionNode(Node):
     """Internal induction rule: from phi(0) and forall n (phi -> phi(S n))."""
 
     base: "Proof"
     step: "Proof"
 
 
-@dataclass(frozen=True)
-class ExternalInductionNode:
+@node
+class ExternalInductionNode(Node):
     """External induction rule: premises Phi(0) and forall-st n (Phi -> Phi(S n))."""
 
     base: "Proof"

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .ftypes import Arrow, FiniteType, Ground, N, Star, arrow
+from .ftypes import Arrow, FiniteType, Ground, N, Node, Star, _put_type, arrow, node
 
 
 class NsdialError(Exception):
@@ -60,33 +59,33 @@ CONST_ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class Var:
+@node
+class Var(Node):
     name: str
     type: FiniteType
 
 
-@dataclass(frozen=True)
-class Lam:
+@node
+class Lam(Node):
     var: str
     var_type: FiniteType
     body: "Term"
 
 
-@dataclass(frozen=True)
-class App:
+@node
+class App(Node):
     fun: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Const:
+@node
+class Const(Node):
     kind: ConstKind
     types: tuple[FiniteType, ...] = ()
 
 
-@dataclass(frozen=True)
-class SeqAbs:
+@node
+class SeqAbs(Node):
     """Sequence abstraction: the singleton sequence containing one function.
 
     With body : t*, SeqAbs(x, s, body) : (s -> t*)*.
@@ -148,7 +147,25 @@ def synth_type(term: Term) -> FiniteType:
 
 
 def _synth(t: Term, env: dict[str, FiniteType], closed: bool) -> FiniteType:
-    """The one type synthesiser; closed makes a variable missing from env an error."""
+    """The one type synthesiser; closed makes a variable missing from env an error.
+
+    A term's type depends on env only through its free variables. So a
+    constant or compound term keeps its type in its _type slot once it is
+    synthesised, paired with its free variables' annotations unless it is
+    closed. A memo is used only when env confirms every annotation; otherwise
+    the rule runs again, so an error keeps its class, message and order.
+    """
+    memo = t._type
+    if memo is not None:
+        if memo.__class__ is not tuple:
+            return memo
+        ty, free = memo
+        for name, ann in free:
+            expected = env.get(name)
+            if expected != ann and (closed or expected is not None):
+                break
+        else:
+            return ty
     if isinstance(t, Var):
         expected = env.get(t.name)
         if expected is None:
@@ -158,23 +175,41 @@ def _synth(t: Term, env: dict[str, FiniteType], closed: bool) -> FiniteType:
             raise IllTyped(f"var {t.name}", expected, t.type)
         return t.type
     if isinstance(t, Const):
-        return const_type(t)
+        ty = const_type(t)
+        _put_type(t, ty)
+        return ty
     if isinstance(t, (Lam, SeqAbs)):
         body = _synth(t.body, {**env, t.var: t.var_type}, closed)
         if isinstance(t, Lam):
-            return Arrow(t.var_type, body)
-        if not isinstance(body, Star):
+            ty = Arrow(t.var_type, body)
+        elif isinstance(body, Star):
+            ty = Star(Arrow(t.var_type, body))
+        else:
             raise IllTyped("seqabs body", "a sequence type", body)
-        return Star(Arrow(t.var_type, body))
-    if isinstance(t, App):
+        free = tuple(p for p in _annotations(t.body) if p[0] != t.var)
+    elif isinstance(t, App):
         fun = _synth(t.fun, env, closed)
         arg = _synth(t.arg, env, closed)
         if not isinstance(fun, Arrow):
             raise IllTyped("application head", "an arrow type", fun)
         if fun.domain != arg:
             raise IllTyped("application argument", fun.domain, arg)
-        return fun.codomain
-    raise AssertionError(t)
+        ty = fun.codomain
+        free, extra = _annotations(t.fun), _annotations(t.arg)
+        if extra:
+            free += tuple(p for p in extra if p not in free)
+    else:
+        raise AssertionError(t)
+    _put_type(t, (ty, free) if free else ty)
+    return ty
+
+
+def _annotations(t: Term) -> tuple[tuple[str, FiniteType], ...]:
+    """The (name, annotation) pairs of the free variables of a synthesised term."""
+    if isinstance(t, Var):
+        return ((t.name, t.type),)
+    memo = t._type
+    return memo[1] if memo.__class__ is tuple else ()
 
 
 def free_vars(term: Term) -> dict[str, FiniteType]:

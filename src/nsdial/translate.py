@@ -57,6 +57,10 @@ class IllTypedInput(NsdialError):
     pass
 
 
+class Untranslatable(NsdialError):
+    """A well-typed formula outside the fragment the translation clauses cover."""
+
+
 class Flavor(Enum):
     """The two systems, with the builders their witness terms differ in.
 
@@ -250,7 +254,9 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         if isinstance(f, Exists):
             seqs, m = _collect(un, m, fr)
             return ex, seqs, Exists(f.var, f.var_type, m)
-        # a bounded quantifier over an external body has no clause
+        raise Untranslatable(
+            f"bounded quantifier over {f.var}: no clause for a body with witnesses or challenges"
+        )
 
     if isinstance(f, ExistsSt):
         ex, un, m = _clauses(f.body, fr, flavor)

@@ -174,3 +174,28 @@ def test_too_deep_input_exits_one_without_traceback(tmp_path, capsys):
     assert run(["--json", str(report), "corpus", "run", str(tmp_path)]) == 1
     (item,) = json.loads(report.read_text())["outcome"]["items"]
     assert (item["status"], item["kind"]) == ("fail", "RecursionError")
+
+
+@pytest.mark.parametrize("flavor", ["--u", "--dst"])
+def test_bounded_quantifier_over_external_body_exits_two(tmp_path, capsys, flavor):
+    f = tmp_path / "bounded.fml"
+    f.write_text("(bforall (i 2) (st N (var i)))\n")
+    report = tmp_path / "report.json"
+    assert run(["--json", str(report), "translate", flavor, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Untranslatable: ") and captured.err.count("\n") == 1
+    assert json.loads(report.read_text())["outcome"]["kind"] == "Untranslatable"
+
+
+def test_untranslatable_corpus_item_is_an_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("bounded.u.fml", "bounded.dst.fml"):
+        (corpus / name).write_text("(bforall (i 2) (st N (var i)))\n")
+    report = tmp_path / "report.json"
+    assert run(["--json", str(report), "corpus", "run", str(corpus)]) == 2
+    assert capsys.readouterr().out.split() == ["error", "bounded.dst.fml", "error", "bounded.u.fml"]
+    items = json.loads(report.read_text())["outcome"]["items"]
+    assert [item["status"] for item in items] == ["error", "error"]
+    assert all(item["error"].startswith("bounded quantifier over i") for item in items)

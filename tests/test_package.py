@@ -1,7 +1,11 @@
-"""Package hygiene: every global a function reads is defined, and no import cycle bites."""
+"""Package hygiene: every global a function reads is defined, no import cycle bites,
+and every syntax-tree node keeps the contract of a frozen dataclass."""
 
 import builtins
+import copy as copy_module
+import dataclasses
 import importlib.util
+import pickle
 import subprocess
 import symtable
 import sys
@@ -59,3 +63,100 @@ def test_package_imports_in_fresh_interpreter():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
+
+
+# Field names of every syntax-tree class, as the frozen dataclasses had them.
+NODE_FIELDS = {
+    "Ground": (), "Arrow": ("domain", "codomain"), "Star": ("element",),
+    "Var": ("name", "type"), "Lam": ("var", "var_type", "body"), "App": ("fun", "arg"),
+    "Const": ("kind", "types"), "SeqAbs": ("var", "var_type", "body"),
+    "Eq": ("type", "left", "right"), "And": ("left", "right"), "Or": ("left", "right"),
+    "Imp": ("left", "right"), "Forall": ("var", "var_type", "body"),
+    "Exists": ("var", "var_type", "body"), "St": ("type", "term"),
+    "ForallSt": ("var", "var_type", "body"), "ExistsSt": ("var", "var_type", "body"),
+    "BoundedForall": ("var", "bound", "body"), "BoundedExists": ("var", "bound", "body"),
+    "In": ("type", "elem", "seq"), "SubsetEq": ("type", "left", "right"),
+    "Hyper": ("type", "seq"), "Not": ("body",), "Classification": ("internal", "or_free"),
+    "AxiomNode": ("schema", "params"), "MPNode": ("major", "minor"),
+    "ForallRuleNode": ("var", "var_type", "premise"),
+    "ExistsRuleNode": ("var", "var_type", "premise"),
+    "InductionNode": ("base", "step"), "ExternalInductionNode": ("base", "step"),
+}
+
+
+def _node_samples():
+    """Seeded random terms, formulas and translations, the fixture proofs, and the
+    sugar nodes and proof rules the generators do not build."""
+    from nsdial import gen
+    from nsdial.formulas import Hyper, Not, SubsetEq, classify
+    from nsdial.ftypes import N, Star
+    from nsdial.proofs import InductionNode
+    from nsdial.sexpr import parse_proof, read_one
+    from nsdial.terms import Var
+    from nsdial.translate import dst_translate
+    import fixture_defs as fx
+
+    r = gen.rng(11)
+    formulas = []
+    for _ in range(40):
+        formulas.append(gen.random_external(r, [("z", N)], 3))
+        formulas.append(gen.random_internal(r, [], 3))
+    roots = formulas + [classify(f) for f in formulas[:4]]
+    roots += [gen.random_term(r, gen.random_type(r, 2), [("z", N)], 4) for _ in range(40)]
+    s = Var("s", Star(N))
+    roots += [Hyper(N, s), Not(SubsetEq(N, s, s))]
+    roots += [dst_translate(f).matrix for f in formulas[:20:2]]
+    corpus = Path(__file__).parent / "fixtures" / "corpus"
+    proof = parse_proof(read_one((corpus / "doubling.u.proof").read_text()))
+    roots += [fx.doubling_proof(), fx.os_axiom(), fx.us_axiom(), proof,
+              fx.os_dst_bundle().terms, InductionNode(proof, proof)]
+    return roots
+
+
+def _nodes(obj, out):
+    if isinstance(obj, tuple):
+        for x in obj:
+            _nodes(x, out)
+    elif dataclasses.is_dataclass(obj):
+        out.append(obj)
+        for f in dataclasses.fields(obj):
+            _nodes(getattr(obj, f.name), out)
+    return out
+
+
+def test_node_contract():
+    roots = tuple(_node_samples())
+    for copy in (pickle.loads(pickle.dumps(roots)), copy_module.deepcopy(roots)):
+        assert copy == roots and hash(copy) == hash(roots)
+    nodes = _nodes(roots, [])
+    assert {type(x).__name__ for x in nodes} == set(NODE_FIELDS)
+    for x in nodes:
+        cls = type(x)
+        names = tuple(f.name for f in dataclasses.fields(x))
+        assert dataclasses.is_dataclass(cls) and names == NODE_FIELDS[cls.__name__]
+        values = tuple(getattr(x, n) for n in names)
+        if "__repr__" not in vars(cls):
+            shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+            assert repr(x) == f"{cls.__qualname__}({shown})"
+        assert hash(x) == hash(values)
+        copy = cls(*values)
+        assert copy == x and copy is not x and hash(copy) == hash(x)
+        assert not copy != x
+        for name in names + ("_hash", "_type"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+    custom = {c.__name__ for c in {type(x) for x in nodes} if "__repr__" in vars(c)}
+    assert custom == {"Ground", "Arrow", "Star"}
+
+
+def test_node_equality_is_structural():
+    from nsdial.ftypes import Arrow, N, Star
+    from nsdial.terms import Const, ConstKind, Var
+
+    assert Var("x", Arrow(N, N)) == Var("x", Arrow(N, N))
+    assert Var("x", N) != Var("x", Star(N)) and Var("x", N) != Var("y", N)
+    assert Const(ConstKind.ZERO) == Const(ConstKind.ZERO, ())
+    assert Var("x", N) != ("x", N)
+    assert len({Var("x", N), Var("x", N), Var("y", N)}) == 2

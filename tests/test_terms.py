@@ -1,5 +1,6 @@
 import pytest
 
+from nsdial.cli import run
 from nsdial.ftypes import Arrow, N, Star, arrow, is_data_type, type_depth
 from nsdial.gen import random_term, random_type, rng
 from nsdial.terms import (
@@ -8,14 +9,18 @@ from nsdial.terms import (
     ConstKind,
     IllTyped,
     Lam,
+    NsdialError,
+    SUCC,
     SeqAbs,
     UnboundVariable,
     Var,
     ZERO,
     alpha_eq,
     const_type,
+    empty_seq,
     free_vars,
     lam,
+    numeral,
     seq_term,
     substitute,
     synth_type,
@@ -120,3 +125,131 @@ def test_free_vars_and_data_types():
     assert is_data_type(Star(Star(N)))
     assert not is_data_type(Arrow(N, N))
     assert type_depth(Star(Star(N))) == 2
+
+
+def _reference_synth(t, env, closed):
+    """The type synthesiser as it was before terms kept their types."""
+    if isinstance(t, Var):
+        expected = env.get(t.name)
+        if expected is None:
+            if closed:
+                raise UnboundVariable(t.name)
+        elif expected != t.type:
+            raise IllTyped(f"var {t.name}", expected, t.type)
+        return t.type
+    if isinstance(t, Const):
+        return const_type(t)
+    if isinstance(t, (Lam, SeqAbs)):
+        body = _reference_synth(t.body, {**env, t.var: t.var_type}, closed)
+        if isinstance(t, Lam):
+            return Arrow(t.var_type, body)
+        if not isinstance(body, Star):
+            raise IllTyped("seqabs body", "a sequence type", body)
+        return Star(Arrow(t.var_type, body))
+    if isinstance(t, App):
+        fun = _reference_synth(t.fun, env, closed)
+        arg = _reference_synth(t.arg, env, closed)
+        if not isinstance(fun, Arrow):
+            raise IllTyped("application head", "an arrow type", fun)
+        if fun.domain != arg:
+            raise IllTyped("application argument", fun.domain, arg)
+        return fun.codomain
+    raise AssertionError(t)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NsdialError as e:
+        return type(e), str(e)
+
+
+def _other(ty):
+    return Star(N) if ty == N else N
+
+
+def _positions(t, path=()):
+    yield path, t
+    if isinstance(t, (Lam, SeqAbs)):
+        yield from _positions(t.body, path + ("body",))
+    elif isinstance(t, App):
+        yield from _positions(t.fun, path + ("fun",))
+        yield from _positions(t.arg, path + ("arg",))
+
+
+def _replace(t, path, new):
+    """t with the subterm at path replaced; every other subterm object is shared."""
+    if not path:
+        return new
+    if isinstance(t, App):
+        if path[0] == "fun":
+            return App(_replace(t.fun, path[1:], new), t.arg)
+        return App(t.fun, _replace(t.arg, path[1:], new))
+    return type(t)(t.var, t.var_type, _replace(t.body, path[1:], new))
+
+
+def _mutants(r, t):
+    """Ill-typed variants: a changed annotation, a dropped binder, a wrong argument."""
+    out = []
+    for path, sub in _positions(t):
+        if isinstance(sub, Var):
+            out.append(_replace(t, path, Var(sub.name, _other(sub.type))))
+        elif isinstance(sub, (Lam, SeqAbs)):
+            out.append(_replace(t, path, sub.body))
+        elif isinstance(sub, App):
+            wrong = r.choice([ZERO, empty_seq(N), sub.fun, Var("w", Arrow(N, N))])
+            out.append(_replace(t, path, App(sub.fun, wrong)))
+    return r.sample(out, min(len(out), 6))
+
+
+def _contexts(t):
+    """Agreeing, empty and conflicting contexts, then the agreeing one again."""
+    free = free_vars(t)
+    return [free, {}, {name: _other(ty) for name, ty in free.items()}, free]
+
+
+def test_memoised_synthesis_matches_reference():
+    r = rng(12)
+    scope = [("z0", N), ("z1", Star(N)), ("f", Arrow(N, N))]
+    checked = 0
+    for _ in range(150):
+        t = random_term(r, random_type(r, 2), scope, 4)
+        for u in [t] + _mutants(r, t) + [t]:
+            assert _outcome(synth_type, u) == _outcome(_reference_synth, u, {}, False)
+            for context in _contexts(u):
+                got = _outcome(type_check, u, context)
+                assert got == _outcome(_reference_synth, u, dict(context), True)
+                checked += 1
+    assert checked > 2000
+
+
+def test_memoised_type_rechecked_under_conflicting_contexts():
+    x = Var("x", N)
+    t = App(SUCC, x)
+    assert synth_type(x) == synth_type(t) == N
+    for u in (x, t):
+        with pytest.raises(IllTyped, match="var x: expected \\(-> N N\\), found N"):
+            type_check(u, {"x": Arrow(N, N)})
+        with pytest.raises(UnboundVariable):
+            type_check(u)
+        assert type_check(u, {"x": N}) == N
+    # two annotations of one free variable: only an open synthesis accepts them
+    cons = Const(ConstKind.CONS, (N,))
+    both = App(App(cons, Var("y", N)), Var("y", Star(N)))
+    assert synth_type(both) == Star(N)
+    for context in ({"y": N}, {"y": Star(N)}, {}):
+        got = _outcome(type_check, both, context)
+        assert got == _outcome(_reference_synth, both, dict(context), True)
+        assert got[0] in (IllTyped, UnboundVariable)
+    assert synth_type(both) == Star(N)
+
+
+def test_deep_numeral_type_checks_twice(tmp_path, capsys):
+    deep = numeral(400)
+    assert type_check(deep) == type_check(deep) == _reference_synth(deep, {}, True) == N
+    doubled = "(app (nrec N) zero (lam (k N) (lam (m N) (app succ (app succ (var m))))) 200)"
+    for text in ("400", doubled):
+        term = tmp_path / "deep.term"
+        term.write_text(text + "\n")
+        assert run(["check-term", str(term)]) == 0
+        assert capsys.readouterr().out.strip() == "400"
