@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .oracle import CounterexampleFound, Grid, GridValid, Unknown, verify_bundle
 from .proofs import check_proof, delta_set
-from .reduce import normalize, value_to_term
+from .reduce import term_to_value, value_to_term
 from .sexpr import (
     ParseError,
     parse_bundle,
@@ -25,7 +25,7 @@ from .sexpr import (
     print_type,
     read_one,
 )
-from .terms import IllTyped, NsdialError, TypeMismatch, UnboundVariable, type_check
+from .terms import IllTyped, NsdialError, Term, TypeMismatch, UnboundVariable, type_check
 from .translate import Flavor, IllTypedInput, Untranslatable, dst_translate, u_translate
 from .extract import extract
 
@@ -63,12 +63,15 @@ def _translate_for(flavor: Flavor):
     return dst_translate if flavor is Flavor.DST else u_translate
 
 
+def _normal_form(term: Term, ty) -> str:
+    """Printed normal form of a closed term: its value at a data type, else its normalised term."""
+    return print_term(value_to_term(term_to_value(term, ty)))
+
+
 def cmd_check_term(path: Path, args) -> tuple[int, dict]:
     term = parse_term(read_one(path.read_text()))
     ty = type_check(term, {})
-    nf = normalize(term)
-    out = {"type": None, "normal_form": print_term(nf)}
-    out["type"] = print_type(ty)
+    out = {"type": print_type(ty), "normal_form": _normal_form(term, ty)}
     print(out["normal_form"])
     return EXIT_OK, out
 
@@ -157,8 +160,7 @@ def _corpus_item(path: Path, args) -> dict:
     text = path.read_text()
     if name.endswith(".term"):
         term = parse_term(read_one(text))
-        type_check(term, {})
-        return {"status": "ok", "normal_form": print_term(normalize(term))}
+        return {"status": "ok", "normal_form": _normal_form(term, type_check(term, {}))}
     flavor = Flavor.DST if ".dst." in name else Flavor.U
     if name.endswith(".fml"):
         tf = _translate_for(flavor)(parse_formula(read_one(text)))

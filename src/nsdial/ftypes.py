@@ -163,10 +163,6 @@ def arrow(*types: FiniteType) -> FiniteType:
     return out
 
 
-def star(t: FiniteType) -> Star:
-    return Star(t)
-
-
 def is_data_type(t: FiniteType) -> bool:
     """True iff the type is built from Ground and Star only."""
     if isinstance(t, Ground):

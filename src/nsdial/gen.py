@@ -22,7 +22,6 @@ from .formulas import (
     Or,
     St,
 )
-from .reduce import CanonicalValue, Nat, Seq
 from .terms import (
     App,
     Lam,
@@ -55,14 +54,6 @@ def random_type(r: random.Random, depth: int, data_only: bool = False) -> Finite
     if k == "star":
         return Star(random_type(r, depth - 1, data_only))
     return Arrow(random_type(r, depth - 1, data_only), random_type(r, depth - 1, data_only))
-
-
-def random_value(r: random.Random, ty: FiniteType, nat_bound: int, len_bound: int) -> CanonicalValue:
-    if isinstance(ty, Ground):
-        return Nat(r.randint(0, nat_bound))
-    assert isinstance(ty, Star)
-    n = r.randint(0, len_bound)
-    return Seq(ty.element, tuple(random_value(r, ty.element, nat_bound, len_bound) for _ in range(n)))
 
 
 def random_ground_term(r: random.Random, scope: list[tuple[str, FiniteType]], depth: int) -> Term:

@@ -4,15 +4,15 @@ A GridValid verdict certifies truth over the enumerated grid only; reports
 always carry the grid parameters.
 
 Each internal matrix is compiled once into a Python closure over native
-environments (normalisation by evaluation, Berger & Schwichtenberg 1991):
-N is ``int``, ``t*`` is ``tuple`` and arrows are one-argument callables. The
-grid is then swept over native values; canonical ``Nat``/``Seq`` values are
-rebuilt only to report a counterexample.
+environments, its terms by the native evaluator of ``reduce``: N is ``int``,
+``t*`` is ``tuple`` and arrows are one-argument callables. The closures
+compute values and read nothing back into terms. The grid is then swept over
+native values; canonical ``Nat``/``Seq`` values are rebuilt only to report a
+counterexample.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -39,19 +39,14 @@ from .reduce import (
     NotClosed,
     NotDataType,
     Seq,
+    compile_term,
     normalize,
+    to_canonical,
+    to_native,
     value_to_term,
 )
 from .terms import (
-    App,
-    Const,
-    ConstKind,
     IllTyped,
-    Lam,
-    SUCC,
-    SeqAbs,
-    Term,
-    Var,
     alpha_eq,
     free_vars as term_free_vars,
     substitute,
@@ -115,156 +110,18 @@ def enumerate_values(t: FiniteType, grid: Grid):
             yield Seq(t.element, combo)
 
 
-# -- native values -------------------------------------------------------------
-
-
-def to_native(v: CanonicalValue):
-    """Native value of a canonical data value: ``int`` or nested ``tuple``."""
-    if isinstance(v, Nat):
-        return v.value
-    if isinstance(v, Seq):
-        return tuple(to_native(i) for i in v.items)
-    raise NotDataType(f"no native data value for {v!r}")
-
-
-def to_canonical(v, t: FiniteType) -> CanonicalValue:
-    """Canonical value of a native value at the data type t."""
-    if isinstance(t, Ground):
-        return Nat(v)
-    assert isinstance(t, Star)
-    return Seq(t.element, tuple(to_canonical(i, t.element) for i in v))
-
-
-def _default(t: FiniteType):
-    """Native counterpart of ``terms.default_term``."""
-    if isinstance(t, Ground):
-        return 0
-    if isinstance(t, Star):
-        return ()
-    d = _default(t.codomain)
-    return lambda _x: d
-
-
-def _nrec(x, y, n):
-    for k in range(n):
-        x = y(k)(x)
-    return x
-
-
-def _lrec(x, y, s):
-    for h in reversed(s):
-        x = y(x)(h)
-    return x
-
-
-def _proj(s, i, d):
-    return s[i] if i < len(s) else d
-
-
-def _sapp(fs, a):
-    if len(fs) == 1:
-        return fs[0](a)
-    return tuple(itertools.chain.from_iterable(f(a) for f in fs))
-
-
-# Operators by arity; each entry builds the uncurried native function of a constant.
-_OPERATORS = {
-    ConstKind.SUCC: (1, lambda c: lambda n: n + 1),
-    ConstKind.LEN: (1, lambda c: len),
-    ConstKind.SINGLETON: (1, lambda c: lambda x: (x,)),
-    ConstKind.CONS: (2, lambda c: lambda h, s: (h,) + s),
-    ConstKind.CONCAT: (2, lambda c: lambda s, t: s + t),
-    ConstKind.PROJ: (2, lambda c: lambda s, i, d=_default(c.types[0]): _proj(s, i, d)),
-    ConstKind.SEQAPP: (2, lambda c: _sapp),
-    ConstKind.NATREC: (3, lambda c: _nrec),
-    ConstKind.LISTREC: (3, lambda c: _lrec),
-}
-
-
-def _curry(fn, arity: int):
-    if arity == 1:
-        return fn
-    return lambda x: _curry(functools.partial(fn, x), arity - 1)
-
-
-def _const(c: Const):
-    """Native value of a constant; operators are curried callables."""
-    if c.kind is ConstKind.ZERO:
-        return 0
-    if c.kind is ConstKind.EMPTY:
-        return ()
-    arity, op = _OPERATORS[c.kind]
-    return _curry(op(c), arity)
-
-
-def _compile_term(t: Term):
-    """Closure env -> native value of the term."""
-    if isinstance(t, Var):
-        name = t.name
-        return lambda env: env[name]
-    if isinstance(t, Const):
-        value = _const(t)
-        return lambda env: value
-    if isinstance(t, (Lam, SeqAbs)):
-        body, var = _compile_term(t.body), t.var
-
-        def make(env):
-            return lambda x: body({**env, var: x})
-
-        return make if isinstance(t, Lam) else lambda env: (make(env),)
-    assert isinstance(t, App)
-    if t.fun == SUCC:
-        # numerals and other successor chains compile flat, whatever their depth
-        k = 0
-        while isinstance(t, App) and t.fun == SUCC:
-            k, t = k + 1, t.arg
-        inner = _compile_term(t)
-        return lambda env: inner(env) + k
-    head, args = t, []
-    while isinstance(head, App):
-        args.append(_compile_term(head.arg))
-        head = head.fun
-    args.reverse()
-    operator = isinstance(head, Const) and head.kind in _OPERATORS
-    if operator and len(args) >= _OPERATORS[head.kind][0]:
-        arity, op = _OPERATORS[head.kind]
-        run = _saturated(op(head), args[:arity])
-        args = args[arity:]
-    else:
-        run = _compile_term(head)
-    for arg in args:
-        run = _apply(run, arg)
-    return run
-
-
-def _saturated(op, args):
-    """A fully applied operator, called directly on the native arguments."""
-    if len(args) == 1:
-        (a,) = args
-        return lambda env: op(a(env))
-    if len(args) == 2:
-        a, b = args
-        return lambda env: op(a(env), b(env))
-    a, b, c = args
-    return lambda env: op(a(env), b(env), c(env))
-
-
-def _apply(fun, arg):
-    return lambda env: fun(env)(arg(env))
-
-
 def _compile(f: Formula, grid: Grid):
     """Closure env -> True | False | UNKNOWN for an internal matrix (Kleene logic)."""
     if isinstance(f, Eq):
         if not is_data_type(f.type):
             return _arrow_eq(f)
-        left, right = _compile_term(f.left), _compile_term(f.right)
+        left, right = compile_term(f.left), compile_term(f.right)
         return lambda env: left(env) == right(env)
     if isinstance(f, (And, Or, Imp)):
         a, b = _compile(f.left, grid), _compile(f.right, grid)
         return _connective(type(f), a, b)
     if isinstance(f, (BoundedForall, BoundedExists)):
-        bound = _compile_term(f.bound)
+        bound = compile_term(f.bound)
         return _quantifier(
             isinstance(f, BoundedForall), f.var, lambda env: range(bound(env)),
             _compile(f.body, grid),

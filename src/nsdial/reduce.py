@@ -1,17 +1,33 @@
-"""Normalization by the beta rule plus the defining equations of the operators."""
+"""The two evaluators of closed terms: the substitution normaliser and the native evaluator.
+
+The normaliser (``whnf``, ``normalize``) applies the beta rule and the
+defining equations of the operators and returns a symbolic normal form. It
+serves where a term is the output: arrow-typed values and extracted
+realisers.
+
+The native evaluator (``compile_term``) compiles a term once into a Python
+closure over an environment of native values: N is ``int``, ``t*`` is
+``tuple`` and arrows are one-argument callables; recursors run as loops. It
+computes values and has no read-back to terms. Every closed data-typed term
+is evaluated by it (``eval_nat``, ``eval_seq``, ``term_to_value``). It trusts
+types, so each of those entry points type-checks first.
+"""
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .ftypes import Arrow, FiniteType, Ground, Star, is_data_type
+from .ftypes import Arrow, FiniteType, Ground, N, Star, is_data_type
 from .terms import (
     App,
     Const,
     ConstKind,
+    IllTyped,
     Lam,
     NsdialError,
+    SUCC,
     SeqAbs,
     Term,
     Var,
@@ -194,13 +210,12 @@ def _collect_spine(s: Term) -> list[Term] | None:
 def normalize(term: Term) -> Term:
     """Full normal form: weak-head reduce, then recurse into all subterms.
 
-    Terms are immutable, so results are memoized; grid sweeps re-reduce the
-    same closed subterms constantly.
+    Terms are immutable, so results are memoized.
     """
     return _normalize_cached(term)
 
 
-@lru_cache(maxsize=1 << 16)
+@functools.lru_cache(maxsize=1 << 16)
 def _normalize_cached(term: Term) -> Term:
     t = whnf(term)
     if isinstance(t, Lam):
@@ -216,35 +231,170 @@ def _normalize_cached(term: Term) -> Term:
     return out
 
 
+# -- native evaluator ----------------------------------------------------------
+
+
+def to_native(v: CanonicalValue):
+    """Native value of a canonical data value: ``int`` or nested ``tuple``."""
+    if isinstance(v, Nat):
+        return v.value
+    if isinstance(v, Seq):
+        return tuple(to_native(i) for i in v.items)
+    raise NotDataType(f"no native data value for {v!r}")
+
+
+def to_canonical(v, t: FiniteType) -> CanonicalValue:
+    """Canonical value of a native value at the data type t."""
+    if isinstance(t, Ground):
+        return Nat(v)
+    assert isinstance(t, Star)
+    return Seq(t.element, tuple(to_canonical(i, t.element) for i in v))
+
+
+def _nrec(x, y, n):
+    for k in range(n):
+        x = y(k)(x)
+    return x
+
+
+def _lrec(x, y, s):
+    for h in reversed(s):
+        x = y(x)(h)
+    return x
+
+
+def _proj(elem: FiniteType):
+    """Projection with the default of the element type past the end."""
+    d = compile_term(default_term(elem))({})
+    return lambda s, i: s[i] if i < len(s) else d
+
+
+def _sapp(fs, a):
+    if len(fs) == 1:
+        return fs[0](a)
+    return tuple(itertools.chain.from_iterable(f(a) for f in fs))
+
+
+# Operators by arity; each entry builds the uncurried native function of a constant.
+_OPERATORS = {
+    ConstKind.SUCC: (1, lambda c: lambda n: n + 1),
+    ConstKind.LEN: (1, lambda c: len),
+    ConstKind.SINGLETON: (1, lambda c: lambda x: (x,)),
+    ConstKind.CONS: (2, lambda c: lambda h, s: (h,) + s),
+    ConstKind.CONCAT: (2, lambda c: lambda s, t: s + t),
+    ConstKind.PROJ: (2, lambda c: _proj(c.types[0])),
+    ConstKind.SEQAPP: (2, lambda c: _sapp),
+    ConstKind.NATREC: (3, lambda c: _nrec),
+    ConstKind.LISTREC: (3, lambda c: _lrec),
+}
+
+
+def _curry(fn, arity: int):
+    if arity == 1:
+        return fn
+    return lambda x: _curry(functools.partial(fn, x), arity - 1)
+
+
+def _const(c: Const):
+    """Native value of a constant; operators are curried callables."""
+    if c.kind is ConstKind.ZERO:
+        return 0
+    if c.kind is ConstKind.EMPTY:
+        return ()
+    arity, op = _OPERATORS[c.kind]
+    return _curry(op(c), arity)
+
+
+def compile_term(t: Term):
+    """Closure env -> native value of the term; env maps its free variables to natives."""
+    if isinstance(t, Var):
+        name = t.name
+        return lambda env: env[name]
+    if isinstance(t, Const):
+        value = _const(t)
+        return lambda env: value
+    if isinstance(t, (Lam, SeqAbs)):
+        body, var = compile_term(t.body), t.var
+
+        def make(env):
+            return lambda x: body({**env, var: x})
+
+        return make if isinstance(t, Lam) else lambda env: (make(env),)
+    assert isinstance(t, App)
+    if t.fun == SUCC:
+        # numerals and other successor chains compile flat, whatever their depth
+        k = 0
+        while isinstance(t, App) and t.fun == SUCC:
+            k, t = k + 1, t.arg
+        inner = compile_term(t)
+        return lambda env: inner(env) + k
+    head, args = t, []
+    while isinstance(head, App):
+        args.append(compile_term(head.arg))
+        head = head.fun
+    args.reverse()
+    operator = isinstance(head, Const) and head.kind in _OPERATORS
+    if operator and len(args) >= _OPERATORS[head.kind][0]:
+        arity, op = _OPERATORS[head.kind]
+        run = _saturated(op(head), args[:arity])
+        args = args[arity:]
+    else:
+        run = compile_term(head)
+    for arg in args:
+        run = _apply(run, arg)
+    return run
+
+
+def _saturated(op, args):
+    """A fully applied operator, called directly on the native arguments."""
+    if len(args) == 1:
+        (a,) = args
+        return lambda env: op(a(env))
+    if len(args) == 2:
+        a, b = args
+        return lambda env: op(a(env), b(env))
+    a, b, c = args
+    return lambda env: op(a(env), b(env), c(env))
+
+
+def _apply(fun, arg):
+    return lambda env: fun(env)(arg(env))
+
+
+# -- values of closed terms ----------------------------------------------------
+
+
+def _closed_type(term: Term) -> FiniteType:
+    fv = free_vars(term)
+    if fv:
+        raise NotClosed(f"free variables: {sorted(fv)}")
+    return type_check(term)
+
+
 def eval_nat(term: Term) -> int:
     """Value of a closed term of ground type as a nonnegative integer."""
-    if free_vars(term):
-        raise NotClosed(f"free variables: {sorted(free_vars(term))}")
-    if type_check(term) != Ground():
-        raise NotGroundType(repr(type_check(term)))
-    n = 0
-    t = whnf(term)
-    while True:
-        head, args = spine(t)
-        if isinstance(head, Const) and head.kind is ConstKind.ZERO and not args:
-            return n
-        if isinstance(head, Const) and head.kind is ConstKind.SUCC and len(args) == 1:
-            n += 1
-            t = whnf(args[0])
-            continue
-        raise NotGroundType(f"stuck at {t!r}")
+    t = _closed_type(term)
+    if t != N:
+        raise NotGroundType(repr(t))
+    return compile_term(term)({})
+
+
+def eval_seq(term: Term) -> list[CanonicalValue]:
+    """Canonical list value of a closed term of data sequence type."""
+    t = _closed_type(term)
+    if not (isinstance(t, Star) and is_data_type(t)):
+        raise NotDataType(repr(t))
+    return [to_canonical(v, t.element) for v in compile_term(term)({})]
 
 
 def term_to_value(term: Term, t: FiniteType) -> CanonicalValue:
-    """Canonical value of a closed normal-form term at a data type, closure otherwise."""
-    if isinstance(t, Ground):
-        return Nat(eval_nat(term))
-    if isinstance(t, Star):
-        items = _collect_spine(term)
-        if items is None:
-            raise NotDataType(f"stuck sequence {term!r}")
-        return Seq(t.element, tuple(term_to_value(normalize(i), t.element) for i in items))
-    return Closure(normalize(term))
+    """Canonical value of a closed term at a data type; its normal form as a closure otherwise."""
+    if not is_data_type(t):
+        return Closure(normalize(term))
+    found = _closed_type(term)
+    if found != t:
+        raise IllTyped("term_to_value", t, found)
+    return to_canonical(compile_term(term)({}), t)
 
 
 def value_to_term(v: CanonicalValue) -> Term:
@@ -256,16 +406,3 @@ def value_to_term(v: CanonicalValue) -> Term:
             out = cons(v.element, value_to_term(item), out)
         return out
     return v.term
-
-
-def eval_seq(term: Term, expect: FiniteType | None = None) -> list[CanonicalValue]:
-    """Canonical list value of a closed term of data sequence type."""
-    fv = free_vars(term)
-    if fv:
-        raise NotClosed(f"free variables: {sorted(fv)}")
-    t = type_check(term) if expect is None else expect
-    if not (isinstance(t, Star) and is_data_type(t)):
-        raise NotDataType(repr(t))
-    v = term_to_value(normalize(term), t)
-    assert isinstance(v, Seq)
-    return list(v.items)

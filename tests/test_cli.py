@@ -163,9 +163,7 @@ def test_verify_deep_numeral_in_matrix(tmp_path, capsys):
 
 def test_too_deep_input_exits_one_without_traceback(tmp_path, capsys):
     term = tmp_path / "deep.term"
-    term.write_text(
-        "(app (nrec N) zero (lam (k N) (lam (m N) (app succ (app succ (var m))))) 500)\n"
-    )
+    term.write_text("(app succ " * 400 + "zero" + ")" * 400 + "\n")
     report = tmp_path / "report.json"
     assert run(["--json", str(report), "check-term", str(term)]) == 1
     err = capsys.readouterr().err
@@ -174,6 +172,20 @@ def test_too_deep_input_exits_one_without_traceback(tmp_path, capsys):
     assert run(["--json", str(report), "corpus", "run", str(tmp_path)]) == 1
     (item,) = json.loads(report.read_text())["outcome"]["items"]
     assert (item["status"], item["kind"]) == ("fail", "RecursionError")
+
+
+def test_deep_recursor_term_evaluates(tmp_path, capsys):
+    # 500 recursion steps: evaluated as a loop, not one stack frame per step
+    term = tmp_path / "double.term"
+    term.write_text(
+        "(app (nrec N) zero (lam (k N) (lam (m N) (app succ (app succ (var m))))) 500)\n"
+    )
+    assert run(["check-term", str(term)]) == 0
+    assert capsys.readouterr().out == "1000\n"
+    report = tmp_path / "report.json"
+    assert run(["--json", str(report), "corpus", "run", str(tmp_path)]) == 0
+    (item,) = json.loads(report.read_text())["outcome"]["items"]
+    assert (item["status"], item["normal_form"]) == ("ok", "1000")
 
 
 @pytest.mark.parametrize("flavor", ["--u", "--dst"])

@@ -6,6 +6,7 @@ from nsdial.gen import random_term, random_type, rng
 from nsdial.reduce import (
     Nat,
     NotClosed,
+    NotDataType,
     NotGroundType,
     Seq,
     eval_nat,
@@ -14,9 +15,11 @@ from nsdial.reduce import (
     term_to_value,
     value_to_term,
 )
+from nsdial.sexpr import print_term
 from nsdial.terms import (
     App,
     Const,
+    IllTyped,
     Lam,
     SUCC,
     SeqAbs,
@@ -160,6 +163,52 @@ def test_confluence_at_data_types():
                 break
             u = nxt
         assert term_to_value(u, ty) == by_normal_order
+
+
+def with_operators(r, t, ty):
+    """t and operator applications over it; random_term itself builds no operator."""
+    out = [(t, ty)]
+    n = numeral(r.randint(0, 3))
+    if ty == N:
+        add = lam([("k", N), ("m", N)], App(SUCC, Var("m", N)))
+        last = lam([("k", N), ("m", N)], Var("k", N))
+        return out + [(nat_rec(N, t, add, n), N), (nat_rec(N, t, last, n), N),
+                      (singleton(N, t), Star(N))]
+    e = ty.element
+    u = random_term(r, ty, [], 2)
+    copy = lam([("acc", ty), ("x", e)], cons(e, Var("x", e), Var("acc", ty)))
+    grow = lam([("k", N), ("acc", ty)], concat(e, Var("acc", ty), u))
+    fns = seq_term(Arrow(e, ty), [Lam("x", e, cons(e, Var("x", e), t)), Lam("y", e, u)])
+    head = proj(e, t, numeral(r.randint(0, 2)))
+    return out + [(seq_len(e, t), N), (concat(e, t, u), ty), (head, e),
+                  (list_rec(ty, e, empty_seq(e), copy, t), ty), (nat_rec(ty, t, grow, n), ty),
+                  (seq_app(e, e, SeqAbs("x", e, cons(e, Var("x", e), u)), head), ty),
+                  (seq_app(e, e, fns, head), ty)]
+
+
+def test_values_match_the_substitution_normaliser():
+    # the native evaluator against normalize, the reference, on printed normal forms
+    r = rng(9)
+    for i in range(300):
+        ty = random_type(r, 2, data_only=True)
+        for t, t_ty in with_operators(r, random_term(r, ty, [], 3), ty):
+            assert print_term(value_to_term(term_to_value(t, t_ty))) == print_term(normalize(t))
+
+
+def test_value_entry_points_type_check_first():
+    # the native evaluator trusts types: bad input is an nsdial error, never a KeyError
+    with pytest.raises(NotClosed):
+        eval_nat(App(Lam("x", N, Var("y", N)), ZERO))
+    with pytest.raises(NotClosed):
+        term_to_value(Var("s", Star(N)), Star(N))
+    with pytest.raises(NotGroundType):
+        eval_nat(Lam("x", N, Var("x", N)))
+    with pytest.raises(NotDataType):
+        eval_seq(numeral(2))
+    with pytest.raises(NotDataType):
+        eval_seq(seq_term(Arrow(N, N), [Lam("x", N, Var("x", N))]))
+    with pytest.raises(IllTyped):
+        term_to_value(numeral(2), Star(N))
 
 
 def seq_of(parts):
