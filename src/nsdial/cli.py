@@ -142,7 +142,7 @@ def cmd_corpus(directory: Path, args) -> tuple[int, dict]:
         entry = {"file": path.name}
         try:
             entry.update(_corpus_item(path, args))
-        except (NsdialError, ParseError) as e:
+        except (NsdialError, ParseError, UnicodeDecodeError) as e:
             entry["status"] = "error"
             entry["error"] = str(e)
             status = EXIT_ERROR
@@ -266,7 +266,8 @@ def run(argv: list[str]) -> int:
                 "verify": cmd_verify,
             }[args.command]
             status, outcome = handler(args.file, args)
-    except (ParseError, FileNotFoundError) as e:
+    except (ParseError, OSError, UnicodeDecodeError) as e:
+        # unparsable, unreadable or non-UTF-8 input
         print(f"error: {e}", file=sys.stderr)
         status, outcome = EXIT_ERROR, {"error": str(e)}
     except NsdialError as e:

@@ -283,17 +283,26 @@ def _fresh_for(f: Formula, base: str, extra: set[str] = frozenset()) -> str:
 
 
 def desugar(formula: Formula) -> Formula:
-    """Expand In/SubsetEq/Hyper/Not sugar; idempotent."""
+    """Expand In/SubsetEq/Hyper/Not sugar; idempotent.
+
+    A node with no sugar below it is returned as it is, so desugaring a
+    desugared formula builds nothing.
+    """
 
     def go(f: Formula) -> Formula:
         if isinstance(f, Eq):
             return f
         if isinstance(f, (And, Or, Imp)):
-            return type(f)(go(f.left), go(f.right))
+            left, right = go(f.left), go(f.right)
+            if left is f.left and right is f.right:
+                return f
+            return type(f)(left, right)
         if isinstance(f, BINDERS):
-            return type(f)(f.var, f.var_type, go(f.body))
+            body = go(f.body)
+            return f if body is f.body else type(f)(f.var, f.var_type, body)
         if isinstance(f, (BoundedForall, BoundedExists)):
-            return type(f)(f.var, f.bound, go(f.body))
+            body = go(f.body)
+            return f if body is f.body else type(f)(f.var, f.bound, body)
         if isinstance(f, St):
             return f
         if isinstance(f, Not):

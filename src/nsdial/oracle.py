@@ -13,7 +13,9 @@ counterexample.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .ftypes import FiniteType, Ground, Star, is_data_type, type_depth
@@ -178,13 +180,22 @@ def _connective(kind, a, b):
 
 
 def _quantifier(universal: bool, var: str, values, body):
-    """Universal stops at the first False, existential at the first True."""
+    """Universal stops at the first False, existential at the first True.
+
+    One copy of the environment per call, with the variable rebound for each
+    value. The copy keeps an outer binding of the same name intact. Rebinding
+    is safe because no function value built over the frame (a compiled
+    ``Lam``) outlives an iteration: a data-typed ``Eq`` consumes its values,
+    and ``_arrow_eq`` reads the environment when it is called.
+    """
     decisive = not universal
 
     def run(env):
         unknown = False
+        frame = dict(env)
         for v in values(env):
-            r = body({**env, var: v})
+            frame[var] = v
+            r = body(frame)
             if r is decisive:
                 return decisive
             if r is UNKNOWN:
@@ -198,13 +209,23 @@ def compile_matrix(matrix: Formula, grid: Grid):
     """Compile an internal matrix once: env -> True | False | UNKNOWN.
 
     The environment maps every free variable of the matrix to its native
-    value (see ``to_native``). Quantifier domains are enumerated here, once.
+    value (see ``to_native``). Quantifier domains come from the per-grid
+    tables of ``_domain``.
     """
     return _compile(desugar(matrix), grid)
 
 
-def _domain(t: FiniteType, grid: Grid) -> list:
-    return [to_native(v) for v in enumerate_values(t, grid)]
+@functools.lru_cache(maxsize=64)
+def _domain(t: FiniteType, grid: Grid) -> tuple:
+    """Native values of a data type on the grid, in enumeration order; cached per (type, grid)."""
+    return tuple(to_native(v) for v in enumerate_values(t, grid))
+
+
+@functools.lru_cache(maxsize=64)
+def _extensions(t: FiniteType, grid: Grid) -> tuple:
+    """The (small, big) pairs of the sequence type t where big extends small, in domain order."""
+    domain = _domain(t, grid)
+    return tuple((a, b) for a in domain for b in domain if set(a) <= set(b))
 
 
 def _native_env(matrix: Formula, env: dict[str, CanonicalValue]) -> tuple[Formula, dict]:
@@ -321,14 +342,14 @@ def check_upward_closed(tf, grid: Grid) -> Verdict:
     exist_names = [n for n, _ in tf.exist_tuple]
     rest = [(n, t) for n, t in names if n not in exist_names]
     exist_domains = [_domain(t, grid) for _, t in tf.exist_tuple]
-    pairs_per_comp = [
-        [(a, b) for a in dom for b in dom if set(a) <= set(b)] for dom in exist_domains
-    ]
+    pairs_per_comp = [_extensions(t, grid) for _, t in tf.exist_tuple]
     for env in _assignments(rest, grid):
-        # evaluate once per witness assignment, then sweep the extension pairs
+        # evaluate once per witness assignment, rebinding the witnesses in env
+        # (safe as in _quantifier), then sweep the extension pairs
         truth: dict[tuple, object] = {}
         for combo in itertools.product(*exist_domains):
-            truth[combo] = evaluate({**env, **dict(zip(exist_names, combo))})
+            env.update(zip(exist_names, combo))
+            truth[combo] = evaluate(env)
         # keep, in order, the pairs whose ends occur in some true / false witness tuple
         viable = []
         for k, pairs in enumerate(pairs_per_comp):
@@ -338,19 +359,25 @@ def check_upward_closed(tf, grid: Grid) -> Verdict:
         for pair_combo in itertools.product(*viable):
             small, big = zip(*pair_combo)
             if truth[small] is True and truth[big] is False:
-                bad = {**env, **dict(zip(exist_names, big))}
-                return _counterexample(bad, names)
+                env.update(zip(exist_names, big))
+                return _counterexample(env, names)
     return GridValid()
+
+
+def sweep_points(tf, grid: Grid) -> int:
+    """Grid points of a full sweep over the tuples and other free variables of tf."""
+    names = _sweep_names(list(tf.exist_tuple) + list(tf.univ_tuple), desugar(tf.matrix))
+    return math.prod(len(_domain(t, grid)) for _, t in names)
 
 
 def brute_force_witness(formula: Formula, grid: Grid):
     """First witness of a leading existential, in enumeration order, or None."""
     f = desugar(formula)
     assert isinstance(f, Exists), "needs a leading existential"
-    values = list(enumerate_values(f.var_type, grid))
+    values = _domain(f.var_type, grid)
     _require_closed(f, ())
     body = compile_matrix(f.body, grid)
     for v in values:
-        if body({f.var: to_native(v)}) is True:
-            return v
+        if body({f.var: v}) is True:
+            return to_canonical(v, f.var_type)
     return None

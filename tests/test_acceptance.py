@@ -30,6 +30,7 @@ from nsdial.oracle import (
     check_upward_closed,
     enumerate_values,
     replay,
+    sweep_points,
     verify_bundle,
 )
 from nsdial.proofs import axiom, check_proof
@@ -257,27 +258,11 @@ def test_upward_closure():
         names = list(tf.exist_tuple) + list(tf.univ_tuple)
         if not all(is_data_type(t) for _, t in names):
             continue
-        if _closure_cost(tf, grid) > 20_000:
+        if sweep_points(tf, grid) > 20_000:
             continue
         verdict = check_upward_closed(tf, grid)
         assert verdict == GridValid(), f
         checked += 1
-
-
-def _closure_cost(tf, grid):
-    """Number of matrix evaluations the closure sweep would need."""
-    from nsdial.formulas import free_vars as formula_free_vars
-
-    cost = 1
-    for _, ty in tf.exist_tuple:
-        cost *= len(grid_values(ty, grid))
-    rest = dict(tf.univ_tuple)
-    for name, ty in formula_free_vars(tf.matrix).items():
-        if name not in rest and name not in dict(tf.exist_tuple):
-            rest[name] = ty
-    for _, ty in rest.items():
-        cost *= len(grid_values(ty, grid))
-    return cost
 
 
 @criterion(5, "uniform translation idempotent on 500 normal forms; 1000 matrices or-free")

@@ -211,3 +211,37 @@ def test_untranslatable_corpus_item_is_an_error(tmp_path, capsys):
     items = json.loads(report.read_text())["outcome"]["items"]
     assert [item["status"] for item in items] == ["error", "error"]
     assert all(item["error"].startswith("bounded quantifier over i") for item in items)
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_directory_given_as_file_exits_two(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run(["--json", str(report), "check-term", str(FIXTURES)]) == 2
+    assert "Is a directory" in _one_error_line(capsys)
+    assert "error" in json.loads(report.read_text())["outcome"]
+
+
+def test_file_given_as_corpus_directory_exits_two(capsys):
+    assert run(["corpus", "run", str(CORPUS / "len_nil.term")]) == 2
+    assert "Not a directory" in _one_error_line(capsys)
+
+
+def test_non_utf8_input_exits_two(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "bom.term").write_bytes(b"\xff\xfe(len (nil N))\n")
+    (corpus / "len_nil.term").write_text("(len (nil N))\n")
+    assert run(["check-term", str(corpus / "bom.term")]) == 2
+    assert "can't decode" in _one_error_line(capsys)
+    report = tmp_path / "report.json"
+    assert run(["--json", str(report), "corpus", "run", str(corpus)]) == 2
+    assert capsys.readouterr().out.split() == ["error", "bom.term", "ok", "len_nil.term"]
+    bad, good = json.loads(report.read_text())["outcome"]["items"]
+    assert bad["status"] == "error" and "can't decode" in bad["error"]
+    assert (good["status"], good["normal_form"]) == ("ok", "zero")

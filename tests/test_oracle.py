@@ -39,6 +39,7 @@ from nsdial.reduce import (
     Seq,
     normalize,
     term_to_value,
+    to_canonical,
     value_to_term,
 )
 from nsdial.terms import (
@@ -400,3 +401,132 @@ def test_eval_formula_closure_values_and_missing_variables():
         eval_formula(f, {"f": identity}, Grid(2, 1))
     with pytest.raises(NotClosed):
         brute_force_witness(Exists("y", N, Eq(N, Var("y", N), a_)), Grid(2, 1))
+
+
+# -- frame reuse: one environment per quantifier call, rebound for each value --
+
+
+def test_quantifier_body_builds_a_function_run_through_nrec():
+    x, m = Var("x", N), Var("m", N)
+    # nrec 0 (λk m. succ x) n is 0 at n = 0 and x + 1 above: the step reads the loop variable
+    step = lam([("k", N), ("m", N)], App(SUCC, x))
+    f = Exists("x", N, Eq(N, nat_rec(N, ZERO, step, n_), a_))
+    results = compiled_results(f, [("a", N), ("n", N)], Grid(2, 1))
+    assert set(results) == {True, False}
+    # λy. y + x, built under the outer binder and applied inside the inner loop
+    add_x = lam([("y", N)], nat_rec(N, Var("y", N), lam([("k", N), ("m", N)], App(SUCC, m)), x))
+    g = Forall("x", N, Exists("y", N, Eq(N, App(add_x, Var("y", N)), App(SUCC, a_))))
+    # y + x = a + 1 has a solution y <= 3 for every x <= 3 only at a = 2
+    assert compiled_results(g, [("a", N)], Grid(3, 1)) == [False, False, True, False]
+
+
+def test_inner_binder_does_not_clobber_the_outer_variable():
+    x = Var("x", N)
+    for inner in (Forall("x", N, Eq(N, x, x)), Exists("x", N, Eq(N, x, numeral(1))),
+                  BoundedForall("x", numeral(2), Eq(N, x, x))):
+        f = And(inner, Eq(N, x, ZERO))
+        assert compiled_results(f, [("x", N)], Grid(2, 1)) == [True, False, False]
+
+
+def reference_upward_sweep(tf, grid):
+    """The sweep as it was with a fresh environment per evaluation and pairs built per matrix."""
+    from nsdial.formulas import free_vars
+
+    matrix = desugar(tf.matrix)
+    names = list(tf.exist_tuple) + list(tf.univ_tuple)
+    seen = {n for n, _ in names}
+    names += [(n, t) for n, t in sorted(free_vars(matrix).items()) if n not in seen]
+    if not all(is_data_type(t) and type_depth(t) <= grid.depth_bound for _, t in names):
+        return Unknown("non-data tuple or free variable")
+    if not tf.exist_tuple:
+        return GridValid()
+
+    def domain(t):
+        return [to_native(v) for v in enumerate_values(t, grid)]
+
+    def counterexample(env):
+        return CounterexampleFound(tuple(sorted((n, to_canonical(env[n], t)) for n, t in names)))
+
+    evaluate = compile_matrix(matrix, grid)
+    exist_names = [n for n, _ in tf.exist_tuple]
+    rest = [(n, t) for n, t in names if n not in exist_names]
+    exist_domains = [domain(t) for _, t in tf.exist_tuple]
+    pairs_per_comp = [[(a, b) for a in d for b in d if set(a) <= set(b)] for d in exist_domains]
+    for combo in itertools.product(*[domain(t) for _, t in rest]):
+        env = dict(zip([n for n, _ in rest], combo))
+        truth = {}
+        for wit in itertools.product(*exist_domains):
+            truth[wit] = evaluate({**env, **dict(zip(exist_names, wit))})
+        viable = []
+        for k, pairs in enumerate(pairs_per_comp):
+            smalls = {c[k] for c, r in truth.items() if r is True}
+            bigs = {c[k] for c, r in truth.items() if r is False}
+            viable.append([(a, b) for a, b in pairs if a in smalls and b in bigs])
+        for pair_combo in itertools.product(*viable):
+            small, big = zip(*pair_combo)
+            if truth[small] is True and truth[big] is False:
+                return counterexample({**env, **dict(zip(exist_names, big))})
+    return GridValid()
+
+
+def test_upward_sweep_matches_reference():
+    from nsdial.gen import random_upward_safe
+
+    grid = Grid(2, 2)
+    r = rng(45)
+    verdicts = []
+    for _ in range(220):
+        tf = dst_translate(random_upward_safe(r, [("fv", N)], 3))
+        got = check_upward_closed(tf, grid)
+        assert got == reference_upward_sweep(tf, grid), tf.matrix
+        verdicts.append(type(got))
+    assert verdicts.count(GridValid) >= 200
+    # hand-built and random matrices that are not upward closed, with a free variable
+    s, s2, ss = Var("s", Star(N)), Var("s2", Star(N)), Var("ss", Star(Star(N)))
+    exist = (("s", Star(N)), ("s2", Star(N)))
+    univ = (("a", N),)
+    hand = [
+        Eq(N, seq_len(N, s), numeral(1)),
+        Imp(In(N, a_, s), Eq(N, a_, Var("b", N))),
+        And(In(N, a_, s2), Imp(In(N, ZERO, s), Eq(N, a_, ZERO))),
+        Forall("a", N, Imp(In(N, a_, s), Eq(N, seq_len(N, s2), a_))),
+        # true at [1] and [0 0]: pairs in (small, big) order reach big = [0 1] before [0]
+        Or(Eq(Star(N), s, seq_term(N, [numeral(1)])), Eq(Star(N), s, seq_term(N, [ZERO, ZERO]))),
+    ]
+    r = rng(46)
+    small = Grid(1, 2)
+    found = 0
+    for matrix in hand + [random_internal(r, list(exist + univ) + [("b", N)], 2) for _ in range(30)]:
+        tf = TranslatedFormula(exist, univ, matrix, Flavor.DST)
+        got = check_upward_closed(tf, small)
+        assert got == reference_upward_sweep(tf, small), matrix
+        found += isinstance(got, CounterexampleFound)
+    assert found >= len(hand)
+    nested = TranslatedFormula((("ss", Star(Star(N))),), univ,
+                               Eq(N, seq_len(Star(N), ss), a_), Flavor.DST)
+    got = check_upward_closed(nested, Grid(1, 1))
+    assert isinstance(got, CounterexampleFound) and got == reference_upward_sweep(nested, Grid(1, 1))
+
+
+def test_upward_sweep_builds_each_domain_once(monkeypatch):
+    from nsdial import oracle
+    from nsdial.gen import random_upward_safe
+
+    calls = []
+    real = oracle.enumerate_values
+
+    def counting(t, grid):
+        calls.append(t)
+        return real(t, grid)
+
+    monkeypatch.setattr(oracle, "enumerate_values", counting)
+    oracle._domain.cache_clear()
+    oracle._extensions.cache_clear()
+    r = rng(7)
+    for _ in range(100):
+        assert check_upward_closed(dst_translate(random_upward_safe(r, [("fv", N)], 3)),
+                                   Grid(2, 2)) == GridValid()
+    # one enumeration per (type, grid) pair, where the sweep used to enumerate per matrix
+    assert 0 < len(calls) <= 20
+    assert isinstance(oracle._domain(Star(N), Grid(2, 2)), tuple)
+    assert isinstance(oracle._extensions(Star(N), Grid(2, 2)), tuple)
