@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -35,6 +34,8 @@ EXIT_ERROR = 2
 
 
 def _digest(path: Path) -> dict:
+    import hashlib  # loads OpenSSL, so only runs that write a report pay for it
+
     return {
         "path": str(path),
         "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
@@ -250,14 +251,16 @@ def run(argv: list[str]) -> int:
         }
     try:
         if args.command == "corpus":
-            report["inputs"] = [
-                _digest(p)
-                for p in sorted(args.directory.iterdir())
-                if any(p.name.endswith(k) for k in _CORPUS_KINDS)
-            ]
+            if args.json:
+                report["inputs"] = [
+                    _digest(p)
+                    for p in sorted(args.directory.iterdir())
+                    if any(p.name.endswith(k) for k in _CORPUS_KINDS)
+                ]
             status, outcome = cmd_corpus(args.directory, args)
         else:
-            report["inputs"] = [_digest(args.file)]
+            if args.json:
+                report["inputs"] = [_digest(args.file)]
             handler = {
                 "check-term": cmd_check_term,
                 "translate": cmd_translate,

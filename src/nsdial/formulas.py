@@ -5,7 +5,10 @@ from __future__ import annotations
 from .ftypes import Arrow, FiniteType, N, Node, Star, node
 from .terms import (
     App,
+    Const,
     IllTyped,
+    Lam,
+    SeqAbs,
     Term,
     TypeMismatch,
     Var,
@@ -142,81 +145,191 @@ class Classification(Node):
     or_free: bool
 
 
+# -- query passes --------------------------------------------------------------
+#
+# Each query is a loop over an explicit stack that dispatches on the node's
+# class, so it is linear in the number of nodes and takes no Python frame per
+# nesting level. Children are pushed right to left, so nodes are visited in
+# the order of a left-to-right recursive walk. Binder scopes are a count of
+# enclosing binders per name: a binder pushes its name, as the marker that
+# ends its scope, below its body. A bounded quantifier's bound lies outside
+# its scope, so the quantifier pushes a one-element tuple, the marker that
+# opens the scope, between the bound and the body.
+
+_PAIRS = frozenset({Eq, SubsetEq, And, Or, Imp})  # nodes with left and right
+_SCOPES = frozenset({Lam, SeqAbs, *BINDERS})
+_BOUNDED = frozenset({BoundedForall, BoundedExists})
+_NESTS = frozenset({*BINDERS, *_BOUNDED})  # formula nodes with a body, besides Not
+_SUGAR = frozenset({In, SubsetEq, Hyper, Not})
+
+
+def free_vars_and_names(formula: Formula) -> tuple[dict[str, FiniteType], set[str]]:
+    """The free variables and every name of the formula, free or bound, in one walk.
+
+    Free variables are in order of first occurrence; a later annotation wins.
+    Terms are walked on the same stack as the formula nodes.
+    """
+    free: dict[str, FiniteType] = {}
+    names: set[str] = set()
+    add = names.add
+    bound: dict[str, int] = {}
+    stack: list = [formula]
+    pop, push = stack.pop, stack.append
+    while stack:
+        f = pop()
+        cls = f.__class__
+        if cls is App:
+            push(f.arg)
+            push(f.fun)
+        elif cls is Var:
+            name = f.name
+            add(name)
+            if not bound.get(name):
+                free[name] = f.type
+        elif cls is Const:
+            pass
+        elif cls is str:
+            bound[f] -= 1
+        elif cls in _PAIRS:
+            push(f.right)
+            push(f.left)
+        elif cls in _SCOPES:
+            var = f.var
+            add(var)
+            bound[var] = bound.get(var, 0) + 1
+            push(var)
+            push(f.body)
+        elif cls in _BOUNDED:
+            var = f.var
+            add(var)
+            push(var)
+            push(f.body)
+            push((var,))
+            push(f.bound)
+        elif cls is tuple:
+            var = f[0]
+            bound[var] = bound.get(var, 0) + 1
+        elif cls is St:
+            push(f.term)
+        elif cls is In:
+            push(f.seq)
+            push(f.elem)
+        elif cls is Hyper:
+            push(f.seq)
+        elif cls is Not:
+            push(f.body)
+        else:
+            raise AssertionError(f)
+    return free, names
+
+
+def free_vars(formula: Formula) -> dict[str, FiniteType]:
+    return free_vars_and_names(formula)[0]
+
+
+def all_names(formula: Formula) -> set[str]:
+    return free_vars_and_names(formula)[1]
+
+
 def classify(formula: Formula) -> Classification:
     """Internal: no standardness predicate or external quantifier, including via sugar."""
     internal = True
     or_free = True
-
-    def go(f: Formula) -> None:
-        nonlocal internal, or_free
-        if isinstance(f, (St, ForallSt, ExistsSt, Hyper)):
+    stack: list = [formula]
+    pop, push = stack.pop, stack.append
+    while stack:
+        f = pop()
+        cls = f.__class__
+        if cls is And or cls is Imp or cls is Or:
+            if cls is Or:
+                or_free = False
+            push(f.right)
+            push(f.left)
+        elif cls in _NESTS or cls is Not:
+            if cls is ForallSt or cls is ExistsSt:
+                internal = False
+            push(f.body)
+        elif cls is St or cls is Hyper:
             internal = False
-        if isinstance(f, Or):
-            or_free = False
-        for child in _shape(f)[2]:
-            go(child)
-
-    go(formula)
+        elif cls is not Eq and cls is not In and cls is not SubsetEq:
+            raise AssertionError(f)
     return Classification(internal, or_free)
 
 
-def _shape(f: Formula) -> tuple[str | None, tuple[Term, ...], tuple[Formula, ...]]:
-    """The variable a node binds (or None), its embedded terms and its subformulas.
+def check_formula(formula: Formula, context: dict[str, FiniteType] | None = None) -> None:
+    """Check that all embedded terms are well typed and Eq sides share the annotation.
 
-    The embedded terms lie outside the binder's scope: the only node with both
-    is a bounded quantifier, whose bound does not see its own variable.
+    The scope is one dict, updated on entering a binder; the binder pushes
+    (name, previous type or None) below its body, which restores it.
     """
-    if isinstance(f, (And, Or, Imp)):
-        return None, (), (f.left, f.right)
-    if isinstance(f, BINDERS):
-        return f.var, (), (f.body,)
-    if isinstance(f, (BoundedForall, BoundedExists)):
-        return f.var, (f.bound,), (f.body,)
-    if isinstance(f, Not):
-        return None, (), (f.body,)
-    if isinstance(f, (Eq, SubsetEq)):
-        return None, (f.left, f.right), ()
-    if isinstance(f, St):
-        return None, (f.term,), ()
-    if isinstance(f, In):
-        return None, (f.elem, f.seq), ()
-    if isinstance(f, Hyper):
-        return None, (f.seq,), ()
-    raise AssertionError(f)
+    scope = dict(context) if context else {}
+    stack: list = [formula]
+    pop, push = stack.pop, stack.append
+
+    def expect(t: Term, ty: FiniteType, what: str) -> None:
+        found = type_check(t, scope)
+        if found != ty:
+            raise IllTyped(what, ty, found)
+
+    while stack:
+        f = pop()
+        cls = f.__class__
+        if cls is Eq:
+            expect(f.left, f.type, "eq left")
+            expect(f.right, f.type, "eq right")
+        elif cls is And or cls is Or or cls is Imp:
+            push(f.right)
+            push(f.left)
+        elif cls is tuple:
+            name, previous = f
+            if previous is None:
+                del scope[name]
+            else:
+                scope[name] = previous
+        elif cls in _NESTS:
+            if cls in _BOUNDED:
+                expect(f.bound, N, "bound")
+                ty = N
+            else:
+                ty = f.var_type
+            push((f.var, scope.get(f.var)))
+            push(f.body)
+            scope[f.var] = ty
+        elif cls is Not:
+            push(f.body)
+        elif cls is St:
+            expect(f.term, f.type, "st argument")
+        elif cls is In:
+            expect(f.elem, f.type, "in element")
+            expect(f.seq, Star(f.type), "in sequence")
+        elif cls is SubsetEq:
+            lt = type_check(f.left, scope)
+            rt = type_check(f.right, scope)
+            if lt != rt:
+                raise TypeMismatch(f"subseteq sides {lt!r} vs {rt!r}")
+        elif cls is Hyper:
+            expect(f.seq, Star(f.type), "hyper sequence")
+        else:
+            raise AssertionError(f)
 
 
-def free_vars(formula: Formula) -> dict[str, FiniteType]:
-    out: dict[str, FiniteType] = {}
-
-    def go(f: Formula, bound: frozenset[str]) -> None:
-        var, terms, subs = _shape(f)
-        for t in terms:
-            for name, ty in term_free_vars(t).items():
-                if name not in bound:
-                    out[name] = ty
-        if var is not None:
-            bound = bound | {var}
-        for sub in subs:
-            go(sub, bound)
-
-    go(formula, frozenset())
-    return out
-
-
-def all_names(formula: Formula) -> set[str]:
-    out: set[str] = set()
-
-    def go(f: Formula) -> None:
-        var, terms, subs = _shape(f)
-        if var is not None:
-            out.add(var)
-        for t in terms:
-            out.update(term_names(t))
-        for sub in subs:
-            go(sub)
-
-    go(formula)
-    return out
+def _has_sugar(formula: Formula) -> bool:
+    """Whether desugar has anything to expand: an In, SubsetEq, Hyper or Not node."""
+    stack: list = [formula]
+    pop, push = stack.pop, stack.append
+    while stack:
+        f = pop()
+        cls = f.__class__
+        if cls is And or cls is Or or cls is Imp:
+            push(f.right)
+            push(f.left)
+        elif cls in _NESTS:
+            push(f.body)
+        elif cls in _SUGAR:
+            return True
+        elif cls is not Eq and cls is not St:
+            raise AssertionError(f)
+    return False
 
 
 def map_terms(f: Formula, fn) -> Formula:
@@ -286,8 +399,10 @@ def desugar(formula: Formula) -> Formula:
     """Expand In/SubsetEq/Hyper/Not sugar; idempotent.
 
     A node with no sugar below it is returned as it is, so desugaring a
-    desugared formula builds nothing.
+    desugared formula builds nothing and walks it once, without recursion.
     """
+    if not _has_sugar(formula):
+        return formula
 
     def go(f: Formula) -> Formula:
         if isinstance(f, Eq):
@@ -386,44 +501,3 @@ def formula_alpha_eq(f: Formula, g: Formula) -> bool:
         raise AssertionError(a)
 
     return go(f, g, 0)
-
-
-def check_formula(formula: Formula, context: dict[str, FiniteType] | None = None) -> None:
-    """Check that all embedded terms are well typed and Eq sides share the annotation."""
-    env = dict(context) if context else {}
-
-    def expect(t: Term, ty: FiniteType, scope: dict[str, FiniteType], what: str) -> None:
-        found = type_check(t, scope)
-        if found != ty:
-            raise IllTyped(what, ty, found)
-
-    def go(f: Formula, scope: dict[str, FiniteType]) -> None:
-        if isinstance(f, Eq):
-            expect(f.left, f.type, scope, "eq left")
-            expect(f.right, f.type, scope, "eq right")
-        elif isinstance(f, (And, Or, Imp)):
-            go(f.left, scope)
-            go(f.right, scope)
-        elif isinstance(f, Not):
-            go(f.body, scope)
-        elif isinstance(f, BINDERS):
-            go(f.body, {**scope, f.var: f.var_type})
-        elif isinstance(f, (BoundedForall, BoundedExists)):
-            expect(f.bound, N, scope, "bound")
-            go(f.body, {**scope, f.var: N})
-        elif isinstance(f, St):
-            expect(f.term, f.type, scope, "st argument")
-        elif isinstance(f, In):
-            expect(f.elem, f.type, scope, "in element")
-            expect(f.seq, Star(f.type), scope, "in sequence")
-        elif isinstance(f, SubsetEq):
-            lt = type_check(f.left, scope)
-            rt = type_check(f.right, scope)
-            if lt != rt:
-                raise TypeMismatch(f"subseteq sides {lt!r} vs {rt!r}")
-        elif isinstance(f, Hyper):
-            expect(f.seq, Star(f.type), scope, "hyper sequence")
-        else:
-            raise AssertionError(f)
-
-    go(formula, env)

@@ -338,7 +338,7 @@ def check_upward_closed(tf, grid: Grid) -> Verdict:
         return Unknown("non-data tuple or free variable")
     if not tf.exist_tuple:
         return GridValid()  # no witness sequence to extend
-    evaluate = compile_matrix(matrix, grid)
+    evaluate = _compile(matrix, grid)
     exist_names = [n for n, _ in tf.exist_tuple]
     rest = [(n, t) for n, t in names if n not in exist_names]
     exist_domains = [_domain(t, grid) for _, t in tf.exist_tuple]

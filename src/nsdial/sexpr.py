@@ -428,6 +428,8 @@ def parse_translated(sx, flavor: Flavor) -> TranslatedFormula:
     un = tuple((b[0], parse_type(b[1])) for b in sx[2][1])
     env = {n: t for n, t in ex} | {n: t for n, t in un}
     matrix = parse_formula(sx[2][2], env)
+    if not F.classify(matrix).internal:
+        raise ParseError("translated matrix is not internal")
     return TranslatedFormula(ex, un, matrix, flavor)
 
 
@@ -570,4 +572,9 @@ def parse_bundle(sx):
     target = parse_formula(sections["target"][1])
     translated = parse_translated(sections["translated"][1], flavor)
     terms = tuple(parse_term(t) for t in sections["terms"][1:])
+    if len(terms) != len(translated.exist_tuple):
+        raise ParseError(
+            f"expected {len(translated.exist_tuple)} realiser terms, one per witness "
+            f"variable, found {len(terms)}"
+        )
     return RealiserBundle(target, translated, terms, flavor)

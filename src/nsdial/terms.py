@@ -213,37 +213,52 @@ def _annotations(t: Term) -> tuple[tuple[str, FiniteType], ...]:
 
 
 def free_vars(term: Term) -> dict[str, FiniteType]:
+    """Free variables in order of first occurrence; a later annotation wins.
+
+    Like every query pass, a loop over an explicit stack: binder scopes are a
+    count of enclosing binders per name, and a binder pushes its name as the
+    marker that ends its scope.
+    """
     out: dict[str, FiniteType] = {}
-
-    def go(t: Term, bound: frozenset[str]) -> None:
-        if isinstance(t, Var):
-            if t.name not in bound:
+    bound: dict[str, int] = {}
+    stack: list = [term]
+    pop, push = stack.pop, stack.append
+    while stack:
+        t = pop()
+        cls = t.__class__
+        if cls is App:
+            push(t.arg)
+            push(t.fun)
+        elif cls is Var:
+            if not bound.get(t.name):
                 out[t.name] = t.type
-        elif isinstance(t, (Lam, SeqAbs)):
-            go(t.body, bound | {t.var})
-        elif isinstance(t, App):
-            go(t.fun, bound)
-            go(t.arg, bound)
-
-    go(term, frozenset())
+        elif cls is Lam or cls is SeqAbs:
+            var = t.var
+            bound[var] = bound.get(var, 0) + 1
+            push(var)
+            push(t.body)
+        elif cls is str:
+            bound[t] -= 1
     return out
 
 
 def all_names(term: Term) -> set[str]:
     """Every variable name occurring in the term, free or bound."""
     out: set[str] = set()
-
-    def go(t: Term) -> None:
-        if isinstance(t, Var):
-            out.add(t.name)
-        elif isinstance(t, (Lam, SeqAbs)):
-            out.add(t.var)
-            go(t.body)
-        elif isinstance(t, App):
-            go(t.fun)
-            go(t.arg)
-
-    go(term)
+    add = out.add
+    stack: list = [term]
+    pop, push = stack.pop, stack.append
+    while stack:
+        t = pop()
+        cls = t.__class__
+        if cls is App:
+            push(t.arg)
+            push(t.fun)
+        elif cls is Var:
+            add(t.name)
+        elif cls is Lam or cls is SeqAbs:
+            add(t.var)
+            push(t.body)
     return out
 
 
@@ -258,12 +273,19 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 
 def mentions(term: Term, var: str) -> bool:
     """Whether the variable occurs free in the term."""
-    if isinstance(term, Var):
-        return term.name == var
-    if isinstance(term, (Lam, SeqAbs)):
-        return term.var != var and mentions(term.body, var)
-    if isinstance(term, App):
-        return mentions(term.fun, var) or mentions(term.arg, var)
+    stack: list = [term]
+    pop, push = stack.pop, stack.append
+    while stack:
+        t = pop()
+        cls = t.__class__
+        if cls is App:
+            push(t.arg)
+            push(t.fun)
+        elif cls is Var:
+            if t.name == var:
+                return True
+        elif (cls is Lam or cls is SeqAbs) and t.var != var:
+            push(t.body)
     return False
 
 

@@ -33,7 +33,7 @@ from .formulas import (
     check_formula,
     classify,
     desugar,
-    free_vars,
+    free_vars_and_names,
     subst_formula,
 )
 from .terms import (
@@ -166,12 +166,12 @@ def u_translate(formula: Formula) -> TranslatedFormula:
 
 
 def _translate(formula: Formula, flavor: Flavor) -> TranslatedFormula:
-    free = free_vars(formula)
+    free, names = free_vars_and_names(formula)
     try:
         check_formula(formula, free)
     except NsdialError as e:
         raise IllTypedInput(str(e)) from e
-    fresh = FreshNames(set(free), all_names(formula))
+    fresh = FreshNames(set(free), names)
     ex, un, m = _clauses(desugar(formula), fresh, flavor)
     m = desugar(m)
     tf = TranslatedFormula(tuple(ex), tuple(un), m, flavor)

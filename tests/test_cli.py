@@ -245,3 +245,53 @@ def test_non_utf8_input_exits_two(tmp_path, capsys):
     bad, good = json.loads(report.read_text())["outcome"]["items"]
     assert bad["status"] == "error" and "can't decode" in bad["error"]
     assert (good["status"], good["normal_form"]) == ("ok", "zero")
+
+
+def _bundle_with_terms(terms: str) -> str:
+    """overspill.dst.bundle, whose one witness is Y, with the given realiser terms."""
+    text = (CORPUS / "overspill.dst.bundle").read_text()
+    return text[: text.index("(terms ")] + f"(terms{terms}))\n"
+
+
+NON_INTERNAL_BUNDLE = (
+    "(bundle dst (target (st N (var x))) "
+    "(translated (exists-st () (forall-st ((x N)) (st N (var x))))) (terms))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    ["", " (sabs (sp (* N)) (seq (* N) (var sp))) (nil (-> (* N) (* (* N))))"],
+    ids=["missing", "extra"],
+)
+def test_verify_wrong_number_of_realisers_exits_two(tmp_path, capsys, terms):
+    bad = tmp_path / "bad.dst.bundle"
+    bad.write_text(_bundle_with_terms(terms))
+    assert run(["verify", str(bad), *CORPUS_GRID]) == 2
+    found = 0 if not terms else 2
+    assert f"expected 1 realiser terms, one per witness variable, found {found}" in \
+        _one_error_line(capsys)
+
+
+def test_verify_non_internal_matrix_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.dst.bundle"
+    bad.write_text(NON_INTERNAL_BUNDLE)
+    assert run(["verify", str(bad)]) == 2
+    assert "translated matrix is not internal" in _one_error_line(capsys)
+
+
+def test_malformed_bundles_are_corpus_errors(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "missing.dst.bundle").write_text(_bundle_with_terms(""))
+    (corpus / "nonint.dst.bundle").write_text(NON_INTERNAL_BUNDLE)
+    (corpus / "overspill.dst.bundle").write_text((CORPUS / "overspill.dst.bundle").read_text())
+    report = tmp_path / "report.json"
+    assert run(["--json", str(report), "corpus", "run", str(corpus), *CORPUS_GRID]) == 2
+    assert capsys.readouterr().out.split() == [
+        "error", "missing.dst.bundle", "error", "nonint.dst.bundle", "ok", "overspill.dst.bundle",
+    ]
+    items = json.loads(report.read_text())["outcome"]["items"]
+    assert "found 0" in items[0]["error"]
+    assert items[1]["error"] == "translated matrix is not internal"
+    assert items[2]["verdict"] == "grid-valid"

@@ -1,5 +1,7 @@
+import sys
+
 from nsdial import formulas
-from nsdial.ftypes import Arrow, N, Star
+from nsdial.ftypes import Arrow, N, Node, Star
 from nsdial.formulas import (
     And,
     BoundedExists,
@@ -71,17 +73,37 @@ def test_translation_deterministic():
         assert dst_translate(f) == dst_translate(f)
 
 
+def _node_count(root) -> int:
+    """Formula and term nodes of a syntax tree (types are not counted)."""
+    count, stack = 0, [root]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Node) and type(n).__module__ in ("nsdial.formulas", "nsdial.terms"):
+            count += 1
+            stack.extend(getattr(n, f) for f in n._fields)
+    return count
+
+
 def test_translation_work_linear_in_formula_size(monkeypatch):
-    """Each subformula is classified once per translation, not once per ancestor."""
+    """Each subformula is classified once per translation, not once per ancestor.
+
+    Work is the number of nodes the query passes are given: each call of one
+    of their entry points adds the node count of its argument.
+    """
     calls = 0
-    shape = formulas._shape
+    entry_points = ("free_vars_and_names", "classify", "check_formula", "_has_sugar")
+    for name in entry_points:
+        original = getattr(formulas, name)
 
-    def counting(f):
-        nonlocal calls
-        calls += 1
-        return shape(f)
+        def counting(f, *rest, _original=original):
+            nonlocal calls
+            calls += _node_count(f)
+            return _original(f, *rest)
 
-    monkeypatch.setattr(formulas, "_shape", counting)
+        for module in list(sys.modules.values()):
+            if module and module.__name__.startswith("nsdial") and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
 
     def work(n: int) -> int:
         nonlocal calls
@@ -93,4 +115,5 @@ def test_translation_work_linear_in_formula_size(monkeypatch):
         u_translate(chain)
         return calls
 
+    assert work(40) > 0
     assert work(80) <= 2.2 * work(40)
