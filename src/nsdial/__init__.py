@@ -7,25 +7,51 @@ translation with computationally empty internal quantifiers. A Hilbert-style
 kernel checks proofs in the matching characteristic systems, extracts closed
 realiser terms, and a brute-force oracle certifies extracted bundles on
 finite grids.
+
+The names below load their home module on first access (PEP 562), so that
+importing one layer does not import the others.
 """
 
-from .ftypes import Arrow, FiniteType, Ground, N, Star, is_data_type
-from .terms import Term, alpha_eq, substitute, type_check
-from .reduce import CanonicalValue, eval_nat, eval_seq, normalize
-from .formulas import Formula, classify, desugar
-from .translate import Flavor, TranslatedFormula, dst_translate, u_translate
-from .proofs import check_proof
-from .extract import RealiserBundle, extract, extract_dst, extract_u
-from .oracle import (
-    CounterexampleFound,
-    Grid,
-    GridValid,
-    Unknown,
-    brute_force_witness,
-    check_upward_closed,
-    enumerate_values,
-    eval_formula,
-    verify_bundle,
-)
+import importlib
 
+# home module -> the names the package exports from it
+_EXPORTS = {
+    "ftypes": ("Arrow", "FiniteType", "Ground", "N", "Star", "is_data_type"),
+    "terms": ("Term", "alpha_eq", "substitute", "type_check"),
+    "reduce": ("CanonicalValue", "eval_nat", "eval_seq", "normalize"),
+    "formulas": ("Formula", "classify", "desugar"),
+    "translate": ("Flavor", "RealiserBundle", "TranslatedFormula", "dst_translate", "u_translate"),
+    "proofs": ("check_proof",),
+    "extract": ("extract", "extract_dst", "extract_u"),
+    "oracle": (
+        "CounterexampleFound",
+        "Grid",
+        "GridValid",
+        "Unknown",
+        "brute_force_witness",
+        "check_upward_closed",
+        "enumerate_values",
+        "eval_formula",
+        "verify_bundle",
+    ),
+}
+_HOME = {name: home for home, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    # Bind every export of the module at once. Loading nsdial.extract binds the
+    # package attribute ``extract`` to the submodule; this puts the function back.
+    for export in _EXPORTS[home]:
+        globals()[export] = getattr(module, export)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -107,6 +107,55 @@ class Schema(Enum):
 DST_ONLY = {Schema.NCR, Schema.HAC_ST, Schema.HIP_FORALLST}
 U_ONLY = {Schema.NU, Schema.AC_ST, Schema.IP_FORALLST}
 
+# parameter kinds per schema: f formula, t term, y type, n name
+SCHEMA_PARAMS: dict[Schema, list[tuple[str, str]]] = {
+    Schema.K: [("a", "f"), ("b", "f")],
+    Schema.S: [("a", "f"), ("b", "f"), ("c", "f")],
+    Schema.AND_INTRO: [("a", "f"), ("b", "f")],
+    Schema.AND_ELIM_L: [("a", "f"), ("b", "f")],
+    Schema.AND_ELIM_R: [("a", "f"), ("b", "f")],
+    Schema.OR_INTRO_L: [("a", "f"), ("b", "f")],
+    Schema.OR_INTRO_R: [("a", "f"), ("b", "f")],
+    Schema.OR_ELIM: [("a", "f"), ("b", "f"), ("c", "f")],
+    Schema.EX_FALSO: [("a", "f")],
+    Schema.FORALL_INST: [("var", "n"), ("var_type", "y"), ("body", "f"), ("term", "t")],
+    Schema.EXISTS_INTRO: [("var", "n"), ("var_type", "y"), ("body", "f"), ("term", "t")],
+    Schema.EQ_REFL: [("type", "y"), ("t", "t")],
+    Schema.EQ_SYM: [("type", "y"), ("t", "t"), ("u", "t")],
+    Schema.EQ_TRANS: [("type", "y"), ("t", "t"), ("u", "t"), ("v", "t")],
+    Schema.EQ_CONG: [("type", "y"), ("result_type", "y"), ("fn", "t"), ("t", "t"), ("u", "t")],
+    Schema.DEFEQ: [("type", "y"), ("t", "t"), ("u", "t")],
+    Schema.SUCC_NONZERO: [("t", "t")],
+    Schema.SUCC_INJ: [("t", "t"), ("u", "t")],
+    Schema.SEQ_AXIOM: [("type", "y")],
+    Schema.EXTENSIONALITY: [("domain", "y"), ("codomain", "y")],
+    Schema.IA: [("var", "n"), ("body", "f")],
+    Schema.FORALLST_ELIM: [("var", "n"), ("var_type", "y"), ("body", "f")],
+    Schema.FORALLST_INTRO: [("var", "n"), ("var_type", "y"), ("body", "f")],
+    Schema.EXISTSST_ELIM: [("var", "n"), ("var_type", "y"), ("body", "f")],
+    Schema.EXISTSST_INTRO: [("var", "n"), ("var_type", "y"), ("body", "f")],
+    Schema.ST_EXT: [("type", "y"), ("x", "t"), ("y", "t")],
+    Schema.ST_CLOSED: [("type", "y"), ("term", "t")],
+    Schema.ST_APP: [("domain", "y"), ("codomain", "y"), ("fn", "t"), ("arg", "t")],
+    Schema.OS_STAR: [("type", "y"), ("var", "n"), ("body", "f")],
+    Schema.US_STAR: [("type", "y"), ("var", "n"), ("body", "f")],
+    Schema.NCR: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
+    Schema.HAC_ST: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
+    Schema.HIP_FORALLST: [
+        ("x_type", "y"), ("y_type", "y"), ("x", "n"), ("premise", "f"), ("y", "n"),
+        ("conclusion", "f"),
+    ],
+    Schema.NU: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
+    Schema.AC_ST: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
+    Schema.IP_FORALLST: [
+        ("x_type", "y"), ("y_type", "y"), ("x", "n"), ("premise", "f"), ("y", "n"),
+        ("conclusion", "f"),
+    ],
+    Schema.DELTA: [("formula", "f")],
+}
+
+SCHEMA_BY_NAME = {s.value: s for s in Schema}
+
 
 def _require(cond: bool, schema: Schema, reason: str) -> None:
     if not cond:

@@ -1,16 +1,19 @@
-"""Command-line frontend: file parsing, command dispatch, report emission."""
+"""Command-line frontend: file parsing, command dispatch, report emission.
+
+Module level loads only the front end that every command needs: reading,
+printing, type checking and translation. Each command imports the layers it
+uses (normalisation, the proof kernel, extraction, the grid oracle, JSON) on
+first use, so that a run never loads what it does not execute.
+"""
 
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import sys
 import time
 from pathlib import Path
 
-from .oracle import CounterexampleFound, Grid, GridValid, Unknown, verify_bundle
-from .proofs import check_proof, delta_set
-from .reduce import term_to_value, value_to_term
 from .sexpr import (
     ParseError,
     parse_bundle,
@@ -26,7 +29,6 @@ from .sexpr import (
 )
 from .terms import IllTyped, NsdialError, Term, TypeMismatch, UnboundVariable, type_check
 from .translate import Flavor, IllTypedInput, Untranslatable, dst_translate, u_translate
-from .extract import extract
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,11 +48,16 @@ def _flavor(args) -> Flavor:
     return Flavor.DST if args.dst else Flavor.U
 
 
-def _grid(args) -> Grid:
+def _grid(args):
+    from .oracle import Grid
+
     return Grid(args.nat_bound, args.len_bound, args.depth_bound)
 
 
 def _verdict_dict(v) -> dict:
+    from .oracle import CounterexampleFound, GridValid, Unknown
+    from .reduce import value_to_term
+
     if isinstance(v, GridValid):
         return {"verdict": "grid-valid"}
     if isinstance(v, CounterexampleFound):
@@ -66,6 +73,8 @@ def _translate_for(flavor: Flavor):
 
 def _normal_form(term: Term, ty) -> str:
     """Printed normal form of a closed term: its value at a data type, else its normalised term."""
+    from .reduce import term_to_value, value_to_term
+
     return print_term(value_to_term(term_to_value(term, ty)))
 
 
@@ -86,6 +95,8 @@ def cmd_translate(path: Path, args) -> tuple[int, dict]:
 
 
 def cmd_check_proof(path: Path, args) -> tuple[int, dict]:
+    from .proofs import check_proof, delta_set
+
     proof = parse_proof(read_one(path.read_text()))
     flavor = _flavor(args)
     conclusion = check_proof(proof, flavor)
@@ -98,6 +109,9 @@ def cmd_check_proof(path: Path, args) -> tuple[int, dict]:
 
 
 def cmd_extract(path: Path, args) -> tuple[int, dict]:
+    from .extract import extract
+    from .proofs import delta_set
+
     proof = parse_proof(read_one(path.read_text()))
     flavor = _flavor(args)
     bundle = extract(proof, flavor)
@@ -107,6 +121,9 @@ def cmd_extract(path: Path, args) -> tuple[int, dict]:
 
 
 def cmd_verify(path: Path, args) -> tuple[int, dict]:
+    from .oracle import CounterexampleFound, GridValid, verify_bundle
+    from .reduce import value_to_term
+
     bundle = parse_bundle(read_one(path.read_text()))
     verdict = verify_bundle(bundle, _grid(args))
     out = _verdict_dict(verdict)
@@ -122,15 +139,16 @@ def cmd_verify(path: Path, args) -> tuple[int, dict]:
     return EXIT_FAIL, out
 
 
-_CORPUS_KINDS = (
-    ".term",
-    ".u.fml",
-    ".dst.fml",
-    ".u.proof",
-    ".dst.proof",
-    ".u.bundle",
-    ".dst.bundle",
-)
+# Corpus file kinds, and the layer each runs on beyond the front end.
+_CORPUS_KINDS = {
+    ".term": "reduce",
+    ".u.fml": None,
+    ".dst.fml": None,
+    ".u.proof": "extract",
+    ".dst.proof": "extract",
+    ".u.bundle": "oracle",
+    ".dst.bundle": "oracle",
+}
 
 
 def cmd_corpus(directory: Path, args) -> tuple[int, dict]:
@@ -139,6 +157,12 @@ def cmd_corpus(directory: Path, args) -> tuple[int, dict]:
     files = sorted(
         p for p in directory.iterdir() if any(p.name.endswith(k) for k in _CORPUS_KINDS)
     )
+    # Load the layers these files run on before the first item. Without a
+    # bytecode cache an import compiles its module, and doing that on top of
+    # the memory earlier items hold would raise the run's peak.
+    for kind, layer in _CORPUS_KINDS.items():
+        if layer is not None and any(p.name.endswith(kind) for p in files):
+            importlib.import_module(f".{layer}", __package__)
     for path in files:
         entry = {"file": path.name}
         try:
@@ -167,10 +191,14 @@ def _corpus_item(path: Path, args) -> dict:
         tf = _translate_for(flavor)(parse_formula(read_one(text)))
         return {"status": "ok", "translated": print_translated(tf)}
     if name.endswith(".proof"):
+        from .extract import extract
+
         proof = parse_proof(read_one(text))
         bundle = extract(proof, flavor)
         return {"status": "ok", "bundle": print_bundle(bundle)}
     if name.endswith(".bundle"):
+        from .oracle import GridValid, verify_bundle
+
         verdict = verify_bundle(parse_bundle(read_one(text)), _grid(args))
         out = _verdict_dict(verdict)
         out["status"] = "ok" if isinstance(verdict, GridValid) else "fail"
@@ -288,6 +316,8 @@ def run(argv: list[str]) -> int:
     report["outcome"] = outcome
     report["wall_time_s"] = round(time.monotonic() - started, 6)
     if args.json:
+        import json
+
         args.json.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return status
 

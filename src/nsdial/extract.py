@@ -8,7 +8,6 @@ primitive recursion over the base and step realisers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .ftypes import Arrow, FiniteType, N, Star, seqfn
@@ -44,19 +43,19 @@ from .terms import (
     singleton,
     type_check,
 )
-from .translate import Flavor, TranslatedFormula, Tuple, bounded_exists, dst_translate, u_translate
+from .translate import (
+    Flavor,
+    RealiserBundle,
+    TranslatedFormula,
+    Tuple,
+    bounded_exists,
+    dst_translate,
+    u_translate,
+)
 
 
 class UnsupportedSchema(NsdialError):
     pass
-
-
-@dataclass(frozen=True)
-class RealiserBundle:
-    target: Formula
-    translated: TranslatedFormula
-    terms: tuple[Term, ...]
-    flavor: Flavor
 
 
 def extract_u(proof: Proof) -> RealiserBundle:

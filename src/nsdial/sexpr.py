@@ -8,19 +8,10 @@ sugar). parse(print(ast)) is the identity on every AST.
 from __future__ import annotations
 
 import re
+import sys
 
 from .ftypes import Arrow, FiniteType, Ground, N, Star
 from . import formulas as F
-from .axioms import Schema
-from .proofs import (
-    AxiomNode,
-    ExistsRuleNode,
-    ExternalInductionNode,
-    ForallRuleNode,
-    InductionNode,
-    MPNode,
-    Proof,
-)
 from .terms import (
     App,
     Const,
@@ -36,8 +27,7 @@ from .terms import (
     seq_term,
     synth_type,
 )
-from .extract import RealiserBundle
-from .translate import Flavor, TranslatedFormula
+from .translate import Flavor, RealiserBundle, TranslatedFormula
 
 
 class ParseError(NsdialError):
@@ -75,6 +65,55 @@ def read_one(text: str):
     if len(items) != 1:
         raise ParseError(f"expected one expression, found {len(items)}")
     return items[0]
+
+
+# Argument count of each form head, checked before a form is taken apart.
+# The heads in _VARIADIC take at least that many arguments, the rest exactly.
+# Term constant heads such as (nil N) check their own arity.
+_VARIADIC = {"app", "seq", "axiom", "terms"}
+_ANY_LENGTH = range(sys.maxsize)
+
+
+def _lengths(arity: dict[str, int]) -> dict[str, range]:
+    """The valid lengths of each form, head included."""
+    return {
+        head: range(n + 1, sys.maxsize if head in _VARIADIC else n + 2)
+        for head, n in arity.items()
+    }
+
+
+_TERM_LENGTHS = _lengths(
+    {"var": 1, "the": 2, "open": 2, "lam": 2, "sabs": 2, "app": 1, "default": 1, "seq": 1}
+)
+_FORMULA_LENGTHS = _lengths({
+    "eq": 3, "and": 2, "or": 2, "imp": 2, "not": 1, "forall": 2, "exists": 2,
+    "forall-st": 2, "exists-st": 2, "bforall": 2, "bexists": 2, "st": 2, "in": 3,
+    "subseteq": 3, "hyper": 2,
+})
+_PROOF_LENGTHS = _lengths(
+    {"axiom": 1, "mp": 2, "forall-rule": 2, "exists-rule": 2, "ind": 2, "ind-st": 2}
+)
+_SECTION_LENGTHS = _lengths({"target": 1, "translated": 1, "terms": 0})
+
+
+def _bad_form(sx: list, what: str) -> ParseError:
+    """The error for a non-empty form whose head is not a name or whose length is wrong."""
+    if isinstance(sx[0], str):
+        return ParseError(f"malformed {sx[0]} form: {sx!r}")
+    return ParseError(f"unknown {what} form {sx!r}")
+
+
+def _binder(sx, head: str) -> tuple[str, object]:
+    """A (name x) pair of a binding form: x is a type, or a bound for bforall/bexists."""
+    if not (isinstance(sx, list) and len(sx) == 2 and isinstance(sx[0], str)):
+        raise ParseError(f"malformed binder in {head} form: {sx!r}")
+    return sx[0], sx[1]
+
+
+def _binders(sx, head: str) -> list[tuple[str, object]]:
+    if not isinstance(sx, list):
+        raise ParseError(f"malformed binder list in {head} form: {sx!r}")
+    return [_binder(b, head) for b in sx]
 
 
 # -- types -------------------------------------------------------------------
@@ -162,8 +201,12 @@ class _Elab:
         if not sx:
             raise ParseError("empty term")
         head = sx[0]
+        if not isinstance(head, str) or len(sx) not in _TERM_LENGTHS.get(head, _ANY_LENGTH):
+            raise _bad_form(sx, "term")
         if head == "var":
             name = sx[1]
+            if not isinstance(name, str):
+                raise ParseError(f"malformed var form: {sx!r}")
             if name in env:
                 return Var(name, env[name])
             if name in self.free:
@@ -176,11 +219,11 @@ class _Elab:
             ty = parse_type(sx[1])
             return self.term(sx[2], env, ty)
         if head == "open":
-            for name, ty_sx in sx[1]:
+            for name, ty_sx in _binders(sx[1], head):
                 self.free.setdefault(name, parse_type(ty_sx))
             return self.term(sx[2], env, expected)
         if head == "lam" or head == "sabs":
-            (name, ty_sx), body_sx = sx[1], sx[2]
+            (name, ty_sx), body_sx = _binder(sx[1], head), sx[2]
             ty = parse_type(ty_sx)
             body_expected = None
             if head == "lam" and isinstance(expected, Arrow) and expected.domain == ty:
@@ -341,6 +384,8 @@ def _formula(sx, elab: _Elab, env) -> F.Formula:
     if not isinstance(sx, list) or not sx:
         raise ParseError(f"not a formula: {sx!r}")
     head = sx[0]
+    if not isinstance(head, str) or len(sx) not in _FORMULA_LENGTHS.get(head, _ANY_LENGTH):
+        raise _bad_form(sx, "formula")
     if head == "eq":
         ty = parse_type(sx[1])
         return F.Eq(ty, elab.term(sx[2], env, ty), elab.term(sx[3], env, ty))
@@ -356,11 +401,12 @@ def _formula(sx, elab: _Elab, env) -> F.Formula:
             "forall-st": F.ForallSt,
             "exists-st": F.ExistsSt,
         }[head]
-        name, ty = sx[1][0], parse_type(sx[1][1])
+        name, ty_sx = _binder(sx[1], head)
+        ty = parse_type(ty_sx)
         return ctor(name, ty, _formula(sx[2], elab, {**env, name: ty}))
     if head in ("bforall", "bexists"):
         ctor = F.BoundedForall if head == "bforall" else F.BoundedExists
-        name, bound_sx = sx[1][0], sx[1][1]
+        name, bound_sx = _binder(sx[1], head)
         bound = elab.term(bound_sx, env, N)
         return ctor(name, bound, _formula(sx[2], elab, {**env, name: N}))
     if head == "st":
@@ -422,10 +468,13 @@ def print_translated(tf: TranslatedFormula) -> str:
 
 
 def parse_translated(sx, flavor: Flavor) -> TranslatedFormula:
-    if not (isinstance(sx, list) and sx[0] == "exists-st" and sx[2][0] == "forall-st"):
+    if not (
+        isinstance(sx, list) and len(sx) == 3 and sx[0] == "exists-st"
+        and isinstance(sx[2], list) and len(sx[2]) == 3 and sx[2][0] == "forall-st"
+    ):
         raise ParseError("expected (exists-st (...) (forall-st (...) matrix))")
-    ex = tuple((b[0], parse_type(b[1])) for b in sx[1])
-    un = tuple((b[0], parse_type(b[1])) for b in sx[2][1])
+    ex = tuple((n, parse_type(t)) for n, t in _binders(sx[1], "exists-st"))
+    un = tuple((n, parse_type(t)) for n, t in _binders(sx[2][1], "forall-st"))
     env = {n: t for n, t in ex} | {n: t for n, t in un}
     matrix = parse_formula(sx[2][2], env)
     if not F.classify(matrix).internal:
@@ -435,69 +484,34 @@ def parse_translated(sx, flavor: Flavor) -> TranslatedFormula:
 
 # -- proofs ------------------------------------------------------------------
 
-# parameter kinds per schema: f formula, t term, y type, n name
-SCHEMA_PARAMS: dict[Schema, list[tuple[str, str]]] = {
-    Schema.K: [("a", "f"), ("b", "f")],
-    Schema.S: [("a", "f"), ("b", "f"), ("c", "f")],
-    Schema.AND_INTRO: [("a", "f"), ("b", "f")],
-    Schema.AND_ELIM_L: [("a", "f"), ("b", "f")],
-    Schema.AND_ELIM_R: [("a", "f"), ("b", "f")],
-    Schema.OR_INTRO_L: [("a", "f"), ("b", "f")],
-    Schema.OR_INTRO_R: [("a", "f"), ("b", "f")],
-    Schema.OR_ELIM: [("a", "f"), ("b", "f"), ("c", "f")],
-    Schema.EX_FALSO: [("a", "f")],
-    Schema.FORALL_INST: [("var", "n"), ("var_type", "y"), ("body", "f"), ("term", "t")],
-    Schema.EXISTS_INTRO: [("var", "n"), ("var_type", "y"), ("body", "f"), ("term", "t")],
-    Schema.EQ_REFL: [("type", "y"), ("t", "t")],
-    Schema.EQ_SYM: [("type", "y"), ("t", "t"), ("u", "t")],
-    Schema.EQ_TRANS: [("type", "y"), ("t", "t"), ("u", "t"), ("v", "t")],
-    Schema.EQ_CONG: [("type", "y"), ("result_type", "y"), ("fn", "t"), ("t", "t"), ("u", "t")],
-    Schema.DEFEQ: [("type", "y"), ("t", "t"), ("u", "t")],
-    Schema.SUCC_NONZERO: [("t", "t")],
-    Schema.SUCC_INJ: [("t", "t"), ("u", "t")],
-    Schema.SEQ_AXIOM: [("type", "y")],
-    Schema.EXTENSIONALITY: [("domain", "y"), ("codomain", "y")],
-    Schema.IA: [("var", "n"), ("body", "f")],
-    Schema.FORALLST_ELIM: [("var", "n"), ("var_type", "y"), ("body", "f")],
-    Schema.FORALLST_INTRO: [("var", "n"), ("var_type", "y"), ("body", "f")],
-    Schema.EXISTSST_ELIM: [("var", "n"), ("var_type", "y"), ("body", "f")],
-    Schema.EXISTSST_INTRO: [("var", "n"), ("var_type", "y"), ("body", "f")],
-    Schema.ST_EXT: [("type", "y"), ("x", "t"), ("y", "t")],
-    Schema.ST_CLOSED: [("type", "y"), ("term", "t")],
-    Schema.ST_APP: [("domain", "y"), ("codomain", "y"), ("fn", "t"), ("arg", "t")],
-    Schema.OS_STAR: [("type", "y"), ("var", "n"), ("body", "f")],
-    Schema.US_STAR: [("type", "y"), ("var", "n"), ("body", "f")],
-    Schema.NCR: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
-    Schema.HAC_ST: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
-    Schema.HIP_FORALLST: [
-        ("x_type", "y"), ("y_type", "y"), ("x", "n"), ("premise", "f"), ("y", "n"),
-        ("conclusion", "f"),
-    ],
-    Schema.NU: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
-    Schema.AC_ST: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
-    Schema.IP_FORALLST: [
-        ("x_type", "y"), ("y_type", "y"), ("x", "n"), ("premise", "f"), ("y", "n"),
-        ("conclusion", "f"),
-    ],
-    Schema.DELTA: [("formula", "f")],
-}
-
-_SCHEMA_BY_NAME = {s.value: s for s in Schema}
 
 
-def parse_proof(sx) -> Proof:
+def parse_proof(sx):
+    # the proof layer loads only when a proof is read
+    from .axioms import SCHEMA_BY_NAME, SCHEMA_PARAMS
+    from .proofs import (
+        AxiomNode,
+        ExistsRuleNode,
+        ExternalInductionNode,
+        ForallRuleNode,
+        InductionNode,
+        MPNode,
+    )
+
     if not isinstance(sx, list) or not sx:
         raise ParseError(f"not a proof: {sx!r}")
     head = sx[0]
+    if not isinstance(head, str) or len(sx) not in _PROOF_LENGTHS.get(head, _ANY_LENGTH):
+        raise _bad_form(sx, "proof")
     if head == "axiom":
         name = sx[1]
-        if name not in _SCHEMA_BY_NAME:
+        if not isinstance(name, str) or name not in SCHEMA_BY_NAME:
             raise ParseError(f"unknown axiom schema {name!r}")
-        schema = _SCHEMA_BY_NAME[name]
+        schema = SCHEMA_BY_NAME[name]
         spec = dict(SCHEMA_PARAMS[schema])
         params = {}
         for item in sx[2:]:
-            key, value_sx = item[0], item[1]
+            key, value_sx = _binder(item, "axiom")
             if key not in spec:
                 raise ParseError(f"unknown parameter {key!r} for {name}")
             kind = spec[key]
@@ -507,8 +521,10 @@ def parse_proof(sx) -> Proof:
                 params[key] = parse_term(value_sx)
             elif kind == "y":
                 params[key] = parse_type(value_sx)
-            else:
+            elif isinstance(value_sx, str):
                 params[key] = value_sx
+            else:
+                raise ParseError(f"parameter {key!r} for {name} must be a name: {value_sx!r}")
         missing = set(spec) - set(params)
         if missing:
             raise ParseError(f"missing parameters for {name}: {sorted(missing)}")
@@ -516,7 +532,8 @@ def parse_proof(sx) -> Proof:
     if head == "mp":
         return MPNode(parse_proof(sx[1]), parse_proof(sx[2]))
     if head in ("forall-rule", "exists-rule"):
-        name, ty = sx[1][0], parse_type(sx[1][1])
+        name, ty_sx = _binder(sx[1], head)
+        ty = parse_type(ty_sx)
         ctor = ForallRuleNode if head == "forall-rule" else ExistsRuleNode
         return ctor(name, ty, parse_proof(sx[2]))
     if head == "ind":
@@ -526,7 +543,17 @@ def parse_proof(sx) -> Proof:
     raise ParseError(f"unknown proof form {sx!r}")
 
 
-def print_proof(p: Proof) -> str:
+def print_proof(p) -> str:
+    from .axioms import SCHEMA_PARAMS
+    from .proofs import (
+        AxiomNode,
+        ExistsRuleNode,
+        ExternalInductionNode,
+        ForallRuleNode,
+        InductionNode,
+        MPNode,
+    )
+
     if isinstance(p, AxiomNode):
         spec = dict(SCHEMA_PARAMS[p.schema])
         parts = []
@@ -565,10 +592,22 @@ def print_bundle(b) -> str:
 
 
 def parse_bundle(sx):
-    if not (isinstance(sx, list) and sx and sx[0] == "bundle"):
+    if not (isinstance(sx, list) and len(sx) == 2 + len(_SECTION_LENGTHS) and sx[0] == "bundle"):
         raise ParseError("expected (bundle flavor (target ...) (translated ...) (terms ...))")
-    flavor = Flavor(sx[1])
-    sections = {item[0]: item for item in sx[2:]}
+    try:
+        flavor = Flavor(sx[1])
+    except ValueError:
+        raise ParseError(f"unknown bundle flavor {sx[1]!r}") from None
+    sections = {}
+    for item in sx[2:]:
+        head = item[0] if isinstance(item, list) and item else None
+        if not isinstance(head, str) or head not in _SECTION_LENGTHS or head in sections:
+            raise ParseError(
+                f"expected one each of the sections {', '.join(_SECTION_LENGTHS)}, found {item!r}"
+            )
+        if len(item) not in _SECTION_LENGTHS[head]:
+            raise _bad_form(item, "section")
+        sections[head] = item
     target = parse_formula(sections["target"][1])
     translated = parse_translated(sections["translated"][1], flavor)
     terms = tuple(parse_term(t) for t in sections["terms"][1:])

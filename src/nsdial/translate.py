@@ -99,6 +99,14 @@ class TranslatedFormula:
     flavor: Flavor
 
 
+@dataclass(frozen=True)
+class RealiserBundle:
+    target: Formula
+    translated: TranslatedFormula
+    terms: tuple[Term, ...]
+    flavor: Flavor
+
+
 class FreshNames:
     """Deterministic fresh-name supply: bare prefix first, then numbered.
 

@@ -295,3 +295,82 @@ def test_malformed_bundles_are_corpus_errors(tmp_path, capsys):
     assert "found 0" in items[0]["error"]
     assert items[1]["error"] == "translated matrix is not internal"
     assert items[2]["verdict"] == "grid-valid"
+
+
+# Each malformed bundle, and what its one error line says.
+MALFORMED_BUNDLES = {
+    "missing-sections": ("(bundle dst (target (st N (var x))))", "expected (bundle flavor"),
+    "empty": ("(bundle)", "expected (bundle flavor"),
+    "unknown-flavor": (
+        (CORPUS / "overspill.dst.bundle").read_text().replace("(bundle dst", "(bundle xyz", 1),
+        "unknown bundle flavor 'xyz'",
+    ),
+    "bare-translated": (
+        "(bundle dst (target (st N (var x))) (translated (exists-st)) (terms))",
+        "expected (exists-st (...) (forall-st (...) matrix))",
+    ),
+    "duplicate-section": (
+        "(bundle dst (target (st N (var x))) (target (st N (var x))) (terms))",
+        "expected one each of the sections target, translated, terms",
+    ),
+    "section-arity": (
+        _bundle_with_terms("").replace("(target ", "(target bot ", 1),
+        "malformed target form",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BUNDLES))
+def test_malformed_bundle_exits_two(tmp_path, capsys, case):
+    text, message = MALFORMED_BUNDLES[case]
+    bad = tmp_path / "bad.dst.bundle"
+    bad.write_text(text)
+    assert run(["verify", str(bad), *CORPUS_GRID]) == 2
+    assert message in _one_error_line(capsys)
+
+
+def test_malformed_bundles_do_not_stop_corpus_run(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for case, (text, _) in MALFORMED_BUNDLES.items():
+        (corpus / f"{case}.dst.bundle").write_text(text)
+    (corpus / "overspill.dst.bundle").write_text((CORPUS / "overspill.dst.bundle").read_text())
+    report = tmp_path / "report.json"
+    assert run(["--json", str(report), "corpus", "run", str(corpus), *CORPUS_GRID]) == 2
+    items = json.loads(report.read_text())["outcome"]["items"]
+    assert len(items) == len(MALFORMED_BUNDLES) + 1
+    for item in items:
+        if item["file"] == "overspill.dst.bundle":
+            assert item["status"] == "ok"
+        else:
+            _, message = MALFORMED_BUNDLES[item["file"].removesuffix(".dst.bundle")]
+            assert item["status"] == "error" and message in item["error"]
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["check-term"], "(lam (x) zero)", "malformed binder in lam form"),
+        (["check-term"], "(app)", "malformed app form"),
+        (["check-term"], "(var)", "malformed var form"),
+        (["check-term"], "(var (x))", "malformed var form"),
+        (["check-term"], "((var x) zero)", "unknown term form"),
+        (["check-term"], "(open x zero)", "malformed binder list in open form"),
+        (["check-term"], "(the N)", "malformed the form"),
+        (["translate", "--u"], "(exists-st)", "malformed exists-st form"),
+        (["translate", "--dst"], "(forall (x) (st N (var x)))", "malformed binder in forall"),
+        (["translate", "--u"], "(and (st N (var x)))", "malformed and form"),
+        (["translate", "--u"], "(eq N zero zero zero)", "malformed eq form"),
+        (["check-proof", "--u"], "(axiom)", "malformed axiom form"),
+        (["check-proof", "--u"], "(axiom (k))", "unknown axiom schema"),
+        (["check-proof", "--u"], "(axiom k (a))", "malformed binder in axiom form"),
+        (["check-proof", "--u"], "(axiom ia (var (x)) (body bot))", "must be a name"),
+        (["check-proof", "--dst"], "(mp (axiom ex-falso (a bot)))", "malformed mp form"),
+        (["extract", "--u"], "(forall-rule x (axiom ex-falso (a bot)))", "malformed binder"),
+    ],
+)
+def test_malformed_form_exits_two(tmp_path, capsys, command, text, message):
+    f = tmp_path / "input"
+    f.write_text(text + "\n")
+    assert run([*command, str(f)]) == 2
+    assert message in _one_error_line(capsys)

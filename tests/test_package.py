@@ -160,3 +160,73 @@ def test_node_equality_is_structural():
     assert Const(ConstKind.ZERO) == Const(ConstKind.ZERO, ())
     assert Var("x", N) != ("x", N)
     assert len({Var("x", N), Var("x", N), Var("y", N)}) == 2
+
+
+def _fresh(code: str) -> str:
+    """Last line of stdout of code run in a fresh interpreter that can import nsdial."""
+    script = f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n{code}\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def _loaded_by(code: str) -> set[str]:
+    """Modules that running code loads into a fresh interpreter."""
+    return set(_fresh(
+        f"before = set(sys.modules)\n{code}\nprint(*sorted(set(sys.modules) - before))"
+    ).split())
+
+
+CORPUS = Path(__file__).parent / "fixtures" / "corpus"
+
+
+@pytest.mark.parametrize("code, absent", [
+    ("import nsdial.cli",
+     {"nsdial.reduce", "nsdial.oracle", "nsdial.proofs", "nsdial.axioms", "nsdial.extract",
+      "json", "hashlib"}),
+    (f"from nsdial.cli import run; run(['translate', '--u', {str(CORPUS / 'worked.u.fml')!r}])",
+     {"nsdial.oracle", "nsdial.proofs", "nsdial.extract"}),
+    (f"from nsdial.cli import run; run(['verify', {str(CORPUS / 'overspill.u.bundle')!r},"
+     " '--nat-bound', '2', '--len-bound', '2'])",
+     {"nsdial.proofs", "nsdial.axioms", "nsdial.extract"}),
+], ids=["import", "translate", "verify"])
+def test_cli_loads_only_the_layers_a_command_uses(code, absent):
+    loaded = _loaded_by(code)
+    assert "nsdial.cli" in loaded and "nsdial.translate" in loaded
+    assert loaded & absent == set()
+
+
+# The package's exports and the module each is defined in (RealiserBundle is
+# also re-exported from extract).
+EXPORTS = {
+    "ftypes": ("Arrow", "FiniteType", "Ground", "N", "Star", "is_data_type"),
+    "terms": ("Term", "alpha_eq", "substitute", "type_check"),
+    "reduce": ("CanonicalValue", "eval_nat", "eval_seq", "normalize"),
+    "formulas": ("Formula", "classify", "desugar"),
+    "translate": ("Flavor", "RealiserBundle", "TranslatedFormula", "dst_translate",
+                  "u_translate"),
+    "proofs": ("check_proof",),
+    "extract": ("extract", "extract_dst", "extract_u", "RealiserBundle"),
+    "oracle": ("CounterexampleFound", "Grid", "GridValid", "Unknown", "brute_force_witness",
+               "check_upward_closed", "enumerate_values", "eval_formula", "verify_bundle"),
+}
+
+
+@pytest.mark.parametrize("prelude", ["", "import nsdial.cli"])
+def test_exports_resolve_lazily_to_their_home_objects(prelude):
+    # ``from nsdial import name`` loads the home module, unless the prelude or an earlier name did
+    checks = "".join(
+        f"from nsdial import {name} as value\n"
+        f"assert value is vars(sys.modules['nsdial.{home}'])[{name!r}], {name!r}\n"
+        for home, names in EXPORTS.items() for name in names
+    )
+    code = (
+        f"{prelude}\n{checks}"
+        "import nsdial\n"
+        "assert callable(nsdial.extract) and nsdial.extract.__module__ == 'nsdial.extract'\n"
+        "print(sorted(nsdial.__all__))"
+    )
+    exported = sorted({name for names in EXPORTS.values() for name in names})
+    assert _fresh(code) == str(exported)

@@ -1,3 +1,8 @@
+import copy
+from pathlib import Path
+
+import pytest
+
 from nsdial.ftypes import Arrow, N, Star
 from nsdial.formulas import Eq, ExistsSt, ForallSt, St
 from nsdial.gen import random_external, random_term, random_type, rng
@@ -16,7 +21,7 @@ from nsdial.sexpr import (
     print_type,
     read_one,
 )
-from nsdial.terms import Var, ZERO, numeral, seq_term
+from nsdial.terms import NsdialError, Var, ZERO, numeral, seq_term, type_check
 
 import fixture_defs as fx
 
@@ -98,3 +103,70 @@ def test_inconsistent_free_variable_rejected():
         assert False
     except Exception:
         pass
+
+
+def test_parse_translated_checks_shape():
+    from nsdial.sexpr import parse_translated
+    from nsdial.translate import Flavor
+
+    for sx in (
+        ["exists-st"],
+        ["exists-st", [], "bot"],
+        ["exists-st", "x", ["forall-st", [], "bot"]],
+        ["exists-st", [["y"]], ["forall-st", [], "bot"]],
+    ):
+        with pytest.raises(ParseError):
+            parse_translated(sx, Flavor.U)
+
+
+def _mutate(sx, r):
+    """A copy of sx with one subexpression deleted, wrapped, replaced, duplicated or emptied."""
+    sx = copy.deepcopy(sx)
+    spots = []
+    stack = [sx]
+    while stack:
+        node = stack.pop()
+        for i, child in enumerate(node):
+            spots.append((node, i))
+            if isinstance(child, list):
+                stack.append(child)
+    parent, i = r.choice(spots)
+    op = r.randrange(5)
+    if op == 0:
+        del parent[i]
+    elif op == 1:
+        parent[i] = [parent[i]]
+    elif op == 2:
+        parent[i] = r.choice(["x", "N", "zero", "app", "bundle", "3"])
+    elif op == 3:
+        parent.insert(i, copy.deepcopy(parent[i]))
+    else:
+        parent[i] = []
+    return sx
+
+
+def test_mutated_corpus_files_raise_only_package_errors():
+    # Every fixture file, mutated at random, either parses or raises a ParseError
+    # (or another NsdialError from checking): never an IndexError or a KeyError.
+    from nsdial.proofs import check_proof
+    from nsdial.translate import Flavor, dst_translate, u_translate
+
+    fixtures = Path(__file__).parent / "fixtures"
+    files = sorted((fixtures / "corpus").iterdir()) + sorted((fixtures / "negative").iterdir())
+    seeds = [(p.name, read_one(p.read_text())) for p in files]
+    r = rng(61)
+    for _ in range(1500):
+        name, sx = r.choice(seeds)
+        sx = _mutate(sx, r)
+        flavor = Flavor.DST if ".dst." in name else Flavor.U
+        try:
+            if name.endswith(".term"):
+                type_check(parse_term(sx), {})
+            elif name.endswith(".fml"):
+                (dst_translate if flavor is Flavor.DST else u_translate)(parse_formula(sx))
+            elif name.endswith(".proof"):
+                check_proof(parse_proof(sx), flavor)
+            else:
+                parse_bundle(sx)
+        except NsdialError:
+            pass
