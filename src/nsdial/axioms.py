@@ -24,13 +24,10 @@ from .formulas import (
     Not,
     Or,
     St,
-    all_names,
     bot,
     check_formula,
     classify,
     desugar,
-    free_vars,
-    subst_formula,
 )
 from .reduce import normalize
 from .terms import (
@@ -40,13 +37,15 @@ from .terms import (
     Term,
     Var,
     ZERO,
+    all_names,
     alpha_eq,
     cons,
     empty_seq,
-    free_vars as term_free_vars,
+    free_vars,
     fresh_name,
     numeral,
     seq_app,
+    substitute,
     synth_type,
     type_check,
 )
@@ -206,11 +205,11 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
     if schema is Schema.FORALL_INST:
         z, ty, body, b = p["var"], p["var_type"], p["body"], p["term"]
         _require(synth_type(b) == ty, schema, "witness type mismatch")
-        return Imp(Forall(z, ty, body), subst_formula(body, z, b))
+        return Imp(Forall(z, ty, body), substitute(body, z, b))
     if schema is Schema.EXISTS_INTRO:
         z, ty, body, b = p["var"], p["var_type"], p["body"], p["term"]
         _require(synth_type(b) == ty, schema, "witness type mismatch")
-        return Imp(subst_formula(body, z, b), Exists(z, ty, body))
+        return Imp(substitute(body, z, b), Exists(z, ty, body))
 
     if schema is Schema.EQ_REFL:
         return Eq(p["type"], p["t"], p["t"])
@@ -257,8 +256,8 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
     if schema is Schema.IA:
         n, body = p["var"], p["body"]
         _require_internal(body, schema, flavor, "induction formula")
-        base = subst_formula(body, n, ZERO)
-        step = Forall(n, N, Imp(body, subst_formula(body, n, App(SUCC, Var(n, N)))))
+        base = substitute(body, n, ZERO)
+        step = Forall(n, N, Imp(body, substitute(body, n, App(SUCC, Var(n, N)))))
         return Imp(And(base, step), Forall(n, N, body))
 
     if schema is Schema.FORALLST_ELIM:
@@ -279,7 +278,7 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
         return Imp(And(St(ty, x), Eq(ty, x, y)), St(ty, y))
     if schema is Schema.ST_CLOSED:
         ty, a = p["type"], p["term"]
-        _require(not term_free_vars(a), schema, "term must be closed")
+        _require(not free_vars(a), schema, "term must be closed")
         _require(type_check(a) == ty, schema, "type annotation mismatch")
         return St(ty, a)
     if schema is Schema.ST_APP:
@@ -348,7 +347,7 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
         sx, sy, x, y, body = p["x_type"], p["y_type"], p["x"], p["y"], p["body"]
         fname = _fresh_binder("f", body)
         f_ty = Arrow(sx, sy)
-        applied = subst_formula(body, y, App(Var(fname, f_ty), Var(x, sx)))
+        applied = substitute(body, y, App(Var(fname, f_ty), Var(x, sx)))
         return Imp(
             ForallSt(x, sx, ExistsSt(y, sy, body)),
             ExistsSt(fname, f_ty, ForallSt(x, sx, applied)),

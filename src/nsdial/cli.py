@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import sys
 import time
+from collections.abc import Iterable
 from pathlib import Path
+from typing import NamedTuple
 
 from .sexpr import (
     ParseError,
@@ -35,13 +38,10 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 
-def _digest(path: Path) -> dict:
+def _digest(path: Path, data: bytes) -> dict:
     import hashlib  # loads OpenSSL, so only runs that write a report pay for it
 
-    return {
-        "path": str(path),
-        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-    }
+    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _flavor(args) -> Flavor:
@@ -151,22 +151,31 @@ _CORPUS_KINDS = {
 }
 
 
-def cmd_corpus(directory: Path, args) -> tuple[int, dict]:
+class _CorpusFile(NamedTuple):
+    """A corpus file's name and bytes: each file is read once, for its digest and its item."""
+
+    name: str
+    data: bytes
+
+
+def _corpus_files(directory: Path) -> list[Path]:
+    return sorted(p for p in directory.iterdir() if p.name.endswith(tuple(_CORPUS_KINDS)))
+
+
+def cmd_corpus(files: list[Path], contents: Iterable[bytes], args) -> tuple[int, dict]:
+    """Run each file as an item, with its bytes taken from contents in turn."""
     items = []
     status = EXIT_OK
-    files = sorted(
-        p for p in directory.iterdir() if any(p.name.endswith(k) for k in _CORPUS_KINDS)
-    )
     # Load the layers these files run on before the first item. Without a
     # bytecode cache an import compiles its module, and doing that on top of
     # the memory earlier items hold would raise the run's peak.
     for kind, layer in _CORPUS_KINDS.items():
         if layer is not None and any(p.name.endswith(kind) for p in files):
             importlib.import_module(f".{layer}", __package__)
-    for path in files:
+    for path, data in zip(files, contents):
         entry = {"file": path.name}
         try:
-            entry.update(_corpus_item(path, args))
+            entry.update(_corpus_item(_CorpusFile(path.name, data), args))
         except (NsdialError, ParseError, UnicodeDecodeError) as e:
             entry["status"] = "error"
             entry["error"] = str(e)
@@ -180,9 +189,9 @@ def cmd_corpus(directory: Path, args) -> tuple[int, dict]:
     return status, {"items": items}
 
 
-def _corpus_item(path: Path, args) -> dict:
-    name = path.name
-    text = path.read_text()
+def _corpus_item(file: _CorpusFile, args) -> dict:
+    name = file.name
+    text = io.TextIOWrapper(io.BytesIO(file.data)).read()  # decoded as Path.read_text does
     if name.endswith(".term"):
         term = parse_term(read_one(text))
         return {"status": "ok", "normal_form": _normal_form(term, type_check(term, {}))}
@@ -279,16 +288,15 @@ def run(argv: list[str]) -> int:
         }
     try:
         if args.command == "corpus":
+            files = _corpus_files(args.directory)
+            contents = map(Path.read_bytes, files)  # each file read as its item comes
             if args.json:
-                report["inputs"] = [
-                    _digest(p)
-                    for p in sorted(args.directory.iterdir())
-                    if any(p.name.endswith(k) for k in _CORPUS_KINDS)
-                ]
-            status, outcome = cmd_corpus(args.directory, args)
+                contents = list(contents)  # all read before the first item, for the digests
+                report["inputs"] = [_digest(p, data) for p, data in zip(files, contents)]
+            status, outcome = cmd_corpus(files, contents, args)
         else:
             if args.json:
-                report["inputs"] = [_digest(args.file)]
+                report["inputs"] = [_digest(args.file, args.file.read_bytes())]
             handler = {
                 "check-term": cmd_check_term,
                 "translate": cmd_translate,

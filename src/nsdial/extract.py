@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 from .ftypes import Arrow, FiniteType, N, Star, seqfn
 from .axioms import Schema
-from .formulas import Forall, Formula, Imp, SubsetEq, all_names, desugar, subst_formula
+from .formulas import Forall, Formula, Imp, SubsetEq, desugar
 from .proofs import (
     AxiomNode,
     ExistsRuleNode,
@@ -30,6 +30,7 @@ from .terms import (
     Term,
     Var,
     ZERO,
+    all_names,
     concat,
     default_term,
     empty_seq,
@@ -41,6 +42,7 @@ from .terms import (
     sabs,
     seq_app_infer,
     singleton,
+    substitute,
     type_check,
 )
 from .translate import (
@@ -690,7 +692,7 @@ def _us_star_dst_paper_form(p) -> tuple[TranslatedFormula, list[Term]]:
         ),
     )
     applied = seq_app_infer(Var(tname, coll_ty), spp, coll_ty)
-    concl_body = bounded_exists(tvar, ss, applied, subst_formula(phi, s, Var(tvar, ss)))
+    concl_body = bounded_exists(tvar, ss, applied, substitute(phi, s, Var(tvar, ss)))
     matrix = desugar(Imp(premise, concl_body))
     tf = TranslatedFormula(((tname, coll_ty),), ((sname, sp),), matrix, Flavor.DST)
     flatten = flat_map(ss, sigma, Var("sq2", sp), "se", Var("se", ss))

@@ -5,27 +5,33 @@ from __future__ import annotations
 from .ftypes import Arrow, FiniteType, N, Node, Star, node
 from .terms import (
     App,
-    Const,
     IllTyped,
-    Lam,
-    SeqAbs,
     Term,
     TypeMismatch,
     Var,
     ZERO,
-    all_names as term_names,
-    alpha_eq as term_alpha_eq,
+    all_names,
+    alpha_eq,
     fresh_name,
-    free_vars as term_free_vars,
+    free_vars,
+    free_vars_and_names,
     numeral,
     proj,
     seq_len,
-    substitute as term_subst,
+    substitute,
     synth_type,
+    syntax,
     type_check,
 )
 
+# The binder-aware passes live in terms and serve formulas too. They stay
+# importable from here (free_vars, all_names, free_vars_and_names, and these
+# second names) for callers of the formula copies they replaced.
+subst_formula = substitute
+formula_alpha_eq = alpha_eq
 
+
+@syntax("left", "right")
 @node
 class Eq(Node):
     type: FiniteType
@@ -33,24 +39,28 @@ class Eq(Node):
     right: Term
 
 
+@syntax("left", "right")
 @node
 class And(Node):
     left: "Formula"
     right: "Formula"
 
 
+@syntax("left", "right")
 @node
 class Or(Node):
     left: "Formula"
     right: "Formula"
 
 
+@syntax("left", "right")
 @node
 class Imp(Node):
     left: "Formula"
     right: "Formula"
 
 
+@syntax("body", binds=True)
 @node
 class Forall(Node):
     var: str
@@ -58,6 +68,7 @@ class Forall(Node):
     body: "Formula"
 
 
+@syntax("body", binds=True)
 @node
 class Exists(Node):
     var: str
@@ -65,12 +76,14 @@ class Exists(Node):
     body: "Formula"
 
 
+@syntax("term")
 @node
 class St(Node):
     type: FiniteType
     term: Term
 
 
+@syntax("body", binds=True)
 @node
 class ForallSt(Node):
     var: str
@@ -78,6 +91,7 @@ class ForallSt(Node):
     body: "Formula"
 
 
+@syntax("body", binds=True)
 @node
 class ExistsSt(Node):
     var: str
@@ -85,6 +99,7 @@ class ExistsSt(Node):
     body: "Formula"
 
 
+@syntax("bound", "body", binds=True)
 @node
 class BoundedForall(Node):
     """forall i < bound, with i of ground type."""
@@ -94,6 +109,7 @@ class BoundedForall(Node):
     body: "Formula"
 
 
+@syntax("bound", "body", binds=True)
 @node
 class BoundedExists(Node):
     var: str
@@ -102,6 +118,7 @@ class BoundedExists(Node):
 
 
 # Sugar nodes, removed by desugar.
+@syntax("elem", "seq")
 @node
 class In(Node):
     type: FiniteType  # element type
@@ -109,6 +126,7 @@ class In(Node):
     seq: Term
 
 
+@syntax("left", "right")
 @node
 class SubsetEq(Node):
     type: FiniteType  # element type of the underlying sequences
@@ -116,12 +134,14 @@ class SubsetEq(Node):
     right: Term
 
 
+@syntax("seq")
 @node
 class Hyper(Node):
     type: FiniteType  # element type
     seq: Term
 
 
+@syntax("body")
 @node
 class Not(Node):
     body: "Formula"
@@ -147,88 +167,16 @@ class Classification(Node):
 
 # -- query passes --------------------------------------------------------------
 #
-# Each query is a loop over an explicit stack that dispatches on the node's
-# class, so it is linear in the number of nodes and takes no Python frame per
-# nesting level. Children are pushed right to left, so nodes are visited in
-# the order of a left-to-right recursive walk. Binder scopes are a count of
-# enclosing binders per name: a binder pushes its name, as the marker that
-# ends its scope, below its body. A bounded quantifier's bound lies outside
-# its scope, so the quantifier pushes a one-element tuple, the marker that
-# opens the scope, between the bound and the body.
+# Free variables, names, substitution and alpha-equivalence are the binder
+# passes of terms, driven by the binder table. The passes here read formula
+# structure only: each is a loop over an explicit stack that dispatches on the
+# node's class, so it is linear in the number of nodes and takes no Python
+# frame per nesting level. Children are pushed right to left, so nodes are
+# visited in the order of a left-to-right recursive walk.
 
-_PAIRS = frozenset({Eq, SubsetEq, And, Or, Imp})  # nodes with left and right
-_SCOPES = frozenset({Lam, SeqAbs, *BINDERS})
 _BOUNDED = frozenset({BoundedForall, BoundedExists})
 _NESTS = frozenset({*BINDERS, *_BOUNDED})  # formula nodes with a body, besides Not
 _SUGAR = frozenset({In, SubsetEq, Hyper, Not})
-
-
-def free_vars_and_names(formula: Formula) -> tuple[dict[str, FiniteType], set[str]]:
-    """The free variables and every name of the formula, free or bound, in one walk.
-
-    Free variables are in order of first occurrence; a later annotation wins.
-    Terms are walked on the same stack as the formula nodes.
-    """
-    free: dict[str, FiniteType] = {}
-    names: set[str] = set()
-    add = names.add
-    bound: dict[str, int] = {}
-    stack: list = [formula]
-    pop, push = stack.pop, stack.append
-    while stack:
-        f = pop()
-        cls = f.__class__
-        if cls is App:
-            push(f.arg)
-            push(f.fun)
-        elif cls is Var:
-            name = f.name
-            add(name)
-            if not bound.get(name):
-                free[name] = f.type
-        elif cls is Const:
-            pass
-        elif cls is str:
-            bound[f] -= 1
-        elif cls in _PAIRS:
-            push(f.right)
-            push(f.left)
-        elif cls in _SCOPES:
-            var = f.var
-            add(var)
-            bound[var] = bound.get(var, 0) + 1
-            push(var)
-            push(f.body)
-        elif cls in _BOUNDED:
-            var = f.var
-            add(var)
-            push(var)
-            push(f.body)
-            push((var,))
-            push(f.bound)
-        elif cls is tuple:
-            var = f[0]
-            bound[var] = bound.get(var, 0) + 1
-        elif cls is St:
-            push(f.term)
-        elif cls is In:
-            push(f.seq)
-            push(f.elem)
-        elif cls is Hyper:
-            push(f.seq)
-        elif cls is Not:
-            push(f.body)
-        else:
-            raise AssertionError(f)
-    return free, names
-
-
-def free_vars(formula: Formula) -> dict[str, FiniteType]:
-    return free_vars_and_names(formula)[0]
-
-
-def all_names(formula: Formula) -> set[str]:
-    return free_vars_and_names(formula)[1]
 
 
 def classify(formula: Formula) -> Classification:
@@ -332,65 +280,6 @@ def _has_sugar(formula: Formula) -> bool:
     return False
 
 
-def map_terms(f: Formula, fn) -> Formula:
-    """Rebuild the formula applying fn to every embedded term (binders untouched)."""
-    if isinstance(f, Eq):
-        return Eq(f.type, fn(f.left), fn(f.right))
-    if isinstance(f, And):
-        return And(map_terms(f.left, fn), map_terms(f.right, fn))
-    if isinstance(f, Or):
-        return Or(map_terms(f.left, fn), map_terms(f.right, fn))
-    if isinstance(f, Imp):
-        return Imp(map_terms(f.left, fn), map_terms(f.right, fn))
-    if isinstance(f, Not):
-        return Not(map_terms(f.body, fn))
-    if isinstance(f, St):
-        return St(f.type, fn(f.term))
-    if isinstance(f, In):
-        return In(f.type, fn(f.elem), fn(f.seq))
-    if isinstance(f, SubsetEq):
-        return SubsetEq(f.type, fn(f.left), fn(f.right))
-    if isinstance(f, Hyper):
-        return Hyper(f.type, fn(f.seq))
-    raise AssertionError(f"map_terms on binder {f!r}")
-
-
-def subst_formula(formula: Formula, var: str, term: Term) -> Formula:
-    """Capture-avoiding substitution of a term for a free variable."""
-    repl_free = set(term_free_vars(term))
-
-    def go(f: Formula) -> Formula:
-        if isinstance(f, (Eq, St, In, SubsetEq, Hyper, Not, And, Or, Imp)):
-            if isinstance(f, (And, Or, Imp)):
-                ctor = type(f)
-                return ctor(go(f.left), go(f.right))
-            if isinstance(f, Not):
-                return Not(go(f.body))
-            return map_terms(f, lambda t: term_subst(t, var, term))
-        if isinstance(f, BINDERS):
-            ctor = type(f)
-            if f.var == var:
-                return f
-            if f.var in repl_free and var in free_vars(f.body):
-                new = fresh_name(f.var, repl_free | all_names(f.body) | {var})
-                body = subst_formula(f.body, f.var, Var(new, f.var_type))
-                return ctor(new, f.var_type, go(body))
-            return ctor(f.var, f.var_type, go(f.body))
-        if isinstance(f, (BoundedForall, BoundedExists)):
-            ctor = type(f)
-            bound = term_subst(f.bound, var, term)
-            if f.var == var:
-                return ctor(f.var, bound, f.body)
-            if f.var in repl_free and var in free_vars(f.body):
-                new = fresh_name(f.var, repl_free | all_names(f.body) | {var})
-                body = subst_formula(f.body, f.var, Var(new, N))
-                return ctor(new, bound, go(body))
-            return ctor(f.var, bound, go(f.body))
-        raise AssertionError(f)
-
-    return go(formula)
-
-
 def _fresh_for(f: Formula, base: str, extra: set[str] = frozenset()) -> str:
     return fresh_name(base, all_names(f) | set(extra))
 
@@ -455,49 +344,10 @@ def desugar(formula: Formula) -> Formula:
 
 def in_formula(elem_type: FiniteType, elem: Term, seq: Term) -> Formula:
     """Membership expanded: exists i < |s|, elem = s_i."""
-    avoid = set(term_names(elem)) | set(term_names(seq))
+    avoid = all_names(elem) | all_names(seq)
     i = fresh_name("i", avoid)
     return BoundedExists(
         i,
         seq_len(elem_type, seq),
         Eq(elem_type, elem, proj(elem_type, seq, Var(i, N))),
     )
-
-
-def formula_alpha_eq(f: Formula, g: Formula) -> bool:
-    """Alpha equality of formulas, pairing binders positionally."""
-
-    def go(a: Formula, b: Formula, depth: int) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Eq):
-            return a.type == b.type and term_alpha_eq(a.left, b.left) and term_alpha_eq(a.right, b.right)
-        if isinstance(a, (And, Or, Imp)):
-            return go(a.left, b.left, depth) and go(a.right, b.right, depth)
-        if isinstance(a, Not):
-            return go(a.body, b.body, depth)
-        if isinstance(a, St):
-            return a.type == b.type and term_alpha_eq(a.term, b.term)
-        if isinstance(a, In):
-            return a.type == b.type and term_alpha_eq(a.elem, b.elem) and term_alpha_eq(a.seq, b.seq)
-        if isinstance(a, SubsetEq):
-            return a.type == b.type and term_alpha_eq(a.left, b.left) and term_alpha_eq(a.right, b.right)
-        if isinstance(a, Hyper):
-            return a.type == b.type and term_alpha_eq(a.seq, b.seq)
-        if isinstance(a, BINDERS):
-            if a.var_type != b.var_type:
-                return False
-            probe = f"@{depth}"
-            pa = subst_formula(a.body, a.var, Var(probe, a.var_type))
-            pb = subst_formula(b.body, b.var, Var(probe, b.var_type))
-            return go(pa, pb, depth + 1)
-        if isinstance(a, (BoundedForall, BoundedExists)):
-            if not term_alpha_eq(a.bound, b.bound):
-                return False
-            probe = f"@{depth}"
-            pa = subst_formula(a.body, a.var, Var(probe, N))
-            pb = subst_formula(b.body, b.var, Var(probe, N))
-            return go(pa, pb, depth + 1)
-        raise AssertionError(a)
-
-    return go(f, g, 0)

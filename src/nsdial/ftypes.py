@@ -70,14 +70,20 @@ def node(cls):
     declared = fields(cls)
     names = tuple(f.name for f in declared)
     cls._fields = names
-    if len(names) > 1:
-        cls._values = staticmethod(attrgetter(*names))
-    elif names:
-        get = attrgetter(names[0])
-        cls._values = staticmethod(lambda node: (get(node),))
+    cls._values = staticmethod(tuple_getter(names))
     defaults = tuple(f.default for f in declared if f.default is not MISSING)
     cls.__init__ = _initialiser([getattr(cls, n).__set__ for n in names], defaults)
     return cls
+
+
+def tuple_getter(names: tuple[str, ...]):
+    """A function from a node to the tuple of its fields with the given names."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return lambda node: ()
 
 
 _put_hash = Node._hash.__set__

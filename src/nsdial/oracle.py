@@ -31,8 +31,6 @@ from .formulas import (
     Or,
     classify,
     desugar,
-    free_vars,
-    subst_formula,
 )
 from .reduce import (
     CanonicalValue,
@@ -50,7 +48,7 @@ from .reduce import (
 from .terms import (
     IllTyped,
     alpha_eq,
-    free_vars as term_free_vars,
+    free_vars,
     substitute,
     synth_type,
 )
@@ -147,7 +145,7 @@ def _arrow_eq(f: Eq):
 
     The one node that still substitutes the environment and normalises.
     """
-    names = {**term_free_vars(f.left), **term_free_vars(f.right)}
+    names = {**free_vars(f.left), **free_vars(f.right)}
 
     def run(env):
         left, right = f.left, f.right
@@ -233,7 +231,7 @@ def _native_env(matrix: Formula, env: dict[str, CanonicalValue]) -> tuple[Formul
     native = {}
     for name, v in env.items():
         if isinstance(v, Closure):
-            matrix = subst_formula(matrix, name, v.term)
+            matrix = substitute(matrix, name, v.term)
         else:
             native[name] = to_native(v)
     _require_closed(matrix, native)
@@ -298,7 +296,7 @@ def _instantiate(bundle) -> Formula:
         found = synth_type(term)
         if found != ty:
             raise IllTyped(f"realiser for {name}", ty, found)
-        matrix = subst_formula(matrix, name, term)
+        matrix = substitute(matrix, name, term)
     return matrix
 
 

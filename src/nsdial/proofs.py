@@ -14,11 +14,8 @@ from .formulas import (
     Imp,
     classify,
     desugar,
-    formula_alpha_eq,
-    free_vars,
-    subst_formula,
 )
-from .terms import App, NsdialError, SUCC, Var, ZERO
+from .terms import App, NsdialError, SUCC, Var, ZERO, alpha_eq, free_vars, substitute
 from .translate import Flavor
 
 
@@ -128,7 +125,7 @@ def _check_proof_cached(proof: Proof, flavor: Flavor) -> Formula:
         minor = _check_proof_cached(proof.minor, flavor)
         if not isinstance(major, Imp):
             raise BadInstantiation(Schema.K, f"modus ponens major is not an implication: {major!r}")
-        if not formula_alpha_eq(major.left, minor):
+        if not alpha_eq(major.left, minor):
             raise BadInstantiation(
                 Schema.K, "modus ponens minor does not match the major premise"
             )
@@ -164,10 +161,10 @@ def _check_proof_cached(proof: Proof, flavor: Flavor) -> Formula:
                 Schema.IA, "induction step must be a universal implication over the naturals"
             )
         n, body = step.var, step.body.left
-        succ_case = subst_formula(body, n, App(SUCC, Var(n, N)))
-        if not formula_alpha_eq(step.body.right, succ_case):
+        succ_case = substitute(body, n, App(SUCC, Var(n, N)))
+        if not alpha_eq(step.body.right, succ_case):
             raise BadInstantiation(Schema.IA, "step consequent is not the successor instance")
-        if not formula_alpha_eq(base, subst_formula(body, n, ZERO)):
+        if not alpha_eq(base, substitute(body, n, ZERO)):
             raise BadInstantiation(Schema.IA, "base does not match the zero instance")
         if not external:
             cl = classify(desugar(body))

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from enum import Enum
+from operator import is_
 
-from .ftypes import Arrow, FiniteType, Ground, N, Node, Star, _put_type, arrow, node
+from .ftypes import Arrow, FiniteType, Ground, N, Node, Star, _put_type, arrow, node, tuple_getter
 
 
 class NsdialError(Exception):
@@ -59,12 +60,46 @@ CONST_ARITY = {
 }
 
 
+# -- the binder table ----------------------------------------------------------
+#
+# Each term and formula class declares, next to @node, which of its fields are
+# subtrees (always its trailing fields) and whether it binds its field var. A
+# binder's variable scopes over its last subtree, the body; a subtree before
+# the body, such as a bounded quantifier's bound, lies outside the scope. The
+# passes below are the package's only binder-aware ones, and they learn a
+# class's shape from this table alone.
+
+# class -> (subtrees, subtrees in reverse, data fields other than var, binds)
+_SYNTAX: dict[type, tuple] = {}
+
+
+def syntax(*subtrees: str, binds: bool = False):
+    """Class decorator, applied above @node: enter the class in the binder table."""
+
+    def declare(cls):
+        fields = cls._fields
+        data = fields[: len(fields) - len(subtrees)]
+        if fields[len(data):] != subtrees or binds and data[:1] != ("var",):
+            raise TypeError(f"{cls.__name__}: subtrees must be the trailing fields")
+        _SYNTAX[cls] = (
+            tuple_getter(subtrees),
+            tuple_getter(subtrees[::-1]),
+            tuple_getter(data[1:] if binds else data),
+            binds,
+        )
+        return cls
+
+    return declare
+
+
+@syntax()
 @node
 class Var(Node):
     name: str
     type: FiniteType
 
 
+@syntax("body", binds=True)
 @node
 class Lam(Node):
     var: str
@@ -72,18 +107,21 @@ class Lam(Node):
     body: "Term"
 
 
+@syntax("fun", "arg")
 @node
 class App(Node):
     fun: "Term"
     arg: "Term"
 
 
+@syntax()
 @node
 class Const(Node):
     kind: ConstKind
     types: tuple[FiniteType, ...] = ()
 
 
+@syntax("body", binds=True)
 @node
 class SeqAbs(Node):
     """Sequence abstraction: the singleton sequence containing one function.
@@ -212,17 +250,21 @@ def _annotations(t: Term) -> tuple[tuple[str, FiniteType], ...]:
     return memo[1] if memo.__class__ is tuple else ()
 
 
-def free_vars(term: Term) -> dict[str, FiniteType]:
-    """Free variables in order of first occurrence; a later annotation wins.
+def free_vars_and_names(tree) -> tuple[dict[str, FiniteType], set[str]]:
+    """The free variables and every name, free or bound, of a term or formula.
 
-    Like every query pass, a loop over an explicit stack: binder scopes are a
-    count of enclosing binders per name, and a binder pushes its name as the
-    marker that ends its scope.
+    Free variables are in order of first occurrence; a later annotation wins.
+    Like every query pass, a loop over an explicit stack. Binder scopes are a
+    count of enclosing binders per name. A binder pushes its name below its
+    body, as the marker that ends its scope. If subtrees outside the scope go
+    on top, a one-element tuple between them and the body opens the scope.
     """
-    out: dict[str, FiniteType] = {}
+    free: dict[str, FiniteType] = {}
+    names: set[str] = set()
+    add = names.add
     bound: dict[str, int] = {}
-    stack: list = [term]
-    pop, push = stack.pop, stack.append
+    stack: list = [tree]
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while stack:
         t = pop()
         cls = t.__class__
@@ -230,36 +272,41 @@ def free_vars(term: Term) -> dict[str, FiniteType]:
             push(t.arg)
             push(t.fun)
         elif cls is Var:
-            if not bound.get(t.name):
-                out[t.name] = t.type
-        elif cls is Lam or cls is SeqAbs:
-            var = t.var
-            bound[var] = bound.get(var, 0) + 1
-            push(var)
-            push(t.body)
+            name = t.name
+            add(name)
+            if not bound.get(name):
+                free[name] = t.type
+        elif cls is Const:
+            pass
         elif cls is str:
             bound[t] -= 1
-    return out
+        elif cls is tuple:
+            var = t[0]
+            bound[var] = bound.get(var, 0) + 1
+        else:
+            _, pushed, _, binds = _SYNTAX[cls]
+            subtrees = pushed(t)
+            if not binds:
+                extend(subtrees)
+                continue
+            var = t.var
+            add(var)
+            push(var)
+            push(subtrees[0])
+            if len(subtrees) == 1:
+                bound[var] = bound.get(var, 0) + 1
+            else:
+                push((var,))
+                extend(subtrees[1:])
+    return free, names
 
 
-def all_names(term: Term) -> set[str]:
-    """Every variable name occurring in the term, free or bound."""
-    out: set[str] = set()
-    add = out.add
-    stack: list = [term]
-    pop, push = stack.pop, stack.append
-    while stack:
-        t = pop()
-        cls = t.__class__
-        if cls is App:
-            push(t.arg)
-            push(t.fun)
-        elif cls is Var:
-            add(t.name)
-        elif cls is Lam or cls is SeqAbs:
-            add(t.var)
-            push(t.body)
-    return out
+def free_vars(tree) -> dict[str, FiniteType]:
+    return free_vars_and_names(tree)[0]
+
+
+def all_names(tree) -> set[str]:
+    return free_vars_and_names(tree)[1]
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -271,10 +318,10 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     return f"{base}{i}"
 
 
-def mentions(term: Term, var: str) -> bool:
-    """Whether the variable occurs free in the term."""
-    stack: list = [term]
-    pop, push = stack.pop, stack.append
+def mentions(tree, var: str) -> bool:
+    """Whether the variable occurs free in the term or formula."""
+    stack: list = [tree]
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while stack:
         t = pop()
         cls = t.__class__
@@ -284,65 +331,86 @@ def mentions(term: Term, var: str) -> bool:
         elif cls is Var:
             if t.name == var:
                 return True
-        elif (cls is Lam or cls is SeqAbs) and t.var != var:
-            push(t.body)
+        elif cls is not Const:
+            _, pushed, _, binds = _SYNTAX[cls]
+            # a binder of var hides its body, the first subtree pushed
+            extend(pushed(t)[1:] if binds and t.var == var else pushed(t))
     return False
 
 
-def substitute(term: Term, var: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution of replacement for the free variable var."""
+def substitute(tree, var: str, replacement: Term):
+    """Capture-avoiding substitution of replacement for the free variable var.
 
-    if not mentions(term, var):
-        return term
+    Works on terms and formulas alike, and returns every subtree in which
+    nothing changes as it is. A binder whose variable is free in replacement,
+    and whose body mentions var, is renamed first: to fresh_name of its
+    variable, avoiding replacement's free variables, the body's names and var.
+    """
+    if not mentions(tree, var):
+        return tree
     repl_free = set(free_vars(replacement))
 
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
+    def go(t):
+        cls = t.__class__
+        if cls is Var:
             return replacement if t.name == var else t
-        if isinstance(t, Const):
+        if cls is App:
+            fun, arg = go(t.fun), go(t.arg)
+            return t if fun is t.fun and arg is t.arg else App(fun, arg)
+        if cls is Const:
             return t
-        if isinstance(t, App):
-            return App(go(t.fun), go(t.arg))
-        if isinstance(t, (Lam, SeqAbs)):
-            cls = type(t)
-            if t.var == var:
-                return t
-            if t.var in repl_free and var in free_vars(t.body):
-                new = fresh_name(t.var, repl_free | all_names(t.body) | {var})
-                body = substitute(t.body, t.var, Var(new, t.var_type))
-                return cls(new, t.var_type, go(body))
-            return cls(t.var, t.var_type, go(t.body))
-        raise AssertionError(t)
+        subtrees, _, data, binds = _SYNTAX[cls]
+        old = subtrees(t)
+        new = []
+        for sub in old[:-1] if binds else old:
+            new.append(go(sub))
+        if binds:
+            name, body = t.var, old[-1]
+            if name != var:
+                if name in repl_free and mentions(body, var):
+                    name = fresh_name(name, repl_free | all_names(body) | {var})
+                    # a bounded quantifier's variable is a natural
+                    body = substitute(body, t.var, Var(name, getattr(t, "var_type", N)))
+                body = go(body)
+            new.append(body)
+        if all(map(is_, new, old)):
+            return t
+        return cls(name, *data(t), *new) if binds else cls(*data(t), *new)
 
-    return go(term)
+    return go(tree)
 
 
-def alpha_eq(t: Term, u: Term) -> bool:
-    """Equality up to consistent renaming of bound variables."""
+def alpha_eq(x, y) -> bool:
+    """Equality of terms or formulas up to consistent renaming of bound variables.
 
-    def go(a: Term, b: Term, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
-        if isinstance(a, Var) and isinstance(b, Var):
+    A bound variable stands for the depth of its binder: bound occurrences
+    agree when their binders are paired, free ones when their names agree.
+    """
+
+    def go(a, b, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is Var:
             da, db = env_a.get(a.name), env_b.get(b.name)
-            if da is None and db is None:
-                return a.name == b.name and a.type == b.type
-            return da == db and a.type == b.type
-        if isinstance(a, Const) and isinstance(b, Const):
-            return a == b
-        if isinstance(a, App) and isinstance(b, App):
+            return da == db and a.type == b.type and (da is not None or a.name == b.name)
+        if cls is App:
             return go(a.fun, b.fun, env_a, env_b, depth) and go(a.arg, b.arg, env_a, env_b, depth)
-        if type(a) is type(b) and isinstance(a, (Lam, SeqAbs)):
-            if a.var_type != b.var_type:
+        if cls is Const:
+            return a == b
+        subtrees, _, data, binds = _SYNTAX[cls]
+        if data(a) != data(b):
+            return False
+        subs_a, subs_b = subtrees(a), subtrees(b)
+        for i in range(len(subs_a)):
+            if binds and i == len(subs_a) - 1:  # the body, in the binders' scope
+                env_a, env_b = {**env_a, a.var: depth}, {**env_b, b.var: depth}
+                depth += 1
+            if not go(subs_a[i], subs_b[i], env_a, env_b, depth):
                 return False
-            return go(
-                a.body,
-                b.body,
-                {**env_a, a.var: depth},
-                {**env_b, b.var: depth},
-                depth + 1,
-            )
-        return False
+        return True
 
-    return go(t, u, {}, {}, 0)
+    return go(x, y, {}, {}, 0)
 
 
 # -- construction helpers ----------------------------------------------------

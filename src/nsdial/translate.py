@@ -29,26 +29,25 @@ from .formulas import (
     Not,
     Or,
     St,
-    all_names,
     check_formula,
     classify,
     desugar,
-    free_vars_and_names,
-    subst_formula,
 )
 from .terms import (
     NsdialError,
     Term,
     Var,
     ZERO,
-    all_names as term_names,
+    all_names,
     app,
+    free_vars_and_names,
     fresh_name,
     lam,
     proj,
     sabs,
     seq_app_infer,
     seq_len,
+    substitute,
     synth_type,
 )
 
@@ -142,25 +141,19 @@ def _bounded_all(bounds: list[tuple[str, FiniteType, Term]], body: Formula) -> F
     Each (name, elem type, collection) becomes forall i < |collection| with the
     i-th projection substituted for name.
     """
-    out = body
     for name, ty, coll in reversed(bounds):
-        i = fresh_name("i", all_names(out) | term_names(coll) | {name})
-        out = BoundedForall(
-            i,
-            seq_len(ty, coll),
-            subst_formula(out, name, proj(ty, coll, Var(i, N))),
-        )
-    return out
+        body = _indexed(BoundedForall, name, ty, coll, body)
+    return body
 
 
 def bounded_exists(var: str, ty: FiniteType, coll: Term, body: Formula) -> Formula:
     """exists var in coll, index-encoded like _bounded_all."""
-    i = fresh_name("i", all_names(body) | term_names(coll) | {var})
-    return BoundedExists(
-        i,
-        seq_len(ty, coll),
-        subst_formula(body, var, proj(ty, coll, Var(i, N))),
-    )
+    return _indexed(BoundedExists, var, ty, coll, body)
+
+
+def _indexed(kind, var: str, ty: FiniteType, coll: Term, body: Formula) -> Formula:
+    i = fresh_name("i", all_names(body) | all_names(coll) | {var})
+    return kind(i, seq_len(ty, coll), substitute(body, var, proj(ty, coll, Var(i, N))))
 
 
 def dst_translate(formula: Formula) -> TranslatedFormula:
@@ -245,7 +238,7 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         v_vars = [Var(n, t) for n, t in un2]
         conclusion = m2
         for (old, _), (fn, fnty) in zip(ex2, fns):
-            conclusion = subst_formula(conclusion, old, flavor.apply(Var(fn, fnty), x_vars))
+            conclusion = substitute(conclusion, old, flavor.apply(Var(fn, fnty), x_vars))
         bounds = [
             (old, ty, flavor.apply(Var(c, cty), x_vars + v_vars))
             for (old, ty), (c, cty) in zip(un1, colls)
@@ -270,7 +263,7 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         ex, un, m = _clauses(f.body, fr, flavor)
         if not dst:
             x = fr.issue(f.var)
-            m = subst_formula(m, f.var, Var(x, f.var_type))
+            m = substitute(m, f.var, Var(x, f.var_type))
             return [(x, f.var_type)] + ex, un, m
         u = fr.issue("u")
         u_ty = Star(f.var_type)
@@ -285,7 +278,7 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         for name, ty in ex:
             lift = Var(fr.issue(lift_prefix), flavor.fn_type([z_ty], ty))
             lifts.append((lift.name, lift.type))
-            m = subst_formula(m, name, flavor.apply(lift, [Var(z, z_ty)]))
+            m = substitute(m, name, flavor.apply(lift, [Var(z, z_ty)]))
         return lifts, un + [(z, z_ty)], m
 
     raise AssertionError(f"untranslatable node {f!r}")
@@ -308,4 +301,4 @@ def _open_binder(f, fr: FreshNames) -> tuple[str, FiniteType, Formula]:
     if kept is not None:
         return kept, f.var_type, f.body
     z = fr.issue(f.var)
-    return z, f.var_type, subst_formula(f.body, f.var, Var(z, f.var_type))
+    return z, f.var_type, substitute(f.body, f.var, Var(z, f.var_type))

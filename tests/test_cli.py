@@ -374,3 +374,33 @@ def test_malformed_form_exits_two(tmp_path, capsys, command, text, message):
     f.write_text(text + "\n")
     assert run([*command, str(f)]) == 2
     assert message in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("report", [False, True])
+def test_corpus_run_lists_and_reads_each_file_once(tmp_path, capsys, monkeypatch, report):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("len_nil.term", "worked.u.fml", "doubling.u.proof", "overspill.u.bundle"):
+        (corpus / name).write_bytes((CORPUS / name).read_bytes())
+    (corpus / "bom.term").write_bytes(b"\xff\xfe(len (nil N))\n")
+    (corpus / "notes.txt").write_text("not a corpus file\n")
+    listings, opened = [], []
+    iterdir, open_ = Path.iterdir, Path.open
+
+    def counting_iterdir(self):
+        listings.append(self)
+        return iterdir(self)
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self.name)
+        return open_(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "iterdir", counting_iterdir)
+    monkeypatch.setattr(Path, "open", counting_open)
+    json_args = ["--json", str(tmp_path / "report.json")] if report else []
+    assert run(json_args + ["corpus", "run", str(corpus)] + CORPUS_GRID) == 2
+    assert listings == [corpus]
+    corpus_files = ["bom.term", "doubling.u.proof", "len_nil.term", "overspill.u.bundle",
+                    "worked.u.fml"]
+    assert sorted(n for n in opened if n != "report.json") == corpus_files
+    assert capsys.readouterr().out.split()[1::2] == corpus_files
