@@ -19,6 +19,7 @@ from nsdial.terms import (
     Const,
     ConstKind,
     Lam,
+    NsdialError,
     SeqAbs,
     Var,
     ZERO,
@@ -30,7 +31,7 @@ from nsdial.terms import (
     type_check,
 )
 from nsdial.reduce import spine
-from nsdial.sexpr import parse_proof, print_bundle, read_one
+from nsdial.sexpr import parse_proof, print_bundle, print_term, read_one
 from nsdial.translate import Flavor
 
 import fixture_defs as fx
@@ -314,3 +315,91 @@ def test_extract_types_each_constant_once(monkeypatch):
     bundle = extract(proof, U)
     assert len(calls) <= 1000
     assert print_bundle(bundle) + "\n" == (CORPUS / "doubling.u.bundle").read_text()
+
+
+# -- printed realisers, one line per (instance, flavor) ----------------------
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden" / "realisers.golden"
+
+
+def _two_witness_instance(z):
+    """st(z), st(zb) and forall-st w (w = zb): two witnesses and one challenge."""
+    return And(St(N, Var(z, N)), both_tuples_instance(z + "b"))
+
+
+def _xy_body():
+    """A body in x and y with one witness and one challenge."""
+    return And(St(N, Var("x", N)), ForallSt("w", N, Eq(N, Var("w", N), Var("y", N))))
+
+
+def _golden_instances():
+    """One instance per schema, a two-witness variant of each propositional
+    schema, and three composed proofs."""
+    z = both_tuples_instance
+    xy = dict(x_type=N, y_type=N, x="x", y="y")
+    hip = dict(xy, premise=Eq(N, Var("x", N), ZERO), conclusion=_xy_body())
+    quant = dict(var="z", var_type=N, body=z())
+    cases = {
+        Schema.EX_FALSO: dict(a=z()),
+        Schema.FORALL_INST: dict(quant, term=ZERO),
+        Schema.EXISTS_INTRO: dict(quant, term=ZERO),
+        Schema.EQ_REFL: dict(type=N, t=ZERO),
+        Schema.EQ_SYM: dict(type=N, t=ZERO, u=numeral(1)),
+        Schema.EQ_TRANS: dict(type=N, t=ZERO, u=ZERO, v=ZERO),
+        Schema.EQ_CONG: dict(type=N, result_type=N, fn=Const(ConstKind.SUCC), t=ZERO, u=ZERO),
+        Schema.DEFEQ: dict(type=N, t=ZERO, u=ZERO),
+        Schema.SUCC_NONZERO: dict(t=ZERO),
+        Schema.SUCC_INJ: dict(t=ZERO, u=ZERO),
+        Schema.SEQ_AXIOM: dict(type=N),
+        Schema.EXTENSIONALITY: dict(domain=N, codomain=N),
+        Schema.IA: dict(var="n", body=Eq(N, Var("n", N), Var("n", N))),
+        Schema.FORALLST_ELIM: quant,
+        Schema.FORALLST_INTRO: quant,
+        Schema.EXISTSST_ELIM: quant,
+        Schema.EXISTSST_INTRO: quant,
+        Schema.ST_EXT: dict(type=N, x=Var("sx", N), y=Var("sy", N)),
+        Schema.ST_CLOSED: dict(type=N, term=numeral(2)),
+        Schema.ST_APP: dict(domain=N, codomain=N, fn=Var("gf", Arrow(N, N)), arg=Var("gx", N)),
+        Schema.OS_STAR: fx.os_axiom().params_dict(),
+        Schema.US_STAR: fx.us_axiom().params_dict(),
+        Schema.NCR: dict(xy, body=_xy_body()),
+        Schema.HAC_ST: dict(xy, body=_xy_body()),
+        Schema.HIP_FORALLST: hip,
+        Schema.NU: dict(xy, body=_xy_body()),
+        Schema.AC_ST: dict(xy, body=_xy_body()),
+        Schema.IP_FORALLST: hip,
+        Schema.DELTA: dict(formula=Eq(N, ZERO, ZERO)),
+    }
+    out = {}
+    for schema in Schema:
+        if schema in cases:
+            out[schema.value] = axiom(schema, **cases[schema])
+            continue
+        names = ("a", "b", "c")[: 3 if schema in (Schema.S, Schema.OR_ELIM) else 2]
+        for suffix, make in (("", z), ("-2", _two_witness_instance)):
+            params = {n: make("z" + n) for n in names}
+            out[schema.value + suffix] = axiom(schema, **params)
+    a = z()
+    out["composed-or-elim"] = mp(mp(axiom(Schema.OR_ELIM, a=a, b=a, c=a), imp_refl(a)), imp_refl(a))
+    out["imp-refl"] = imp_refl(a)
+    out["doubling"] = fx.doubling_proof()
+    return out
+
+
+def _golden_lines():
+    lines = []
+    for name, proof in _golden_instances().items():
+        for flavor in (U, D):
+            try:
+                printed = [print_term(t) for t in extract(proof, flavor).terms]
+            except NsdialError as e:
+                printed = [f"! {type(e).__name__}"]
+            lines.append("\t".join([name, flavor.value, *printed]))
+    return lines
+
+
+def test_printed_realisers_match_golden():
+    # binder names and term order are printed, so this pins them, where the
+    # tests above compare only up to alpha-equivalence; a deliberate change
+    # rewrites the file from _golden_lines()
+    assert _golden_lines() == GOLDEN.read_text().splitlines()
