@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .ftypes import Arrow, FiniteType, N, Star
+from .ftypes import Arrow, N, Star
 from .formulas import (
     And,
     Eq,
@@ -24,6 +24,7 @@ from .formulas import (
     Not,
     Or,
     St,
+    _fresh_for,
     bot,
     check_formula,
     classify,
@@ -34,15 +35,12 @@ from .terms import (
     App,
     NsdialError,
     SUCC,
-    Term,
     Var,
     ZERO,
-    all_names,
     alpha_eq,
     cons,
     empty_seq,
     free_vars,
-    fresh_name,
     numeral,
     seq_app,
     substitute,
@@ -237,7 +235,7 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
     if schema is Schema.SEQ_AXIOM:
         ty = p["type"]
         s, x, sp = Var("s", Star(ty)), Var("x", ty), Var("sp", Star(ty))
-        is_nil = Eq(Star(ty), s, _nil(ty))
+        is_nil = Eq(Star(ty), s, empty_seq(ty))
         is_cons = Exists("x", ty, Exists("sp", Star(ty), Eq(Star(ty), s, cons(ty, x, sp))))
         if flavor is Flavor.DST:
             return Forall("s", Star(ty), Or(is_nil, is_cons))
@@ -307,7 +305,7 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
 
     if schema is Schema.NCR:
         sx, ty_y, x, y, body = p["x_type"], p["y_type"], p["x"], p["y"], p["body"]
-        s = _fresh_binder("s", body)
+        s = _fresh_for(body, "s")
         sv = Var(s, Star(sx))
         bounded = Exists(x, sx, And(In(sx, Var(x, sx), sv), body))
         return Imp(
@@ -316,7 +314,7 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
         )
     if schema is Schema.HAC_ST:
         sx, sy, x, y, body = p["x_type"], p["y_type"], p["x"], p["y"], p["body"]
-        fname = _fresh_binder("f", body)
+        fname = _fresh_for(body, "f")
         f_ty = Star(Arrow(sx, Star(sy)))
         fx = seq_app(sx, sy, Var(fname, f_ty), Var(x, sx))
         bounded = Exists(y, sy, And(In(sy, Var(y, sy), fx), body))
@@ -329,7 +327,7 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
             p["x_type"], p["y_type"], p["x"], p["premise"], p["y"], p["conclusion"],
         )
         _require_internal(prem, schema, flavor, "premise")
-        tname = _fresh_binder("t", concl)
+        tname = _fresh_for(concl, "t")
         tv = Var(tname, Star(sy))
         bounded = Exists(y, sy, And(In(sy, Var(y, sy), tv), concl))
         hyp = ForallSt(x, sx, prem)
@@ -345,7 +343,7 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
         )
     if schema is Schema.AC_ST:
         sx, sy, x, y, body = p["x_type"], p["y_type"], p["x"], p["y"], p["body"]
-        fname = _fresh_binder("f", body)
+        fname = _fresh_for(body, "f")
         f_ty = Arrow(sx, sy)
         applied = substitute(body, y, App(Var(fname, f_ty), Var(x, sx)))
         return Imp(
@@ -370,11 +368,3 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
         return f
 
     raise BadInstantiation(schema, "unknown schema")
-
-
-def _nil(ty: FiniteType) -> Term:
-    return empty_seq(ty)
-
-
-def _fresh_binder(base: str, body: Formula) -> str:
-    return fresh_name(base, all_names(body))

@@ -326,7 +326,12 @@ def run(argv: list[str]) -> int:
     if args.json:
         import json
 
-        args.json.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        try:
+            args.json.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        except OSError as e:
+            # a directory, or a path under a missing directory
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+            return EXIT_ERROR
     return status
 
 

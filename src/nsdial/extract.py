@@ -4,6 +4,10 @@ Every axiom schema in the catalogue has a realiser rule; modus ponens composes
 by application (sequence application in the herbrandised flavor), quantifier
 rules pass realisers through, and the external induction rule builds a
 primitive recursion over the base and step realisers.
+
+Most rules are wiring over the translated tuples: a witness pick abstracts
+over the hypotheses' binders and returns one of them, and a challenge echo
+returns one as a singleton.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ def extract_dst(proof: Proof) -> RealiserBundle:
 
 def extract(proof: Proof, flavor: Flavor) -> RealiserBundle:
     target = check_proof(proof, flavor)
-    tf, terms = _extract(proof, flavor, _translator(flavor, target), root=True)
+    tr = _translator(flavor, target)
+    special = _axiom_special_form(proof, flavor)
+    tf, terms = special or (tr(target), _extract(proof, flavor, tr))
     terms = tuple(normalize(t) for t in terms)
     if len(terms) != len(tf.exist_tuple):
         raise UnsupportedSchema(
@@ -116,57 +122,47 @@ def _translator(flavor: Flavor, target: Formula) -> Translator:
     return tr
 
 
-def _extract(
-    proof: Proof, flavor: Flavor, tr: Translator, root: bool = False
-) -> tuple[TranslatedFormula | _Tuples, list[Term]]:
-    conclusion = check_proof(proof, flavor)
-
+def _extract(proof: Proof, flavor: Flavor, tr: Translator) -> list[Term]:
+    """The realisers of the proof's conclusion, one per witness of its translation."""
     if isinstance(proof, AxiomNode):
-        special = _axiom_special_form(proof, flavor) if root else None
-        if special is not None:
-            return special
-        return tr(conclusion), _axiom_realisers(proof, conclusion, flavor, tr)
+        return _axiom_realisers(proof, check_proof(proof, flavor), flavor, tr)
 
     if isinstance(proof, MPNode):
         major = check_proof(proof.major, flavor)
         assert isinstance(major, Imp)
-        _, major_terms = _extract(proof.major, flavor, tr)
-        _, minor_terms = _extract(proof.minor, flavor, tr)
+        major_terms = _extract(proof.major, flavor, tr)
+        minor_terms = _extract(proof.minor, flavor, tr)
         n_fns = len(tr(major.right).exist_tuple)
-        out = [flavor.apply(fn, minor_terms) for fn in major_terms[:n_fns]]
-        return tr(conclusion), out
+        return [flavor.apply(fn, minor_terms) for fn in major_terms[:n_fns]]
 
     if isinstance(proof, ForallRuleNode):
-        _, terms = _extract(proof.premise, flavor, tr)
-        return tr(conclusion), terms
+        return _extract(proof.premise, flavor, tr)
 
     if isinstance(proof, ExistsRuleNode):
         prem = check_proof(proof.premise, flavor)
         assert isinstance(prem, Imp)
-        _, terms = _extract(proof.premise, flavor, tr)
-        ta = tr(prem.left)
+        terms = _extract(proof.premise, flavor, tr)
+        xs, ys = _tuples(tr(prem.left), "x", "y")
         tb = tr(prem.right)
+        vs = _tuples(tb, "u", "v")[1]
         n_fns = len(tb.exist_tuple)
-        fns, colls = terms[:n_fns], terms[n_fns:]
-        xs = _bnd("x", [t for _, t in ta.exist_tuple])
-        vs = _bnd("v", [t for _, t in tb.univ_tuple])
-        out = list(fns)
-        for coll, (_, coll_ty) in zip(colls, ta.univ_tuple):
-            applied = flavor.apply(coll, [Var(n, t) for n, t in xs + vs])
-            out.append(flavor.abs(xs + vs, singleton(Star(coll_ty), applied)))
-        return tr(conclusion), out
+        args = _vs(xs + vs)
+        colls = [
+            flavor.abs(xs + vs, singleton(Star(t), flavor.apply(coll, args)))
+            for coll, (_, t) in zip(terms[n_fns:], ys)
+        ]
+        return terms[:n_fns] + colls
 
     if isinstance(proof, InductionNode):
-        return tr(conclusion), []
+        return []
 
     if isinstance(proof, ExternalInductionNode):
-        base = check_proof(proof.base, flavor)
-        _, base_terms = _extract(proof.base, flavor, tr)
-        _, step_terms = _extract(proof.step, flavor, tr)
-        t_base = tr(base)
+        base_terms = _extract(proof.base, flavor, tr)
+        step_terms = _extract(proof.step, flavor, tr)
+        t_base = tr(check_proof(proof.base, flavor))
         k = len(t_base.exist_tuple)
         if k == 0:
-            return tr(conclusion), []
+            return []
         if k > 1:
             raise UnsupportedSchema(
                 "external induction with more than one witness needs tuple coding"
@@ -175,28 +171,47 @@ def _extract(
         step = step_terms[0]
         if flavor is Flavor.DST:
             # the recursor's step is a plain function of (m, prev)
-            step = lam(
-                [("m", N), ("prev", wit_ty)],
-                flavor.apply(step, [Var("m", N), Var("prev", wit_ty)]),
-            )
-        term = flavor.abs([("n", N)], nat_rec(wit_ty, base_terms[0], step, Var("n", N)))
-        return tr(conclusion), [term]
+            m_prev = [("m", N), ("prev", wit_ty)]
+            step = lam(m_prev, flavor.apply(step, _vs(m_prev)))
+        return [flavor.abs([("n", N)], nat_rec(wit_ty, base_terms[0], step, Var("n", N)))]
 
     raise AssertionError(proof)
 
 
 # -- small builders ----------------------------------------------------------
 
-def _bnd(prefix: str, types: list[FiniteType]) -> list[tuple[str, FiniteType]]:
+_Binders = list[tuple[str, FiniteType]]
+
+
+def _bnd(prefix: str, types: list[FiniteType]) -> _Binders:
     return [(f"{prefix}{i}", t) for i, t in enumerate(types)]
 
 
-def _lead(name: str, ty: FiniteType, rest: list[tuple[str, FiniteType]]) -> tuple[str, FiniteType]:
+def _types(tup) -> list[FiniteType]:
+    return [t for _, t in tup]
+
+
+def _tuples(tf: TranslatedFormula | _Tuples, ex: str, un: str) -> tuple[_Binders, _Binders]:
+    """The translation's witness and challenge tuples as binders ex0…, un0…."""
+    return _bnd(ex, _types(tf.exist_tuple)), _bnd(un, _types(tf.univ_tuple))
+
+
+def _picks(flavor: Flavor, over: _Binders, picked: _Binders) -> list[Term]:
+    """For each picked binder, the abstraction over `over` that returns it."""
+    return [flavor.abs(over, Var(n, t)) for n, t in picked]
+
+
+def _echoes(flavor: Flavor, over: _Binders, picked: _Binders) -> list[Term]:
+    """For each picked binder, the abstraction over `over` that returns its singleton."""
+    return [flavor.abs(over, singleton(t, Var(n, t))) for n, t in picked]
+
+
+def _lead(name: str, ty: FiniteType, rest: _Binders) -> tuple[str, FiniteType]:
     """Leading binder of an abstraction over rest, renamed if rest would capture it."""
     return fresh_name(name, {n for n, _ in rest}), ty
 
 
-def _vs(bs: list[tuple[str, FiniteType]]) -> list[Term]:
+def _vs(bs: _Binders) -> list[Term]:
     return [Var(n, t) for n, t in bs]
 
 
@@ -209,16 +224,10 @@ def _cond(z: Term, then_t: Term, else_t: Term, ty: FiniteType) -> Term:
     return nat_rec(ty, then_t, lam([("_n", N), ("_w", ty)], else_t), z)
 
 
-def _union_over(
-    seqs: list[tuple[Term, FiniteType]],
-    bound: list[tuple[str, FiniteType]],
-    body: Term,
-    out_elem: FiniteType,
-) -> Term:
+def _union_over(seqs: list[Term], bound: _Binders, body: Term, out_elem: FiniteType) -> Term:
     """Concatenation of body over the product of the element tuples of seqs."""
     out = body
-    for (seq, elem_ty), (vn, vt) in reversed(list(zip(seqs, bound))):
-        assert elem_ty == vt
+    for seq, (vn, vt) in reversed(list(zip(seqs, bound))):
         out = flat_map(vt, out_elem, seq, vn, out)
     return out
 
@@ -240,245 +249,144 @@ def _axiom_realisers(
     return fn(p, flavor, tr)
 
 
-def _axiom_special_form(node: AxiomNode, flavor: Flavor):
+def _axiom_special_form(proof: Proof, flavor: Flavor):
     """Canonical printed interpretation attached to one schema (see ledger)."""
-    if node.schema is Schema.US_STAR and flavor is Flavor.DST:
-        return _us_star_dst_paper_form(node.params_dict())
+    if isinstance(proof, AxiomNode) and proof.schema is Schema.US_STAR and flavor is Flavor.DST:
+        return _us_star_dst_paper_form(proof.params_dict())
     return None
 
 
-def _types(tup) -> list[FiniteType]:
-    return [t for _, t in tup]
-
-
 def _realise_k(p, flavor, tr):
-    ta, tb = tr(p["a"]), tr(p["b"])
-    xs = _bnd("x", _types(ta.exist_tuple))
-    us = _bnd("u", _types(tb.exist_tuple))
-    ys = _bnd("y", _types(ta.univ_tuple))
-    vs = _bnd("v", _types(tb.univ_tuple))
-    out = []
-    for xn, xt in xs:
-        out.append(flavor.abs(xs, flavor.abs(us, Var(xn, xt))))
-    for _, vt in vs:
-        out.append(flavor.abs(xs, flavor.abs(us + ys, empty_seq(vt))))
-    for yn, yt in ys:
-        out.append(flavor.abs(xs + us + ys, singleton(yt, Var(yn, yt))))
-    return out
+    xs, ys = _tuples(tr(p["a"]), "x", "y")
+    us, vs = _tuples(tr(p["b"]), "u", "v")
+    voids = [flavor.abs(xs + us + ys, empty_seq(t)) for _, t in vs]
+    return _picks(flavor, xs + us, xs) + voids + _echoes(flavor, xs + us + ys, ys)
 
 
 def _realise_s(p, flavor, tr):
-    ta, tb, tc = tr(p["a"]), tr(p["b"]), tr(p["c"])
-    xs_t, ys_t = _types(ta.exist_tuple), _types(ta.univ_tuple)
-    us_t, vs_t = _types(tb.exist_tuple), _types(tb.univ_tuple)
-    ps_t, qs_t = _types(tc.exist_tuple), _types(tc.univ_tuple)
-
+    xs, ys = _tuples(tr(p["a"]), "x", "y")
+    us, vs = _tuples(tr(p["b"]), "u", "v")
+    ps, qs = _tuples(tr(p["c"]), "p", "c")
+    xs_t, us_t, vs_t, qs_t = _types(xs), _types(us), _types(vs), _types(qs)
+    fn = flavor.fn_type
     # premise tuple: witness functions and collectors of A -> (B -> C)
-    p1 = _bnd("p", [flavor.fn_type(xs_t, flavor.fn_type(us_t, t)) for t in ps_t])
-    q1 = _bnd("q", [flavor.fn_type(xs_t, flavor.fn_type(us_t + qs_t, Star(t))) for t in vs_t])
-    y1 = _bnd("h", [flavor.fn_type(xs_t, flavor.fn_type(us_t + qs_t, Star(t))) for t in ys_t])
-    e1 = p1 + q1 + y1
+    p1 = _bnd("p", [fn(xs_t, fn(us_t, t)) for t in _types(ps)])
+    q1 = _bnd("q", [fn(xs_t, fn(us_t + qs_t, Star(t))) for t in vs_t])
+    y1 = _bnd("h", [fn(xs_t, fn(us_t + qs_t, Star(t))) for t in _types(ys)])
     # second hypothesis tuple: witness functions and collectors of A -> B
-    u2 = _bnd("g", [flavor.fn_type(xs_t, t) for t in us_t])
-    y2 = _bnd("k", [flavor.fn_type(xs_t + vs_t, Star(t)) for t in ys_t])
-    e2 = u2 + y2
-    xs, qs = _bnd("x", xs_t), _bnd("c", qs_t)
-    vs = _bnd("v", vs_t)
-
-    def u2x() -> list[Term]:
-        return [flavor.apply(Var(n, t), _vs(xs)) for n, t in u2]
-
-    out = []
+    u2 = _bnd("g", [fn(xs_t, t) for t in us_t])
+    y2 = _bnd("k", [fn(xs_t + vs_t, Star(t)) for t in _types(ys)])
+    e12 = p1 + q1 + y1 + u2 + y2
+    over = e12 + xs + qs
+    x, c = _vs(xs), _vs(qs)
+    gx = [flavor.apply(g, x) for g in _vs(u2)]
+    q1x = [flavor.apply(q, x + gx + c) for q in _vs(q1)]
     # functions producing the A -> C witnesses
-    for j, pt in enumerate(ps_t):
-        body = flavor.apply(Var(*p1[j]), _vs(xs) + u2x())
-        out.append(flavor.abs(e1, flavor.abs(e2, flavor.abs(xs, body))))
+    out = [flavor.abs(e12 + xs, flavor.apply(f, x + gx)) for f in _vs(p1)]
     # challenge collectors of A -> C: own challenges plus those routed via A -> B
-    for i, yt in enumerate(ys_t):
-        own = flavor.apply(Var(*y1[i]), _vs(xs) + u2x() + _vs(qs))
-        q1_applied = [
-            (flavor.apply(Var(*q1[k]), _vs(xs) + u2x() + _vs(qs)), vs_t[k])
-            for k in range(len(vs_t))
-        ]
-        inner = flavor.apply(Var(*y2[i]), _vs(xs) + _vs(vs))
-        routed = _union_over(q1_applied, vs, inner, yt)
-        body = concat(yt, own, routed)
-        out.append(flavor.abs(e1, flavor.abs(e2, flavor.abs(xs + qs, body))))
+    for (_, yt), h, k in zip(ys, _vs(y1), _vs(y2)):
+        routed = _union_over(q1x, vs, flavor.apply(k, x + _vs(vs)), yt)
+        out.append(flavor.abs(over, concat(yt, flavor.apply(h, x + gx + c), routed)))
     # collectors for the A -> B hypothesis (challenges at x and v)
-    for xn, xt in xs:
-        out.append(flavor.abs(e1, flavor.abs(e2 + xs + qs, singleton(xt, Var(xn, xt)))))
-    for k, vt in enumerate(vs_t):
-        body = flavor.apply(Var(*q1[k]), _vs(xs) + u2x() + _vs(qs))
-        out.append(flavor.abs(e1, flavor.abs(e2 + xs + qs, body)))
+    out += _echoes(flavor, over, xs) + [flavor.abs(over, q) for q in q1x]
     # collectors for the A -> (B -> C) hypothesis (challenges at x, u, q)
-    for xn, xt in xs:
-        out.append(flavor.abs(e1 + e2 + xs + qs, singleton(xt, Var(xn, xt))))
-    for j, ut in enumerate(us_t):
-        out.append(flavor.abs(e1 + e2 + xs + qs, singleton(ut, u2x()[j])))
-    for qn, qt in qs:
-        out.append(flavor.abs(e1 + e2 + xs + qs, singleton(qt, Var(qn, qt))))
-    return out
+    out += _echoes(flavor, over, xs)
+    out += [flavor.abs(over, singleton(t, g)) for t, g in zip(us_t, gx)]
+    return out + _echoes(flavor, over, qs)
 
 
 def _realise_and_intro(p, flavor, tr):
-    ta, tb = tr(p["a"]), tr(p["b"])
-    xs = _bnd("x", _types(ta.exist_tuple))
-    us = _bnd("u", _types(tb.exist_tuple))
-    ys = _bnd("y", _types(ta.univ_tuple))
-    vs = _bnd("v", _types(tb.univ_tuple))
-    out = []
-    for xn, xt in xs:
-        out.append(flavor.abs(xs, flavor.abs(us, Var(xn, xt))))
-    for un, ut in us:
-        out.append(flavor.abs(xs, flavor.abs(us, Var(un, ut))))
-    for vn, vt in vs:
-        out.append(flavor.abs(xs, flavor.abs(us + ys + vs, singleton(vt, Var(vn, vt)))))
-    for yn, yt in ys:
-        out.append(flavor.abs(xs + us + ys + vs, singleton(yt, Var(yn, yt))))
-    return out
+    xs, ys = _tuples(tr(p["a"]), "x", "y")
+    us, vs = _tuples(tr(p["b"]), "u", "v")
+    over = xs + us + ys + vs
+    return _picks(flavor, xs + us, xs + us) + _echoes(flavor, over, vs + ys)
 
 
 def _realise_and_elim(p, flavor, tr, keep_left: bool):
-    ta, tb = tr(p["a"]), tr(p["b"])
-    xs = _bnd("x", _types(ta.exist_tuple))
-    us = _bnd("u", _types(tb.exist_tuple))
-    kept = xs if keep_left else us
-    kept_univ = _types(ta.univ_tuple) if keep_left else _types(tb.univ_tuple)
-    other_univ = _types(tb.univ_tuple) if keep_left else _types(ta.univ_tuple)
-    ws = _bnd("w", kept_univ)
-    out = []
-    for kn, kt in kept:
-        out.append(flavor.abs(xs + us, Var(kn, kt)))
-    ya = [flavor.abs(xs + us + ws, singleton(t, Var(n, t))) for n, t in ws]
-    yb = [flavor.abs(xs + us + ws, _sing_default(t)) for t in other_univ]
-    out.extend(ya + yb if keep_left else yb + ya)
-    return out
+    xs, ys = _tuples(tr(p["a"]), "x", "w")
+    us, vs = _tuples(tr(p["b"]), "u", "w")
+    (kept, ws), other = ((xs, ys), vs) if keep_left else ((us, vs), ys)
+    over = xs + us + ws
+    ya = _echoes(flavor, over, ws)
+    yb = [flavor.abs(over, _sing_default(t)) for _, t in other]
+    return _picks(flavor, xs + us, kept) + (ya + yb if keep_left else yb + ya)
 
 
 def _realise_or_intro(p, flavor, tr, left: bool):
-    ta, tb = tr(p["a"]), tr(p["b"])
-    xs = _bnd("x", _types(ta.exist_tuple))
-    us = _bnd("u", _types(tb.exist_tuple))
-    ys = _bnd("y", _types(ta.univ_tuple))
-    vs = _bnd("v", _types(tb.univ_tuple))
-    src, other = (xs, us) if left else (us, xs)
-    src_univ = ys if left else vs
-    out = []
-    if flavor is Flavor.U:
-        flag = ZERO if left else numeral(1)
-        out.append(flavor.abs(src, flag))
-    for xn, xt in xs:
-        out.append(flavor.abs(src, Var(xn, xt) if left else default_term(xt)))
-    for un, ut in us:
-        out.append(flavor.abs(src, default_term(ut) if left else Var(un, ut)))
-    for yn, yt in src_univ:
-        out.append(flavor.abs(src + ys + vs, singleton(yt, Var(yn, yt))))
-    return out
+    xs, ys = _tuples(tr(p["a"]), "x", "y")
+    us, vs = _tuples(tr(p["b"]), "u", "v")
+    (src, src_univ), other = ((xs, ys), us) if left else ((us, vs), xs)
+    out = [flavor.abs(src, ZERO if left else numeral(1))] if flavor is Flavor.U else []
+    picks = _picks(flavor, src, src)
+    defaults = [flavor.abs(src, default_term(t)) for _, t in other]
+    out += picks + defaults if left else defaults + picks
+    return out + _echoes(flavor, src + ys + vs, src_univ)
 
 
 def _realise_or_elim(p, flavor, tr):
-    ta, tb, tc = tr(p["a"]), tr(p["b"]), tr(p["c"])
-    xs_t, ys_t = _types(ta.exist_tuple), _types(ta.univ_tuple)
-    us_t, vs_t = _types(tb.exist_tuple), _types(tb.univ_tuple)
-    ps_t, qs_t = _types(tc.exist_tuple), _types(tc.univ_tuple)
-    p1 = _bnd("p", [flavor.fn_type(xs_t, t) for t in ps_t])
-    y1 = _bnd("h", [flavor.fn_type(xs_t + qs_t, Star(t)) for t in ys_t])
-    e1 = p1 + y1
-    p2 = _bnd("r", [flavor.fn_type(us_t, t) for t in ps_t])
-    v2 = _bnd("w", [flavor.fn_type(us_t + qs_t, Star(t)) for t in vs_t])
-    e2 = p2 + v2
-    xs, us, qs = _bnd("x", xs_t), _bnd("u", us_t), _bnd("c", qs_t)
-    zf = [("z", N)] if flavor is Flavor.U else []
-    disj = zf + xs + us
+    xs, ys = _tuples(tr(p["a"]), "x", "y")
+    us, vs = _tuples(tr(p["b"]), "u", "v")
+    ps, qs = _tuples(tr(p["c"]), "p", "c")
+    xs_t, us_t, qs_t = _types(xs), _types(us), _types(qs)
+    fn = flavor.fn_type
+    p1 = _bnd("p", [fn(xs_t, t) for t in _types(ps)])
+    y1 = _bnd("h", [fn(xs_t + qs_t, Star(t)) for t in _types(ys)])
+    p2 = _bnd("r", [fn(us_t, t) for t in _types(ps)])
+    v2 = _bnd("w", [fn(us_t + qs_t, Star(t)) for t in _types(vs)])
+    uniform = flavor is Flavor.U
+    hyps = p1 + y1 + p2 + v2 + ([("z", N)] if uniform else []) + xs + us
+    over = hyps + qs
+    z = Var("z", N)
 
-    def z() -> Term:
-        return Var("z", N)
+    def split(ty: FiniteType, left: Term, right: Term) -> Term:
+        """Left on a zero flag, else right; the two concatenated when herbrandised."""
+        return _cond(z, left, right, ty) if uniform else concat(ty.element, left, right)
 
     out = []
-    for j, pt in enumerate(ps_t):
-        left = flavor.apply(Var(*p1[j]), _vs(xs))
-        right = flavor.apply(Var(*p2[j]), _vs(us))
-        body = _cond(z(), left, right, pt) if flavor is Flavor.U else concat(pt.element, left, right)
-        out.append(flavor.abs(e1, flavor.abs(e2, flavor.abs(disj, body))))
-    for i, yt in enumerate(ys_t):
-        own = flavor.apply(Var(*y1[i]), _vs(xs) + _vs(qs))
-        if flavor is Flavor.U:
-            body = _cond(z(), own, _sing_default(yt), Star(yt))
-        else:
-            body = concat(yt, own, _sing_default(yt))
-        out.append(flavor.abs(e1, flavor.abs(e2, flavor.abs(disj + qs, body))))
-    for i, vt in enumerate(vs_t):
-        own = flavor.apply(Var(*v2[i]), _vs(us) + _vs(qs))
-        if flavor is Flavor.U:
-            body = _cond(z(), _sing_default(vt), own, Star(vt))
-        else:
-            body = concat(vt, own, _sing_default(vt))
-        out.append(flavor.abs(e1, flavor.abs(e2, flavor.abs(disj + qs, body))))
-    for un, ut in us:
-        out.append(flavor.abs(e1, flavor.abs(e2 + disj + qs, singleton(ut, Var(un, ut)))))
-    for qn, qt in qs:
-        out.append(flavor.abs(e1, flavor.abs(e2 + disj + qs, singleton(qt, Var(qn, qt)))))
-    for xn, xt in xs:
-        out.append(flavor.abs(e1 + e2 + disj + qs, singleton(xt, Var(xn, xt))))
-    for qn, qt in qs:
-        out.append(flavor.abs(e1 + e2 + disj + qs, singleton(qt, Var(qn, qt))))
-    return out
+    for t, f, g in zip(_types(ps), _vs(p1), _vs(p2)):
+        out.append(flavor.abs(hyps, split(t, flavor.apply(f, _vs(xs)), flavor.apply(g, _vs(us)))))
+    for t, h in zip(_types(ys), _vs(y1)):
+        own = flavor.apply(h, _vs(xs + qs))
+        out.append(flavor.abs(over, split(Star(t), own, _sing_default(t))))
+    for t, w in zip(_types(vs), _vs(v2)):
+        own, pad = flavor.apply(w, _vs(us + qs)), _sing_default(t)
+        out.append(flavor.abs(over, split(Star(t), pad, own) if uniform else concat(t, own, pad)))
+    return out + _echoes(flavor, over, us + qs + xs + qs)
 
 
 def _realise_ex_falso(p, flavor, tr):
-    ta = tr(p["a"])
-    return [default_term(t) for t in _types(ta.exist_tuple)]
+    return [default_term(t) for t in _types(tr(p["a"]).exist_tuple)]
 
 
 def _realise_forall_inst(p, flavor, tr):
-    ta = tr(p["body"])
-    xs = _bnd("x", _types(ta.exist_tuple))
-    ys = _bnd("y", _types(ta.univ_tuple))
-    out = [flavor.abs(xs, Var(n, t)) for n, t in xs]
-    out += [flavor.abs(xs + ys, singleton(t, Var(n, t))) for n, t in ys]
-    return out
+    xs, ys = _tuples(tr(p["body"]), "x", "y")
+    return _picks(flavor, xs, xs) + _echoes(flavor, xs + ys, ys)
 
 
 def _realise_exists_intro(p, flavor, tr):
     ta = tr(p["body"])
-    xs = _bnd("x", _types(ta.exist_tuple))
+    xs = _tuples(ta, "x", "y")[0]
     ts = _bnd("t", [Star(t) for t in _types(ta.univ_tuple)])
-    out = [flavor.abs(xs, Var(n, t)) for n, t in xs]
-    out += [flavor.abs(xs + ts, Var(n, t)) for n, t in ts]
-    return out
+    return _picks(flavor, xs, xs) + _picks(flavor, xs + ts, ts)
 
 
 def _realise_forallst_elim(p, flavor, tr):
-    tphi = tr(p["body"])
+    us, vs = _tuples(tr(p["body"]), "u", "v")
     sigma = p["var_type"]
-    us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
     if flavor is Flavor.U:
-        lifted = _bnd("U", [Arrow(sigma, t) for t in us_t])
-        y, vs = ("y", sigma), _bnd("v", vs_t)
-        out = [
-            flavor.abs(lifted, lam([("y", sigma)], App(Var(n, t), Var("y", sigma))))
-            for n, t in lifted
-        ]
-        for vn, vt in vs:
-            out.append(flavor.abs(lifted + [y] + vs, singleton(vt, Var(vn, vt))))
-        out.append(flavor.abs(lifted + [y] + vs, singleton(sigma, Var("y", sigma))))
-        return out
-    lifted = _bnd("U", [Star(Arrow(sigma, t)) for t in us_t])
-    w, vs = ("w", Star(sigma)), _bnd("v", vs_t)
+        lifted = _bnd("U", [Arrow(sigma, t) for t in _types(us)])
+        y = ("y", sigma)
+        out = [flavor.abs(lifted + [y], App(f, Var(*y))) for f in _vs(lifted)]
+        return out + _echoes(flavor, lifted + [y] + vs, vs + [y])
+    lifted = _bnd("U", [Star(Arrow(sigma, t)) for t in _types(us)])
+    w, w2 = ("w", Star(sigma)), ("w2", Star(sigma))
     out = []
     for n, t in lifted:
-        body = flat_map(
-            sigma,
-            _star_elem(t),
-            Var("w2", Star(sigma)),
-            "xe",
-            seq_app_infer(Var(n, t), Var("xe", sigma), t),
-        )
-        out.append(flavor.abs(lifted, sabs([("w2", Star(sigma))], body)))
-    for vn, vt in vs:
-        out.append(flavor.abs(lifted + [w] + vs, singleton(vt, Var(vn, vt))))
-    out.append(flavor.abs(lifted + [w] + vs, Var("w", Star(sigma))))
-    return out
+        applied = seq_app_infer(Var(n, t), Var("xe", sigma), t)
+        body = flat_map(sigma, _star_elem(t), Var(*w2), "xe", applied)
+        out.append(flavor.abs(lifted + [w2], body))
+    over = lifted + [w] + vs
+    return out + _echoes(flavor, over, vs) + _picks(flavor, over, [w])
 
 
 def _star_elem(fn_seq_type: FiniteType) -> FiniteType:
@@ -490,85 +398,60 @@ def _star_elem(fn_seq_type: FiniteType) -> FiniteType:
 
 
 def _realise_forallst_intro(p, flavor, tr):
-    tphi = tr(p["body"])
+    us, vs = _tuples(tr(p["body"]), "u", "v")
     sigma = p["var_type"]
-    us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
-    vs = _bnd("v", vs_t)
+    xp = ("xp", sigma)
+    x = Var(*xp)
     if flavor is Flavor.U:
-        fns = _bnd("U", [Arrow(sigma, t) for t in us_t])
-        xp = ("xp", sigma)
+        fns = _bnd("U", [Arrow(sigma, t) for t in _types(us)])
+        out = [flavor.abs(fns + [xp], App(f, x)) for f in _vs(fns)]
+        coll = singleton(sigma, x)
+    else:
+        fns = _bnd("T", [Star(Arrow(Star(sigma), t)) for t in _types(us)])
         out = [
-            flavor.abs(fns, lam([("xp", sigma)], App(Var(n, t), Var("xp", sigma))))
+            flavor.abs(fns + [xp], seq_app_infer(Var(n, t), singleton(sigma, x), t))
             for n, t in fns
         ]
-        out.append(flavor.abs(fns + vs + [xp], singleton(sigma, Var("xp", sigma))))
-        for vn, vt in vs:
-            out.append(flavor.abs(fns + vs + [xp], singleton(vt, Var(vn, vt))))
-        return out
-    fns = _bnd("T", [Star(Arrow(Star(sigma), t)) for t in us_t])
-    xp = ("xp", sigma)
-    out = []
-    for n, t in fns:
-        applied = seq_app_infer(Var(n, t), singleton(sigma, Var("xp", sigma)), t)
-        out.append(flavor.abs(fns, sabs([("xp", sigma)], applied)))
-    out.append(
-        flavor.abs(fns + vs + [xp], singleton(Star(sigma), singleton(sigma, Var("xp", sigma))))
-    )
-    for vn, vt in vs:
-        out.append(flavor.abs(fns + vs + [xp], singleton(vt, Var(vn, vt))))
-    return out
+        coll = singleton(Star(sigma), singleton(sigma, x))
+    over = fns + vs + [xp]
+    return out + [flavor.abs(over, coll)] + _echoes(flavor, over, vs)
 
 
 def _realise_existsst_elim(p, flavor, tr):
     tphi = tr(p["body"])
     sigma = p["var_type"]
-    us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
     wit = ("xw", sigma if flavor is Flavor.U else Star(sigma))
-    us = _bnd("u", us_t)
-    ts = _bnd("t", [Star(t) for t in vs_t])
-    head = wit[0]
-    out = [flavor.abs([wit] + us, Var(head, wit[1]))]
-    out += [flavor.abs([wit] + us, Var(n, t)) for n, t in us]
-    if flavor is Flavor.U:
-        out += [flavor.abs([wit] + us + ts, Var(n, t)) for n, t in ts]
-    else:
-        out += [
-            flavor.abs([wit] + us + ts, singleton(t, Var(n, t))) for n, t in ts
-        ]
-    return out
+    us = _tuples(tphi, "u", "v")[0]
+    ts = _bnd("t", [Star(t) for t in _types(tphi.univ_tuple)])
+    over = [wit] + us + ts
+    colls = _picks(flavor, over, ts) if flavor is Flavor.U else _echoes(flavor, over, ts)
+    return _picks(flavor, [wit] + us, [wit] + us) + colls
 
 
 def _realise_existsst_intro(p, flavor, tr):
-    tphi = tr(p["body"])
+    us, vs = _tuples(tr(p["body"]), "u", "v")
     sigma = p["var_type"]
-    us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
-    wit = ("yw", sigma if flavor is Flavor.U else Star(sigma))
-    us = _bnd("u", us_t)
     if flavor is Flavor.U:
-        head = Var(wit[0], wit[1])
+        wit = ("yw", sigma)
+        head = Var(*wit)
+        colls = [
+            flavor.abs([wit] + us + vs, singleton(Star(t), singleton(t, Var(n, t))))
+            for n, t in vs
+        ]
     else:
+        wit = ("yw", Star(sigma))
         # pad the candidate sequence: a vacuous challenge prefix must still
         # leave something to witness the bounded existential
-        head = concat(sigma, Var(wit[0], wit[1]), _sing_default(sigma))
-    out = [flavor.abs([wit] + us, head)]
-    out += [flavor.abs([wit] + us, Var(n, t)) for n, t in us]
-    if flavor is Flavor.U:
-        vs = _bnd("v", vs_t)
-        for vn, vt in vs:
-            out.append(
-                flavor.abs([wit] + us + vs, singleton(Star(vt), singleton(vt, Var(vn, vt))))
-            )
-    else:
-        ts = _bnd("t", [Star(t) for t in vs_t])
-        for tn, tt in ts:
-            out.append(flavor.abs([wit] + us + ts, singleton(tt, Var(tn, tt))))
-    return out
+        head = concat(sigma, Var(*wit), _sing_default(sigma))
+        ts = _bnd("t", [Star(t) for t in _types(vs)])
+        colls = _echoes(flavor, [wit] + us + ts, ts)
+    return [flavor.abs([wit] + us, head)] + _picks(flavor, [wit] + us, us) + colls
 
 
 def _realise_st_ext(p, flavor, tr):
     sigma = p["type"]
     w = ("w", sigma if flavor is Flavor.U else Star(sigma))
-    return [flavor.abs([w], Var(*w))]
+    return _picks(flavor, [w], [w])
 
 
 def _realise_st_closed(p, flavor, tr):
@@ -594,17 +477,13 @@ def _realise_st_app(p, flavor, tr):
 
 
 def _realise_os_star(p, flavor, tr):
-    sigma = p["type"]
-    sp = ("sp", Star(sigma))
-    return [flavor.abs([sp], singleton(Star(sigma), Var(*sp)))]
+    sp = ("sp", Star(p["type"]))
+    return _echoes(flavor, [sp], [sp])
 
 
 def _realise_us_star(p, flavor, tr):
-    sigma = p["type"]
-    sp = ("sp", Star(sigma))
-    if flavor is Flavor.U:
-        return [flavor.abs([sp], Var(*sp))]
-    return [flavor.abs([sp], singleton(Star(sigma), Var(*sp)))]
+    sp = ("sp", Star(p["type"]))
+    return (_picks if flavor is Flavor.U else _echoes)(flavor, [sp], [sp])
 
 
 # Principles whose premise and conclusion share an interpretation; their
@@ -614,63 +493,45 @@ _IDENTITY_SHAPED = {Schema.NU, Schema.AC_ST, Schema.IP_FORALLST}
 
 def _realise_identity_shaped(instance: Imp, flavor: Flavor, tr: Translator) -> list[Term]:
     """Premise and conclusion share an interpretation: project and collect singletons."""
-    t1, t2 = tr(instance.left), tr(instance.right)
-    if _types(t1.exist_tuple) != _types(t2.exist_tuple) or _types(t1.univ_tuple) != _types(
-        t2.univ_tuple
-    ):
+    es, us = _tuples(tr(instance.left), "e", "uq")
+    if (es, us) != _tuples(tr(instance.right), "e", "uq"):
         raise UnsupportedSchema("premise and conclusion interpretations differ")
-    es = _bnd("e", _types(t1.exist_tuple))
-    us = _bnd("uq", _types(t1.univ_tuple))
-    out = [flavor.abs(es, Var(n, t)) for n, t in es]
-    out += [flavor.abs(es + us, singleton(t, Var(n, t))) for n, t in us]
-    return out
+    return _picks(flavor, es, es) + _echoes(flavor, es + us, us)
 
 
 def _realise_ncr(p, flavor, tr):
     assert flavor is Flavor.DST
     tphi = tr(p["body"])
-    sigma = p["x_type"]
-    us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
-    us = _bnd("u", us_t)
-    ts = _bnd("t", [Star(Star(t)) for t in vs_t])
-    u0 = _lead("u0", Star(sigma), us + ts)
-    out = [flavor.abs([u0] + us, singleton(Star(sigma), Var(*u0)))]
-    out += [flavor.abs([u0] + us, Var(n, t)) for n, t in us]
-    out += [flavor.abs([u0] + us + ts, Var(n, t)) for n, t in ts]
-    return out
+    us = _tuples(tphi, "u", "v")[0]
+    ts = _bnd("t", [Star(Star(t)) for t in _types(tphi.univ_tuple)])
+    u0 = _lead("u0", Star(p["x_type"]), us + ts)
+    head = _echoes(flavor, [u0] + us, [u0])
+    return head + _picks(flavor, [u0] + us, us) + _picks(flavor, [u0] + us + ts, ts)
 
 
 def _realise_hac_st(p, flavor, tr):
     assert flavor is Flavor.DST
     tphi = tr(p["body"])
     sx, sy = p["x_type"], p["y_type"]
-    us_t, vs_t = _types(tphi.exist_tuple), _types(tphi.univ_tuple)
-    f_ty = Star(Arrow(sx, Star(sy)))
-    us = _bnd("U", [Star(Arrow(sx, t)) for t in us_t])
-    ts = _bnd("t", [Star(Star(t)) for t in vs_t])
+    us = _bnd("U", [Star(Arrow(sx, t)) for t in _types(tphi.exist_tuple)])
+    ts = _bnd("t", [Star(Star(t)) for t in _types(tphi.univ_tuple)])
     xs = ("xs", Star(sx))
-    u0 = _lead("U0", f_ty, us + ts + [xs])
-    out = [flavor.abs([u0] + us, singleton(f_ty, Var(*u0)))]
-    out += [flavor.abs([u0] + us, Var(n, t)) for n, t in us]
-    out += [flavor.abs([u0] + us + ts + [xs], Var(n, t)) for n, t in ts]
-    out.append(flavor.abs([u0] + us + ts + [xs], Var(*xs)))
-    return out
+    u0 = _lead("U0", Star(Arrow(sx, Star(sy))), us + ts + [xs])
+    head = _echoes(flavor, [u0] + us, [u0])
+    return head + _picks(flavor, [u0] + us, us) + _picks(flavor, [u0] + us + ts + [xs], ts + [xs])
 
 
 def _realise_hip(p, flavor, tr):
     assert flavor is Flavor.DST
     tpsi = tr(p["conclusion"])
-    sx, sy = p["x_type"], p["y_type"]
-    us_t, vs_t = _types(tpsi.exist_tuple), _types(tpsi.univ_tuple)
-    us = _bnd("u", us_t)
-    sx_coll = ("S", seqfn([Star(t) for t in vs_t], Star(sx)))
+    us = _tuples(tpsi, "u", "v")[0]
+    vs_t = _types(tpsi.univ_tuple)
+    sx_coll = ("S", seqfn([Star(t) for t in vs_t], Star(p["x_type"])))
     ts = _bnd("t", [Star(Star(t)) for t in vs_t])
-    u0 = _lead("u0", Star(sy), us + [sx_coll] + ts)
-    out = [flavor.abs([u0] + us + [sx_coll], singleton(Star(sy), Var(*u0)))]
-    out += [flavor.abs([u0] + us + [sx_coll], Var(n, t)) for n, t in us]
-    out.append(flavor.abs([u0] + us + [sx_coll], Var(*sx_coll)))
-    out += [flavor.abs([u0] + us + [sx_coll] + ts, Var(n, t)) for n, t in ts]
-    return out
+    u0 = _lead("u0", Star(p["y_type"]), us + [sx_coll] + ts)
+    over = [u0] + us + [sx_coll]
+    head = _echoes(flavor, over, [u0])
+    return head + _picks(flavor, over, us + [sx_coll]) + _picks(flavor, over + ts, ts)
 
 
 def _us_star_dst_paper_form(p) -> tuple[TranslatedFormula, list[Term]]:

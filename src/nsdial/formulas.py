@@ -280,8 +280,9 @@ def _has_sugar(formula: Formula) -> bool:
     return False
 
 
-def _fresh_for(f: Formula, base: str, extra: set[str] = frozenset()) -> str:
-    return fresh_name(base, all_names(f) | set(extra))
+def _fresh_for(f: Formula, base: str) -> str:
+    """base, or base numbered past every name in f."""
+    return fresh_name(base, all_names(f))
 
 
 def desugar(formula: Formula) -> Formula:

@@ -14,6 +14,7 @@ from .ftypes import Arrow, FiniteType, Ground, N, Star
 from . import formulas as F
 from .terms import (
     App,
+    CONST_ARITY,
     Const,
     ConstKind,
     Lam,
@@ -152,17 +153,8 @@ def print_type(t: FiniteType) -> str:
 
 # -- terms -------------------------------------------------------------------
 
-_CONST_HEADS = {
-    "nrec": (ConstKind.NATREC, 1),
-    "lrec": (ConstKind.LISTREC, 2),
-    "nil": (ConstKind.EMPTY, 1),
-    "cons": (ConstKind.CONS, 1),
-    "len": (ConstKind.LEN, 1),
-    "proj": (ConstKind.PROJ, 1),
-    "concat": (ConstKind.CONCAT, 1),
-    "sapp": (ConstKind.SEQAPP, 2),
-    "sing": (ConstKind.SINGLETON, 1),
-}
+# heads of the constants that take type parameters
+_CONST_HEADS = {k.value: (k, CONST_ARITY[k]) for k in ConstKind if CONST_ARITY[k]}
 
 _SUGAR_ARITY = {"len": 1, "proj": 2, "concat": 2, "sapp": 2, "sing": 1}
 
@@ -187,7 +179,7 @@ class _Elab:
                 return Const(ConstKind.ZERO)
             if sx == "succ":
                 return Const(ConstKind.SUCC)
-            if sx.isdigit():
+            if sx.isdecimal():  # int() reads every such atom; isdigit() also passes '²'
                 return numeral(int(sx))
             if sx == "cons":
                 if (

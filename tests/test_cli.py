@@ -247,6 +247,33 @@ def test_non_utf8_input_exits_two(tmp_path, capsys):
     assert (good["status"], good["normal_form"]) == ("ok", "zero")
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_report_exits_two(tmp_path, capsys, where):
+    report = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    assert run(["--json", str(report), "check-term", str(CORPUS / "len_nil.term")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "zero\n"
+    assert captured.err.startswith("error: cannot write report: ")
+    assert captured.err.count("\n") == 1 and str(report) in captured.err
+
+
+def test_numerals_int_rejects_are_corpus_errors(tmp_path, capsys):
+    # a superscript digit passes str.isdigit but not int(); Arabic-Indic digits pass both
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a_superscript.term").write_text("(app succ ²)\n")
+    (corpus / "b_arabic_indic.term").write_text("(app succ ١٢)\n")
+    (corpus / "len_nil.term").write_text("(len (nil N))\n")
+    report = tmp_path / "report.json"
+    assert run(["--json", str(report), "corpus", "run", str(corpus)]) == 2
+    assert capsys.readouterr().out.split() == [
+        "error", "a_superscript.term", "ok", "b_arabic_indic.term", "ok", "len_nil.term",
+    ]
+    bad, arabic, good = json.loads(report.read_text())["outcome"]["items"]
+    assert "unknown term atom" in bad["error"]
+    assert (arabic["normal_form"], good["normal_form"]) == ("13", "zero")
+
+
 def _bundle_with_terms(terms: str) -> str:
     """overspill.dst.bundle, whose one witness is Y, with the given realiser terms."""
     text = (CORPUS / "overspill.dst.bundle").read_text()
@@ -367,6 +394,7 @@ def test_malformed_bundles_do_not_stop_corpus_run(tmp_path, capsys):
         (["check-proof", "--u"], "(axiom ia (var (x)) (body bot))", "must be a name"),
         (["check-proof", "--dst"], "(mp (axiom ex-falso (a bot)))", "malformed mp form"),
         (["extract", "--u"], "(forall-rule x (axiom ex-falso (a bot)))", "malformed binder"),
+        (["check-term"], "(app succ ²)", "unknown term atom"),
     ],
 )
 def test_malformed_form_exits_two(tmp_path, capsys, command, text, message):
