@@ -432,3 +432,26 @@ def test_corpus_run_lists_and_reads_each_file_once(tmp_path, capsys, monkeypatch
                     "worked.u.fml"]
     assert sorted(n for n in opened if n != "report.json") == corpus_files
     assert capsys.readouterr().out.split()[1::2] == corpus_files
+
+
+# -- printed verify results, one block per (bundle, grid) ----------------------
+
+VERIFY_GOLDEN = FIXTURES / "golden" / "verify.golden"
+
+
+def _verify_golden_lines(capsys):
+    lines = []
+    for path in sorted(CORPUS.glob("*.bundle")) + sorted(NEGATIVE.glob("*.bundle")):
+        for grid in (CORPUS_GRID, []):
+            code = run(["verify", str(path)] + grid)
+            name = f"{path.parent.name}/{path.name}"
+            lines.append(" ".join([name, *grid, f"exit {code}"]))
+            lines += ["  " + line for line in capsys.readouterr().out.splitlines()]
+    return lines
+
+
+def test_verify_output_matches_golden(capsys):
+    # every fixture bundle at (2,2) and at the default grid (3,2); the printed
+    # verdict and exit code do not depend on the order the evaluator visits
+    # operands in; a deliberate change rewrites the file from _verify_golden_lines()
+    assert _verify_golden_lines(capsys) == VERIFY_GOLDEN.read_text().splitlines()
