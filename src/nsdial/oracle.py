@@ -3,12 +3,23 @@
 A GridValid verdict certifies truth over the enumerated grid only; reports
 always carry the grid parameters.
 
-Each internal matrix is compiled once into a Python closure over native
-environments, its terms by the native evaluator of ``reduce``: N is ``int``,
-``t*`` is ``tuple`` and arrows are one-argument callables. The closures
-compute values and read nothing back into terms. The grid is then swept over
-native values; canonical ``Nat``/``Seq`` values are rebuilt only to report a
-counterexample.
+Each internal matrix is compiled once into a Python closure over a frame: a
+list with the values of the matrix's free variables, one slot per quantifier
+binder and one per shared subterm. Every variable is resolved to its slot at
+compile time. Terms are compiled by the native evaluator of ``reduce``: N is
+``int``, ``t*`` is ``tuple`` and arrows are one-argument callables. The same
+recursion that compiles a node
+
+- estimates its cost, the product of the domain sizes of the quantifiers
+  inside it, and runs the cheaper operand of a connective first. Strong
+  Kleene connectives give the same value in either order, so neither a
+  verdict nor the first counterexample in enumeration order depends on it;
+- shares a subterm that a quantifier's loop leaves unchanged. Its value is
+  computed on first use and kept until a binder it reads moves on.
+
+The closures compute values and read nothing back into terms. The grid is
+then swept over native values; canonical ``Nat``/``Seq`` values are rebuilt
+only to report a counterexample.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from .reduce import (
     NotClosed,
     NotDataType,
     Seq,
+    Scope,
     compile_term,
     normalize,
     to_canonical,
@@ -110,47 +122,132 @@ def enumerate_values(t: FiniteType, grid: Grid):
             yield Seq(t.element, combo)
 
 
-def _compile(f: Formula, grid: Grid):
-    """Closure env -> True | False | UNKNOWN for an internal matrix (Kleene logic)."""
+class _Frame(Scope):
+    """Compile-time layout of a matrix frame.
+
+    The frame is a list: the values of the matrix's free variables in the
+    given order, then one slot per quantifier binder and one per shared
+    subterm. A binder is a new slot even where it shadows a name, so an inner
+    loop never clobbers an outer variable. A variable's depth is the nesting
+    level of its binder, 0 for a free variable of the matrix.
+    """
+
+    def __init__(self, names):
+        self.vars = {name: (i, 0) for i, name in enumerate(names)}
+        self.base = len(self.vars)
+        self.initial: list = []  # the slots after the free variables, as a fresh frame holds them
+        # per depth: the binder's slot and the shared slots its loop resets; depth 0 is the root
+        self.loops: list = [(None, [])]
+        self.shared: dict = {}  # (term, binder slot) -> shared closure
+
+    def slot(self, initial) -> int:
+        self.initial.append(initial)
+        return self.base + len(self.initial) - 1
+
+    def lookup(self, name: str) -> tuple[int, int]:
+        found = self.vars.get(name)
+        if found is None:
+            raise NotClosed(f"free variables: [{name!r}]")
+        return found
+
+    def bind(self, name: str):
+        slot = self.slot(None)
+        outer = self.vars.get(name)
+        self.vars[name] = (slot, len(self.loops))
+        self.loops.append((slot, []))
+        return slot, outer
+
+    def unbind(self, name: str, outer) -> list[int]:
+        """Close the innermost binder; returns the shared slots its loop must reset."""
+        if outer is None:
+            del self.vars[name]
+        else:
+            self.vars[name] = outer
+        return self.loops.pop()[1]
+
+    def share(self, t, run, depth: int):
+        """Reuse the value of a subterm that an enclosing loop leaves unchanged.
+
+        The value is computed on first use and kept until the binder at the
+        subterm's depth moves on (at the root, and for a closed subterm, until
+        the next evaluation). Every occurrence of the same subterm under that
+        binder reads the same value.
+        """
+        loop = self.loops[max(depth, 0)]
+        key = (t, loop[0])
+        shared = self.shared.get(key)
+        if shared is None:
+            if depth >= len(self.loops) - 1:
+                return run  # reads the innermost binder: computed once per use
+            slot = self.slot(_UNSET)
+            loop[1].append(slot)  # the root's list goes unused: a new frame starts unset
+            shared = self.shared[key] = _cached(slot, run)
+        return shared
+
+
+_UNSET = object()  # a shared slot not yet computed in this frame
+
+
+def _cached(slot: int, run):
+    def get(frame):
+        value = frame[slot]
+        if value is _UNSET:
+            value = frame[slot] = run(frame)
+        return value
+
+    return get
+
+
+def _compile(f: Formula, scope: _Frame, grid: Grid):
+    """Closure frame -> True | False | UNKNOWN for an internal matrix (Kleene logic), and its cost.
+
+    The cost is a static estimate of the work: the product of the domain
+    sizes of nested quantifiers, summed over the operands of a connective.
+    """
     if isinstance(f, Eq):
         if not is_data_type(f.type):
-            return _arrow_eq(f)
-        left, right = compile_term(f.left), compile_term(f.right)
-        return lambda env: left(env) == right(env)
+            return _arrow_eq(f, scope), math.inf
+        left, right = compile_term(f.left, scope), compile_term(f.right, scope)
+        return (lambda frame: left(frame) == right(frame)), 1
     if isinstance(f, (And, Or, Imp)):
-        a, b = _compile(f.left, grid), _compile(f.right, grid)
-        return _connective(type(f), a, b)
-    if isinstance(f, (BoundedForall, BoundedExists)):
-        bound = compile_term(f.bound)
-        return _quantifier(
-            isinstance(f, BoundedForall), f.var, lambda env: range(bound(env)),
-            _compile(f.body, grid),
-        )
-    if isinstance(f, (Forall, Exists)):
-        if not is_data_type(f.var_type) or type_depth(f.var_type) > grid.depth_bound:
-            return lambda env: UNKNOWN
-        domain = _domain(f.var_type, grid)
-        return _quantifier(
-            isinstance(f, Forall), f.var, lambda env: domain, _compile(f.body, grid)
-        )
+        a, cost_a = _compile(f.left, scope, grid)
+        b, cost_b = _compile(f.right, scope, grid)
+        return _connective(type(f), a, b, cost_b < cost_a), cost_a + cost_b
+    if isinstance(f, (BoundedForall, BoundedExists, Forall, Exists)):
+        bounded = isinstance(f, (BoundedForall, BoundedExists))
+        if not bounded and (not is_data_type(f.var_type) or type_depth(f.var_type) > grid.depth_bound):
+            return (lambda frame: UNKNOWN), 1
+        slot, outer = scope.bind(f.var)
+        body, cost = _compile(f.body, scope, grid)
+        resets = scope.unbind(f.var, outer)
+        if bounded:
+            # the bound is compiled after the body, so it can read what the body shares
+            bound = compile_term(f.bound, scope)
+            values, size = (lambda frame: range(bound(frame))), max(grid.nat_bound, grid.seq_len_bound)
+        else:
+            domain = _domain(f.var_type, grid)
+            values, size = (lambda frame: domain), len(domain)
+        universal = isinstance(f, (BoundedForall, Forall))
+        return _quantifier(universal, slot, values, body, resets), size * cost
 
-    def non_internal(env):
+    def non_internal(frame):
         raise AssertionError(f"non-internal node in matrix: {f!r}")
 
-    return non_internal
+    return non_internal, 1
 
 
-def _arrow_eq(f: Eq):
+def _arrow_eq(f: Eq, scope: _Frame):
     """Arrow-typed equation: True when the normal forms are alpha-equal, UNKNOWN otherwise.
 
-    The one node that still substitutes the environment and normalises.
+    The one node that still substitutes values into terms and normalises.
     """
-    names = {**free_vars(f.left), **free_vars(f.right)}
+    names = [(name, ty, scope.lookup(name)[0])
+             for name, ty in {**free_vars(f.left), **free_vars(f.right)}.items()]
 
-    def run(env):
+    def run(frame):
         left, right = f.left, f.right
-        for name, ty in names.items():
-            value = value_to_term(to_canonical(env[name], ty))
+        for name, ty, slot in names:
+            value = value_to_term(to_canonical(frame[slot], ty))
             left = substitute(left, name, value)
             right = substitute(right, name, value)
         return True if alpha_eq(normalize(left), normalize(right)) else UNKNOWN
@@ -162,14 +259,21 @@ def _arrow_eq(f: Eq):
 _CONNECTIVES = {And: (False, False, False), Or: (True, True, True), Imp: (False, True, True)}
 
 
-def _connective(kind, a, b):
-    left_stop, right_stop, decided = _CONNECTIVES[kind]
+def _connective(kind, a, b, swap: bool):
+    """Strong Kleene connective; with swap the right operand runs first.
 
-    def run(env):
-        x = a(env)
+    Every operand terminates and raises nothing, so either order gives the
+    same value; the caller swaps when the right operand is the cheaper one.
+    """
+    left_stop, right_stop, decided = _CONNECTIVES[kind]
+    if swap:
+        a, b, left_stop, right_stop = b, a, right_stop, left_stop
+
+    def run(frame):
+        x = a(frame)
         if x is left_stop:
             return decided
-        y = b(env)
+        y = b(frame)
         if y is right_stop:
             return decided
         return UNKNOWN if x is UNKNOWN or y is UNKNOWN else not decided
@@ -177,22 +281,22 @@ def _connective(kind, a, b):
     return run
 
 
-def _quantifier(universal: bool, var: str, values, body):
+def _quantifier(universal: bool, slot: int, values, body, resets: list[int]):
     """Universal stops at the first False, existential at the first True.
 
-    One copy of the environment per call, with the variable rebound for each
-    value. The copy keeps an outer binding of the same name intact. Rebinding
-    is safe because no function value built over the frame (a compiled
-    ``Lam``) outlives an iteration: a data-typed ``Eq`` consumes its values,
-    and ``_arrow_eq`` reads the environment when it is called.
+    The loop rebinds its variable's slot in place, and resets the shared
+    subterms that read the variable. A function value built in the body keeps
+    the values it reads, so rebinding never changes one that outlives an
+    iteration.
     """
     decisive = not universal
 
-    def run(env):
+    def run(frame):
         unknown = False
-        frame = dict(env)
-        for v in values(env):
-            frame[var] = v
+        for v in values(frame):
+            frame[slot] = v
+            for i in resets:
+                frame[i] = _UNSET
             r = body(frame)
             if r is decisive:
                 return decisive
@@ -203,20 +307,38 @@ def _quantifier(universal: bool, var: str, values, body):
     return run
 
 
+def _evaluator(matrix: Formula, names, grid: Grid):
+    """Compile a desugared internal matrix once: values of names, in order -> True | False | UNKNOWN."""
+    scope = _Frame(names)
+    run = _compile(matrix, scope, grid)[0]
+    initial = scope.initial
+    return lambda values: run([*values, *initial])
+
+
 def compile_matrix(matrix: Formula, grid: Grid):
     """Compile an internal matrix once: env -> True | False | UNKNOWN.
 
     The environment maps every free variable of the matrix to its native
-    value (see ``to_native``). Quantifier domains come from the per-grid
-    tables of ``_domain``.
+    value (see ``to_native``).
     """
-    return _compile(desugar(matrix), grid)
+    matrix = desugar(matrix)
+    names = list(free_vars(matrix))
+    run = _evaluator(matrix, names, grid)
+    return lambda env: run([env[name] for name in names])
 
 
 @functools.lru_cache(maxsize=64)
 def _domain(t: FiniteType, grid: Grid) -> tuple:
-    """Native values of a data type on the grid, in enumeration order; cached per (type, grid)."""
-    return tuple(to_native(v) for v in enumerate_values(t, grid))
+    """Native values of a data type on the grid, in enumeration order; cached per (type, grid).
+
+    A sequence type's values are built from its element type's domain, by
+    length and then in product order, as ``enumerate_values`` yields them.
+    """
+    if not isinstance(t, Star) or type_depth(t) > grid.depth_bound:
+        return tuple(to_native(v) for v in enumerate_values(t, grid))
+    elems = _domain(t.element, grid)
+    return tuple(itertools.chain.from_iterable(
+        itertools.product(elems, repeat=n) for n in range(grid.seq_len_bound + 1)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -249,7 +371,7 @@ def eval_formula(matrix: Formula, env: dict[str, CanonicalValue], grid: Grid) ->
     m = desugar(matrix)
     assert classify(m).internal, "eval_formula needs an internal formula"
     m, native = _native_env(m, env)
-    r = compile_matrix(m, grid)(native)
+    r = _evaluator(m, list(native), grid)(native.values())
     if r is True:
         return GridValid()
     if r is False:
@@ -257,17 +379,9 @@ def eval_formula(matrix: Formula, env: dict[str, CanonicalValue], grid: Grid) ->
     return Unknown("non-data quantifier encountered")
 
 
-def _assignments(names: list[tuple[str, FiniteType]], grid: Grid):
-    """All native grid environments for the given typed names, in enumeration order."""
-    keys = [name for name, _ in names]
-    domains = [_domain(t, grid) for _, t in names]
-    for combo in itertools.product(*domains):
-        yield dict(zip(keys, combo))
-
-
-def _counterexample(env: dict, names: list[tuple[str, FiniteType]]) -> CounterexampleFound:
+def _counterexample(values, names: list[tuple[str, FiniteType]]) -> CounterexampleFound:
     return CounterexampleFound(
-        tuple(sorted((name, to_canonical(env[name], t)) for name, t in names))
+        tuple(sorted((name, to_canonical(v, t)) for (name, t), v in zip(names, values)))
     )
 
 
@@ -308,12 +422,12 @@ def verify_bundle(bundle, grid: Grid) -> Verdict:
         return Unknown("non-data universal variable")
     if any(type_depth(t) > grid.depth_bound for _, t in remaining):
         return Unknown("universal variable type deeper than the grid bound")
-    evaluate = compile_matrix(matrix, grid)
+    evaluate = _evaluator(matrix, [name for name, _ in remaining], grid)
     saw_unknown = False
-    for env in _assignments(remaining, grid):
-        r = evaluate(env)
+    for values in itertools.product(*(_domain(t, grid) for _, t in remaining)):
+        r = evaluate(values)
         if r is False:
-            return _counterexample(env, remaining)
+            return _counterexample(values, remaining)
         if r is UNKNOWN:
             saw_unknown = True
     if saw_unknown:
@@ -324,7 +438,7 @@ def verify_bundle(bundle, grid: Grid) -> Verdict:
 def replay(bundle, verdict: CounterexampleFound, grid: Grid) -> bool:
     """Re-evaluate a counterexample environment; True iff the matrix is false there."""
     matrix, env = _native_env(_instantiate(bundle), verdict.env_dict())
-    return compile_matrix(matrix, grid)(env) is False
+    return _evaluator(matrix, list(env), grid)(env.values()) is False
 
 
 def check_upward_closed(tf, grid: Grid) -> Verdict:
@@ -336,18 +450,15 @@ def check_upward_closed(tf, grid: Grid) -> Verdict:
         return Unknown("non-data tuple or free variable")
     if not tf.exist_tuple:
         return GridValid()  # no witness sequence to extend
-    evaluate = _compile(matrix, grid)
     exist_names = [n for n, _ in tf.exist_tuple]
     rest = [(n, t) for n, t in names if n not in exist_names]
+    order = rest + list(tf.exist_tuple)
+    evaluate = _evaluator(matrix, [n for n, _ in order], grid)
     exist_domains = [_domain(t, grid) for _, t in tf.exist_tuple]
     pairs_per_comp = [_extensions(t, grid) for _, t in tf.exist_tuple]
-    for env in _assignments(rest, grid):
-        # evaluate once per witness assignment, rebinding the witnesses in env
-        # (safe as in _quantifier), then sweep the extension pairs
-        truth: dict[tuple, object] = {}
-        for combo in itertools.product(*exist_domains):
-            env.update(zip(exist_names, combo))
-            truth[combo] = evaluate(env)
+    for outer in itertools.product(*(_domain(t, grid) for _, t in rest)):
+        # evaluate once per witness assignment, then sweep the extension pairs
+        truth = {combo: evaluate(outer + combo) for combo in itertools.product(*exist_domains)}
         # keep, in order, the pairs whose ends occur in some true / false witness tuple
         viable = []
         for k, pairs in enumerate(pairs_per_comp):
@@ -357,8 +468,7 @@ def check_upward_closed(tf, grid: Grid) -> Verdict:
         for pair_combo in itertools.product(*viable):
             small, big = zip(*pair_combo)
             if truth[small] is True and truth[big] is False:
-                env.update(zip(exist_names, big))
-                return _counterexample(env, names)
+                return _counterexample(outer + big, order)
     return GridValid()
 
 
@@ -374,8 +484,8 @@ def brute_force_witness(formula: Formula, grid: Grid):
     assert isinstance(f, Exists), "needs a leading existential"
     values = _domain(f.var_type, grid)
     _require_closed(f, ())
-    body = compile_matrix(f.body, grid)
+    body = _evaluator(f.body, [f.var], grid)
     for v in values:
-        if body({f.var: v}) is True:
+        if body((v,)) is True:
             return to_canonical(v, f.var_type)
     return None

@@ -6,11 +6,15 @@ serves where a term is the output: arrow-typed values and extracted
 realisers.
 
 The native evaluator (``compile_term``) compiles a term once into a Python
-closure over an environment of native values: N is ``int``, ``t*`` is
-``tuple`` and arrows are one-argument callables; recursors run as loops. It
-computes values and has no read-back to terms. Every closed data-typed term
-is evaluated by it (``eval_nat``, ``eval_seq``, ``term_to_value``). It trusts
-types, so each of those entry points type-checks first.
+closure over a frame of native values: N is ``int``, ``t*`` is ``tuple`` and
+arrows are one-argument callables; recursors run as loops. A ``Scope``
+resolves each variable to its frame index at compile time. The frame of a
+function body is a tuple: the argument, then the values the function value
+captured when it was built, so a function value gives the same results for
+as long as it lives. The evaluator computes values and has no read-back to
+terms. Every closed data-typed term is evaluated by it (``eval_nat``,
+``eval_seq``, ``term_to_value``). It trusts types, so each of those entry
+points type-checks first.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .ftypes import Arrow, FiniteType, Ground, N, Star, is_data_type
 from .terms import (
@@ -265,7 +270,7 @@ def _lrec(x, y, s):
 
 def _proj(elem: FiniteType):
     """Projection with the default of the element type past the end."""
-    d = compile_term(default_term(elem))({})
+    d = compile_term(default_term(elem))(())
     return lambda s, i: s[i] if i < len(s) else d
 
 
@@ -305,32 +310,79 @@ def _const(c: Const):
     return _curry(op(c), arity)
 
 
-def compile_term(t: Term):
-    """Closure env -> native value of the term; env maps its free variables to natives."""
+class Scope:
+    """Compile-time layout of the frame a compiled term reads its variables from.
+
+    ``lookup`` gives a variable's frame index and its depth: the nesting level
+    of the binder that binds it, which a layout with loops uses to tell which
+    subterms a loop leaves unchanged. ``share`` may replace the closure of a
+    compound subterm by one that reuses an earlier value. This base layout is
+    the empty frame of a closed term: it has no variable and shares nothing.
+    """
+
+    def lookup(self, name: str) -> tuple[int, int]:
+        raise NotClosed(f"free variables: [{name!r}]")
+
+    def share(self, t: Term, run, depth: int):
+        return run
+
+
+class _FunctionScope(Scope):
+    """The frame of a function body: the argument at index 0, then the captured values."""
+
+    def __init__(self, parent: Scope, var: str):
+        self.parent = parent
+        self.slots = {var: (0, -1)}  # depths inside a body go unused: it shares nothing
+        self.captured: list[int] = []  # parent indices of frame indices 1, 2, ...
+        self.depth = -1  # deepest parent binder among the captured variables
+
+    def lookup(self, name: str) -> tuple[int, int]:
+        found = self.slots.get(name)
+        if found is None:
+            index, depth = self.parent.lookup(name)
+            self.captured.append(index)
+            self.depth = max(self.depth, depth)
+            found = self.slots[name] = (len(self.slots), depth)
+        return found
+
+
+_CLOSED = Scope()
+
+
+def compile_term(t: Term, scope: Scope = _CLOSED):
+    """Closure frame -> native value of the term; scope gives each free variable's frame index."""
+    return _compile(t, scope)[0]
+
+
+def _compile(t: Term, scope: Scope):
+    """The closure of t and its depth: the deepest binder among its free variables, -1 if none."""
     if isinstance(t, Var):
-        name = t.name
-        return lambda env: env[name]
+        index, depth = scope.lookup(t.name)
+        return itemgetter(index), depth
     if isinstance(t, Const):
         value = _const(t)
-        return lambda env: value
+        return (lambda frame: value), -1
     if isinstance(t, (Lam, SeqAbs)):
-        body, var = compile_term(t.body), t.var
-
-        def make(env):
-            return lambda x: body({**env, var: x})
-
-        return make if isinstance(t, Lam) else lambda env: (make(env),)
+        inner = _FunctionScope(scope, t.var)
+        make = _function(_compile(t.body, inner)[0], inner.captured)
+        if isinstance(t, SeqAbs):
+            make = _singleton_of(make)
+        return scope.share(t, make, inner.depth), inner.depth
     assert isinstance(t, App)
     if t.fun == SUCC:
         # numerals and other successor chains compile flat, whatever their depth
-        k = 0
-        while isinstance(t, App) and t.fun == SUCC:
-            k, t = k + 1, t.arg
-        inner = compile_term(t)
-        return lambda env: inner(env) + k
-    head, args = t, []
+        k, base = 0, t
+        while isinstance(base, App) and base.fun == SUCC:
+            k, base = k + 1, base.arg
+        if isinstance(base, Const) and base.kind is ConstKind.ZERO:
+            return (lambda frame: k), -1
+        inner, depth = _compile(base, scope)
+        return scope.share(t, lambda frame: inner(frame) + k, depth), depth
+    head, args, depth = t, [], -1
     while isinstance(head, App):
-        args.append(compile_term(head.arg))
+        arg, d = _compile(head.arg, scope)
+        args.append(arg)
+        depth = max(depth, d)
         head = head.fun
     args.reverse()
     operator = isinstance(head, Const) and head.kind in _OPERATORS
@@ -339,26 +391,56 @@ def compile_term(t: Term):
         run = _saturated(op(head), args[:arity])
         args = args[arity:]
     else:
-        run = compile_term(head)
+        run, d = _compile(head, scope)
+        depth = max(depth, d)
     for arg in args:
         run = _apply(run, arg)
-    return run
+    return scope.share(t, run, depth), depth
+
+
+def _function(body, captured: list[int]):
+    """Closure frame -> function value; the value keeps the captured values it reads."""
+    if not captured:
+
+        def value(x):
+            return body((x,))
+
+        return lambda frame: value
+    if len(captured) == 1:
+        (index,) = captured
+
+        def make_one(frame):
+            v = frame[index]
+            return lambda x: body((x, v))
+
+        return make_one
+    get = itemgetter(*captured)
+
+    def make(frame):
+        vs = get(frame)
+        return lambda x: body((x, *vs))
+
+    return make
+
+
+def _singleton_of(make):
+    return lambda frame: (make(frame),)
 
 
 def _saturated(op, args):
     """A fully applied operator, called directly on the native arguments."""
     if len(args) == 1:
         (a,) = args
-        return lambda env: op(a(env))
+        return lambda frame: op(a(frame))
     if len(args) == 2:
         a, b = args
-        return lambda env: op(a(env), b(env))
+        return lambda frame: op(a(frame), b(frame))
     a, b, c = args
-    return lambda env: op(a(env), b(env), c(env))
+    return lambda frame: op(a(frame), b(frame), c(frame))
 
 
 def _apply(fun, arg):
-    return lambda env: fun(env)(arg(env))
+    return lambda frame: fun(frame)(arg(frame))
 
 
 # -- values of closed terms ----------------------------------------------------
@@ -376,7 +458,7 @@ def eval_nat(term: Term) -> int:
     t = _closed_type(term)
     if t != N:
         raise NotGroundType(repr(t))
-    return compile_term(term)({})
+    return compile_term(term)(())
 
 
 def eval_seq(term: Term) -> list[CanonicalValue]:
@@ -384,7 +466,7 @@ def eval_seq(term: Term) -> list[CanonicalValue]:
     t = _closed_type(term)
     if not (isinstance(t, Star) and is_data_type(t)):
         raise NotDataType(repr(t))
-    return [to_canonical(v, t.element) for v in compile_term(term)({})]
+    return [to_canonical(v, t.element) for v in compile_term(term)(())]
 
 
 def term_to_value(term: Term, t: FiniteType) -> CanonicalValue:
@@ -394,7 +476,7 @@ def term_to_value(term: Term, t: FiniteType) -> CanonicalValue:
     found = _closed_type(term)
     if found != t:
         raise IllTyped("term_to_value", t, found)
-    return to_canonical(compile_term(term)({}), t)
+    return to_canonical(compile_term(term)(()), t)
 
 
 def value_to_term(v: CanonicalValue) -> Term:

@@ -1,7 +1,11 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from nsdial import oracle
 from nsdial.ftypes import Arrow, N, Star, is_data_type, type_depth
 from nsdial.formulas import (
     And,
@@ -42,6 +46,7 @@ from nsdial.reduce import (
     to_canonical,
     value_to_term,
 )
+from nsdial.sexpr import parse_bundle, read_one
 from nsdial.terms import (
     App,
     Const,
@@ -270,6 +275,91 @@ def test_compiled_matches_reference_on_random_matrices():
     assert seen == {True, False}
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+BUNDLES = sorted((FIXTURES / "corpus").glob("*.bundle")) + sorted((FIXTURES / "negative").glob("*.bundle"))
+
+
+@pytest.mark.parametrize("path", BUNDLES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_compiled_matches_reference_on_fixture_matrices(path):
+    # the instantiated matrices carry Lam, lrec, sapp and concat, under
+    # quantifiers whose loops share the subterms they leave unchanged
+    bundle = parse_bundle(read_one(path.read_text()))
+    matrix = oracle._instantiate(bundle)
+    scope = oracle._sweep_names(bundle.translated.univ_tuple, matrix)
+    # the reference substitutes and normalises at every node: underspill at (2,2) takes seconds
+    larger = Grid(2, 1) if "underspill" in path.name else Grid(2, 2)
+    seen = set(compiled_results(matrix, scope, Grid(1, 1)) + compiled_results(matrix, scope, larger))
+    assert seen == ({False, True} if "corrupt" in path.name else {True})
+
+
+def test_compiled_matches_reference_with_either_operand_first():
+    # a quantified operand costs more than an unquantified one, so it runs
+    # second whether it stands on the left or on the right
+    r = rng(47)
+    scope = [("a", N), ("s", Star(N))]
+    grid = Grid(2, 1)
+    seen = set()
+    for _ in range(25):
+        m = random_internal(r, scope, 2)
+        q = Forall("y", N, random_internal(r, scope + [("y", N)], 2))
+        for kind in (And, Or, Imp):
+            seen.update(compiled_results(kind(m, q), scope, grid))
+            seen.update(compiled_results(kind(q, m), scope, grid))
+    assert seen == {True, False}
+
+
+def test_cheaper_operand_runs_first(monkeypatch):
+    # an arrow-typed equation normalises, so it runs only when the cheap operand does not decide
+    calls = []
+    real = oracle.normalize
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(oracle, "normalize", counting)
+    fn = Arrow(N, N)
+    arrow = Eq(fn, lam([("x", N)], Var("x", N)), lam([("y", N)], Var("y", N)))
+    true, false = Eq(N, a_, a_), Eq(N, App(SUCC, a_), ZERO)
+    for f, want in ((Or(arrow, true), True), (And(arrow, false), False),
+                    (Imp(arrow, true), True), (Or(true, arrow), True)):
+        assert compiled_results(f, [("a", N)], Grid(1, 1)) == [want, want]
+    assert calls == []
+    assert compiled_results(And(arrow, true), [("a", N)], Grid(1, 1)) == [True, True]
+    assert calls
+
+
+def test_verify_and_replay_desugar_the_matrix_once(monkeypatch):
+    calls = []
+    real = oracle.desugar
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(oracle, "desugar", counting)
+    bundle = fx.os_u_corrupt()
+    verdict = verify_bundle(bundle, Grid(2, 2))
+    assert replay(bundle, verdict, Grid(2, 2))
+    assert len(calls) == 2
+
+
+def test_underspill_at_len_bound_three_is_grid_valid_within_the_cap():
+    # 65,641 values of spp; the cheap conclusion decides most of them, so the
+    # premise's sweep over sv runs for few
+    src = Path(oracle.__file__).parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "from pathlib import Path\n"
+        "from nsdial.oracle import Grid, GridValid, verify_bundle\n"
+        "from nsdial.sexpr import parse_bundle, read_one\n"
+        f"b = parse_bundle(read_one(Path({str(FIXTURES / 'corpus' / 'underspill.dst.bundle')!r}).read_text()))\n"
+        "assert verify_bundle(b, Grid(2, 3)) == GridValid()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=15)
+    assert done.returncode == 0, done.stderr
+
+
 a_, n_, s_ = Var("a", N), Var("n", N), Var("s", Star(N))
 
 
@@ -428,6 +518,14 @@ def test_inner_binder_does_not_clobber_the_outer_variable():
         assert compiled_results(f, [("x", N)], Grid(2, 1)) == [True, False, False]
 
 
+def test_sibling_loops_share_nothing_over_their_own_binders():
+    # succ x is reused across the inner loop of each conjunct, over that conjunct's own x
+    x, y = Var("x", N), Var("y", N)
+    first = Forall("x", N, Exists("y", N, Eq(N, App(SUCC, x), App(SUCC, y))))
+    second = Exists("x", N, Forall("y", N, Eq(N, App(SUCC, x), App(SUCC, a_))))
+    assert compiled_results(And(first, second), [("a", N)], Grid(2, 1)) == [True, True, True]
+
+
 def reference_upward_sweep(tf, grid):
     """The sweep as it was with a fresh environment per evaluation and pairs built per matrix."""
     from nsdial.formulas import free_vars
@@ -530,3 +628,17 @@ def test_upward_sweep_builds_each_domain_once(monkeypatch):
     assert 0 < len(calls) <= 20
     assert isinstance(oracle._domain(Star(N), Grid(2, 2)), tuple)
     assert isinstance(oracle._extensions(Star(N), Grid(2, 2)), tuple)
+
+
+def test_domain_is_the_enumeration_in_native_form():
+    for t in (N, Star(N), Star(Star(N)), Star(Star(Star(N)))):
+        for grid in (Grid(0, 1), Grid(1, 1, 3), Grid(2, 2), Grid(1, 2, 1)):
+            try:
+                want = tuple(to_native(v) for v in enumerate_values(t, grid))
+            except NotDataType:
+                with pytest.raises(NotDataType):
+                    oracle._domain(t, grid)
+                continue
+            assert oracle._domain(t, grid) == want, (t, grid)
+    with pytest.raises(NotDataType):
+        oracle._domain(Star(Arrow(N, N)), Grid(1, 1))
