@@ -275,9 +275,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_error(e: OSError) -> int:
+    # a directory, or a path under a missing directory
+    print(f"error: cannot write report: {e}", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.json and args.command == "corpus":
+        # a corpus run may sweep for minutes: learn first that its report cannot be written
+        try:
+            args.json.open("a").close()  # creates the file; any content stays until the end
+        except OSError as e:
+            return _report_error(e)
     started = time.monotonic()
     report = {"command": argv, "grid": None, "inputs": [], "outcome": {}}
     if hasattr(args, "nat_bound"):
@@ -329,9 +341,7 @@ def run(argv: list[str]) -> int:
         try:
             args.json.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         except OSError as e:
-            # a directory, or a path under a missing directory
-            print(f"error: cannot write report: {e}", file=sys.stderr)
-            return EXIT_ERROR
+            return _report_error(e)
     return status
 
 

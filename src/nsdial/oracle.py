@@ -20,6 +20,16 @@ recursion that compiles a node
 The closures compute values and read nothing back into terms. The grid is
 then swept over native values; canonical ``Nat``/``Seq`` values are rebuilt
 only to report a counterexample.
+
+Upward closure of a herbrandised matrix is first certified statically, and
+swept only where the certificate does not apply. A witness s is certified
+when every occurrence of s is a unit (proj s i), with i bound by
+bexists i < (len s) in a positive position or bforall i < (len s) in a
+negative one and used nowhere else. Such a quantifier depends on the set of
+elements of s only, and the sweep's extension pairs are ordered by set
+inclusion; strong Kleene connectives and quantifiers are monotone in
+False < Unknown < True. So when every witness is certified, no extension can
+turn True into False, and the verdict is GridValid without a sweep.
 """
 
 from __future__ import annotations
@@ -58,7 +68,13 @@ from .reduce import (
     value_to_term,
 )
 from .terms import (
+    App,
+    Const,
+    ConstKind,
     IllTyped,
+    Lam,
+    SeqAbs,
+    Var,
     alpha_eq,
     free_vars,
     substitute,
@@ -441,8 +457,95 @@ def replay(bundle, verdict: CounterexampleFound, grid: Grid) -> bool:
     return _evaluator(matrix, list(env), grid)(env.values()) is False
 
 
+_WITNESS = object()  # the role of a witness name where no binder shadows it
+
+
+def _upward_certified(matrix: Formula, witnesses) -> bool:
+    """Whether every witness occurs only in units that keep the matrix upward closed.
+
+    A unit of the witness s is (proj s i), where i is bound by
+    bexists i < (len s) in a positive position or by bforall i < (len s) in a
+    negative one, and i occurs in no other place. A binder that rebinds s or
+    i ends its scope. Any other occurrence of s, an equation at a non-data
+    type or a node class not listed here rejects the matrix.
+
+    One walk over an explicit stack checks every witness. ``role`` maps a
+    name to _WITNESS, to the witness an index ranges over, or to None for a
+    name bound by any other binder. A binder pushes its name and previous
+    role below its body, which restores the role when its scope ends. Each
+    formula goes on the stack with its polarity; a term with None.
+    """
+    role = dict.fromkeys(witnesses, _WITNESS)
+    stack: list = [(matrix, True)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, positive = pop()
+        cls = node.__class__
+        if cls is App:
+            fun, arg = node.fun, node.arg
+            if (fun.__class__ is App and fun.fun.__class__ is Const
+                    and fun.fun.kind is ConstKind.PROJ and fun.arg.__class__ is Var
+                    and arg.__class__ is Var and role.get(arg.name) == fun.arg.name
+                    and role.get(fun.arg.name) is _WITNESS):
+                continue  # a unit
+            push((arg, None))
+            push((fun, None))
+        elif cls is Var:
+            if role.get(node.name) is not None:
+                return False  # a witness or an index outside a unit
+        elif cls is Const:
+            pass
+        elif cls is str:
+            role[node] = positive  # a scope ends: the name's previous role
+        elif cls is Eq:
+            if not is_data_type(node.type):
+                return False
+            push((node.right, None))
+            push((node.left, None))
+        elif cls is And or cls is Or:
+            push((node.right, positive))
+            push((node.left, positive))
+        elif cls is Imp:
+            push((node.right, positive))
+            push((node.left, not positive))
+        elif cls is BoundedExists or cls is BoundedForall:
+            bound, witness = node.bound, None
+            if ((cls is BoundedExists) is positive and bound.__class__ is App
+                    and bound.fun.__class__ is Const and bound.fun.kind is ConstKind.LEN
+                    and bound.arg.__class__ is Var and role.get(bound.arg.name) is _WITNESS):
+                witness = bound.arg.name
+            else:
+                push((bound, None))  # the bound lies outside the scope: popped after it ends
+            push((node.var, role.get(node.var)))
+            push((node.body, positive))
+            role[node.var] = witness
+        elif cls is Forall or cls is Exists or cls is Lam or cls is SeqAbs:
+            push((node.var, role.get(node.var)))
+            push((node.body, positive))
+            role[node.var] = None
+        else:
+            return False
+    return True
+
+
 def check_upward_closed(tf, grid: Grid) -> Verdict:
-    """Truth of the matrix must survive extending any witness sequence."""
+    """Truth of the matrix must survive extending any witness sequence.
+
+    After the guard that gives Unknown for a non-data or too deep variable,
+    a matrix that ``_upward_certified`` accepts for every witness s is
+    GridValid at once, with nothing compiled or swept. Every occurrence of s
+    in it is (proj s i) under bexists i < (len s) in a positive position or
+    bforall i < (len s) in a negative one, with i used nowhere else. Such a
+    quantifier ranges over the elements of s, so its value depends on set(s)
+    only, and the extension pairs order witnesses by set inclusion. As set(s)
+    grows, a positive bexists can only rise and a negative bforall only fall;
+    strong Kleene connectives and quantifiers are monotone in
+    False < Unknown < True, so the matrix can only rise, and no extension
+    pair goes from True to False. Otherwise every witness assignment is
+    evaluated and the extension pairs are swept in order; the first pair
+    true at its small end and false at its big end gives the
+    counterexample, at the big end.
+    """
     assert tf.flavor is Flavor.DST
     matrix = desugar(tf.matrix)
     names = _sweep_names(list(tf.exist_tuple) + list(tf.univ_tuple), matrix)
@@ -451,6 +554,8 @@ def check_upward_closed(tf, grid: Grid) -> Verdict:
     if not tf.exist_tuple:
         return GridValid()  # no witness sequence to extend
     exist_names = [n for n, _ in tf.exist_tuple]
+    if _upward_certified(matrix, exist_names):
+        return GridValid()
     rest = [(n, t) for n, t in names if n not in exist_names]
     order = rest + list(tf.exist_tuple)
     evaluate = _evaluator(matrix, [n for n, _ in order], grid)

@@ -257,6 +257,31 @@ def test_unwritable_report_exits_two(tmp_path, capsys, where):
     assert captured.err.count("\n") == 1 and str(report) in captured.err
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_corpus_report_exits_two_before_any_item(tmp_path, capsys, monkeypatch, where):
+    import nsdial.cli
+
+    items = []
+    monkeypatch.setattr(nsdial.cli, "_corpus_item", lambda *a: items.append(a))
+    report = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+    assert run(["--json", str(report), "corpus", "run", str(CORPUS)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and items == []
+    assert captured.err.startswith("error: cannot write report: ")
+    assert captured.err.count("\n") == 1 and str(report) in captured.err
+
+
+def test_corpus_report_may_overwrite_an_input(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    term = corpus / "len_nil.term"
+    term.write_text("(len (nil N))\n")
+    assert run(["--json", str(term), "corpus", "run", str(corpus)]) == 0
+    assert capsys.readouterr().out.split() == ["ok", "len_nil.term"]
+    report = json.loads(term.read_text())
+    assert report["outcome"]["items"] == [{"file": "len_nil.term", "normal_form": "zero", "status": "ok"}]
+
+
 def test_numerals_int_rejects_are_corpus_errors(tmp_path, capsys):
     # a superscript digit passes str.isdigit but not int(); Arabic-Indic digits pass both
     corpus = tmp_path / "corpus"

@@ -19,7 +19,7 @@ from nsdial.formulas import (
     Or,
     desugar,
 )
-from nsdial.gen import random_internal, rng
+from nsdial.gen import random_internal, random_upward_safe, rng
 from nsdial.oracle import (
     UNKNOWN,
     CounterexampleFound,
@@ -56,6 +56,7 @@ from nsdial.terms import (
     Var,
     ZERO,
     alpha_eq,
+    free_vars,
     lam,
     list_rec,
     nat_rec,
@@ -618,6 +619,7 @@ def test_upward_sweep_builds_each_domain_once(monkeypatch):
         return real(t, grid)
 
     monkeypatch.setattr(oracle, "enumerate_values", counting)
+    monkeypatch.setattr(oracle, "_upward_certified", lambda matrix, witnesses: False)
     oracle._domain.cache_clear()
     oracle._extensions.cache_clear()
     r = rng(7)
@@ -642,3 +644,171 @@ def test_domain_is_the_enumeration_in_native_form():
             assert oracle._domain(t, grid) == want, (t, grid)
     with pytest.raises(NotDataType):
         oracle._domain(Star(Arrow(N, N)), Grid(1, 1))
+
+
+# -- the upward-closure certificate ---------------------------------------------
+
+CLOSURE_GRIDS = (Grid(1, 2), Grid(2, 2), Grid(2, 3))
+WITNESSES = (("s", Star(N)), ("s2", Star(N)))
+certificate = oracle._upward_certified  # kept here, since some tests patch it out
+
+
+def is_certified(tf) -> bool:
+    return certificate(desugar(tf.matrix), [name for name, _ in tf.exist_tuple])
+
+
+def sweep_always(monkeypatch) -> None:
+    monkeypatch.setattr(oracle, "_upward_certified", lambda matrix, witnesses: False)
+
+
+def witness_matrices(r, draws: int) -> list:
+    """Distinct random_internal matrices over two (* N) witnesses, at depths 1 and 2 in turn.
+
+    Each becomes a DST translation whose witness tuple lists the witnesses
+    its matrix mentions, so that a sweep enumerates only those; a matrix
+    that mentions neither is left out.
+    """
+    out = {}
+    for k in range(draws):
+        matrix = random_internal(r, list(WITNESSES), 1 + k % 2)
+        mentioned = free_vars(matrix)
+        exist = tuple(w for w in WITNESSES if w[0] in mentioned)
+        if exist:
+            out[TranslatedFormula(exist, (), matrix, Flavor.DST)] = None
+    return list(out)
+
+
+def test_certified_matrices_pass_the_forced_sweep(monkeypatch):
+    sweep_always(monkeypatch)
+    tfs = witness_matrices(rng(105), 600)
+    # topped up with translations of one witness and nothing else to sweep: 40 points at (2,3)
+    r = rng(106)
+    translations = {}
+    while len(tfs) + len(translations) < 2000:
+        tf = dst_translate(random_upward_safe(r, [], 2))
+        if tf.exist_tuple and oracle.sweep_points(tf, CLOSURE_GRIDS[-1]) <= 40:
+            translations[tf] = None
+    tfs += translations
+    certified = mention = found = 0
+    for tf in tfs:
+        if is_certified(tf):
+            certified += 1
+            mention += any(name in free_vars(tf.matrix) for name, _ in tf.exist_tuple)
+            for grid in CLOSURE_GRIDS:
+                assert check_upward_closed(tf, grid) == GridValid(), (tf.matrix, grid)
+        else:
+            found += isinstance(check_upward_closed(tf, CLOSURE_GRIDS[1]), CounterexampleFound)
+    assert len(tfs) >= 2000 and mention >= 500 and found >= 5, (len(tfs), mention, found)
+
+
+def test_hand_built_matrices_that_are_not_upward_closed_are_not_certified():
+    # the hand-built matrices of test_upward_sweep_matches_reference
+    s, s2 = Var("s", Star(N)), Var("s2", Star(N))
+    hand = [
+        Eq(N, seq_len(N, s), numeral(1)),
+        Imp(In(N, a_, s), Eq(N, a_, Var("b", N))),
+        And(In(N, a_, s2), Imp(In(N, ZERO, s), Eq(N, a_, ZERO))),
+        Forall("a", N, Imp(In(N, a_, s), Eq(N, seq_len(N, s2), a_))),
+        Or(Eq(Star(N), s, seq_term(N, [numeral(1)])), Eq(Star(N), s, seq_term(N, [ZERO, ZERO]))),
+    ]
+    for matrix in hand:
+        tf = TranslatedFormula(WITNESSES, (("a", N),), matrix, Flavor.DST)
+        assert not is_certified(tf), matrix
+        assert isinstance(check_upward_closed(tf, Grid(1, 2)), CounterexampleFound), matrix
+
+
+def test_witness_carrying_upward_safe_translations_are_certified():
+    r = rng(104)
+    checked = 0
+    while checked < 2000:
+        tf = dst_translate(random_upward_safe(r, [("fv", N)], 3))
+        if tf.exist_tuple:
+            assert is_certified(tf), tf.matrix
+            checked += 1
+
+
+def test_certified_matrices_are_neither_compiled_nor_swept(monkeypatch):
+    calls = []
+    enumerate_real, evaluator_real = oracle.enumerate_values, oracle._evaluator
+    monkeypatch.setattr(oracle, "enumerate_values", lambda *a: calls.append(a) or enumerate_real(*a))
+    monkeypatch.setattr(oracle, "_evaluator", lambda *a: calls.append(a) or evaluator_real(*a))
+    oracle._domain.cache_clear()
+    oracle._extensions.cache_clear()
+    r = rng(7)
+    certified = 0
+    for _ in range(100):
+        tf = dst_translate(random_upward_safe(r, [("fv", N)], 3))
+        assert check_upward_closed(tf, Grid(2, 2)) == GridValid()
+        certified += bool(tf.exist_tuple)
+    assert calls == [] and certified >= 40
+
+
+def test_certificate_runs_after_the_type_guard():
+    s, ss = Var("s", Star(N)), Var("ss", Star(Star(N)))
+    non_data = In(N, App(Var("f", Arrow(N, N)), ZERO), s)
+    deep = In(Star(N), seq_term(N, []), ss)
+    for exist, matrix, grid in ((WITNESSES[:1], non_data, Grid(2, 2)),
+                                ((("ss", Star(Star(N))),), deep, Grid(2, 2, 1))):
+        tf = TranslatedFormula(exist, (), matrix, Flavor.DST)
+        assert is_certified(tf)
+        assert check_upward_closed(tf, grid) == Unknown("non-data tuple or free variable")
+
+
+def test_non_internal_matrix_is_not_certified_and_still_swept():
+    from nsdial.formulas import St
+
+    tf = TranslatedFormula(WITNESSES[:1], (("a", N),), And(In(N, ZERO, s_), St(N, a_)), Flavor.DST)
+    assert not is_certified(tf)
+    with pytest.raises(AssertionError, match="non-internal node"):
+        check_upward_closed(tf, Grid(1, 2))
+
+
+def test_arrow_equation_over_a_unit_is_not_certified():
+    i = Var("i", N)
+    unit = Lam("x", N, proj(N, s_, i))
+    for right in (unit, Lam("x", N, Var("x", N))):
+        matrix = BoundedExists("i", seq_len(N, s_), Eq(Arrow(N, N), unit, right))
+        tf = TranslatedFormula(WITNESSES[:1], (), matrix, Flavor.DST)
+        assert not is_certified(tf)
+        assert check_upward_closed(tf, Grid(1, 2)) == reference_upward_sweep(tf, Grid(1, 2))
+
+
+def test_certificate_scopes_end_at_a_rebinding_binder():
+    u, i, j = Var("u", Star(N)), Var("i", N), Var("j", N)
+    len_s, len_u = seq_len(N, s_), seq_len(N, u)
+    one = numeral(1)
+    cases = [
+        # an index rebound by the unit of another witness, as translation emits it
+        (BoundedExists("i", len_u, BoundedExists("i", len_s, Eq(N, proj(N, s_, i), one))), True),
+        (BoundedExists("i", len_s, BoundedExists("j", len_s, Eq(N, proj(N, s_, i), proj(N, s_, j)))),
+         True),
+        # a bound lies outside its binder's scope: here it reads the outer i
+        (BoundedExists("i", len_s, BoundedExists("i", proj(N, s_, i), Eq(N, i, i))), True),
+        # bforall in a negative position
+        (Imp(BoundedForall("i", len_s, Eq(N, proj(N, s_, i), ZERO)), Eq(N, proj(N, u, ZERO), one)),
+         False),
+        (Imp(BoundedForall("i", len_s, Eq(N, proj(N, s_, i), ZERO)), Eq(N, a_, one)), True),
+        (BoundedForall("i", len_s, Eq(N, proj(N, s_, i), ZERO)), False),
+        # the index rebound: proj s i reads the inner i, by position (a counterexample at (1,2))
+        (BoundedExists("i", len_s, Forall("i", N, Eq(N, proj(N, s_, i), ZERO))), False),
+        # the witness rebound: its own occurrences are the binder's, but i escapes its unit
+        (BoundedExists("i", len_s, Forall("s", Star(N), Eq(N, proj(N, s_, ZERO), proj(N, s_, ZERO)))),
+         True),
+        (BoundedExists("i", len_s, Exists("s", Star(N), Eq(N, proj(N, s_, i), one))), False),
+        # the same through term binders
+        (BoundedExists("i", len_s, Eq(N, App(Lam("i", N, i), proj(N, s_, i)), one)), True),
+        (BoundedExists("i", len_s, Eq(N, App(Lam("s", Star(N), proj(N, s_, i)), seq_term(N, [])),
+                                      ZERO)), False),
+        # sapp (sabs i. [s_i]) 0 is the first element of s
+        (BoundedExists("i", len_s, Eq(Star(N), seq_app(N, N, sabs([("i", N)], singleton(N, proj(N, s_, i))),
+                                                       ZERO), singleton(N, one))), False),
+    ]
+    grid = Grid(1, 2)
+    verdicts = set()
+    for matrix, want in cases:
+        tf = TranslatedFormula((("s", Star(N)), ("u", Star(N))), (("a", N),), matrix, Flavor.DST)
+        assert is_certified(tf) is want, matrix
+        got = check_upward_closed(tf, grid)
+        assert got == reference_upward_sweep(tf, grid), matrix
+        verdicts.add(type(got))
+    assert verdicts == {GridValid, CounterexampleFound}
