@@ -648,7 +648,6 @@ def test_domain_is_the_enumeration_in_native_form():
 
 # -- the upward-closure certificate ---------------------------------------------
 
-CLOSURE_GRIDS = (Grid(1, 2), Grid(2, 2), Grid(2, 3))
 WITNESSES = (("s", Star(N)), ("s2", Star(N)))
 certificate = oracle._upward_certified  # kept here, since some tests patch it out
 
@@ -657,47 +656,32 @@ def is_certified(tf) -> bool:
     return certificate(desugar(tf.matrix), [name for name, _ in tf.exist_tuple])
 
 
-def sweep_always(monkeypatch) -> None:
-    monkeypatch.setattr(oracle, "_upward_certified", lambda matrix, witnesses: False)
-
-
-def witness_matrices(r, draws: int) -> list:
-    """Distinct random_internal matrices over two (* N) witnesses, at depths 1 and 2 in turn.
-
-    Each becomes a DST translation whose witness tuple lists the witnesses
-    its matrix mentions, so that a sweep enumerates only those; a matrix
-    that mentions neither is left out.
-    """
-    out = {}
-    for k in range(draws):
-        matrix = random_internal(r, list(WITNESSES), 1 + k % 2)
-        mentioned = free_vars(matrix)
-        exist = tuple(w for w in WITNESSES if w[0] in mentioned)
-        if exist:
-            out[TranslatedFormula(exist, (), matrix, Flavor.DST)] = None
-    return list(out)
-
-
 def test_certified_matrices_pass_the_forced_sweep(monkeypatch):
-    sweep_always(monkeypatch)
-    tfs = witness_matrices(rng(105), 600)
+    monkeypatch.setattr(oracle, "_upward_certified", lambda matrix, witnesses: False)
+    grids = (Grid(1, 2), Grid(2, 2), Grid(2, 3))
+    # random_internal matrices over two (* N) witnesses, each with a tuple of the witnesses it
+    # mentions, so that a sweep enumerates only those; one that mentions neither is left out
+    tfs = {}
+    r = rng(105)
+    for k in range(600):
+        matrix = random_internal(r, list(WITNESSES), 1 + k % 2)
+        exist = tuple(w for w in WITNESSES if w[0] in free_vars(matrix))
+        if exist:
+            tfs[TranslatedFormula(exist, (), matrix, Flavor.DST)] = None
     # topped up with translations of one witness and nothing else to sweep: 40 points at (2,3)
     r = rng(106)
-    translations = {}
-    while len(tfs) + len(translations) < 2000:
+    while len(tfs) < 2000:
         tf = dst_translate(random_upward_safe(r, [], 2))
-        if tf.exist_tuple and oracle.sweep_points(tf, CLOSURE_GRIDS[-1]) <= 40:
-            translations[tf] = None
-    tfs += translations
-    certified = mention = found = 0
+        if tf.exist_tuple and oracle.sweep_points(tf, grids[-1]) <= 40:
+            tfs[tf] = None
+    mention = found = 0
     for tf in tfs:
         if is_certified(tf):
-            certified += 1
             mention += any(name in free_vars(tf.matrix) for name, _ in tf.exist_tuple)
-            for grid in CLOSURE_GRIDS:
+            for grid in grids:
                 assert check_upward_closed(tf, grid) == GridValid(), (tf.matrix, grid)
         else:
-            found += isinstance(check_upward_closed(tf, CLOSURE_GRIDS[1]), CounterexampleFound)
+            found += isinstance(check_upward_closed(tf, grids[1]), CounterexampleFound)
     assert len(tfs) >= 2000 and mention >= 500 and found >= 5, (len(tfs), mention, found)
 
 
