@@ -399,6 +399,22 @@ def test_malformed_bundles_do_not_stop_corpus_run(tmp_path, capsys):
             assert item["status"] == "error" and message in item["error"]
 
 
+# Argument count of each formula and non-axiom proof head.
+_FORMULA_ARITY = {
+    "eq": 3, "and": 2, "or": 2, "imp": 2, "not": 1, "forall": 2, "exists": 2, "forall-st": 2,
+    "exists-st": 2, "bforall": 2, "bexists": 2, "st": 2, "in": 3, "subseteq": 3, "hyper": 2,
+}
+_PROOF_ARITY = {"mp": 2, "forall-rule": 2, "exists-rule": 2, "ind": 2, "ind-st": 2}
+
+
+def _arity_cases(command, arity, what):
+    """One argument too few and one too many for each head, and a list as the head."""
+    for head, n in arity.items():
+        for k in (n - 1, n + 1):
+            yield command, f"({head}{' x' * k})", f"malformed {head} form"
+    yield command, "((x) x)", f"unknown {what} form"
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [
@@ -420,6 +436,8 @@ def test_malformed_bundles_do_not_stop_corpus_run(tmp_path, capsys):
         (["check-proof", "--dst"], "(mp (axiom ex-falso (a bot)))", "malformed mp form"),
         (["extract", "--u"], "(forall-rule x (axiom ex-falso (a bot)))", "malformed binder"),
         (["check-term"], "(app succ ²)", "unknown term atom"),
+        *_arity_cases(["translate", "--u"], _FORMULA_ARITY, "formula"),
+        *_arity_cases(["check-proof", "--u"], _PROOF_ARITY, "proof"),
     ],
 )
 def test_malformed_form_exits_two(tmp_path, capsys, command, text, message):

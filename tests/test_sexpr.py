@@ -3,6 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import nsdial.formulas as F
+import nsdial.proofs as P
+from nsdial.axioms import Schema
 from nsdial.ftypes import Arrow, N, Star
 from nsdial.formulas import Eq, ExistsSt, ForallSt, St
 from nsdial.gen import random_external, random_term, random_type, rng
@@ -21,7 +24,7 @@ from nsdial.sexpr import (
     print_type,
     read_one,
 )
-from nsdial.terms import NsdialError, Var, ZERO, numeral, seq_term, type_check
+from nsdial.terms import NsdialError, SUCC, App, Var, ZERO, numeral, seq_term, type_check
 
 import fixture_defs as fx
 
@@ -56,6 +59,81 @@ def test_proof_roundtrip_doubling():
 def test_bundle_roundtrip():
     for b in (fx.os_u_bundle(), fx.os_dst_bundle(), fx.us_dst_bundle(), fx.doubling_bundle()):
         assert parse_bundle(read_one(print_bundle(b))) == b
+
+
+_X, _S, _Y = Var("x", N), Var("s", Star(N)), Var("y", N)
+_EQ, _ST = F.Eq(N, _X, numeral(2)), F.St(Star(N), _S)
+_EQ_TEXT, _ST_TEXT = "(eq N (var x) 2)", "(st (* N) (var s))"
+_FN = Var("y", Arrow(N, N))
+
+# One node of every formula class, and its printed text.
+FORMULA_TEXTS = [
+    (_EQ, _EQ_TEXT),
+    (F.And(_EQ, _ST), f"(and {_EQ_TEXT} {_ST_TEXT})"),
+    (F.Or(_ST, _EQ), f"(or {_ST_TEXT} {_EQ_TEXT})"),
+    (F.Imp(_EQ, _ST), f"(imp {_EQ_TEXT} {_ST_TEXT})"),
+    (F.Not(_EQ), f"(not {_EQ_TEXT})"),
+    (F.Forall("y", N, F.Eq(N, _Y, _X)), "(forall (y N) (eq N (var y) (var x)))"),
+    (F.Exists("y", Star(N), F.St(Star(N), Var("y", Star(N)))), "(exists (y (* N)) (st (* N) (var y)))"),
+    (F.ForallSt("y", Arrow(N, N), F.Eq(Arrow(N, N), _FN, _FN)),
+     "(forall-st (y (-> N N)) (eq (-> N N) (var y) (var y)))"),
+    (F.ExistsSt("y", N, _EQ), f"(exists-st (y N) {_EQ_TEXT})"),
+    (F.BoundedForall("i", _X, F.Eq(N, Var("i", N), _X)), "(bforall (i (var x)) (eq N (var i) (var x)))"),
+    (F.BoundedExists("i", numeral(3), F.In(N, Var("i", N), _S)), "(bexists (i 3) (in N (var i) (var s)))"),
+    (_ST, _ST_TEXT),
+    (F.In(N, _X, _S), "(in N (var x) (var s))"),
+    (F.SubsetEq(N, seq_term(N, [numeral(1)]), _S), "(subseteq N (seq N 1) (var s))"),
+    (F.Hyper(N, _S), "(hyper N (var s))"),
+]
+
+_BOT = P.axiom(Schema.EX_FALSO, a=F.bot())
+_BOT_TEXT = "(axiom ex-falso (a (eq N zero 1)))"
+# an axiom with one parameter of each kind: formula, term, name and type
+_INST = P.axiom(Schema.FORALL_INST, var="y", var_type=N, body=F.Eq(N, _Y, _X), term=App(SUCC, Var("z", N)))
+_INST_TEXT = (
+    "(axiom forall-inst (body (eq N (var y) (var x))) (term (open ((z N)) (app succ (var z))))"
+    " (var y) (var_type N))"
+)
+
+# One node of every proof class, and its printed text.
+PROOF_TEXTS = [
+    (_INST, _INST_TEXT),
+    (P.MPNode(_BOT, _INST), f"(mp {_BOT_TEXT} {_INST_TEXT})"),
+    (P.ForallRuleNode("x", N, _BOT), f"(forall-rule (x N) {_BOT_TEXT})"),
+    (P.ExistsRuleNode("x", Star(N), _BOT), f"(exists-rule (x (* N)) {_BOT_TEXT})"),
+    (P.InductionNode(_BOT, _INST), f"(ind {_BOT_TEXT} {_INST_TEXT})"),
+    (P.ExternalInductionNode(_INST, _BOT), f"(ind-st {_INST_TEXT} {_BOT_TEXT})"),
+]
+
+
+def test_every_form_prints_pinned_text_and_parses_back():
+    assert {f.__class__ for f, _ in FORMULA_TEXTS} == set(F.Formula.__args__)
+    assert {p.__class__ for p, _ in PROOF_TEXTS} == set(P.Proof.__args__)
+    for f, text in FORMULA_TEXTS:
+        assert print_formula(f) == text
+        assert parse_formula(read_one(text)) == f
+    for p, text in PROOF_TEXTS:
+        assert print_proof(p) == text
+        assert parse_proof(read_one(text)) == p
+
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+_READERS = {
+    ".bundle": (parse_bundle, print_bundle),
+    ".proof": (parse_proof, print_proof),
+    ".fml": (parse_formula, print_formula),
+}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for d in ("corpus", "negative") for p in sorted((_FIXTURES / d).iterdir()) if p.suffix in _READERS],
+    ids=lambda p: p.name,
+)
+def test_fixture_prints_back_to_itself(path):
+    parse, show = _READERS[path.suffix]
+    text = path.read_text()
+    assert show(parse(read_one(text))) == text.strip()
 
 
 def test_numeral_sugar():
