@@ -3,12 +3,23 @@
 Types and terms are syntactically disjoint, so operator forms like (len x)
 dispatch on whether x parses as a type (constant form) or a term (applied
 sugar). parse(print(ast)) is the identity on every AST.
+
+Each formula form, and each proof form but (axiom NAME (key value) ...), is one
+table entry: its head, its node class, and one sort letter per argument, the
+arguments being the node's fields in order. The arity check, the reader and the
+printer all derive from the entry. The sorts: y a type, f a formula, p a proof;
+b a (name type) binder, k a (name bound) binder with the bound at N, each in
+scope in the arguments after it; t a term at the form's type y, s a term at
+(* y); v a term, each v after the first at the first one's type. An axiom reads
+and prints each parameter by its kind in axioms.SCHEMA_PARAMS.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from functools import cache
+from operator import attrgetter
 
 from .ftypes import Arrow, FiniteType, Ground, N, Star
 from . import formulas as F
@@ -68,10 +79,10 @@ def read_one(text: str):
     return items[0]
 
 
-# Argument count of each form head, checked before a form is taken apart.
-# The heads in _VARIADIC take at least that many arguments, the rest exactly.
-# Term constant heads such as (nil N) check their own arity.
-_VARIADIC = {"app", "seq", "axiom", "terms"}
+# Argument count of each term and section head, checked before a form is taken apart.
+# The heads in _VARIADIC take at least that many arguments, the rest exactly. Term
+# constant heads such as (nil N) check their own arity, formula and proof heads their sorts.
+_VARIADIC = {"app", "seq", "terms"}
 _ANY_LENGTH = range(sys.maxsize)
 
 
@@ -85,14 +96,6 @@ def _lengths(arity: dict[str, int]) -> dict[str, range]:
 
 _TERM_LENGTHS = _lengths(
     {"var": 1, "the": 2, "open": 2, "lam": 2, "sabs": 2, "app": 1, "default": 1, "seq": 1}
-)
-_FORMULA_LENGTHS = _lengths({
-    "eq": 3, "and": 2, "or": 2, "imp": 2, "not": 1, "forall": 2, "exists": 2,
-    "forall-st": 2, "exists-st": 2, "bforall": 2, "bexists": 2, "st": 2, "in": 3,
-    "subseteq": 3, "hyper": 2,
-})
-_PROOF_LENGTHS = _lengths(
-    {"axiom": 1, "mp": 2, "forall-rule": 2, "exists-rule": 2, "ind": 2, "ind-st": 2}
 )
 _SECTION_LENGTHS = _lengths({"target": 1, "translated": 1, "terms": 0})
 
@@ -361,94 +364,158 @@ def print_term(t: Term) -> str:
     raise AssertionError(t)
 
 
-# -- formulas ----------------------------------------------------------------
+# -- formulas and proofs -----------------------------------------------------
+
+_FORMULA_FORMS = {
+    "eq": (F.Eq, "ytt"),
+    "and": (F.And, "ff"), "or": (F.Or, "ff"), "imp": (F.Imp, "ff"), "not": (F.Not, "f"),
+    "forall": (F.Forall, "bf"), "exists": (F.Exists, "bf"),
+    "forall-st": (F.ForallSt, "bf"), "exists-st": (F.ExistsSt, "bf"),
+    "bforall": (F.BoundedForall, "kf"), "bexists": (F.BoundedExists, "kf"),
+    "st": (F.St, "yt"), "in": (F.In, "yts"), "subseteq": (F.SubsetEq, "yvv"),
+    "hyper": (F.Hyper, "ys"),
+}
+
+
+@cache
+def _proof_forms() -> dict:
+    """The proof forms but axiom, built on first use; their printers join _PRINTERS."""
+    # the proof layer loads only when a proof is read or printed
+    from .proofs import ExistsRuleNode, ExternalInductionNode, ForallRuleNode, InductionNode, MPNode
+
+    forms = {
+        "mp": (MPNode, "pp"),
+        "forall-rule": (ForallRuleNode, "bp"), "exists-rule": (ExistsRuleNode, "bp"),
+        "ind": (InductionNode, "pp"), "ind-st": (ExternalInductionNode, "pp"),
+    }
+    _PRINTERS.update(_printers(forms))
+    return forms
+
 
 def parse_formula(sx, env: dict[str, FiniteType] | None = None) -> F.Formula:
     elab = _Elab()
-    f = _formula(sx, elab, env or {})
+    f = _form(sx, _FORMULA_FORMS, "formula", elab, env or {})
     F.check_formula(f, {**elab.free, **(env or {})})
     return f
 
 
-def _formula(sx, elab: _Elab, env) -> F.Formula:
-    if sx == "bot":
-        return F.bot()
+def parse_proof(sx):
+    return _form(sx, _proof_forms(), "proof", None, {})
+
+
+def _form(sx, forms: dict, what: str, elab: _Elab | None, env: dict):
+    """The node of a formula or proof form, its fields read from its arguments by their sorts."""
     if not isinstance(sx, list) or not sx:
-        raise ParseError(f"not a formula: {sx!r}")
+        if sx == "bot" and what == "formula":
+            return F.bot()
+        raise ParseError(f"not a {what}: {sx!r}")
     head = sx[0]
-    if not isinstance(head, str) or len(sx) not in _FORMULA_LENGTHS.get(head, _ANY_LENGTH):
-        raise _bad_form(sx, "formula")
-    if head == "eq":
-        ty = parse_type(sx[1])
-        return F.Eq(ty, elab.term(sx[2], env, ty), elab.term(sx[3], env, ty))
-    if head in ("and", "or", "imp"):
-        ctor = {"and": F.And, "or": F.Or, "imp": F.Imp}[head]
-        return ctor(_formula(sx[1], elab, env), _formula(sx[2], elab, env))
-    if head == "not":
-        return F.Not(_formula(sx[1], elab, env))
-    if head in ("forall", "exists", "forall-st", "exists-st"):
-        ctor = {
-            "forall": F.Forall,
-            "exists": F.Exists,
-            "forall-st": F.ForallSt,
-            "exists-st": F.ExistsSt,
-        }[head]
-        name, ty_sx = _binder(sx[1], head)
-        ty = parse_type(ty_sx)
-        return ctor(name, ty, _formula(sx[2], elab, {**env, name: ty}))
-    if head in ("bforall", "bexists"):
-        ctor = F.BoundedForall if head == "bforall" else F.BoundedExists
-        name, bound_sx = _binder(sx[1], head)
-        bound = elab.term(bound_sx, env, N)
-        return ctor(name, bound, _formula(sx[2], elab, {**env, name: N}))
-    if head == "st":
-        ty = parse_type(sx[1])
-        return F.St(ty, elab.term(sx[2], env, ty))
-    if head == "in":
-        ty = parse_type(sx[1])
-        return F.In(ty, elab.term(sx[2], env, ty), elab.term(sx[3], env, Star(ty)))
-    if head == "subseteq":
-        ty = parse_type(sx[1])
-        left = elab.term(sx[2], env, None)
-        return F.SubsetEq(ty, left, elab.term(sx[3], env, synth_type(left)))
-    if head == "hyper":
-        ty = parse_type(sx[1])
-        return F.Hyper(ty, elab.term(sx[2], env, Star(ty)))
-    raise ParseError(f"unknown formula form {sx!r}")
+    if not isinstance(head, str) or head not in forms:
+        if head == "axiom" and what == "proof":
+            return _parse_axiom(sx)
+        raise ParseError(f"unknown {what} form {sx!r}")
+    cls, sorts = forms[head]
+    if len(sx) != len(sorts) + 1:
+        raise ParseError(f"malformed {head} form: {sx!r}")
+    out = []
+    ty = first = None  # the form's type, and the type of its first v term
+    for sort, arg in zip(sorts, sx[1:]):
+        if sort in "fp":  # a subform, of the same kind
+            out.append(_form(arg, forms, what, elab, env))
+        elif sort == "t":
+            out.append(elab.term(arg, env, ty))
+        elif sort == "y":
+            ty = parse_type(arg)
+            out.append(ty)
+        elif sort == "s":
+            out.append(elab.term(arg, env, Star(ty)))
+        elif sort == "v":
+            out.append(elab.term(arg, env, first))
+            if first is None:
+                first = synth_type(out[-1])
+        else:  # a binder: its name, then its type (b) or its bound (k)
+            name, x = _binder(arg, head)
+            var_type = parse_type(x) if sort == "b" else N
+            out += (name, var_type if sort == "b" else elab.term(x, env, N))
+            env = {**env, name: var_type}
+    return cls(*out)
 
 
 def print_formula(f: F.Formula) -> str:
-    if isinstance(f, F.Eq):
-        return f"(eq {print_type(f.type)} {print_term(f.left)} {print_term(f.right)})"
-    if isinstance(f, F.And):
-        return f"(and {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, F.Or):
-        return f"(or {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, F.Imp):
-        return f"(imp {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, F.Not):
-        return f"(not {print_formula(f.body)})"
-    if isinstance(f, F.Forall):
-        return f"(forall ({f.var} {print_type(f.var_type)}) {print_formula(f.body)})"
-    if isinstance(f, F.Exists):
-        return f"(exists ({f.var} {print_type(f.var_type)}) {print_formula(f.body)})"
-    if isinstance(f, F.ForallSt):
-        return f"(forall-st ({f.var} {print_type(f.var_type)}) {print_formula(f.body)})"
-    if isinstance(f, F.ExistsSt):
-        return f"(exists-st ({f.var} {print_type(f.var_type)}) {print_formula(f.body)})"
-    if isinstance(f, F.BoundedForall):
-        return f"(bforall ({f.var} {print_term(f.bound)}) {print_formula(f.body)})"
-    if isinstance(f, F.BoundedExists):
-        return f"(bexists ({f.var} {print_term(f.bound)}) {print_formula(f.body)})"
-    if isinstance(f, F.St):
-        return f"(st {print_type(f.type)} {print_term(f.term)})"
-    if isinstance(f, F.In):
-        return f"(in {print_type(f.type)} {print_term(f.elem)} {print_term(f.seq)})"
-    if isinstance(f, F.SubsetEq):
-        return f"(subseteq {print_type(f.type)} {print_term(f.left)} {print_term(f.right)})"
-    if isinstance(f, F.Hyper):
-        return f"(hyper {print_type(f.type)} {print_term(f.seq)})"
-    raise AssertionError(f)
+    return _print(f)
+
+
+def print_proof(p) -> str:
+    _proof_forms()  # enters the proof printers
+    return _print(p)
+
+
+def _print(node) -> str:
+    """A formula or proof node's text, from its class's entry in _PRINTERS."""
+    entry = _PRINTERS.get(node.__class__)
+    if entry is None:  # an axiom
+        return _print_axiom(node)
+    text, fields = entry
+    for show, get, tail in fields:  # a loop, not a comprehension: one frame per level
+        text += show(get(node)) + tail
+    return text
+
+
+def _printers(forms: dict) -> dict:
+    """Per class: the text before its first field, then (printer, getter, tail) per field."""
+    show = {"f": (_print,), "p": (_print,), "y": (print_type,),
+            "b": (str, print_type), "k": (str, print_term)}
+    out = {}
+    for head, (cls, sorts) in forms.items():
+        fmt = "".join(" ({} {})" if sort in "bk" else " {}" for sort in sorts)
+        start, *tails = f"({head}{fmt})".split("{}")
+        shows = [p for sort in sorts for p in show.get(sort, (print_term,))]
+        out[cls] = (start, list(zip(shows, map(attrgetter, cls._fields), tails)))
+    return out
+
+
+_PRINTERS = _printers(_FORMULA_FORMS)  # the proof classes join on first use
+
+# Reader and printer of each axiom parameter kind in axioms.SCHEMA_PARAMS; a non-atom n is None.
+_PARAM_KINDS = {
+    "f": (parse_formula, print_formula),
+    "t": (parse_term, print_term_top),
+    "y": (parse_type, print_type),
+    "n": (lambda sx: sx if isinstance(sx, str) else None, str),
+}
+
+
+def _parse_axiom(sx):
+    from .axioms import SCHEMA_BY_NAME, SCHEMA_PARAMS
+    from .proofs import AxiomNode
+
+    if len(sx) < 2:
+        raise ParseError(f"malformed axiom form: {sx!r}")
+    name = sx[1]
+    if not isinstance(name, str) or name not in SCHEMA_BY_NAME:
+        raise ParseError(f"unknown axiom schema {name!r}")
+    schema = SCHEMA_BY_NAME[name]
+    spec = dict(SCHEMA_PARAMS[schema])
+    params = {}
+    for item in sx[2:]:
+        key, value_sx = _binder(item, "axiom")
+        if key not in spec:
+            raise ParseError(f"unknown parameter {key!r} for {name}")
+        params[key] = _PARAM_KINDS[spec[key]][0](value_sx)
+        if params[key] is None:
+            raise ParseError(f"parameter {key!r} for {name} must be a name: {value_sx!r}")
+    missing = set(spec) - set(params)
+    if missing:
+        raise ParseError(f"missing parameters for {name}: {sorted(missing)}")
+    return AxiomNode(schema, tuple(sorted(params.items())))
+
+
+def _print_axiom(p) -> str:
+    from .axioms import SCHEMA_PARAMS
+
+    spec = dict(SCHEMA_PARAMS[p.schema])
+    parts = " ".join(f"({key} {_PARAM_KINDS[spec[key]][1](value)})" for key, value in p.params)
+    return f"(axiom {p.schema.value} {parts})"
 
 
 # -- translated formulas -----------------------------------------------------
@@ -472,105 +539,6 @@ def parse_translated(sx, flavor: Flavor) -> TranslatedFormula:
     if not F.classify(matrix).internal:
         raise ParseError("translated matrix is not internal")
     return TranslatedFormula(ex, un, matrix, flavor)
-
-
-# -- proofs ------------------------------------------------------------------
-
-
-
-def parse_proof(sx):
-    # the proof layer loads only when a proof is read
-    from .axioms import SCHEMA_BY_NAME, SCHEMA_PARAMS
-    from .proofs import (
-        AxiomNode,
-        ExistsRuleNode,
-        ExternalInductionNode,
-        ForallRuleNode,
-        InductionNode,
-        MPNode,
-    )
-
-    if not isinstance(sx, list) or not sx:
-        raise ParseError(f"not a proof: {sx!r}")
-    head = sx[0]
-    if not isinstance(head, str) or len(sx) not in _PROOF_LENGTHS.get(head, _ANY_LENGTH):
-        raise _bad_form(sx, "proof")
-    if head == "axiom":
-        name = sx[1]
-        if not isinstance(name, str) or name not in SCHEMA_BY_NAME:
-            raise ParseError(f"unknown axiom schema {name!r}")
-        schema = SCHEMA_BY_NAME[name]
-        spec = dict(SCHEMA_PARAMS[schema])
-        params = {}
-        for item in sx[2:]:
-            key, value_sx = _binder(item, "axiom")
-            if key not in spec:
-                raise ParseError(f"unknown parameter {key!r} for {name}")
-            kind = spec[key]
-            if kind == "f":
-                params[key] = parse_formula(value_sx)
-            elif kind == "t":
-                params[key] = parse_term(value_sx)
-            elif kind == "y":
-                params[key] = parse_type(value_sx)
-            elif isinstance(value_sx, str):
-                params[key] = value_sx
-            else:
-                raise ParseError(f"parameter {key!r} for {name} must be a name: {value_sx!r}")
-        missing = set(spec) - set(params)
-        if missing:
-            raise ParseError(f"missing parameters for {name}: {sorted(missing)}")
-        return AxiomNode(schema, tuple(sorted(params.items())))
-    if head == "mp":
-        return MPNode(parse_proof(sx[1]), parse_proof(sx[2]))
-    if head in ("forall-rule", "exists-rule"):
-        name, ty_sx = _binder(sx[1], head)
-        ty = parse_type(ty_sx)
-        ctor = ForallRuleNode if head == "forall-rule" else ExistsRuleNode
-        return ctor(name, ty, parse_proof(sx[2]))
-    if head == "ind":
-        return InductionNode(parse_proof(sx[1]), parse_proof(sx[2]))
-    if head == "ind-st":
-        return ExternalInductionNode(parse_proof(sx[1]), parse_proof(sx[2]))
-    raise ParseError(f"unknown proof form {sx!r}")
-
-
-def print_proof(p) -> str:
-    from .axioms import SCHEMA_PARAMS
-    from .proofs import (
-        AxiomNode,
-        ExistsRuleNode,
-        ExternalInductionNode,
-        ForallRuleNode,
-        InductionNode,
-        MPNode,
-    )
-
-    if isinstance(p, AxiomNode):
-        spec = dict(SCHEMA_PARAMS[p.schema])
-        parts = []
-        for key, value in p.params:
-            kind = spec[key]
-            if kind == "f":
-                parts.append(f"({key} {print_formula(value)})")
-            elif kind == "t":
-                parts.append(f"({key} {print_term_top(value)})")
-            elif kind == "y":
-                parts.append(f"({key} {print_type(value)})")
-            else:
-                parts.append(f"({key} {value})")
-        return f"(axiom {p.schema.value} {' '.join(parts)})"
-    if isinstance(p, MPNode):
-        return f"(mp {print_proof(p.major)} {print_proof(p.minor)})"
-    if isinstance(p, ForallRuleNode):
-        return f"(forall-rule ({p.var} {print_type(p.var_type)}) {print_proof(p.premise)})"
-    if isinstance(p, ExistsRuleNode):
-        return f"(exists-rule ({p.var} {print_type(p.var_type)}) {print_proof(p.premise)})"
-    if isinstance(p, InductionNode):
-        return f"(ind {print_proof(p.base)} {print_proof(p.step)})"
-    if isinstance(p, ExternalInductionNode):
-        return f"(ind-st {print_proof(p.base)} {print_proof(p.step)})"
-    raise AssertionError(p)
 
 
 # -- bundles -----------------------------------------------------------------

@@ -74,12 +74,15 @@ FORMULA_TEXTS = [
     (F.Imp(_EQ, _ST), f"(imp {_EQ_TEXT} {_ST_TEXT})"),
     (F.Not(_EQ), f"(not {_EQ_TEXT})"),
     (F.Forall("y", N, F.Eq(N, _Y, _X)), "(forall (y N) (eq N (var y) (var x)))"),
-    (F.Exists("y", Star(N), F.St(Star(N), Var("y", Star(N)))), "(exists (y (* N)) (st (* N) (var y)))"),
+    (F.Exists("y", Star(N), F.St(Star(N), Var("y", Star(N)))),
+     "(exists (y (* N)) (st (* N) (var y)))"),
     (F.ForallSt("y", Arrow(N, N), F.Eq(Arrow(N, N), _FN, _FN)),
      "(forall-st (y (-> N N)) (eq (-> N N) (var y) (var y)))"),
     (F.ExistsSt("y", N, _EQ), f"(exists-st (y N) {_EQ_TEXT})"),
-    (F.BoundedForall("i", _X, F.Eq(N, Var("i", N), _X)), "(bforall (i (var x)) (eq N (var i) (var x)))"),
-    (F.BoundedExists("i", numeral(3), F.In(N, Var("i", N), _S)), "(bexists (i 3) (in N (var i) (var s)))"),
+    (F.BoundedForall("i", _X, F.Eq(N, Var("i", N), _X)),
+     "(bforall (i (var x)) (eq N (var i) (var x)))"),
+    (F.BoundedExists("i", numeral(3), F.In(N, Var("i", N), _S)),
+     "(bexists (i 3) (in N (var i) (var s)))"),
     (_ST, _ST_TEXT),
     (F.In(N, _X, _S), "(in N (var x) (var s))"),
     (F.SubsetEq(N, seq_term(N, [numeral(1)]), _S), "(subseteq N (seq N 1) (var s))"),
@@ -89,7 +92,9 @@ FORMULA_TEXTS = [
 _BOT = P.axiom(Schema.EX_FALSO, a=F.bot())
 _BOT_TEXT = "(axiom ex-falso (a (eq N zero 1)))"
 # an axiom with one parameter of each kind: formula, term, name and type
-_INST = P.axiom(Schema.FORALL_INST, var="y", var_type=N, body=F.Eq(N, _Y, _X), term=App(SUCC, Var("z", N)))
+_INST = P.axiom(
+    Schema.FORALL_INST, var="y", var_type=N, body=F.Eq(N, _Y, _X), term=App(SUCC, Var("z", N))
+)
 _INST_TEXT = (
     "(axiom forall-inst (body (eq N (var y) (var x))) (term (open ((z N)) (app succ (var z))))"
     " (var y) (var_type N))"
@@ -127,7 +132,10 @@ _READERS = {
 
 @pytest.mark.parametrize(
     "path",
-    [p for d in ("corpus", "negative") for p in sorted((_FIXTURES / d).iterdir()) if p.suffix in _READERS],
+    [
+        p for d in ("corpus", "negative")
+        for p in sorted((_FIXTURES / d).iterdir()) if p.suffix in _READERS
+    ],
     ids=lambda p: p.name,
 )
 def test_fixture_prints_back_to_itself(path):
