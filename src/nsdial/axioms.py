@@ -62,96 +62,57 @@ class FlavorViolation(NsdialError):
 
 
 class Schema(Enum):
-    K = "k"
-    S = "s"
-    AND_INTRO = "and-intro"
-    AND_ELIM_L = "and-elim-l"
-    AND_ELIM_R = "and-elim-r"
-    OR_INTRO_L = "or-intro-l"
-    OR_INTRO_R = "or-intro-r"
-    OR_ELIM = "or-elim"
-    EX_FALSO = "ex-falso"
-    FORALL_INST = "forall-inst"
-    EXISTS_INTRO = "exists-intro"
-    EQ_REFL = "eq-refl"
-    EQ_SYM = "eq-sym"
-    EQ_TRANS = "eq-trans"
-    EQ_CONG = "eq-cong"
-    DEFEQ = "defeq"
-    SUCC_NONZERO = "succ-nonzero"
-    SUCC_INJ = "succ-inj"
-    SEQ_AXIOM = "seq-axiom"
-    EXTENSIONALITY = "extensionality"
-    IA = "ia"
-    FORALLST_ELIM = "forallst-elim"
-    FORALLST_INTRO = "forallst-intro"
-    EXISTSST_ELIM = "existsst-elim"
-    EXISTSST_INTRO = "existsst-intro"
-    ST_EXT = "st-ext"
-    ST_CLOSED = "st-closed"
-    ST_APP = "st-app"
-    OS_STAR = "os-star"
-    US_STAR = "us-star"
-    NCR = "ncr"
-    HAC_ST = "hac-st"
-    HIP_FORALLST = "hip-forallst"
-    NU = "nu"
-    AC_ST = "ac-st"
-    IP_FORALLST = "ip-forallst"
-    DELTA = "delta"
+    """An axiom schema: its name, its parameters in order, and its system.
 
+    Each parameter is written name:kind, the kind being f for a formula, t a
+    term, y a type and n a variable name; ``params`` maps the names to the
+    kinds. ``system`` is the one flavor a schema belongs to, None for both.
+    """
 
-DST_ONLY = {Schema.NCR, Schema.HAC_ST, Schema.HIP_FORALLST}
-U_ONLY = {Schema.NU, Schema.AC_ST, Schema.IP_FORALLST}
+    def __new__(cls, name: str, params: str, system: Flavor | None = None):
+        schema = object.__new__(cls)
+        schema._value_ = name
+        schema.params = dict(p.split(":") for p in params.split())
+        schema.system = system
+        return schema
 
-# parameter kinds per schema: f formula, t term, y type, n name
-SCHEMA_PARAMS: dict[Schema, list[tuple[str, str]]] = {
-    Schema.K: [("a", "f"), ("b", "f")],
-    Schema.S: [("a", "f"), ("b", "f"), ("c", "f")],
-    Schema.AND_INTRO: [("a", "f"), ("b", "f")],
-    Schema.AND_ELIM_L: [("a", "f"), ("b", "f")],
-    Schema.AND_ELIM_R: [("a", "f"), ("b", "f")],
-    Schema.OR_INTRO_L: [("a", "f"), ("b", "f")],
-    Schema.OR_INTRO_R: [("a", "f"), ("b", "f")],
-    Schema.OR_ELIM: [("a", "f"), ("b", "f"), ("c", "f")],
-    Schema.EX_FALSO: [("a", "f")],
-    Schema.FORALL_INST: [("var", "n"), ("var_type", "y"), ("body", "f"), ("term", "t")],
-    Schema.EXISTS_INTRO: [("var", "n"), ("var_type", "y"), ("body", "f"), ("term", "t")],
-    Schema.EQ_REFL: [("type", "y"), ("t", "t")],
-    Schema.EQ_SYM: [("type", "y"), ("t", "t"), ("u", "t")],
-    Schema.EQ_TRANS: [("type", "y"), ("t", "t"), ("u", "t"), ("v", "t")],
-    Schema.EQ_CONG: [("type", "y"), ("result_type", "y"), ("fn", "t"), ("t", "t"), ("u", "t")],
-    Schema.DEFEQ: [("type", "y"), ("t", "t"), ("u", "t")],
-    Schema.SUCC_NONZERO: [("t", "t")],
-    Schema.SUCC_INJ: [("t", "t"), ("u", "t")],
-    Schema.SEQ_AXIOM: [("type", "y")],
-    Schema.EXTENSIONALITY: [("domain", "y"), ("codomain", "y")],
-    Schema.IA: [("var", "n"), ("body", "f")],
-    Schema.FORALLST_ELIM: [("var", "n"), ("var_type", "y"), ("body", "f")],
-    Schema.FORALLST_INTRO: [("var", "n"), ("var_type", "y"), ("body", "f")],
-    Schema.EXISTSST_ELIM: [("var", "n"), ("var_type", "y"), ("body", "f")],
-    Schema.EXISTSST_INTRO: [("var", "n"), ("var_type", "y"), ("body", "f")],
-    Schema.ST_EXT: [("type", "y"), ("x", "t"), ("y", "t")],
-    Schema.ST_CLOSED: [("type", "y"), ("term", "t")],
-    Schema.ST_APP: [("domain", "y"), ("codomain", "y"), ("fn", "t"), ("arg", "t")],
-    Schema.OS_STAR: [("type", "y"), ("var", "n"), ("body", "f")],
-    Schema.US_STAR: [("type", "y"), ("var", "n"), ("body", "f")],
-    Schema.NCR: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
-    Schema.HAC_ST: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
-    Schema.HIP_FORALLST: [
-        ("x_type", "y"), ("y_type", "y"), ("x", "n"), ("premise", "f"), ("y", "n"),
-        ("conclusion", "f"),
-    ],
-    Schema.NU: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
-    Schema.AC_ST: [("x_type", "y"), ("y_type", "y"), ("x", "n"), ("y", "n"), ("body", "f")],
-    Schema.IP_FORALLST: [
-        ("x_type", "y"), ("y_type", "y"), ("x", "n"), ("premise", "f"), ("y", "n"),
-        ("conclusion", "f"),
-    ],
-    Schema.DELTA: [("formula", "f")],
-}
-
-SCHEMA_BY_NAME = {s.value: s for s in Schema}
+    K = "k", "a:f b:f"
+    S = "s", "a:f b:f c:f"
+    AND_INTRO = "and-intro", "a:f b:f"
+    AND_ELIM_L = "and-elim-l", "a:f b:f"
+    AND_ELIM_R = "and-elim-r", "a:f b:f"
+    OR_INTRO_L = "or-intro-l", "a:f b:f"
+    OR_INTRO_R = "or-intro-r", "a:f b:f"
+    OR_ELIM = "or-elim", "a:f b:f c:f"
+    EX_FALSO = "ex-falso", "a:f"
+    FORALL_INST = "forall-inst", "var:n var_type:y body:f term:t"
+    EXISTS_INTRO = "exists-intro", "var:n var_type:y body:f term:t"
+    EQ_REFL = "eq-refl", "type:y t:t"
+    EQ_SYM = "eq-sym", "type:y t:t u:t"
+    EQ_TRANS = "eq-trans", "type:y t:t u:t v:t"
+    EQ_CONG = "eq-cong", "type:y result_type:y fn:t t:t u:t"
+    DEFEQ = "defeq", "type:y t:t u:t"
+    SUCC_NONZERO = "succ-nonzero", "t:t"
+    SUCC_INJ = "succ-inj", "t:t u:t"
+    SEQ_AXIOM = "seq-axiom", "type:y"
+    EXTENSIONALITY = "extensionality", "domain:y codomain:y"
+    IA = "ia", "var:n body:f"
+    FORALLST_ELIM = "forallst-elim", "var:n var_type:y body:f"
+    FORALLST_INTRO = "forallst-intro", "var:n var_type:y body:f"
+    EXISTSST_ELIM = "existsst-elim", "var:n var_type:y body:f"
+    EXISTSST_INTRO = "existsst-intro", "var:n var_type:y body:f"
+    ST_EXT = "st-ext", "type:y x:t y:t"
+    ST_CLOSED = "st-closed", "type:y term:t"
+    ST_APP = "st-app", "domain:y codomain:y fn:t arg:t"
+    OS_STAR = "os-star", "type:y var:n body:f"
+    US_STAR = "us-star", "type:y var:n body:f"
+    NCR = "ncr", "x_type:y y_type:y x:n y:n body:f", Flavor.DST
+    HAC_ST = "hac-st", "x_type:y y_type:y x:n y:n body:f", Flavor.DST
+    HIP_FORALLST = "hip-forallst", "x_type:y y_type:y x:n premise:f y:n conclusion:f", Flavor.DST
+    NU = "nu", "x_type:y y_type:y x:n y:n body:f", Flavor.U
+    AC_ST = "ac-st", "x_type:y y_type:y x:n y:n body:f", Flavor.U
+    IP_FORALLST = "ip-forallst", "x_type:y y_type:y x:n premise:f y:n conclusion:f", Flavor.U
+    DELTA = "delta", "formula:f"
 
 
 def _require(cond: bool, schema: Schema, reason: str) -> None:
@@ -169,10 +130,11 @@ def _require_internal(f: Formula, schema: Schema, flavor: Flavor, what: str) -> 
 
 def build_axiom(schema: Schema, params: dict, flavor: Flavor) -> Formula:
     """Instance formula for the schema, validating all side conditions."""
-    if schema in DST_ONLY and flavor is not Flavor.DST:
-        raise FlavorViolation(f"{schema.value} belongs to the herbrandised system")
-    if schema in U_ONLY and flavor is not Flavor.U:
-        raise FlavorViolation(f"{schema.value} belongs to the uniform system")
+    if schema.system not in (None, flavor):
+        system = "herbrandised" if schema.system is Flavor.DST else "uniform"
+        raise FlavorViolation(f"{schema.value} belongs to the {system} system")
+    if params.keys() != schema.params.keys():
+        raise BadInstantiation(schema, f"expects the parameters {', '.join(schema.params)}")
     f = _build(schema, params, flavor)
     check_formula(f, free_vars(f))
     return f

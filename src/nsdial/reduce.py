@@ -129,10 +129,12 @@ def whnf(t: Term) -> Term:
 def _const_step(head: Const, args: list[Term]) -> Term | None:
     """One operator-rule step on an App spine, or None if no rule fires."""
     k = head.kind
-    if k is ConstKind.SINGLETON and len(args) >= 1:
+    if len(args) < k.operands:
+        return None
+    if k is ConstKind.SINGLETON:
         (elem,) = head.types
         return app(cons(elem, args[0], empty_seq(elem)), *args[1:])
-    if k is ConstKind.NATREC and len(args) >= 3:
+    if k is ConstKind.NATREC:
         x, y, n = args[0], args[1], whnf(args[2])
         nh, nargs = spine(n)
         if isinstance(nh, Const) and nh.kind is ConstKind.ZERO and not nargs:
@@ -141,7 +143,7 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
             rec = app(head, x, y, nargs[0])
             return app(y, nargs[0], rec, *args[3:])
         return None
-    if k is ConstKind.LISTREC and len(args) >= 3:
+    if k is ConstKind.LISTREC:
         x, y, s = args[0], args[1], whnf(args[2])
         tag, h, tail = _seq_view(s)
         if tag == "empty":
@@ -150,7 +152,7 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
             rec = app(head, x, y, tail)
             return app(y, rec, h, *args[3:])
         return None
-    if k is ConstKind.LEN and len(args) >= 1:
+    if k is ConstKind.LEN:
         s = whnf(args[0])
         tag, h, tail = _seq_view(s)
         if tag == "empty":
@@ -159,7 +161,7 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
             ln = App(Const(ConstKind.LEN, head.types), tail)
             return app(App(Const(ConstKind.SUCC), ln), *args[1:])
         return None
-    if k is ConstKind.PROJ and len(args) >= 2:
+    if k is ConstKind.PROJ:
         (elem,) = head.types
         s = whnf(args[0])
         tag, h, tail = _seq_view(s)
@@ -173,7 +175,7 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
             if isinstance(ih, Const) and ih.kind is ConstKind.SUCC and len(iargs) == 1:
                 return app(head, tail, iargs[0], *args[2:])
         return None
-    if k is ConstKind.CONCAT and len(args) >= 2:
+    if k is ConstKind.CONCAT:
         (elem,) = head.types
         s = whnf(args[0])
         tag, h, tail = _seq_view(s)
@@ -182,7 +184,7 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
         if tag == "cons":
             return app(cons(elem, h, concat(elem, tail, args[1])), *args[2:])
         return None
-    if k is ConstKind.SEQAPP and len(args) >= 2:
+    if k is ConstKind.SEQAPP:
         dom, codom_elem = head.types
         s, a = whnf(args[0]), args[1]
         if isinstance(s, SeqAbs):
@@ -280,17 +282,17 @@ def _sapp(fs, a):
     return tuple(itertools.chain.from_iterable(f(a) for f in fs))
 
 
-# Operators by arity; each entry builds the uncurried native function of a constant.
+# Each entry builds the native function of a constant, uncurried: it takes the kind's operands.
 _OPERATORS = {
-    ConstKind.SUCC: (1, lambda c: lambda n: n + 1),
-    ConstKind.LEN: (1, lambda c: len),
-    ConstKind.SINGLETON: (1, lambda c: lambda x: (x,)),
-    ConstKind.CONS: (2, lambda c: lambda h, s: (h,) + s),
-    ConstKind.CONCAT: (2, lambda c: lambda s, t: s + t),
-    ConstKind.PROJ: (2, lambda c: _proj(c.types[0])),
-    ConstKind.SEQAPP: (2, lambda c: _sapp),
-    ConstKind.NATREC: (3, lambda c: _nrec),
-    ConstKind.LISTREC: (3, lambda c: _lrec),
+    ConstKind.SUCC: lambda c: lambda n: n + 1,
+    ConstKind.LEN: lambda c: len,
+    ConstKind.SINGLETON: lambda c: lambda x: (x,),
+    ConstKind.CONS: lambda c: lambda h, s: (h,) + s,
+    ConstKind.CONCAT: lambda c: lambda s, t: s + t,
+    ConstKind.PROJ: lambda c: _proj(c.types[0]),
+    ConstKind.SEQAPP: lambda c: _sapp,
+    ConstKind.NATREC: lambda c: _nrec,
+    ConstKind.LISTREC: lambda c: _lrec,
 }
 
 
@@ -306,8 +308,7 @@ def _const(c: Const):
         return 0
     if c.kind is ConstKind.EMPTY:
         return ()
-    arity, op = _OPERATORS[c.kind]
-    return _curry(op(c), arity)
+    return _curry(_OPERATORS[c.kind](c), c.kind.operands)
 
 
 class Scope:
@@ -385,10 +386,9 @@ def _compile(t: Term, scope: Scope):
         depth = max(depth, d)
         head = head.fun
     args.reverse()
-    operator = isinstance(head, Const) and head.kind in _OPERATORS
-    if operator and len(args) >= _OPERATORS[head.kind][0]:
-        arity, op = _OPERATORS[head.kind]
-        run = _saturated(op(head), args[:arity])
+    if isinstance(head, Const) and 0 < head.kind.operands <= len(args):
+        arity = head.kind.operands
+        run = _saturated(_OPERATORS[head.kind](head), args[:arity])
         args = args[arity:]
     else:
         run, d = _compile(head, scope)

@@ -11,7 +11,7 @@ printer all derive from the entry. The sorts: y a type, f a formula, p a proof;
 b a (name type) binder, k a (name bound) binder with the bound at N, each in
 scope in the arguments after it; t a term at the form's type y, s a term at
 (* y); v a term, each v after the first at the first one's type. An axiom reads
-and prints each parameter by its kind in axioms.SCHEMA_PARAMS.
+and prints each parameter by the kind its axioms.Schema member declares.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .ftypes import Arrow, FiniteType, Ground, N, Star
 from . import formulas as F
 from .terms import (
     App,
-    CONST_ARITY,
     Const,
     ConstKind,
     Lam,
@@ -156,10 +155,9 @@ def print_type(t: FiniteType) -> str:
 
 # -- terms -------------------------------------------------------------------
 
-# heads of the constants that take type parameters
-_CONST_HEADS = {k.value: (k, CONST_ARITY[k]) for k in ConstKind if CONST_ARITY[k]}
-
-_SUGAR_ARITY = {"len": 1, "proj": 2, "concat": 2, "sapp": 2, "sing": 1}
+# heads of the constants that take type parameters, and those with applied sugar
+_CONST_HEADS = {k.value: k for k in ConstKind if k.type_params}
+_SUGAR_HEADS = {"len", "proj", "concat", "sapp", "sing"}
 
 
 class _Elab:
@@ -233,10 +231,10 @@ class _Elab:
             elem = parse_type(sx[1])
             return seq_term(elem, [self.term(s, env, elem) for s in sx[2:]])
         if head in _CONST_HEADS:
-            kind, arity = _CONST_HEADS[head]
-            if len(sx) == arity + 1 and all(is_type_sx(s) for s in sx[1:]):
+            kind = _CONST_HEADS[head]
+            if len(sx) == kind.type_params + 1 and all(is_type_sx(s) for s in sx[1:]):
                 return Const(kind, tuple(parse_type(s) for s in sx[1:]))
-            if head in _SUGAR_ARITY and len(sx) == _SUGAR_ARITY[head] + 1:
+            if head in _SUGAR_HEADS and len(sx) == kind.operands + 1:
                 return self._operator_sugar(head, sx[1:], env)
             raise ParseError(f"malformed {head} form: {sx!r}")
         raise ParseError(f"unknown term form {sx!r}")
@@ -476,7 +474,7 @@ def _printers(forms: dict) -> dict:
 
 _PRINTERS = _printers(_FORMULA_FORMS)  # the proof classes join on first use
 
-# Reader and printer of each axiom parameter kind in axioms.SCHEMA_PARAMS; a non-atom n is None.
+# Reader and printer of each axiom parameter kind of axioms.Schema; a non-atom n is None.
 _PARAM_KINDS = {
     "f": (parse_formula, print_formula),
     "t": (parse_term, print_term_top),
@@ -486,21 +484,24 @@ _PARAM_KINDS = {
 
 
 def _parse_axiom(sx):
-    from .axioms import SCHEMA_BY_NAME, SCHEMA_PARAMS
+    from .axioms import Schema
     from .proofs import AxiomNode
 
     if len(sx) < 2:
         raise ParseError(f"malformed axiom form: {sx!r}")
     name = sx[1]
-    if not isinstance(name, str) or name not in SCHEMA_BY_NAME:
-        raise ParseError(f"unknown axiom schema {name!r}")
-    schema = SCHEMA_BY_NAME[name]
-    spec = dict(SCHEMA_PARAMS[schema])
+    try:
+        schema = Schema(name)
+    except ValueError:
+        raise ParseError(f"unknown axiom schema {name!r}") from None
+    spec = schema.params
     params = {}
     for item in sx[2:]:
         key, value_sx = _binder(item, "axiom")
         if key not in spec:
             raise ParseError(f"unknown parameter {key!r} for {name}")
+        if key in params:
+            raise ParseError(f"duplicate parameter {key!r} for {name}")
         params[key] = _PARAM_KINDS[spec[key]][0](value_sx)
         if params[key] is None:
             raise ParseError(f"parameter {key!r} for {name} must be a name: {value_sx!r}")
@@ -511,9 +512,7 @@ def _parse_axiom(sx):
 
 
 def _print_axiom(p) -> str:
-    from .axioms import SCHEMA_PARAMS
-
-    spec = dict(SCHEMA_PARAMS[p.schema])
+    spec = p.schema.params
     parts = " ".join(f"({key} {_PARAM_KINDS[spec[key]][1](value)})" for key, value in p.params)
     return f"(axiom {p.schema.value} {parts})"
 

@@ -31,33 +31,27 @@ class TypeMismatch(NsdialError):
 
 
 class ConstKind(Enum):
-    ZERO = "zero"
-    SUCC = "succ"
-    NATREC = "nrec"
-    LISTREC = "lrec"
-    EMPTY = "nil"
-    CONS = "cons"
-    LEN = "len"
-    PROJ = "proj"
-    CONCAT = "concat"
-    SEQAPP = "sapp"
-    SINGLETON = "sing"
+    """A term constant: its name, its number of type parameters, and the number
+    of operands its defining equations or native function take, 0 for zero and nil."""
 
+    def __new__(cls, name: str, type_params: int, operands: int):
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.type_params = type_params
+        kind.operands = operands
+        return kind
 
-# Number of type parameters each constant kind carries.
-CONST_ARITY = {
-    ConstKind.ZERO: 0,
-    ConstKind.SUCC: 0,
-    ConstKind.NATREC: 1,
-    ConstKind.LISTREC: 2,
-    ConstKind.EMPTY: 1,
-    ConstKind.CONS: 1,
-    ConstKind.LEN: 1,
-    ConstKind.PROJ: 1,
-    ConstKind.CONCAT: 1,
-    ConstKind.SEQAPP: 2,
-    ConstKind.SINGLETON: 1,
-}
+    ZERO = "zero", 0, 0
+    SUCC = "succ", 0, 1
+    NATREC = "nrec", 1, 3
+    LISTREC = "lrec", 2, 3
+    EMPTY = "nil", 1, 0
+    CONS = "cons", 1, 2
+    LEN = "len", 1, 1
+    PROJ = "proj", 1, 2
+    CONCAT = "concat", 1, 2
+    SEQAPP = "sapp", 2, 2
+    SINGLETON = "sing", 1, 1
 
 
 # -- the binder table ----------------------------------------------------------
@@ -140,8 +134,8 @@ Term = Var | Lam | App | Const | SeqAbs
 def const_type(c: Const) -> FiniteType:
     """Instantiated type schema of a constant."""
     k, ts = c.kind, c.types
-    if len(ts) != CONST_ARITY[k]:
-        raise IllTyped(f"const {k.value}", f"{CONST_ARITY[k]} type params", len(ts))
+    if len(ts) != k.type_params:
+        raise IllTyped(f"const {k.value}", f"{k.type_params} type params", len(ts))
     if k is ConstKind.ZERO:
         return N
     if k is ConstKind.SUCC:

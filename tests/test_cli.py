@@ -62,6 +62,33 @@ def test_check_proof(capsys):
     assert "forall-st" in capsys.readouterr().out
 
 
+def test_check_term_prints_arrow_typed_normal_form(tmp_path, capsys):
+    f = tmp_path / "id.term"
+    f.write_text("(app (lam (f (-> N N)) (var f)) (lam (x N) (app succ (var x))))")
+    assert run(["check-term", str(f)]) == 0
+    assert capsys.readouterr().out == "(lam (x N) (app succ (var x)))\n"
+
+
+def test_check_proof_lists_delta_hypotheses(tmp_path, capsys):
+    f = tmp_path / "delta.u.proof"
+    f.write_text("(axiom delta (formula (eq N zero zero)))")
+    assert run(["check-proof", "--u", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "checked: (eq N zero zero)", "assuming: (eq N zero zero)",
+    ]
+
+
+def test_verify_non_data_quantifier_is_unknown(tmp_path, capsys):
+    matrix = "(forall (f (-> N N)) (eq N (app (var f) zero) (app (var f) zero)))"
+    f = tmp_path / "arrow.dst.bundle"
+    f.write_text(
+        f"(bundle dst (target {matrix}) (translated (exists-st () (forall-st () {matrix})))"
+        " (terms))"
+    )
+    assert run(["verify", str(f), *CORPUS_GRID]) == 1
+    assert capsys.readouterr().out == "unknown: non-data quantifier encountered\n"
+
+
 def test_corpus_runs_clean(capsys):
     assert run(["corpus", "run", str(CORPUS)] + CORPUS_GRID) == 0
 
@@ -405,6 +432,12 @@ _FORMULA_ARITY = {
     "exists-st": 2, "bforall": 2, "bexists": 2, "st": 2, "in": 3, "subseteq": 3, "hyper": 2,
 }
 _PROOF_ARITY = {"mp": 2, "forall-rule": 2, "exists-rule": 2, "ind": 2, "ind-st": 2}
+# The most arguments each constant head with type parameters takes: its type
+# parameters, or the operands of its applied sugar.
+_CONST_ARITY = {
+    "nrec": 1, "lrec": 2, "nil": 1, "cons": 1, "len": 1, "proj": 2, "concat": 2, "sapp": 2,
+    "sing": 1,
+}
 
 
 def _arity_cases(command, arity, what):
@@ -438,6 +471,21 @@ def _arity_cases(command, arity, what):
         (["check-term"], "(app succ ²)", "unknown term atom"),
         *_arity_cases(["translate", "--u"], _FORMULA_ARITY, "formula"),
         *_arity_cases(["check-proof", "--u"], _PROOF_ARITY, "proof"),
+        (
+            ["check-proof", "--u"],
+            "(axiom k (a (eq N zero zero)) (a (eq N 1 1)) (b (eq N zero zero)))",
+            "duplicate parameter 'a' for k",
+        ),
+        (
+            ["check-proof", "--u"],
+            "(axiom k (a bot) (b bot) (c bot))",
+            "unknown parameter 'c' for k",
+        ),
+        (["check-proof", "--u"], "(axiom k (a bot))", "missing parameters for k: ['b']"),
+        *(
+            (["check-term"], f"({head}{' x' * (n + 1)})", f"malformed {head} form")
+            for head, n in _CONST_ARITY.items()
+        ),
     ],
 )
 def test_malformed_form_exits_two(tmp_path, capsys, command, text, message):

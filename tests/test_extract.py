@@ -12,7 +12,7 @@ from nsdial.derive import imp_refl
 from nsdial.extract import UnsupportedSchema, extract, extract_dst, extract_u
 from nsdial.formulas import And, Eq, ExistsSt, ForallSt, Imp, In, Or, St
 from nsdial.oracle import CounterexampleFound, Grid, GridValid, Unknown, verify_bundle
-from nsdial.proofs import ExternalInductionNode, axiom, check_proof, mp
+from nsdial.proofs import AxiomNode, ExternalInductionNode, axiom, check_proof, mp
 from nsdial.reduce import eval_nat, normalize
 from nsdial.terms import (
     App,
@@ -31,7 +31,7 @@ from nsdial.terms import (
     type_check,
 )
 from nsdial.reduce import spine
-from nsdial.sexpr import parse_proof, print_bundle, print_term, read_one
+from nsdial.sexpr import parse_proof, print_bundle, print_formula, print_proof, print_term, read_one
 from nsdial.translate import Flavor
 
 import fixture_defs as fx
@@ -320,6 +320,7 @@ def test_extract_types_each_constant_once(monkeypatch):
 # -- printed realisers, one line per (instance, flavor) ----------------------
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden" / "realisers.golden"
+AXIOMS_GOLDEN = GOLDEN.with_name("axioms.golden")
 
 
 def _two_witness_instance(z):
@@ -403,3 +404,30 @@ def test_printed_realisers_match_golden():
     # tests above compare only up to alpha-equivalence; a deliberate change
     # rewrites the file from _golden_lines()
     assert _golden_lines() == GOLDEN.read_text().splitlines()
+
+
+def _axiom_instances():
+    return {
+        name: p for name, p in _golden_instances().items() if isinstance(p, AxiomNode)
+    }
+
+
+def test_axiom_conclusions_match_golden():
+    # the printed conclusion of each axiom instance, or the error it raises,
+    # in both flavors; rewrite from these lines on a deliberate change
+    lines = []
+    for name, proof in _axiom_instances().items():
+        for flavor in (U, D):
+            try:
+                printed = print_formula(check_proof(proof, flavor))
+            except NsdialError as e:
+                printed = f"! {type(e).__name__}"
+            lines.append(f"{name}\t{flavor.value}\t{printed}")
+    assert lines == AXIOMS_GOLDEN.read_text().splitlines()
+
+
+def test_every_schema_prints_and_parses_back():
+    instances = _axiom_instances().values()
+    assert {p.schema for p in instances} == set(Schema)
+    for p in instances:
+        assert parse_proof(read_one(print_proof(p))) == p

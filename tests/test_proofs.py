@@ -3,11 +3,13 @@ import pytest
 from nsdial.ftypes import N, Star
 from nsdial.axioms import BadInstantiation, FlavorViolation, Schema
 from nsdial.derive import imp_refl, imp_trans, weaken
+from nsdial.extract import extract
 from nsdial.formulas import And, Eq, ExistsSt, Forall, Imp, Or, St, formula_alpha_eq
 from nsdial.proofs import (
     EigenvariableViolation,
     ExternalInductionNode,
     ForallRuleNode,
+    InductionNode,
     axiom,
     check_proof,
     delta_set,
@@ -84,3 +86,43 @@ def test_imp_trans_combinator():
     p1 = weaken(a, refl, a)
     concl = check_proof(imp_trans(p1, p1, a, a, a), U)
     assert formula_alpha_eq(concl, Imp(a, a))
+
+
+_A = Eq(N, ZERO, ZERO)
+
+
+@pytest.mark.parametrize("params", [dict(a=_A, b=_A, c=_A), dict(a=_A)], ids=["extra", "missing"])
+def test_axiom_parameters_must_match_the_schema(params):
+    with pytest.raises(BadInstantiation):
+        check_proof(axiom(Schema.K, **params), U)
+
+
+def _internal_induction(phi, prove):
+    """Internal induction concluding forall n phi(n), from proofs prove(t) of phi(t)."""
+    n, sn = Var("n", N), App(SUCC, Var("n", N))
+    top = Eq(N, ZERO, ZERO)
+    step = mp(axiom(Schema.K, a=phi(sn), b=phi(n)), prove(sn))
+    lifted = weaken(top, step, Imp(phi(n), phi(sn)))
+    closed = mp(ForallRuleNode("n", N, lifted), axiom(Schema.EQ_REFL, type=N, t=ZERO))
+    return InductionNode(prove(ZERO), closed)
+
+
+def test_internal_induction_over_an_internal_formula():
+    p = _internal_induction(lambda t: Eq(N, t, t), lambda t: axiom(Schema.EQ_REFL, type=N, t=t))
+    for flavor in (U, D):
+        assert check_proof(p, flavor) == Forall("n", N, Eq(N, Var("n", N), Var("n", N)))
+        assert extract(p, flavor).terms == ()
+
+
+def test_internal_induction_rejects_external_and_uniform_or_bodies():
+    def self_imp(atom):
+        return _internal_induction(lambda t: Imp(atom(t), atom(t)), lambda t: imp_refl(atom(t)))
+
+    standard = self_imp(lambda t: St(N, t))
+    for flavor in (U, D):
+        with pytest.raises(FlavorViolation, match="external formula"):
+            check_proof(standard, flavor)
+    disjunction = self_imp(lambda t: Or(Eq(N, t, ZERO), Eq(N, t, t)))
+    with pytest.raises(FlavorViolation, match="or-free"):
+        check_proof(disjunction, U)
+    check_proof(disjunction, D)

@@ -24,7 +24,9 @@ from nsdial.sexpr import (
     print_type,
     read_one,
 )
-from nsdial.terms import NsdialError, SUCC, App, Var, ZERO, numeral, seq_term, type_check
+from nsdial.terms import (
+    NsdialError, SUCC, App, Const, ConstKind, Lam, Var, ZERO, app, numeral, seq_term, type_check,
+)
 
 import fixture_defs as fx
 
@@ -171,6 +173,35 @@ def test_operator_sugar_forms():
         read_one("(app (len N) (nil N))")
     )
     assert parse_term(read_one("(sing 2)")) == parse_term(read_one("(app (sing N) 2)"))
+
+
+# Term forms that print as other forms: an ascription, a default, operator
+# sugar, and cons without its type parameter, bare and applied.
+TERM_TEXTS = [
+    ("(the N 2)", numeral(2), "2"),
+    ("(default (-> N (* N)))", Lam("_x", N, Const(ConstKind.EMPTY, (N,))), "(lam (_x N) (nil N))"),
+    (
+        "(proj (seq N 1 2) 1)",
+        app(Const(ConstKind.PROJ, (N,)), seq_term(N, [numeral(1), numeral(2)]), numeral(1)),
+        "(app (proj N) (seq N 1 2) 1)",
+    ),
+    (
+        "(sapp (nil (-> N (* N))) 2)",
+        app(
+            Const(ConstKind.SEQAPP, (N, N)), Const(ConstKind.EMPTY, (Arrow(N, Star(N)),)), numeral(2)
+        ),
+        "(app (sapp N N) (nil (-> N (* N))) 2)",
+    ),
+    ("(the (-> N (* N) (* N)) cons)", Const(ConstKind.CONS, (N,)), "(cons N)"),
+    ("(app cons 2 (seq N 1))", seq_term(N, [numeral(2), numeral(1)]), "(seq N 2 1)"),
+]
+
+
+def test_term_forms_parse_to_pinned_node_and_print_back():
+    for text, term, printed in TERM_TEXTS:
+        assert parse_term(read_one(text)) == term
+        assert print_term(term) == printed
+        assert parse_term(read_one(printed)) == term
 
 
 def test_comments_ignored():
