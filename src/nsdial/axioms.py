@@ -128,13 +128,18 @@ def _require_internal(f: Formula, schema: Schema, flavor: Flavor, what: str) -> 
         raise FlavorViolation(f"{schema.value}: {what} must be or-free in the uniform system")
 
 
+def check_param_names(schema: Schema, names) -> None:
+    """Raise BadInstantiation unless names are exactly the schema's parameter names."""
+    _require(sorted(names) == sorted(schema.params), schema,
+             f"expects the parameters {', '.join(schema.params)}")
+
+
 def build_axiom(schema: Schema, params: dict, flavor: Flavor) -> Formula:
     """Instance formula for the schema, validating all side conditions."""
     if schema.system not in (None, flavor):
         system = "herbrandised" if schema.system is Flavor.DST else "uniform"
         raise FlavorViolation(f"{schema.value} belongs to the {system} system")
-    if params.keys() != schema.params.keys():
-        raise BadInstantiation(schema, f"expects the parameters {', '.join(schema.params)}")
+    check_param_names(schema, params)
     f = _build(schema, params, flavor)
     check_formula(f, free_vars(f))
     return f

@@ -1,5 +1,10 @@
 """Command-line frontend: file parsing, command dispatch, report emission.
 
+Each command is one step on a file's text, and `corpus run` runs each file
+through the step of its kind, so an item is classified as its single-file
+command would be: `ok`, `fail` (exit 1) or `error` (exit 2). One `_failure`
+maps what a step raises to an exit code, an outcome and a stderr line.
+
 Module level loads only the front end that every command needs: reading,
 printing, type checking and translation. Each command imports the layers it
 uses (normalisation, the proof kernel, extraction, the grid oracle, JSON) on
@@ -30,7 +35,7 @@ from .sexpr import (
     print_type,
     read_one,
 )
-from .terms import IllTyped, NsdialError, Term, TypeMismatch, UnboundVariable, type_check
+from .terms import IllTyped, NsdialError, TypeMismatch, UnboundVariable, type_check
 from .translate import Flavor, IllTypedInput, Untranslatable, dst_translate, u_translate
 
 EXIT_OK = 0
@@ -44,111 +49,99 @@ def _digest(path: Path, data: bytes) -> dict:
     return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _flavor(args) -> Flavor:
-    return Flavor.DST if args.dst else Flavor.U
+# A step runs one file's text and returns its exit code, its printed text, the
+# outcome a corpus item reports, and the outcome keys only the single-file
+# command adds.
 
 
-def _grid(args):
-    from .oracle import Grid
-
-    return Grid(args.nat_bound, args.len_bound, args.depth_bound)
-
-
-def _verdict_dict(v) -> dict:
-    from .oracle import CounterexampleFound, GridValid, Unknown
-    from .reduce import value_to_term
-
-    if isinstance(v, GridValid):
-        return {"verdict": "grid-valid"}
-    if isinstance(v, CounterexampleFound):
-        env = {name: print_term(value_to_term(val)) for name, val in v.environment}
-        return {"verdict": "counterexample", "environment": env}
-    assert isinstance(v, Unknown)
-    return {"verdict": "unknown", "reason": v.reason}
-
-
-def _translate_for(flavor: Flavor):
-    return dst_translate if flavor is Flavor.DST else u_translate
-
-
-def _normal_form(term: Term, ty) -> str:
-    """Printed normal form of a closed term: its value at a data type, else its normalised term."""
+def _check_term(text: str, flavor: Flavor, args):
     from .reduce import term_to_value, value_to_term
 
-    return print_term(value_to_term(term_to_value(term, ty)))
-
-
-def cmd_check_term(path: Path, args) -> tuple[int, dict]:
-    term = parse_term(read_one(path.read_text()))
+    term = parse_term(read_one(text))
     ty = type_check(term, {})
-    out = {"type": print_type(ty), "normal_form": _normal_form(term, ty)}
-    print(out["normal_form"])
-    return EXIT_OK, out
+    # its value at a data type, else its normalised term
+    nf = print_term(value_to_term(term_to_value(term, ty)))
+    return EXIT_OK, nf, {"normal_form": nf}, {"type": print_type(ty)}
 
 
-def cmd_translate(path: Path, args) -> tuple[int, dict]:
-    formula = parse_formula(read_one(path.read_text()))
-    tf = _translate_for(_flavor(args))(formula)
-    text = print_translated(tf)
-    print(text)
-    return EXIT_OK, {"translated": text}
+def _translate(text: str, flavor: Flavor, args):
+    translate = dst_translate if flavor is Flavor.DST else u_translate
+    out = print_translated(translate(parse_formula(read_one(text))))
+    return EXIT_OK, out, {"translated": out}, {}
 
 
-def cmd_check_proof(path: Path, args) -> tuple[int, dict]:
+def _check_proof(text: str, flavor: Flavor, args):
     from .proofs import check_proof, delta_set
 
-    proof = parse_proof(read_one(path.read_text()))
-    flavor = _flavor(args)
-    conclusion = check_proof(proof, flavor)
+    proof = parse_proof(read_one(text))
+    conclusion = print_formula(check_proof(proof, flavor))
     deltas = [print_formula(d) for d in delta_set(proof)]
-    text = print_formula(conclusion)
-    print(f"checked: {text}")
-    for d in deltas:
-        print(f"assuming: {d}")
-    return EXIT_OK, {"conclusion": text, "deltas": deltas}
+    out = "\n".join([f"checked: {conclusion}", *(f"assuming: {d}" for d in deltas)])
+    return EXIT_OK, out, {"conclusion": conclusion, "deltas": deltas}, {}
 
 
-def cmd_extract(path: Path, args) -> tuple[int, dict]:
+def _extract(text: str, flavor: Flavor, args):
     from .extract import extract
     from .proofs import delta_set
 
-    proof = parse_proof(read_one(path.read_text()))
-    flavor = _flavor(args)
-    bundle = extract(proof, flavor)
-    text = print_bundle(bundle)
-    print(text)
-    return EXIT_OK, {"bundle": text, "deltas": [print_formula(d) for d in delta_set(proof)]}
+    proof = parse_proof(read_one(text))
+    out = print_bundle(extract(proof, flavor))
+    return EXIT_OK, out, {"bundle": out}, {"deltas": [print_formula(d) for d in delta_set(proof)]}
 
 
-def cmd_verify(path: Path, args) -> tuple[int, dict]:
-    from .oracle import CounterexampleFound, GridValid, verify_bundle
+def _verify(text: str, flavor: Flavor, args):
+    from .oracle import CounterexampleFound, Grid, GridValid, verify_bundle
     from .reduce import value_to_term
 
-    bundle = parse_bundle(read_one(path.read_text()))
-    verdict = verify_bundle(bundle, _grid(args))
-    out = _verdict_dict(verdict)
+    grid = Grid(args.nat_bound, args.len_bound, args.depth_bound)
+    verdict = verify_bundle(parse_bundle(read_one(text)), grid)
     if isinstance(verdict, GridValid):
-        print("grid-valid")
-        return EXIT_OK, out
+        return EXIT_OK, "grid-valid", {"verdict": "grid-valid"}, {}
     if isinstance(verdict, CounterexampleFound):
-        print("counterexample:")
-        for name, val in verdict.environment:
-            print(f"  {name} = {print_term(value_to_term(val))}")
-        return EXIT_FAIL, out
-    print(f"unknown: {verdict.reason}")
-    return EXIT_FAIL, out
+        env = [(name, print_term(value_to_term(val))) for name, val in verdict.environment]
+        out = "\n".join(["counterexample:", *(f"  {name} = {val}" for name, val in env)])
+        return EXIT_FAIL, out, {"verdict": "counterexample", "environment": dict(env)}, {}
+    reason = verdict.reason
+    return EXIT_FAIL, f"unknown: {reason}", {"verdict": "unknown", "reason": reason}, {}
 
 
-# Corpus file kinds, and the layer each runs on beyond the front end.
-_CORPUS_KINDS = {
-    ".term": "reduce",
-    ".u.fml": None,
-    ".dst.fml": None,
-    ".u.proof": "extract",
-    ".dst.proof": "extract",
-    ".u.bundle": "oracle",
-    ".dst.bundle": "oracle",
+_COMMANDS = {
+    "check-term": _check_term,
+    "translate": _translate,
+    "check-proof": _check_proof,
+    "extract": _extract,
+    "verify": _verify,
 }
+
+# Corpus file kinds: the step each runs, and the layer it runs on beyond the front end.
+_CORPUS_KINDS = {
+    ".term": (_check_term, "reduce"),
+    ".u.fml": (_translate, None), ".dst.fml": (_translate, None),
+    ".u.proof": (_extract, "extract"), ".dst.proof": (_extract, "extract"),
+    ".u.bundle": (_verify, "oracle"), ".dst.bundle": (_verify, "oracle"),
+}
+
+_STATUS = ("ok", "fail", "error")  # a corpus item's status, indexed by its exit code
+
+# What a step may raise on bad input; anything else is a bug and stays a traceback.
+_FAILURES = (NsdialError, OSError, UnicodeDecodeError, RecursionError)
+# The nsdial errors that mean ill-formed input, as a parse error does.
+_INPUT_ERRORS = (IllTyped, UnboundVariable, TypeMismatch, IllTypedInput, Untranslatable)
+
+
+def _failure(e: Exception) -> tuple[int, dict, str]:
+    """The exit code, outcome and stderr line of a command that raised e."""
+    if isinstance(e, (ParseError, OSError, UnicodeDecodeError)):
+        # unparsable, unreadable or non-UTF-8 input
+        return EXIT_ERROR, {"error": str(e)}, f"error: {e}"
+    # a RecursionError is input nested deeper than the recursive traversals reach
+    kind = type(e).__name__
+    code = EXIT_ERROR if isinstance(e, _INPUT_ERRORS) else EXIT_FAIL
+    return code, {"error": str(e), "kind": kind}, f"{kind}: {e}"
+
+
+def _decode(data: bytes) -> str:
+    return io.TextIOWrapper(io.BytesIO(data)).read()  # decoded as Path.read_text does
 
 
 class _CorpusFile(NamedTuple):
@@ -169,50 +162,26 @@ def cmd_corpus(files: list[Path], contents: Iterable[bytes], args) -> tuple[int,
     # Load the layers these files run on before the first item. Without a
     # bytecode cache an import compiles its module, and doing that on top of
     # the memory earlier items hold would raise the run's peak.
-    for kind, layer in _CORPUS_KINDS.items():
+    for kind, (_, layer) in _CORPUS_KINDS.items():
         if layer is not None and any(p.name.endswith(kind) for p in files):
             importlib.import_module(f".{layer}", __package__)
     for path, data in zip(files, contents):
-        entry = {"file": path.name}
         try:
-            entry.update(_corpus_item(_CorpusFile(path.name, data), args))
-        except (NsdialError, ParseError, UnicodeDecodeError) as e:
-            entry["status"] = "error"
-            entry["error"] = str(e)
-            status = EXIT_ERROR
-        except RecursionError as e:
-            entry.update(status="fail", error=str(e), kind="RecursionError")
-        if entry.get("status") == "fail" and status == EXIT_OK:
-            status = EXIT_FAIL
-        items.append(entry)
-        print(f"{entry['status']:5s} {path.name}")
+            code, outcome = _corpus_item(_CorpusFile(path.name, data), args)
+        except _FAILURES as e:
+            code, outcome, _ = _failure(e)
+        status = max(status, code)
+        items.append({"file": path.name, "status": _STATUS[code], **outcome})
+        print(f"{_STATUS[code]:5s} {path.name}")
     return status, {"items": items}
 
 
-def _corpus_item(file: _CorpusFile, args) -> dict:
-    name = file.name
-    text = io.TextIOWrapper(io.BytesIO(file.data)).read()  # decoded as Path.read_text does
-    if name.endswith(".term"):
-        term = parse_term(read_one(text))
-        return {"status": "ok", "normal_form": _normal_form(term, type_check(term, {}))}
-    flavor = Flavor.DST if ".dst." in name else Flavor.U
-    if name.endswith(".fml"):
-        tf = _translate_for(flavor)(parse_formula(read_one(text)))
-        return {"status": "ok", "translated": print_translated(tf)}
-    if name.endswith(".proof"):
-        from .extract import extract
-
-        proof = parse_proof(read_one(text))
-        bundle = extract(proof, flavor)
-        return {"status": "ok", "bundle": print_bundle(bundle)}
-    if name.endswith(".bundle"):
-        from .oracle import GridValid, verify_bundle
-
-        verdict = verify_bundle(parse_bundle(read_one(text)), _grid(args))
-        out = _verdict_dict(verdict)
-        out["status"] = "ok" if isinstance(verdict, GridValid) else "fail"
-        return out
-    raise ParseError(f"unrecognised corpus file {name}")
+def _corpus_item(file: _CorpusFile, args) -> tuple[int, dict]:
+    """A file's exit code and corpus outcome from the step of its kind."""
+    step = next(step for kind, (step, _) in _CORPUS_KINDS.items() if file.name.endswith(kind))
+    flavor = Flavor.DST if ".dst." in file.name else Flavor.U
+    code, _, outcome, _ = step(_decode(file.data), flavor, args)
+    return code, outcome
 
 
 def _int_at_least(low: int):
@@ -307,32 +276,17 @@ def run(argv: list[str]) -> int:
                 report["inputs"] = [_digest(p, data) for p, data in zip(files, contents)]
             status, outcome = cmd_corpus(files, contents, args)
         else:
+            data = args.file.read_bytes()
             if args.json:
-                report["inputs"] = [_digest(args.file, args.file.read_bytes())]
-            handler = {
-                "check-term": cmd_check_term,
-                "translate": cmd_translate,
-                "check-proof": cmd_check_proof,
-                "extract": cmd_extract,
-                "verify": cmd_verify,
-            }[args.command]
-            status, outcome = handler(args.file, args)
-    except (ParseError, OSError, UnicodeDecodeError) as e:
-        # unparsable, unreadable or non-UTF-8 input
-        print(f"error: {e}", file=sys.stderr)
-        status, outcome = EXIT_ERROR, {"error": str(e)}
-    except NsdialError as e:
-        kind = type(e).__name__
-        print(f"{kind}: {e}", file=sys.stderr)
-        parse_like = isinstance(
-            e, (IllTyped, UnboundVariable, TypeMismatch, IllTypedInput, Untranslatable)
-        )
-        status = EXIT_ERROR if parse_like else EXIT_FAIL
-        outcome = {"error": str(e), "kind": kind}
-    except RecursionError as e:
-        # input nested deeper than the recursive traversals reach
-        print(f"RecursionError: {e}", file=sys.stderr)
-        status, outcome = EXIT_FAIL, {"error": str(e), "kind": "RecursionError"}
+                report["inputs"] = [_digest(args.file, data)]
+            # a command without a flavor flag runs a step that ignores the flavor
+            flavor = Flavor.DST if getattr(args, "dst", False) else Flavor.U
+            status, text, outcome, extra = _COMMANDS[args.command](_decode(data), flavor, args)
+            print(text)
+            outcome.update(extra)
+    except _FAILURES as e:
+        status, outcome, line = _failure(e)
+        print(line, file=sys.stderr)
     report["outcome"] = outcome
     report["wall_time_s"] = round(time.monotonic() - started, 6)
     if args.json:

@@ -512,6 +512,9 @@ def _parse_axiom(sx):
 
 
 def _print_axiom(p) -> str:
+    from .axioms import check_param_names
+
+    check_param_names(p.schema, [key for key, _ in p.params])  # else the text would not read back
     spec = p.schema.params
     parts = " ".join(f"({key} {_PARAM_KINDS[spec[key]][1](value)})" for key, value in p.params)
     return f"(axiom {p.schema.value} {parts})"

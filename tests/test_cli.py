@@ -240,6 +240,36 @@ def test_untranslatable_corpus_item_is_an_error(tmp_path, capsys):
     assert all(item["error"].startswith("bounded quantifier over i") for item in items)
 
 
+_MISMATCHED_MINOR = (
+    "(mp (axiom k (a (eq N zero zero)) (b (eq N zero zero))) (axiom eq-refl (type N) (t 1)))"
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, command, code",
+    [
+        ("parse.term", "(((", ["check-term"], 2),
+        ("ill_typed.term", "(app zero zero)", ["check-term"], 2),
+        ("bounded.u.fml", "(bforall (i 2) (st N (var i)))", ["translate", "--u"], 2),
+        ("mismatch.u.proof", _MISMATCHED_MINOR, ["extract", "--u"], 1),
+        ("deep.term", "1000", ["check-term"], 1),
+    ],
+    ids=["parse-error", "ill-typed", "untranslatable", "mismatched-minor", "recursion"],
+)
+def test_corpus_item_is_classified_as_its_single_file_command(tmp_path, capsys, name, text,
+                                                               command, code):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / name).write_text(text + "\n")
+    report = tmp_path / "report.json"
+    assert run(["--json", str(report), *command, str(corpus / name)]) == code
+    outcome = json.loads(report.read_text())["outcome"]
+    assert run(["--json", str(report), "corpus", "run", str(corpus)]) == code
+    (item,) = json.loads(report.read_text())["outcome"]["items"]
+    assert item["status"] == ("ok", "fail", "error")[code]
+    assert item.get("kind") == outcome.get("kind")
+
+
 def _one_error_line(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == ""

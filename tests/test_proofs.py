@@ -126,3 +126,16 @@ def test_internal_induction_rejects_external_and_uniform_or_bodies():
     with pytest.raises(FlavorViolation, match="or-free"):
         check_proof(disjunction, U)
     check_proof(disjunction, D)
+
+
+@pytest.mark.parametrize("others", [("b", "c"), ()], ids=["unknown-c", "missing-b"])
+def test_axiom_with_other_parameter_names_is_refused_when_checked_or_printed(others):
+    from nsdial.sexpr import print_proof
+
+    a = Eq(N, ZERO, ZERO)
+    node = axiom(Schema.K, a=a, **dict.fromkeys(others, a))
+    message = "bad instantiation of Schema.K: expects the parameters a, b"
+    for run in (lambda: check_proof(node, U), lambda: print_proof(node)):
+        with pytest.raises(BadInstantiation) as raised:
+            run()
+        assert str(raised.value) == message
