@@ -44,9 +44,17 @@ EXIT_ERROR = 2
 
 
 def _digest(path: Path, data: bytes) -> dict:
-    import hashlib  # loads OpenSSL, so only runs that write a report pay for it
-
-    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    # The interpreter's built-in SHA-256. hashlib gives the same digest but loads
+    # OpenSSL's libcrypto, 3-4 MB of a corpus run's peak memory, so it is
+    # only the fallback for an interpreter built without the module.
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return {"path": str(path), "sha256": sha256(data).hexdigest()}
 
 
 # A step runs one file's text and returns its exit code, its printed text, the
@@ -178,8 +186,10 @@ def cmd_corpus(files: list[Path], contents: Iterable[bytes], args) -> tuple[int,
 
 def _corpus_item(file: _CorpusFile, args) -> tuple[int, dict]:
     """A file's exit code and corpus outcome from the step of its kind."""
-    step = next(step for kind, (step, _) in _CORPUS_KINDS.items() if file.name.endswith(kind))
-    flavor = Flavor.DST if ".dst." in file.name else Flavor.U
+    kind = next(kind for kind in _CORPUS_KINDS if file.name.endswith(kind))
+    step, _ = _CORPUS_KINDS[kind]
+    # the flavor of the suffix that chose the step, so `a.dst.u.fml` is a `.u.fml` item
+    flavor = Flavor.DST if kind.startswith(".dst.") else Flavor.U
     code, _, outcome, _ = step(_decode(file.data), flavor, args)
     return code, outcome
 

@@ -1,9 +1,11 @@
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from nsdial.cli import run
+from nsdial.cli import _digest, run
 from nsdial.oracle import Grid
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -130,6 +132,30 @@ def test_report_structure(tmp_path, capsys):
     data = json.loads(j.read_text())
     assert set(data) == {"command", "grid", "inputs", "outcome", "wall_time_s"}
     assert data["inputs"][0]["sha256"]
+
+
+def test_digest_is_the_sha256_of_every_fixture():
+    for path in sorted(p for p in FIXTURES.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        assert _digest(path, data) == {"path": str(path),
+                                       "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def test_digest_falls_back_to_hashlib(monkeypatch):
+    # an interpreter built without its own SHA-256 module
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    real, calls = hashlib.sha256, []
+
+    def sha256(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(hashlib, "sha256", sha256)
+    path = CORPUS / "worked.u.fml"
+    data = path.read_bytes()
+    assert _digest(path, data)["sha256"] == real(data).hexdigest()
+    assert calls == [data]
 
 
 def test_grid_flags_out_of_range_exit_two(capsys):
@@ -268,6 +294,20 @@ def test_corpus_item_is_classified_as_its_single_file_command(tmp_path, capsys, 
     (item,) = json.loads(report.read_text())["outcome"]["items"]
     assert item["status"] == ("ok", "fail", "error")[code]
     assert item.get("kind") == outcome.get("kind")
+
+
+@pytest.mark.parametrize("name, flavor", [("a.dst.u.fml", "--u"), ("a.u.dst.fml", "--dst")])
+def test_corpus_item_takes_its_flavor_from_its_suffix(tmp_path, capsys, name, flavor):
+    # the other flavor's marker earlier in the name does not choose the translation
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / name).write_bytes((CORPUS / "standardness.u.fml").read_bytes())
+    assert run(["translate", flavor, str(corpus / name)]) == 0
+    single = capsys.readouterr().out.strip()
+    report = tmp_path / "report.json"
+    assert run(["--json", str(report), "corpus", "run", str(corpus)]) == 0
+    (item,) = json.loads(report.read_text())["outcome"]["items"]
+    assert item["translated"] == single
 
 
 def _one_error_line(capsys) -> str:

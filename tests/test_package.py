@@ -198,6 +198,19 @@ def test_cli_loads_only_the_layers_a_command_uses(code, absent):
     assert loaded & absent == set()
 
 
+def test_json_report_does_not_load_openssl(tmp_path):
+    # hashlib loads OpenSSL's libcrypto; the report hashes its inputs without it
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    report = tmp_path / "r.json"
+    loaded = _loaded_by(
+        f"from nsdial.cli import run; run(['--json', {str(report)!r}, 'corpus', 'run',"
+        f" {str(CORPUS)!r}, '--nat-bound', '2', '--len-bound', '2'])"
+    )
+    assert "json" in loaded and report.exists()
+    assert loaded & {"hashlib", "_hashlib"} == set()
+
+
 # The package's exports and the module each is defined in (RealiserBundle is
 # also re-exported from extract).
 EXPORTS = {

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import sys
 
 from nsdial import formulas
@@ -12,7 +14,8 @@ from nsdial.formulas import (
     classify,
     formula_alpha_eq,
 )
-from nsdial.gen import random_external, rng
+from nsdial.gen import random_external, random_upward_safe, rng
+from nsdial.sexpr import print_translated
 from nsdial.terms import Var, proj, seq_app, seq_len
 from nsdial.translate import Flavor, dst_translate, u_translate
 
@@ -71,6 +74,22 @@ def test_translation_deterministic():
     for i in range(50):
         f = random_external(r, [("fv", N)], 3)
         assert dst_translate(f) == dst_translate(f)
+
+
+# SHA-256 of the printed translations below, recorded before any change to how
+# translation builds its output; a rewrite of translate must keep them byte for byte.
+TRANSLATIONS_SHA256 = "41421bf702fa6b13c704b77da35b18262f14ce72517f9dc5dab5f6e9d75926e0"
+
+
+def test_printed_translations_are_pinned():
+    digest = hashlib.sha256()
+    for generate in (random_external, random_upward_safe):
+        for depth in (3, 4):
+            for seed in range(500):
+                f = generate(random.Random(seed), [("fv", N)], depth)
+                for translate in (u_translate, dst_translate):
+                    digest.update(print_translated(translate(f)).encode() + b"\n")
+    assert digest.hexdigest() == TRANSLATIONS_SHA256
 
 
 def _node_count(root) -> int:
