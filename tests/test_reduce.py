@@ -1,4 +1,7 @@
 
+import hashlib
+import random
+
 import pytest
 
 from nsdial.ftypes import Arrow, N, Star
@@ -15,10 +18,11 @@ from nsdial.reduce import (
     term_to_value,
     value_to_term,
 )
-from nsdial.sexpr import print_term
+from nsdial.sexpr import print_term, print_term_top
 from nsdial.terms import (
     App,
     Const,
+    ConstKind,
     IllTyped,
     Lam,
     SUCC,
@@ -40,6 +44,7 @@ from nsdial.terms import (
     seq_term,
     singleton,
     substitute,
+    synth_type,
 )
 
 
@@ -193,6 +198,72 @@ def test_values_match_the_substitution_normaliser():
         ty = random_type(r, 2, data_only=True)
         for t, t_ty in with_operators(r, random_term(r, ty, [], 3), ty):
             assert print_term(value_to_term(term_to_value(t, t_ty))) == print_term(normalize(t))
+
+
+def stuck_operand_terms(r):
+    """Open terms applying every operator to operands whose normal forms may be stuck.
+
+    A neutral index under proj, a neutral tail under len, concat and lrec, a
+    sapp spine with a stuck cell, a sabs used as a singleton, and the
+    operators whose result is a function applied to a trailing argument, and
+    operators short of their operands.
+    """
+    e = random_type(r, 1, data_only=True)
+    se, fn = Star(e), Arrow(e, Star(e))
+    scope = [("s", se), ("i", N), ("x", e), ("fs", Star(fn))]
+    y, g, z = Var("y", e), Var("g", fn), Var("z", e)
+
+    def seq(depth=3):
+        return random_term(r, se, scope, depth)
+
+    def nat():
+        return random_term(r, N, scope, 2)
+
+    def elem():
+        return random_term(r, e, scope, 2)
+
+    one = SeqAbs("y", e, random_term(r, se, scope + [("y", e)], 2))
+
+    def fns():
+        return r.choice([lambda: random_term(r, Star(fn), scope, 3), lambda: one,
+                         lambda: concat(fn, one, random_term(r, Star(fn), scope, 2))])()
+
+    count = lam([("a", N), ("z", e)], App(SUCC, Var("a", N)))
+    copy = lam([("acc", se), ("z", e)], cons(e, z, Var("acc", se)))
+    grow = lam([("k", N), ("acc", se)], concat(e, Var("acc", se), seq(2)))
+    compose = lam([("k", N), ("g", fn)], Lam("y", e, concat(e, App(g, y), seq(2))))
+    prepend = lam([("g", fn), ("z", e)], Lam("y", e, cons(e, z, App(g, y))))
+    return [
+        proj(e, seq(), nat()),
+        seq_len(e, seq()),
+        concat(e, seq(), seq()),
+        list_rec(N, e, nat(), count, seq()),
+        list_rec(se, e, seq(2), copy, seq()),
+        nat_rec(se, seq(2), grow, nat()),
+        singleton(e, elem()),
+        seq_app(e, e, fns(), elem()),
+        App(proj(fn, fns(), nat()), elem()),
+        App(nat_rec(fn, Lam("y", e, seq(2)), compose, nat()), elem()),
+        App(list_rec(fn, e, Lam("y", e, seq(2)), prepend, seq()), elem()),
+        seq_len(fn, one),
+        concat(fn, one, fns()),
+        list_rec(N, fn, nat(), lam([("a", N), ("g", fn)], App(SUCC, Var("a", N))), one),
+        App(Const(ConstKind.CONCAT, (e,)), seq()),
+        App(App(Const(ConstKind.NATREC, (se,)), seq(2)), grow),
+    ]
+
+
+# SHA-256 of the printed normal forms of stuck_operand_terms over seeds 0-299
+STUCK_NORMAL_FORMS_SHA256 = "c5b97c1460164ba0bda942defd4ae0db55949fe04c1bc6b057b20cbaa9a1c061"
+
+
+def test_normal_forms_of_stuck_operands_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        for t in stuck_operand_terms(random.Random(seed)):
+            synth_type(t)
+            digest.update(print_term_top(normalize(t)).encode() + b"\n")
+    assert digest.hexdigest() == STUCK_NORMAL_FORMS_SHA256
 
 
 def test_value_entry_points_type_check_first():
