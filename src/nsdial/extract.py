@@ -30,11 +30,13 @@ from .proofs import (
 from .reduce import normalize
 from .terms import (
     App,
+    ConstKind,
     NsdialError,
     Term,
     Var,
     ZERO,
     all_names,
+    app,
     concat,
     default_term,
     empty_seq,
@@ -382,19 +384,12 @@ def _realise_forallst_elim(p, flavor, tr):
     w, w2 = ("w", Star(sigma)), ("w2", Star(sigma))
     out = []
     for n, t in lifted:
-        applied = seq_app_infer(Var(n, t), Var("xe", sigma), t)
-        body = flat_map(sigma, _star_elem(t), Var(*w2), "xe", applied)
+        sapp = ConstKind.SEQAPP.instance(t)  # its types: sigma, then the witnesses' element type
+        applied = app(sapp, Var(n, t), Var("xe", sigma))
+        body = flat_map(sigma, sapp.types[1], Var(*w2), "xe", applied)
         out.append(flavor.abs(lifted + [w2], body))
     over = lifted + [w] + vs
     return out + _echoes(flavor, over, vs) + _picks(flavor, over, [w])
-
-
-def _star_elem(fn_seq_type: FiniteType) -> FiniteType:
-    """Element type of the sequence a lifted witness produces: (s -> r*)* gives r."""
-    assert isinstance(fn_seq_type, Star) and isinstance(fn_seq_type.element, Arrow)
-    cod = fn_seq_type.element.codomain
-    assert isinstance(cod, Star)
-    return cod.element
 
 
 def _realise_forallst_intro(p, flavor, tr):

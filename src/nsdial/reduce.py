@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .ftypes import Arrow, FiniteType, Ground, N, Star, is_data_type
+from .ftypes import FiniteType, Ground, N, Star, is_data_type
 from .terms import (
     App,
     Const,
@@ -36,6 +36,7 @@ from .terms import (
     SeqAbs,
     Term,
     Var,
+    ZERO,
     app,
     cons,
     concat,
@@ -43,7 +44,9 @@ from .terms import (
     empty_seq,
     free_vars,
     numeral,
+    spine,
     substitute,
+    succ_chain,
     synth_type,
     type_check,
 )
@@ -82,33 +85,32 @@ class Closure:
 CanonicalValue = Nat | Seq | Closure
 
 
-def spine(t: Term) -> tuple[Term, list[Term]]:
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fun
-    args.reverse()
-    return t, args
+# the cells _view gives zero, nil and a stuck term, built once
+_CELLS = {k: (k, None, None) for k in (ConstKind.ZERO, ConstKind.EMPTY)}
+_STUCK = (None, None, None)
 
 
-def _seq_view(t: Term) -> tuple[str, Term | None, Term | None]:
-    """View a weak-head-normal term of sequence type as a spine cell.
+def _view(t: Term) -> tuple[ConstKind | None, Term | None, Term | None]:
+    """View the weak head normal form of t as a constructor cell.
 
-    Returns ("empty", None, None), ("cons", head, tail) or ("stuck", None, None).
-    A sequence abstraction counts as the singleton of its lambda.
+    The cell is (ZERO, _, _), (SUCC, n, _), (EMPTY, _, _) or (CONS, head, tail),
+    a sequence abstraction being the singleton of its lambda, or (None, _, _)
+    when t is stuck. The rules read their operands through it alone.
     """
-    if isinstance(t, SeqAbs):
-        body_ty = synth_type(Lam(t.var, t.var_type, t.body))
-        assert isinstance(body_ty, Arrow)
-        elem = body_ty
-        return "cons", Lam(t.var, t.var_type, t.body), Const(ConstKind.EMPTY, (elem,))
-    head, args = spine(t)
-    if isinstance(head, Const):
-        if head.kind is ConstKind.EMPTY and not args:
-            return "empty", None, None
-        if head.kind is ConstKind.CONS and len(args) == 2:
-            return "cons", args[0], args[1]
-    return "stuck", None, None
+    t = whnf(t)
+    cls = t.__class__
+    if cls is App:
+        f = t.fun
+        if f.__class__ is Const and f.kind is ConstKind.SUCC:
+            return ConstKind.SUCC, t.arg, None
+        if f.__class__ is App and f.fun.__class__ is Const and f.fun.kind is ConstKind.CONS:
+            return ConstKind.CONS, f.arg, t.arg
+    elif cls is Const:
+        return _CELLS.get(t.kind, _STUCK)
+    elif cls is SeqAbs:
+        fn = Lam(t.var, t.var_type, t.body)
+        return ConstKind.CONS, fn, Const(ConstKind.EMPTY, (synth_type(fn),))
+    return _STUCK
 
 
 def whnf(t: Term) -> Term:
@@ -133,85 +135,58 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
         return None
     if k is ConstKind.SINGLETON:
         (elem,) = head.types
-        return app(cons(elem, args[0], empty_seq(elem)), *args[1:])
-    if k is ConstKind.NATREC:
-        x, y, n = args[0], args[1], whnf(args[2])
-        nh, nargs = spine(n)
-        if isinstance(nh, Const) and nh.kind is ConstKind.ZERO and not nargs:
-            return app(x, *args[3:])
-        if isinstance(nh, Const) and nh.kind is ConstKind.SUCC and len(nargs) == 1:
-            rec = app(head, x, y, nargs[0])
-            return app(y, nargs[0], rec, *args[3:])
-        return None
-    if k is ConstKind.LISTREC:
-        x, y, s = args[0], args[1], whnf(args[2])
-        tag, h, tail = _seq_view(s)
-        if tag == "empty":
-            return app(x, *args[3:])
-        if tag == "cons":
-            rec = app(head, x, y, tail)
-            return app(y, rec, h, *args[3:])
-        return None
-    if k is ConstKind.LEN:
-        s = whnf(args[0])
-        tag, h, tail = _seq_view(s)
-        if tag == "empty":
-            return app(Const(ConstKind.ZERO), *args[1:])
-        if tag == "cons":
-            ln = App(Const(ConstKind.LEN, head.types), tail)
-            return app(App(Const(ConstKind.SUCC), ln), *args[1:])
-        return None
-    if k is ConstKind.PROJ:
-        (elem,) = head.types
-        s = whnf(args[0])
-        tag, h, tail = _seq_view(s)
-        if tag == "empty":
-            return app(default_term(elem), *args[2:])
-        if tag == "cons":
-            i = whnf(args[1])
-            ih, iargs = spine(i)
-            if isinstance(ih, Const) and ih.kind is ConstKind.ZERO and not iargs:
-                return app(h, *args[2:])
-            if isinstance(ih, Const) and ih.kind is ConstKind.SUCC and len(iargs) == 1:
-                return app(head, tail, iargs[0], *args[2:])
-        return None
-    if k is ConstKind.CONCAT:
-        (elem,) = head.types
-        s = whnf(args[0])
-        tag, h, tail = _seq_view(s)
-        if tag == "empty":
-            return app(args[1], *args[2:])
-        if tag == "cons":
-            return app(cons(elem, h, concat(elem, tail, args[1])), *args[2:])
-        return None
-    if k is ConstKind.SEQAPP:
-        dom, codom_elem = head.types
+        out = cons(elem, args[0], empty_seq(elem))
+    elif k is ConstKind.NATREC or k is ConstKind.LISTREC:
+        x, y = args[0], args[1]
+        tag, h, tail = _view(args[2])
+        if tag is ConstKind.ZERO or tag is ConstKind.EMPTY:
+            out = x
+        elif tag is ConstKind.SUCC:
+            out = app(y, h, app(head, x, y, h))
+        elif tag is ConstKind.CONS:
+            out = app(y, app(head, x, y, tail), h)
+        else:
+            return None
+    elif k is ConstKind.SEQAPP:
         s, a = whnf(args[0]), args[1]
         if isinstance(s, SeqAbs):
-            return app(substitute(s.body, s.var, a), *args[2:])
-        fns = _collect_spine(s)
-        if fns is None:
+            out = substitute(s.body, s.var, a)
+        else:
+            # the functions of a sequence whose every cell is a constructor, applied to a
+            fns = []
+            tag, h, s = _view(s)
+            while tag is ConstKind.CONS:
+                fns.append(h)
+                tag, h, s = _view(s)
+            if tag is None:
+                return None
+            elem = head.types[1]
+            out = App(fns[-1], a) if fns else empty_seq(elem)
+            for f in reversed(fns[:-1]):
+                out = concat(elem, App(f, a), out)
+    elif k is ConstKind.LEN or k is ConstKind.PROJ or k is ConstKind.CONCAT:
+        (elem,) = head.types
+        tag, h, tail = _view(args[0])
+        empty = tag is ConstKind.EMPTY
+        if not empty and tag is not ConstKind.CONS:
             return None
-        if not fns:
-            return app(empty_seq(codom_elem), *args[2:])
-        out = App(fns[-1], a)
-        for f in reversed(fns[:-1]):
-            out = concat(codom_elem, App(f, a), out)
-        return app(out, *args[2:])
-    return None
-
-
-def _collect_spine(s: Term) -> list[Term] | None:
-    """Elements of a fully canonical sequence spine, or None if any cell is stuck."""
-    items: list[Term] = []
-    while True:
-        tag, h, tail = _seq_view(whnf(s))
-        if tag == "empty":
-            return items
-        if tag == "stuck":
-            return None
-        items.append(h)
-        s = tail
+        if k is ConstKind.LEN:
+            out = ZERO if empty else App(SUCC, App(head, tail))
+        elif k is ConstKind.CONCAT:
+            out = args[1] if empty else cons(elem, h, concat(elem, tail, args[1]))
+        elif empty:
+            out = default_term(elem)
+        else:
+            tag, i, _ = _view(args[1])
+            if tag is ConstKind.ZERO:
+                out = h
+            elif tag is ConstKind.SUCC:
+                out = app(head, tail, i)
+            else:
+                return None
+    else:
+        return None
+    return app(out, *args[k.operands:])
 
 
 def normalize(term: Term) -> Term:
@@ -370,11 +345,8 @@ def _compile(t: Term, scope: Scope):
             make = _singleton_of(make)
         return scope.share(t, make, inner.depth), inner.depth
     assert isinstance(t, App)
-    if t.fun == SUCC:
-        # numerals and other successor chains compile flat, whatever their depth
-        k, base = 0, t
-        while isinstance(base, App) and base.fun == SUCC:
-            k, base = k + 1, base.arg
+    k, base = succ_chain(t)
+    if k:  # numerals and other successor chains compile flat, whatever their depth
         if isinstance(base, Const) and base.kind is ConstKind.ZERO:
             return (lambda frame: k), -1
         inner, depth = _compile(base, scope)

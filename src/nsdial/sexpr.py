@@ -21,7 +21,7 @@ import sys
 from functools import cache
 from operator import attrgetter
 
-from .ftypes import Arrow, FiniteType, Ground, N, Star
+from .ftypes import Arrow, FiniteType, N, Star
 from . import formulas as F
 from .terms import (
     App,
@@ -36,6 +36,8 @@ from .terms import (
     free_vars,
     numeral,
     seq_term,
+    spine,
+    succ_chain,
     synth_type,
 )
 from .translate import Flavor, RealiserBundle, TranslatedFormula
@@ -146,18 +148,21 @@ def is_type_sx(sx) -> bool:
 
 
 def print_type(t: FiniteType) -> str:
-    if isinstance(t, Ground):
-        return "N"
-    if isinstance(t, Arrow):
-        return f"(-> {print_type(t.domain)} {print_type(t.codomain)})"
-    return f"(* {print_type(t.element)})"
+    return repr(t)
 
 
 # -- terms -------------------------------------------------------------------
 
-# heads of the constants that take type parameters, and those with applied sugar
+# heads of the constants that take type parameters; the heads with applied sugar,
+# each with its error for a first operand whose type fits no instance of the schema
 _CONST_HEADS = {k.value: k for k in ConstKind if k.type_params}
-_SUGAR_HEADS = {"len", "proj", "concat", "sapp", "sing"}
+_SUGAR_HEADS = {
+    "len": "(len t) needs a sequence",
+    "proj": "(proj s i) needs a sequence",
+    "concat": "(concat s t) needs sequences",
+    "sapp": "(sapp s a) needs s : (* (-> a (* b)))",
+    "sing": None,
+}
 
 
 class _Elab:
@@ -182,13 +187,11 @@ class _Elab:
                 return Const(ConstKind.SUCC)
             if sx.isdecimal():  # int() reads every such atom; isdigit() also passes '²'
                 return numeral(int(sx))
-            if sx == "cons":
-                if (
-                    isinstance(expected, Arrow)
-                    and isinstance(expected.codomain, Arrow)
-                    and expected.codomain.domain == Star(expected.domain)
-                ):
-                    return Const(ConstKind.CONS, (expected.domain,))
+            if sx == "cons":  # its type parameter read off the expected type's two domains
+                if isinstance(expected, Arrow) and isinstance(expected.codomain, Arrow):
+                    const = ConstKind.CONS.instance(expected.domain, expected.codomain.domain)
+                    if const is not None:
+                        return const
                 raise ParseError("bare cons needs an application argument to fix its type")
             raise ParseError(f"unknown term atom {sx!r}")
         if not sx:
@@ -235,56 +238,30 @@ class _Elab:
             if len(sx) == kind.type_params + 1 and all(is_type_sx(s) for s in sx[1:]):
                 return Const(kind, tuple(parse_type(s) for s in sx[1:]))
             if head in _SUGAR_HEADS and len(sx) == kind.operands + 1:
-                return self._operator_sugar(head, sx[1:], env)
+                return self._applied(kind, sx[1:], env, _SUGAR_HEADS[head])
             raise ParseError(f"malformed {head} form: {sx!r}")
         raise ParseError(f"unknown term form {sx!r}")
 
     def _app(self, parts, env) -> Term:
-        if parts and parts[0] == "cons" and len(parts) >= 2:
-            first = self.term(parts[1], env, None)
-            elem = synth_type(first)
-            out: Term = App(Const(ConstKind.CONS, (elem,)), first)
-            rest = parts[2:]
-        else:
-            out = self.term(parts[0], env, None)
-            rest = parts[1:]
-        for arg_sx in rest:
+        if parts[0] == "cons" and len(parts) >= 2:
+            return self._applied(ConstKind.CONS, parts[1:], env, None)
+        return self._apply(self.term(parts[0], env, None), parts[1:], env)
+
+    def _applied(self, kind: ConstKind, parts, env, error: str | None) -> Term:
+        """kind's constant applied to parts, its type parameters read off the first part's type."""
+        first = self.term(parts[0], env, None)
+        const = kind.instance(synth_type(first))
+        if const is None:
+            raise ParseError(error)
+        return self._apply(App(const, first), parts[1:], env)
+
+    def _apply(self, out: Term, parts, env) -> Term:
+        for arg_sx in parts:
             fn_ty = synth_type(out)
             if not isinstance(fn_ty, Arrow):
                 raise ParseError(f"application of a non-function: {print_type(fn_ty)}")
             out = App(out, self.term(arg_sx, env, fn_ty.domain))
         return out
-
-    def _operator_sugar(self, head: str, args, env) -> Term:
-        first = self.term(args[0], env, None)
-        ty = synth_type(first)
-        if head == "sing":
-            return App(Const(ConstKind.SINGLETON, (ty,)), first)
-        if head == "len":
-            if not isinstance(ty, Star):
-                raise ParseError("(len t) needs a sequence")
-            return App(Const(ConstKind.LEN, (ty.element,)), first)
-        if head == "proj":
-            if not isinstance(ty, Star):
-                raise ParseError("(proj s i) needs a sequence")
-            i = self.term(args[1], env, N)
-            return App(App(Const(ConstKind.PROJ, (ty.element,)), first), i)
-        if head == "concat":
-            if not isinstance(ty, Star):
-                raise ParseError("(concat s t) needs sequences")
-            second = self.term(args[1], env, ty)
-            return App(App(Const(ConstKind.CONCAT, (ty.element,)), first), second)
-        if head == "sapp":
-            if not (
-                isinstance(ty, Star)
-                and isinstance(ty.element, Arrow)
-                and isinstance(ty.element.codomain, Star)
-            ):
-                raise ParseError("(sapp s a) needs s : (* (-> a (* b)))")
-            arg = self.term(args[1], env, ty.element.domain)
-            kinds = (ty.element.domain, ty.element.codomain.element)
-            return App(App(Const(ConstKind.SEQAPP, kinds), first), arg)
-        raise AssertionError(head)
 
 
 def parse_term(sx, env: dict[str, FiniteType] | None = None,
@@ -299,16 +276,6 @@ def print_term_top(t: Term) -> str:
         return print_term(t)
     decls = " ".join(f"({n} {print_type(ty)})" for n, ty in sorted(fv.items()))
     return f"(open ({decls}) {print_term(t)})"
-
-
-def _numeral_value(t: Term) -> int | None:
-    n = 0
-    while isinstance(t, App) and isinstance(t.fun, Const) and t.fun.kind is ConstKind.SUCC:
-        n += 1
-        t = t.arg
-    if isinstance(t, Const) and t.kind is ConstKind.ZERO:
-        return n
-    return None
 
 
 def _seq_items(t: Term) -> tuple[FiniteType, list[Term]] | None:
@@ -329,9 +296,11 @@ def _seq_items(t: Term) -> tuple[FiniteType, list[Term]] | None:
 
 
 def print_term(t: Term) -> str:
-    n = _numeral_value(t)
-    if n is not None and n > 0:
-        return str(n)
+    count, base = succ_chain(t)
+    if count:  # a numeral, or succ applied count times: printed flat, whatever its length
+        if base.__class__ is Const and base.kind is ConstKind.ZERO:
+            return str(count)
+        return "(app succ " * count + print_term(base) + ")" * count
     seq = _seq_items(t)
     if seq is not None and seq[1]:
         elem, items = seq
@@ -343,22 +312,12 @@ def print_term(t: Term) -> str:
     if isinstance(t, SeqAbs):
         return f"(sabs ({t.var} {print_type(t.var_type)}) {print_term(t.body)})"
     if isinstance(t, App):
-        parts = []
-        while isinstance(t, App):
-            parts.append(t.arg)
-            t = t.fun
-        parts.append(t)
-        parts.reverse()
-        return f"(app {' '.join(print_term(p) for p in parts)})"
+        head, args = spine(t)
+        return f"(app {print_term(head)} {' '.join(print_term(a) for a in args)})"
     if isinstance(t, Const):
-        if t.kind is ConstKind.ZERO:
-            return "zero"
-        if t.kind is ConstKind.SUCC:
-            return "succ"
-        name = t.kind.value
         if not t.types:
-            return name
-        return f"({name} {' '.join(print_type(ty) for ty in t.types)})"
+            return t.kind.value
+        return f"({t.kind.value} {' '.join(print_type(ty) for ty in t.types)})"
     raise AssertionError(t)
 
 

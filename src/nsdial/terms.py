@@ -31,27 +31,58 @@ class TypeMismatch(NsdialError):
 
 
 class ConstKind(Enum):
-    """A term constant: its name, its number of type parameters, and the number
-    of operands its defining equations or native function take, 0 for zero and nil."""
+    """A term constant: its name and its type schema.
 
-    def __new__(cls, name: str, type_params: int, operands: int):
+    The schema maps the constant's type parameters to the types of the
+    operands its defining equations or native function take, then its result
+    type. Applied to the parameters' positions 0, 1, ... it gives the pattern
+    that instance() reads the parameters back from.
+    """
+
+    def __new__(cls, name: str, schema):
         kind = object.__new__(cls)
         kind._value_ = name
-        kind.type_params = type_params
-        kind.operands = operands
+        kind.schema = schema
+        kind.type_params = schema.__code__.co_argcount
+        kind.pattern = schema(*range(kind.type_params))[0]
+        kind.operands = len(kind.pattern)
         return kind
 
-    ZERO = "zero", 0, 0
-    SUCC = "succ", 0, 1
-    NATREC = "nrec", 1, 3
-    LISTREC = "lrec", 2, 3
-    EMPTY = "nil", 1, 0
-    CONS = "cons", 1, 2
-    LEN = "len", 1, 1
-    PROJ = "proj", 1, 2
-    CONCAT = "concat", 1, 2
-    SEQAPP = "sapp", 2, 2
-    SINGLETON = "sing", 1, 1
+    ZERO = "zero", lambda: ((), N)
+    SUCC = "succ", lambda: ((N,), N)
+    NATREC = "nrec", lambda s: ((s, arrow(N, s, s), N), s)
+    LISTREC = "lrec", lambda s, t: ((s, arrow(s, t, s), Star(t)), s)
+    EMPTY = "nil", lambda s: ((), Star(s))
+    CONS = "cons", lambda s: ((s, Star(s)), Star(s))
+    LEN = "len", lambda s: ((Star(s),), N)
+    PROJ = "proj", lambda s: ((Star(s), N), s)
+    CONCAT = "concat", lambda s: ((Star(s), Star(s)), Star(s))
+    SEQAPP = "sapp", lambda s, t: ((Star(Arrow(s, Star(t))), s), Star(t))
+    SINGLETON = "sing", lambda s: ((s,), Star(s))
+
+    def instance(self, *operand_types: FiniteType) -> Const | None:
+        """The constant of this kind whose first operands have these types, or
+        None if they fit no instance of its schema or leave a parameter open."""
+        found = [None] * self.type_params
+        for pattern, ty in zip(self.pattern, operand_types):
+            if not _match(pattern, ty, found):
+                return None
+        return None if None in found else Const(self, tuple(found))
+
+
+def _match(pattern, ty: FiniteType, found: list) -> bool:
+    """Whether ty is an instance of pattern, whose int n stands for the type found[n]."""
+    cls = pattern.__class__
+    if cls is int:
+        if found[pattern] is None:
+            found[pattern] = ty
+        return found[pattern] == ty
+    if cls is not ty.__class__:
+        return False
+    if cls is Arrow:
+        return (_match(pattern.domain, ty.domain, found)
+                and _match(pattern.codomain, ty.codomain, found))
+    return cls is not Star or _match(pattern.element, ty.element, found)
 
 
 # -- the binder table ----------------------------------------------------------
@@ -136,36 +167,27 @@ def const_type(c: Const) -> FiniteType:
     k, ts = c.kind, c.types
     if len(ts) != k.type_params:
         raise IllTyped(f"const {k.value}", f"{k.type_params} type params", len(ts))
-    if k is ConstKind.ZERO:
-        return N
-    if k is ConstKind.SUCC:
-        return Arrow(N, N)
-    if k is ConstKind.NATREC:
-        (s,) = ts
-        return arrow(s, arrow(N, s, s), N, s)
-    if k is ConstKind.LISTREC:
-        s, t = ts
-        return arrow(s, arrow(s, t, s), Star(t), s)
-    if k is ConstKind.EMPTY:
-        return Star(ts[0])
-    if k is ConstKind.CONS:
-        (s,) = ts
-        return arrow(s, Star(s), Star(s))
-    if k is ConstKind.LEN:
-        return Arrow(Star(ts[0]), N)
-    if k is ConstKind.PROJ:
-        (s,) = ts
-        return arrow(Star(s), N, s)
-    if k is ConstKind.CONCAT:
-        (s,) = ts
-        return arrow(Star(s), Star(s), Star(s))
-    if k is ConstKind.SEQAPP:
-        s, t = ts
-        return arrow(Star(Arrow(s, Star(t))), s, Star(t))
-    if k is ConstKind.SINGLETON:
-        (s,) = ts
-        return Arrow(ts[0], Star(s))
-    raise AssertionError(k)
+    operands, result = k.schema(*ts)
+    return arrow(*operands, result)
+
+
+def spine(t: Term) -> tuple[Term, list[Term]]:
+    """The head of an application and its arguments, in order."""
+    args: list[Term] = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fun
+    args.reverse()
+    return t, args
+
+
+def succ_chain(t: Term) -> tuple[int, Term]:
+    """The successors applied to a term and the term: (2, x) for succ (succ x)."""
+    count = 0
+    while t.__class__ is App and t.fun.__class__ is Const and t.fun.kind is ConstKind.SUCC:
+        count += 1
+        t = t.arg
+    return count, t
 
 
 def type_check(term: Term, context: dict[str, FiniteType] | None = None) -> FiniteType:
@@ -220,14 +242,18 @@ def _synth(t: Term, env: dict[str, FiniteType], closed: bool) -> FiniteType:
             raise IllTyped("seqabs body", "a sequence type", body)
         free = tuple(p for p in _annotations(t.body) if p[0] != t.var)
     elif isinstance(t, App):
-        fun = _synth(t.fun, env, closed)
-        arg = _synth(t.arg, env, closed)
+        head, operand = t.fun, t.arg
+        if head.__class__ is Const and head.kind is ConstKind.SUCC:
+            # a successor chain is typed as succ applied to its base: one frame, not one per succ
+            head, operand = SUCC, succ_chain(t)[1]
+        fun = _synth(head, env, closed)
+        arg = _synth(operand, env, closed)
         if not isinstance(fun, Arrow):
             raise IllTyped("application head", "an arrow type", fun)
         if fun.domain != arg:
             raise IllTyped("application argument", fun.domain, arg)
         ty = fun.codomain
-        free, extra = _annotations(t.fun), _annotations(t.arg)
+        free, extra = _annotations(head), _annotations(operand)
         if extra:
             free += tuple(p for p in extra if p not in free)
     else:
@@ -476,10 +502,10 @@ def seq_app(dom: FiniteType, codom_elem: FiniteType, s: Term, a: Term) -> Term:
 
 
 def seq_app_infer(s: Term, a: Term, s_type: FiniteType) -> Term:
-    if not (isinstance(s_type, Star) and isinstance(s_type.element, Arrow)
-            and isinstance(s_type.element.codomain, Star)):
+    c = ConstKind.SEQAPP.instance(s_type)
+    if c is None:
         raise IllTyped("sequence application", "a type of shape (s -> t*)*", s_type)
-    return seq_app(s_type.element.domain, s_type.element.codomain.element, s, a)
+    return app(c, s, a)
 
 
 def nat_rec(result: FiniteType, base: Term, step: Term, n: Term) -> Term:

@@ -241,6 +241,22 @@ def test_deep_recursor_term_evaluates(tmp_path, capsys):
     assert (item["status"], item["normal_form"]) == ("ok", "1000")
 
 
+@pytest.mark.parametrize(
+    "text, code, out, err",
+    [
+        ("1000", 0, "1000\n", ""),
+        ("(app succ 999)", 0, "1000\n", ""),
+        ("(app succ (nil N))", 2, "", "error: expected type N, found (* N) in ['nil', 'N']\n"),
+    ],
+)
+def test_successor_chain_of_a_thousand_evaluates(tmp_path, capsys, text, code, out, err):
+    # read, typed, evaluated and printed without a frame per successor
+    term = tmp_path / "numeral.term"
+    term.write_text(text + "\n")
+    assert run(["check-term", str(term)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 @pytest.mark.parametrize("flavor", ["--u", "--dst"])
 def test_bounded_quantifier_over_external_body_exits_two(tmp_path, capsys, flavor):
     f = tmp_path / "bounded.fml"
@@ -278,7 +294,7 @@ _MISMATCHED_MINOR = (
         ("ill_typed.term", "(app zero zero)", ["check-term"], 2),
         ("bounded.u.fml", "(bforall (i 2) (st N (var i)))", ["translate", "--u"], 2),
         ("mismatch.u.proof", _MISMATCHED_MINOR, ["extract", "--u"], 1),
-        ("deep.term", "1000", ["check-term"], 1),
+        ("deep.term", "(app succ " * 400 + "zero" + ")" * 400, ["check-term"], 1),
     ],
     ids=["parse-error", "ill-typed", "untranslatable", "mismatched-minor", "recursion"],
 )

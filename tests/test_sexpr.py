@@ -204,6 +204,45 @@ def test_term_forms_parse_to_pinned_node_and_print_back():
         assert parse_term(read_one(printed)) == term
 
 
+# Operator sugar and cons whose operands fit no instance of the constant's type
+# schema, and the error each raises.
+SCHEMA_ERRORS = [
+    ("(len (lam (x N) (var x)))", "(len t) needs a sequence"),
+    ("(proj 1 2)", "(proj s i) needs a sequence"),
+    ("(proj (nil N) (nil N))", "expected type N, found (* N) in ['nil', 'N']"),
+    ("(concat 1 2)", "(concat s t) needs sequences"),
+    ("(concat (seq N 1) (nil (* N)))", "expected type (* N), found (* (* N)) in ['nil', ['*', 'N']]"),
+    ("(sapp (nil N) 1)", "(sapp s a) needs s : (* (-> a (* b)))"),
+    ("(sapp (seq (-> N N) (lam (x N) (var x))) 3)", "(sapp s a) needs s : (* (-> a (* b)))"),
+    ("(sapp (nil (-> N (* N))) (nil N))", "expected type N, found (* N) in ['nil', 'N']"),
+    ("(the (-> N N) cons)", "bare cons needs an application argument to fix its type"),
+    ("(the (-> N (* (* N)) (* N)) cons)", "bare cons needs an application argument to fix its type"),
+    ("(the (-> N (* N) N) cons)",
+     "expected type (-> N (-> (* N) N)), found (-> N (-> (* N) (* N))) in 'cons'"),
+    ("(app cons)", "bare cons needs an application argument to fix its type"),
+    ("(app cons 1 (nil (* N)))", "expected type (* N), found (* (* N)) in ['nil', ['*', 'N']]"),
+    ("(app succ (nil N))", "expected type N, found (* N) in ['nil', 'N']"),
+]
+
+
+@pytest.mark.parametrize("text, error", SCHEMA_ERRORS, ids=[t for t, _ in SCHEMA_ERRORS])
+def test_operands_outside_the_schema_raise_pinned_errors(text, error):
+    with pytest.raises(ParseError) as raised:
+        parse_term(read_one(text))
+    assert str(raised.value) == error
+
+
+def test_successor_chains_print_flat():
+    deep = 10 ** 5
+    x = Var("x", N)
+    chain = x
+    for _ in range(deep):
+        chain = App(SUCC, chain)
+    assert print_term(numeral(deep)) == str(deep)
+    assert print_term(chain) == "(app succ " * deep + "(var x)" + ")" * deep
+    assert print_term(App(SUCC, seq_term(N, []))) == "(app succ (nil N))"
+
+
 def test_comments_ignored():
     text = "; leading remark\n(eq N zero zero) ; trailing"
     assert parse_formula(read_one(text)) == Eq(N, ZERO, ZERO)

@@ -23,6 +23,7 @@ from nsdial.terms import (
     numeral,
     seq_term,
     substitute,
+    succ_chain,
     synth_type,
     type_check,
 )
@@ -117,6 +118,51 @@ def test_const_schemas_typecheck_at_generated_types():
             ]
             ty = const_type(Const(kind, arity))
             assert ty is not None
+
+
+def test_schemas_give_parameter_and_operand_counts():
+    assert {k.value: (k.type_params, k.operands) for k in ConstKind} == {
+        "zero": (0, 0), "succ": (0, 1), "nrec": (1, 3), "lrec": (2, 3), "nil": (1, 0),
+        "cons": (1, 2), "len": (1, 1), "proj": (1, 2), "concat": (1, 2), "sapp": (2, 2),
+        "sing": (1, 1),
+    }
+
+
+def test_instance_reads_type_parameters_off_operand_types():
+    assert ConstKind.SEQAPP.instance(Star(Arrow(N, Star(Star(N))))) == Const(
+        ConstKind.SEQAPP, (N, Star(N))
+    )
+    assert ConstKind.SEQAPP.instance(Star(N)) is None
+    assert ConstKind.LEN.instance(Arrow(N, N)) is None
+    assert ConstKind.CONS.instance(N, Star(Star(N))) is None  # one parameter, two types
+    assert ConstKind.LISTREC.instance(N) is None  # the element type is left open
+    r = rng(13)
+    for _ in range(100):
+        s, t = random_type(r, 3), random_type(r, 3)
+        for kind in ConstKind:
+            c = Const(kind, (s, t)[: kind.type_params])
+            ty, operands = const_type(c), []
+            for _ in range(kind.operands):
+                operands.append(ty.domain)
+                ty = ty.codomain
+            # every operand type given: the constant, unless it has none to read from
+            assert kind.instance(*operands) == (None if kind is ConstKind.EMPTY else c)
+
+
+def test_successor_chains_type_in_one_frame():
+    deep = 10 ** 5
+    assert type_check(numeral(deep)) == N
+    x = Var("x", N)
+    chain = x
+    for _ in range(deep):
+        chain = App(SUCC, chain)
+    assert succ_chain(chain) == (deep, x)
+    assert synth_type(chain) == N
+    with pytest.raises(UnboundVariable):
+        type_check(chain)
+    assert type_check(chain, {"x": N}) == N
+    with pytest.raises(IllTyped, match="application argument: expected N, found \\(\\* N\\)"):
+        type_check(App(SUCC, App(SUCC, empty_seq(N))))
 
 
 def test_free_vars_and_data_types():
