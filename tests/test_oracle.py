@@ -69,7 +69,7 @@ from nsdial.terms import (
     singleton,
     substitute,
 )
-from nsdial.translate import Flavor, TranslatedFormula, dst_translate
+from nsdial.translate import Flavor, RealiserBundle, TranslatedFormula, dst_translate
 
 import fixture_defs as fx
 
@@ -492,6 +492,39 @@ def test_eval_formula_closure_values_and_missing_variables():
         eval_formula(f, {"f": identity}, Grid(2, 1))
     with pytest.raises(NotClosed):
         brute_force_witness(Exists("y", N, Eq(N, Var("y", N), a_)), Grid(2, 1))
+
+
+def test_witness_of_a_non_data_or_too_deep_variable_raises():
+    fn, deep = Arrow(N, N), Star(Star(Star(N)))
+    with pytest.raises(NotDataType):
+        brute_force_witness(Exists("y", fn, Eq(N, App(Var("y", fn), ZERO), ZERO)), Grid(1, 1))
+    with pytest.raises(NotDataType):
+        brute_force_witness(Exists("y", deep, Eq(N, seq_len(Star(Star(N)), Var("y", deep)), ZERO)),
+                            Grid(1, 1))
+
+
+def test_verify_sweeps_several_names_in_product_order():
+    # the counterexample is the first False in product order over the univ tuple, as given;
+    # a subterm that reads only an outer name is shared across the inner names' points
+    scope = (("a", N), ("s", Star(N)), ("b", N))
+    grid = Grid(2, 2)
+    r = rng(48)
+    verdicts = []
+    for _ in range(150):
+        matrix = random_internal(r, list(scope), 3)
+        bundle = RealiserBundle(matrix, TranslatedFormula((), scope, matrix, Flavor.U), (), Flavor.U)
+        want, unknown = None, False
+        for env in envs(scope, grid):
+            got = reference_eval(matrix, env, grid)
+            if got is False:
+                want = CounterexampleFound(tuple(sorted(env.items())))
+                break
+            unknown = unknown or got is UNKNOWN
+        if want is None:
+            want = Unknown("non-data quantifier encountered") if unknown else GridValid()
+        assert verify_bundle(bundle, grid) == want, matrix
+        verdicts.append(type(want))
+    assert {GridValid, CounterexampleFound} <= set(verdicts)
 
 
 # -- frame reuse: one environment per quantifier call, rebound for each value --
