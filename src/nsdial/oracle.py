@@ -17,9 +17,9 @@ recursion that compiles a node
 - shares a subterm that a quantifier's loop leaves unchanged. Its value is
   computed on first use and kept until a binder it reads moves on.
 
-The closures compute values and read nothing back into terms. The grid is
-then swept over native values; canonical ``Nat``/``Seq`` values are rebuilt
-only to report a counterexample.
+The closures compute values and read nothing back into terms. A grid sweep
+evaluates the matrix under the swept names as its outermost quantifiers, in
+one frame; canonical ``Nat``/``Seq`` values are rebuilt only to report a point.
 
 Upward closure of a herbrandised matrix is first certified statically, and
 swept only where the certificate does not apply. A witness s is certified
@@ -300,9 +300,10 @@ def _connective(kind, a, b, swap: bool):
 def _quantifier(universal: bool, slot: int, values, body, resets: list[int]):
     """Universal stops at the first False, existential at the first True.
 
-    The loop rebinds its variable's slot in place, and resets the shared
-    subterms that read the variable. A function value built in the body keeps
-    the values it reads, so rebinding never changes one that outlives an
+    It returns there without rebinding, so the frame keeps that point. The
+    loop rebinds its variable's slot in place, and resets the shared subterms
+    that read the variable. A function value built in the body keeps the
+    values it reads, so rebinding never changes one that outlives an
     iteration.
     """
     decisive = not universal
@@ -324,11 +325,23 @@ def _quantifier(universal: bool, slot: int, values, body, resets: list[int]):
 
 
 def _evaluator(matrix: Formula, names, grid: Grid):
-    """Compile a desugared internal matrix once: values of names, in order -> True | False | UNKNOWN."""
+    """Compile a desugared internal matrix once: frame -> True | False | UNKNOWN.
+
+    The frame is the caller's list of the values of names, in order; the
+    evaluation appends the other slots, the outermost binders' first.
+    """
+    missing = sorted(set(free_vars(matrix)) - set(names))
+    if missing:
+        raise NotClosed(f"free variables: {missing}")
     scope = _Frame(names)
     run = _compile(matrix, scope, grid)[0]
     initial = scope.initial
-    return lambda values: run([*values, *initial])
+
+    def evaluate(frame: list):
+        frame += initial
+        return run(frame)
+
+    return evaluate
 
 
 def compile_matrix(matrix: Formula, grid: Grid):
@@ -364,41 +377,40 @@ def _extensions(t: FiniteType, grid: Grid) -> tuple:
     return tuple((a, b) for a in domain for b in domain if set(a) <= set(b))
 
 
-def _native_env(matrix: Formula, env: dict[str, CanonicalValue]) -> tuple[Formula, dict]:
-    """Substitute arrow-typed values into the matrix and convert the rest to natives."""
+def _counterexample(values, names: list[tuple[str, FiniteType]], known=()) -> CounterexampleFound:
+    """The typed names at their native values, with the known (name, value) pairs, sorted."""
+    point = [(name, to_canonical(v, t)) for (name, t), v in zip(names, values)]
+    return CounterexampleFound(tuple(sorted([*known, *point])))
+
+
+def _verdict(matrix: Formula, env: dict[str, CanonicalValue], swept, grid: Grid) -> Verdict:
+    """Verdict of the matrix at env, with the swept names as its outermost universals.
+
+    Arrow-typed values of env are substituted into the matrix and the others
+    converted to natives. A counterexample is env and the first false point.
+    """
     native = {}
     for name, v in env.items():
         if isinstance(v, Closure):
             matrix = substitute(matrix, name, v.term)
         else:
             native[name] = to_native(v)
-    _require_closed(matrix, native)
-    return matrix, native
-
-
-def _require_closed(matrix: Formula, names) -> None:
-    missing = sorted(set(free_vars(matrix)) - set(names))
-    if missing:
-        raise NotClosed(f"free variables: {missing}")
+    for name, ty in reversed(swept):
+        matrix = Forall(name, ty, matrix)
+    frame = list(native.values())
+    r = _evaluator(matrix, list(native), grid)(frame)
+    if r is True:
+        return GridValid()
+    if r is False:
+        return _counterexample(frame[len(native):], swept, env.items())
+    return Unknown("non-data quantifier encountered")
 
 
 def eval_formula(matrix: Formula, env: dict[str, CanonicalValue], grid: Grid) -> Verdict:
     """Verdict for one assignment. The matrix must be internal."""
     m = desugar(matrix)
     assert classify(m).internal, "eval_formula needs an internal formula"
-    m, native = _native_env(m, env)
-    r = _evaluator(m, list(native), grid)(native.values())
-    if r is True:
-        return GridValid()
-    if r is False:
-        return CounterexampleFound(tuple(sorted(env.items())))
-    return Unknown("non-data quantifier encountered")
-
-
-def _counterexample(values, names: list[tuple[str, FiniteType]]) -> CounterexampleFound:
-    return CounterexampleFound(
-        tuple(sorted((name, to_canonical(v, t)) for (name, t), v in zip(names, values)))
-    )
+    return _verdict(m, env, (), grid)
 
 
 def _sweep_names(names, matrix: Formula) -> list[tuple[str, FiniteType]]:
@@ -438,23 +450,12 @@ def verify_bundle(bundle, grid: Grid) -> Verdict:
         return Unknown("non-data universal variable")
     if any(type_depth(t) > grid.depth_bound for _, t in remaining):
         return Unknown("universal variable type deeper than the grid bound")
-    evaluate = _evaluator(matrix, [name for name, _ in remaining], grid)
-    saw_unknown = False
-    for values in itertools.product(*(_domain(t, grid) for _, t in remaining)):
-        r = evaluate(values)
-        if r is False:
-            return _counterexample(values, remaining)
-        if r is UNKNOWN:
-            saw_unknown = True
-    if saw_unknown:
-        return Unknown("non-data quantifier encountered")
-    return GridValid()
+    return _verdict(matrix, {}, remaining, grid)
 
 
 def replay(bundle, verdict: CounterexampleFound, grid: Grid) -> bool:
     """Re-evaluate a counterexample environment; True iff the matrix is false there."""
-    matrix, env = _native_env(_instantiate(bundle), verdict.env_dict())
-    return _evaluator(matrix, list(env), grid)(env.values()) is False
+    return isinstance(_verdict(_instantiate(bundle), verdict.env_dict(), (), grid), CounterexampleFound)
 
 
 _WITNESS = object()  # the role of a witness name where no binder shadows it
@@ -563,7 +564,7 @@ def check_upward_closed(tf, grid: Grid) -> Verdict:
     pairs_per_comp = [_extensions(t, grid) for _, t in tf.exist_tuple]
     for outer in itertools.product(*(_domain(t, grid) for _, t in rest)):
         # evaluate once per witness assignment, then sweep the extension pairs
-        truth = {combo: evaluate(outer + combo) for combo in itertools.product(*exist_domains)}
+        truth = {combo: evaluate([*outer, *combo]) for combo in itertools.product(*exist_domains)}
         # keep, in order, the pairs whose ends occur in some true / false witness tuple
         viable = []
         for k, pairs in enumerate(pairs_per_comp):
@@ -587,10 +588,8 @@ def brute_force_witness(formula: Formula, grid: Grid):
     """First witness of a leading existential, in enumeration order, or None."""
     f = desugar(formula)
     assert isinstance(f, Exists), "needs a leading existential"
-    values = _domain(f.var_type, grid)
-    _require_closed(f, ())
-    body = _evaluator(f.body, [f.var], grid)
-    for v in values:
-        if body((v,)) is True:
-            return to_canonical(v, f.var_type)
+    _domain(f.var_type, grid)  # raises NotDataType, where the compiled quantifier is UNKNOWN
+    frame: list = []
+    if _evaluator(f, (), grid)(frame) is True:
+        return to_canonical(frame[0], f.var_type)
     return None
