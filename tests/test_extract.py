@@ -31,7 +31,7 @@ from nsdial.terms import (
     type_check,
 )
 from nsdial.reduce import spine
-from nsdial.sexpr import parse_proof, print_bundle, print_formula, print_proof, print_term, read_one
+from nsdial.sexpr import parse_bundle, parse_proof, print_bundle, print_formula, print_proof, print_term, read_one
 from nsdial.translate import Flavor
 
 import fixture_defs as fx
@@ -281,6 +281,24 @@ def test_leading_witness_binder_not_captured(schema, tmp_path, capsys):
     bundle.write_text(capsys.readouterr().out)
     code = run(["verify", str(bundle), "--nat-bound", "2", "--len-bound", "2"])
     assert (code, capsys.readouterr().out) == verdict
+
+
+# Schema variables named like a binder of the instance or of its realiser:
+# ncr's y named like its candidate sequence, nu's x and y alike, and a us-star
+# variable named like the paper form's sequence of candidate sequences.
+_NAME_CLASHES = {
+    "ncr": "(axiom ncr (x_type N) (y_type (* N)) (x x) (y s) (body (eq N (var x) zero)))",
+    "nu": "(axiom nu (x_type N) (y_type N) (x x) (y x) (body (eq N (var x) zero)))",
+    "us-star": "(axiom us-star (type N) (var spp) (body (eq N zero zero)))",
+}
+
+
+@pytest.mark.parametrize("schema", sorted(_NAME_CLASHES))
+def test_round_trip_with_clashing_names_is_grid_valid(schema):
+    proof = parse_proof(read_one(_NAME_CLASHES[schema]))
+    flavor = U if schema == "nu" else D
+    bundle = parse_bundle(read_one(print_bundle(extract(proof, flavor))))
+    assert isinstance(verify_bundle(bundle, Grid(1, 1)), GridValid)
 
 
 def test_extract_translates_each_formula_once(monkeypatch):

@@ -1,7 +1,11 @@
+import random
+import time
+from functools import reduce
+
 import pytest
 
 from nsdial.ftypes import N, Star
-from nsdial.axioms import BadInstantiation, FlavorViolation, Schema
+from nsdial.axioms import BadInstantiation, FlavorViolation, Schema, build_axiom
 from nsdial.derive import imp_refl, imp_trans, weaken
 from nsdial.extract import extract
 from nsdial.formulas import And, Eq, ExistsSt, Forall, Imp, Or, St, formula_alpha_eq
@@ -15,7 +19,8 @@ from nsdial.proofs import (
     delta_set,
     mp,
 )
-from nsdial.terms import App, SUCC, Var, ZERO, numeral, seq_len
+from nsdial.sexpr import parse_proof, print_formula, read_one
+from nsdial.terms import App, SUCC, Var, ZERO, alpha_eq, default_term, free_vars, numeral, seq_len, substitute
 from nsdial.translate import Flavor
 
 U, D = Flavor.U, Flavor.DST
@@ -139,3 +144,109 @@ def test_axiom_with_other_parameter_names_is_refused_when_checked_or_printed(oth
         with pytest.raises(BadInstantiation) as raised:
             run()
         assert str(raised.value) == message
+
+
+# -- witness binders of the choice principles ------------------------------
+
+def _instance(text: str, flavor: Flavor):
+    return check_proof(parse_proof(read_one(text)), flavor)
+
+
+# a premise whose free variable the conclusion's witness binder used to capture
+_FREE_IN_PREMISE = {
+    "hip-forallst": (
+        D,
+        "(axiom hip-forallst (x_type N) (y_type N) (x x) (premise (eq (* N) (var t) (nil N)))"
+        " (y y) (conclusion (eq N (var y) zero)))",
+        "(exists-st (t1 (* N)) (imp (forall-st (x N) (eq (* N) (var t) (nil N)))",
+    ),
+    "ip-forallst": (
+        U,
+        "(axiom ip-forallst (x_type N) (y_type N) (x x) (premise (eq N (var x) (var y)))"
+        " (y y) (conclusion (eq N (var y) zero)))",
+        "(exists-st (y1 N) (imp (forall-st (x N) (eq N (var x) (var y))) (eq N (var y1) zero)))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FREE_IN_PREMISE))
+def test_witness_binder_leaves_a_free_premise_variable_free(name):
+    flavor, text, conclusion = _FREE_IN_PREMISE[name]
+    instance = _instance(text, flavor)
+    assert free_vars(instance.left) == free_vars(instance.right)
+    assert print_formula(instance.right).startswith(conclusion)
+
+
+# a schema variable named like the witness a builder introduces
+_NAMED_LIKE_THE_WITNESS = {
+    "ac-st": (U, "(axiom ac-st (x_type N) (y_type N) (x f) (y y) (body (eq N (var y) zero)))"),
+    "hac-st": (D, "(axiom hac-st (x_type N) (y_type N) (x f) (y y) (body (eq N (var y) zero)))"),
+    "ncr": (D, "(axiom ncr (x_type N) (y_type N) (x s) (y y) (body (eq N (var y) zero)))"),
+    "hip-forallst": (
+        D,
+        "(axiom hip-forallst (x_type N) (y_type N) (x x) (premise (eq N (var x) zero))"
+        " (y t) (conclusion (eq N (var x) zero)))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_LIKE_THE_WITNESS))
+def test_schema_variable_named_like_the_witness_builds(name):
+    flavor, text = _NAMED_LIKE_THE_WITNESS[name]
+    instance = _instance(text, flavor)
+    assert free_vars(instance.left) == free_vars(instance.right)
+
+
+_CHOICE_SCHEMAS = [
+    (Schema.NCR, D), (Schema.NU, U),
+    (Schema.HAC_ST, D), (Schema.AC_ST, U),
+    (Schema.HIP_FORALLST, D), (Schema.IP_FORALLST, U),
+]
+_NAMES = ("x", "y", "s", "t", "f", "w")
+
+
+def _body(rng: random.Random, typed: dict):
+    """A conjunction of one to three equations between the typed names and defaults."""
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        name = rng.choice(sorted(typed))
+        ty = typed[name]
+        other = rng.choice([n for n in sorted(typed) if typed[n] == ty] + [None])
+        atoms.append(Eq(ty, Var(name, ty), Var(other, ty) if other else default_term(ty)))
+    return reduce(And, atoms)
+
+
+def _draw(rng: random.Random, schema: Schema):
+    """Parameters over names from _NAMES, and the same with x and y renamed apart."""
+    sx, sy = rng.choice((N, Star(N))), rng.choice((N, Star(N)))
+    x, y = rng.choice(_NAMES), rng.choice(_NAMES)
+    free = {n: rng.choice((N, Star(N))) for n in rng.sample(_NAMES, rng.randint(0, 2))}
+    p = dict(x_type=sx, y_type=sy, x=x, y=y)
+    xa, ya = Var("xa", sx), Var("ya", sy)
+    q = dict(p, x=xa.name, y=ya.name)
+    if schema in (Schema.HIP_FORALLST, Schema.IP_FORALLST):
+        p.update(premise=_body(rng, {**free, x: sx}), conclusion=_body(rng, {**free, y: sy}))
+        q.update(premise=substitute(p["premise"], x, xa), conclusion=substitute(p["conclusion"], y, ya))
+        return p, q
+    # the body's free occurrences of a name shared by x and y are the inner binder's
+    if schema in (Schema.NCR, Schema.NU):
+        p["body"] = _body(rng, {**free, y: sy, x: sx})
+        q["body"] = substitute(substitute(p["body"], x, xa), y, ya)
+    else:
+        p["body"] = _body(rng, {**free, x: sx, y: sy})
+        q["body"] = substitute(substitute(p["body"], y, ya), x, xa)
+    return p, q
+
+
+@pytest.mark.parametrize("schema, flavor", _CHOICE_SCHEMAS, ids=lambda v: getattr(v, "value", None))
+def test_choice_schema_instances_are_capture_free(schema, flavor):
+    # the instance must not depend on the names of x and y, which only
+    # happens if no binder the builder introduces captures a variable
+    rng = random.Random(f"{schema.value}-{flavor.value}")
+    start = time.perf_counter()
+    for _ in range(60):
+        p, apart = _draw(rng, schema)
+        instance = build_axiom(schema, p, flavor)
+        assert free_vars(instance.left) == free_vars(instance.right), p
+        assert alpha_eq(instance, build_axiom(schema, apart, flavor)), p
+    assert time.perf_counter() - start < 2
