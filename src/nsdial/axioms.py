@@ -2,14 +2,16 @@
 
 Each schema has a builder that constructs the instance formula from its
 parameters; construction validates all side conditions, so a stored instance
-is well formed by construction and re-checkable.
+is well formed by construction and re-checkable. Each herbrandised principle
+is built from its uniform twin, and every witness name a builder introduces
+is fresh for the whole instance.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .ftypes import Arrow, N, Star
+from .ftypes import Arrow, FiniteType, N, Star
 from .formulas import (
     And,
     Eq,
@@ -24,7 +26,6 @@ from .formulas import (
     Not,
     Or,
     St,
-    _fresh_for,
     bot,
     check_formula,
     classify,
@@ -35,14 +36,16 @@ from .terms import (
     App,
     NsdialError,
     SUCC,
+    Term,
     Var,
     ZERO,
+    all_names,
     alpha_eq,
     cons,
     empty_seq,
     free_vars,
+    fresh_name,
     numeral,
-    seq_app,
     substitute,
     synth_type,
     type_check,
@@ -270,62 +273,33 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
             ExistsSt(s, Star(ty), body),
         )
 
-    if schema is Schema.NCR:
-        sx, ty_y, x, y, body = p["x_type"], p["y_type"], p["x"], p["y"], p["body"]
-        s = _fresh_for(body, "s")
-        sv = Var(s, Star(sx))
-        bounded = Exists(x, sx, And(In(sx, Var(x, sx), sv), body))
-        return Imp(
-            Forall(y, ty_y, ExistsSt(x, sx, body)),
-            ExistsSt(s, Star(sx), Forall(y, ty_y, bounded)),
-        )
-    if schema is Schema.HAC_ST:
+    if schema in (Schema.NCR, Schema.NU):
         sx, sy, x, y, body = p["x_type"], p["y_type"], p["x"], p["y"], p["body"]
-        fname = _fresh_for(body, "f")
-        f_ty = Star(Arrow(sx, Star(sy)))
-        fx = seq_app(sx, sy, Var(fname, f_ty), Var(x, sx))
-        bounded = Exists(y, sy, And(In(sy, Var(y, sy), fx), body))
+        w = _witness(flavor, x, sx, "s", {y}, {x, y} | all_names(body))
+        return Imp(
+            Forall(y, sy, ExistsSt(x, sx, body)),
+            ExistsSt(w.name, w.type, Forall(y, sy, _chosen(flavor, x, sx, w, body))),
+        )
+    if schema in (Schema.HAC_ST, Schema.AC_ST):
+        sx, sy, x, y, body = p["x_type"], p["y_type"], p["x"], p["y"], p["body"]
+        f_ty = flavor.fn_type([sx], flavor.witness_type(sy))
+        f = Var(fresh_name("f", {x, y} | all_names(body)), f_ty)
+        fx = flavor.apply(f, [Var(x, sx)])
         return Imp(
             ForallSt(x, sx, ExistsSt(y, sy, body)),
-            ExistsSt(fname, f_ty, ForallSt(x, sx, bounded)),
+            ExistsSt(f.name, f.type, ForallSt(x, sx, _chosen(flavor, y, sy, fx, body))),
         )
-    if schema is Schema.HIP_FORALLST:
-        sx, sy, x, prem, y, concl = (
-            p["x_type"], p["y_type"], p["x"], p["premise"], p["y"], p["conclusion"],
-        )
-        _require_internal(prem, schema, flavor, "premise")
-        tname = _fresh_for(concl, "t")
-        tv = Var(tname, Star(sy))
-        bounded = Exists(y, sy, And(In(sy, Var(y, sy), tv), concl))
-        hyp = ForallSt(x, sx, prem)
-        return Imp(
-            Imp(hyp, ExistsSt(y, sy, concl)),
-            ExistsSt(tname, Star(sy), Imp(hyp, bounded)),
-        )
-    if schema is Schema.NU:
-        sx, ty_y, x, y, body = p["x_type"], p["y_type"], p["x"], p["y"], p["body"]
-        return Imp(
-            Forall(y, ty_y, ExistsSt(x, sx, body)),
-            ExistsSt(x, sx, Forall(y, ty_y, body)),
-        )
-    if schema is Schema.AC_ST:
-        sx, sy, x, y, body = p["x_type"], p["y_type"], p["x"], p["y"], p["body"]
-        fname = _fresh_for(body, "f")
-        f_ty = Arrow(sx, sy)
-        applied = substitute(body, y, App(Var(fname, f_ty), Var(x, sx)))
-        return Imp(
-            ForallSt(x, sx, ExistsSt(y, sy, body)),
-            ExistsSt(fname, f_ty, ForallSt(x, sx, applied)),
-        )
-    if schema is Schema.IP_FORALLST:
+    if schema in (Schema.HIP_FORALLST, Schema.IP_FORALLST):
         sx, sy, x, prem, y, concl = (
             p["x_type"], p["y_type"], p["x"], p["premise"], p["y"], p["conclusion"],
         )
         _require_internal(prem, schema, flavor, "premise")
         hyp = ForallSt(x, sx, prem)
+        taken = {x, y} | all_names(prem) | all_names(concl)
+        w = _witness(flavor, y, sy, "t", free_vars(hyp), taken)
         return Imp(
             Imp(hyp, ExistsSt(y, sy, concl)),
-            ExistsSt(y, sy, Imp(hyp, concl)),
+            ExistsSt(w.name, w.type, Imp(hyp, _chosen(flavor, y, sy, w, concl))),
         )
 
     if schema is Schema.DELTA:
@@ -335,3 +309,24 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
         return f
 
     raise BadInstantiation(schema, "unknown schema")
+
+
+def _witness(flavor: Flavor, var: str, ty: FiniteType, prefix: str, captured, taken) -> Var:
+    """The conclusion's witness for var; a name it introduces avoids the names taken.
+
+    Uniform, var itself, renamed only where a binder would capture it (var is
+    among captured); herbrandised, a fresh prefix sequence of candidates.
+    """
+    if flavor is Flavor.DST or var in captured:
+        var = fresh_name(prefix if flavor is Flavor.DST else var, taken)
+    return Var(var, flavor.witness_type(ty))
+
+
+def _chosen(flavor: Flavor, var: str, ty: FiniteType, w: Term, body: Formula) -> Formula:
+    """body with var taken from the witness w: w itself, or one of its candidates."""
+    if flavor is Flavor.U:
+        return substitute(body, var, w)
+    if var in free_vars(w):  # x named like y: the bound y would capture w's x
+        v = fresh_name(var, all_names(w) | all_names(body))
+        var, body = v, substitute(body, var, Var(v, ty))
+    return Exists(var, ty, And(In(ty, Var(var, ty), w), body))

@@ -208,11 +208,6 @@ def _echoes(flavor: Flavor, over: _Binders, picked: _Binders) -> list[Term]:
     return [flavor.abs(over, singleton(t, Var(n, t))) for n, t in picked]
 
 
-def _lead(name: str, ty: FiniteType, rest: _Binders) -> tuple[str, FiniteType]:
-    """Leading binder of an abstraction over rest, renamed if rest would capture it."""
-    return fresh_name(name, {n for n, _ in rest}), ty
-
-
 def _vs(bs: _Binders) -> list[Term]:
     return [Var(n, t) for n, t in bs]
 
@@ -415,7 +410,7 @@ def _realise_forallst_intro(p, flavor, tr):
 def _realise_existsst_elim(p, flavor, tr):
     tphi = tr(p["body"])
     sigma = p["var_type"]
-    wit = ("xw", sigma if flavor is Flavor.U else Star(sigma))
+    wit = ("xw", flavor.witness_type(sigma))
     us = _tuples(tphi, "u", "v")[0]
     ts = _bnd("t", [Star(t) for t in _types(tphi.univ_tuple)])
     over = [wit] + us + ts
@@ -426,15 +421,14 @@ def _realise_existsst_elim(p, flavor, tr):
 def _realise_existsst_intro(p, flavor, tr):
     us, vs = _tuples(tr(p["body"]), "u", "v")
     sigma = p["var_type"]
+    wit = ("yw", flavor.witness_type(sigma))
     if flavor is Flavor.U:
-        wit = ("yw", sigma)
         head = Var(*wit)
         colls = [
             flavor.abs([wit] + us + vs, singleton(Star(t), singleton(t, Var(n, t))))
             for n, t in vs
         ]
     else:
-        wit = ("yw", Star(sigma))
         # pad the candidate sequence: a vacuous challenge prefix must still
         # leave something to witness the bounded existential
         head = concat(sigma, Var(*wit), _sing_default(sigma))
@@ -445,7 +439,7 @@ def _realise_existsst_intro(p, flavor, tr):
 
 def _realise_st_ext(p, flavor, tr):
     sigma = p["type"]
-    w = ("w", sigma if flavor is Flavor.U else Star(sigma))
+    w = ("w", flavor.witness_type(sigma))
     return _picks(flavor, [w], [w])
 
 
@@ -495,38 +489,40 @@ def _realise_identity_shaped(instance: Imp, flavor: Flavor, tr: Translator) -> l
 
 
 def _realise_ncr(p, flavor, tr):
-    assert flavor is Flavor.DST
     tphi = tr(p["body"])
     us = _tuples(tphi, "u", "v")[0]
     ts = _bnd("t", [Star(Star(t)) for t in _types(tphi.univ_tuple)])
-    u0 = _lead("u0", Star(p["x_type"]), us + ts)
-    head = _echoes(flavor, [u0] + us, [u0])
-    return head + _picks(flavor, [u0] + us, us) + _picks(flavor, [u0] + us + ts, ts)
+    return _realise_herbrandised(flavor, ("u0", Star(p["x_type"])), us, ts)
 
 
 def _realise_hac_st(p, flavor, tr):
-    assert flavor is Flavor.DST
     tphi = tr(p["body"])
     sx, sy = p["x_type"], p["y_type"]
     us = _bnd("U", [Star(Arrow(sx, t)) for t in _types(tphi.exist_tuple)])
     ts = _bnd("t", [Star(Star(t)) for t in _types(tphi.univ_tuple)])
-    xs = ("xs", Star(sx))
-    u0 = _lead("U0", Star(Arrow(sx, Star(sy))), us + ts + [xs])
-    head = _echoes(flavor, [u0] + us, [u0])
-    return head + _picks(flavor, [u0] + us, us) + _picks(flavor, [u0] + us + ts + [xs], ts + [xs])
+    lead = ("U0", Star(Arrow(sx, Star(sy))))
+    return _realise_herbrandised(flavor, lead, us, ts + [("xs", Star(sx))])
 
 
 def _realise_hip(p, flavor, tr):
-    assert flavor is Flavor.DST
     tpsi = tr(p["conclusion"])
     us = _tuples(tpsi, "u", "v")[0]
     vs_t = _types(tpsi.univ_tuple)
     sx_coll = ("S", seqfn([Star(t) for t in vs_t], Star(p["x_type"])))
     ts = _bnd("t", [Star(Star(t)) for t in vs_t])
-    u0 = _lead("u0", Star(p["y_type"]), us + [sx_coll] + ts)
-    over = [u0] + us + [sx_coll]
-    head = _echoes(flavor, over, [u0])
-    return head + _picks(flavor, over, us + [sx_coll]) + _picks(flavor, over + ts, ts)
+    return _realise_herbrandised(flavor, ("u0", Star(p["y_type"])), us + [sx_coll], ts)
+
+
+def _realise_herbrandised(flavor, lead, wits: _Binders, chals: _Binders) -> list[Term]:
+    """A herbrandised principle: echo the lead candidates, pass the rest through.
+
+    The lead binder is renamed if the other binders would capture it.
+    """
+    assert flavor is Flavor.DST
+    name, ty = lead
+    over = [(fresh_name(name, {n for n, _ in wits + chals}), ty)] + wits
+    head = _echoes(flavor, over, over[:1])
+    return head + _picks(flavor, over, wits) + _picks(flavor, over + chals, chals)
 
 
 def _us_star_dst_paper_form(p) -> tuple[TranslatedFormula, list[Term]]:
@@ -534,7 +530,7 @@ def _us_star_dst_paper_form(p) -> tuple[TranslatedFormula, list[Term]]:
     sigma, s, phi = p["type"], p["var"], p["body"]
     ss, sp = Star(sigma), Star(Star(sigma))
     coll_ty = Star(Arrow(sp, sp))
-    taken = all_names(phi)
+    taken = all_names(phi) | {s}
     tname = fresh_name("T", taken)
     sname = fresh_name("spp", taken)
     sq = fresh_name("sq", taken)

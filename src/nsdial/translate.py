@@ -5,7 +5,7 @@ tuple of challenge variables, and an internal matrix. The herbrandised flavor
 (Dst) carries sequence-typed witnesses combined by sequence application; the
 uniform flavor (U) carries plain witnesses combined by ordinary application
 and keeps its matrices free of disjunction. Both share one set of clauses;
-the per-flavor witness builders live on Flavor, where extraction uses them too.
+the per-flavor witness builders live on Flavor, for axioms and extraction too.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class Untranslatable(NsdialError):
 
 
 class Flavor(Enum):
-    """The two systems, with the builders their witness terms differ in.
+    """The two systems and their witness builders: witness_type, fn_type, abs, apply.
 
     Herbrandised (DST) witnesses are sequences of candidate functions built by
     sequence abstraction and applied by sequence application; uniform (U)
@@ -70,6 +70,10 @@ class Flavor(Enum):
 
     DST = "dst"
     U = "u"
+
+    def witness_type(self, sigma: FiniteType) -> FiniteType:
+        """Type of a witness for a sigma: sigma itself, or a sequence of candidates."""
+        return Star(sigma) if self is Flavor.DST else sigma
 
     def fn_type(self, domains: list[FiniteType], result: FiniteType) -> FiniteType:
         """Type of a witness function taking the domains in turn and yielding result."""

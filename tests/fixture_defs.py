@@ -178,3 +178,53 @@ def doubling_bundle():
 def doubling_corrupt():
     b = doubling_bundle()
     return corrupt(b, [Lam("n", N, Var("n", N))])
+
+
+# Instances in which a schema variable is named like a binder the instance or
+# its realiser introduces, or a premise variable is free under the witness's
+# binder: flavor and proof text.
+NAME_CLASHES = {
+    "ncr-y-s": (
+        Flavor.DST,
+        "(axiom ncr (x_type N) (y_type (* N)) (x x) (y s) (body (eq N (var x) zero)))",
+    ),
+    "nu-x-x": (
+        Flavor.U,
+        "(axiom nu (x_type N) (y_type N) (x x) (y x) (body (eq N (var x) zero)))",
+    ),
+    "hac-st-x-x": (
+        Flavor.DST,
+        "(axiom hac-st (x_type N) (y_type N) (x x) (y x) (body (eq N (var x) zero)))",
+    ),
+    "ac-st-x-f": (
+        Flavor.U,
+        "(axiom ac-st (x_type N) (y_type N) (x f) (y y) (body (eq N (var y) zero)))",
+    ),
+    "hac-st-x-f": (
+        Flavor.DST,
+        "(axiom hac-st (x_type N) (y_type N) (x f) (y y) (body (eq N (var y) zero)))",
+    ),
+    "ncr-x-s": (
+        Flavor.DST,
+        "(axiom ncr (x_type N) (y_type N) (x s) (y y) (body (eq N (var y) zero)))",
+    ),
+    "hip-forallst-y-t": (
+        Flavor.DST,
+        "(axiom hip-forallst (x_type N) (y_type N) (x x) (premise (eq N (var x) zero))"
+        " (y t) (conclusion (eq N (var x) zero)))",
+    ),
+    "hip-forallst-free-t": (
+        Flavor.DST,
+        "(axiom hip-forallst (x_type N) (y_type N) (x x) (premise (eq (* N) (var t) (nil N)))"
+        " (y y) (conclusion (eq N (var y) zero)))",
+    ),
+    "ip-forallst-free-y": (
+        Flavor.U,
+        "(axiom ip-forallst (x_type N) (y_type N) (x x) (premise (eq N (var x) (var y)))"
+        " (y y) (conclusion (eq N (var y) zero)))",
+    ),
+    "us-star-spp": (
+        Flavor.DST,
+        "(axiom us-star (type N) (var spp) (body (eq N zero zero)))",
+    ),
+}

@@ -31,7 +31,9 @@ from nsdial.terms import (
     type_check,
 )
 from nsdial.reduce import spine
-from nsdial.sexpr import parse_bundle, parse_proof, print_bundle, print_formula, print_proof, print_term, read_one
+from nsdial.sexpr import (
+    parse_bundle, parse_proof, print_bundle, print_formula, print_proof, print_term, read_one,
+)
 from nsdial.translate import Flavor
 
 import fixture_defs as fx
@@ -283,20 +285,12 @@ def test_leading_witness_binder_not_captured(schema, tmp_path, capsys):
     assert (code, capsys.readouterr().out) == verdict
 
 
-# Schema variables named like a binder of the instance or of its realiser:
-# ncr's y named like its candidate sequence, nu's x and y alike, and a us-star
-# variable named like the paper form's sequence of candidate sequences.
-_NAME_CLASHES = {
-    "ncr": "(axiom ncr (x_type N) (y_type (* N)) (x x) (y s) (body (eq N (var x) zero)))",
-    "nu": "(axiom nu (x_type N) (y_type N) (x x) (y x) (body (eq N (var x) zero)))",
-    "us-star": "(axiom us-star (type N) (var spp) (body (eq N zero zero)))",
-}
-
-
-@pytest.mark.parametrize("schema", sorted(_NAME_CLASHES))
-def test_round_trip_with_clashing_names_is_grid_valid(schema):
-    proof = parse_proof(read_one(_NAME_CLASHES[schema]))
-    flavor = U if schema == "nu" else D
+# ac-st's and hac-st's challenges include the premise's witness function,
+# which no grid enumerates, so their round trips are unknown at every grid
+@pytest.mark.parametrize("name", sorted(n for n in fx.NAME_CLASHES if "ac-st" not in n))
+def test_round_trip_with_clashing_names_is_grid_valid(name):
+    flavor, text = fx.NAME_CLASHES[name]
+    proof = parse_proof(read_one(text))
     bundle = parse_bundle(read_one(print_bundle(extract(proof, flavor))))
     assert isinstance(verify_bundle(bundle, Grid(1, 1)), GridValid)
 
