@@ -27,7 +27,7 @@ from .formulas import (
     Or,
     St,
     bot,
-    check_formula,
+    checked,
     classify,
     desugar,
 )
@@ -144,7 +144,7 @@ def build_axiom(schema: Schema, params: dict, flavor: Flavor) -> Formula:
         raise FlavorViolation(f"{schema.value} belongs to the {system} system")
     check_param_names(schema, params)
     f = _build(schema, params, flavor)
-    check_formula(f, free_vars(f))
+    checked(f)
     return f
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .ftypes import Arrow, FiniteType, N, Node, Star, node
+from .ftypes import Arrow, FiniteType, N, Node, Star, _put_type, node
 from .terms import (
     App,
     IllTyped,
@@ -181,8 +181,15 @@ _SUGAR = frozenset({In, SubsetEq, Hyper, Not})
 
 def classify(formula: Formula) -> Classification:
     """Internal: no standardness predicate or external quantifier, including via sugar."""
-    internal = True
-    or_free = True
+    internal, or_free, _ = _survey(formula)
+    return Classification(internal, or_free)
+
+
+def _survey(formula: Formula) -> tuple[bool, bool, bool]:
+    """Whether the formula is internal, whether it is or-free, and whether it has
+    sugar, an In, SubsetEq, Hyper or Not node for desugar to expand."""
+    internal = or_free = True
+    sugared = False
     stack: list = [formula]
     pop, push = stack.pop, stack.append
     while stack:
@@ -196,21 +203,80 @@ def classify(formula: Formula) -> Classification:
         elif cls in _NESTS or cls is Not:
             if cls is ForallSt or cls is ExistsSt:
                 internal = False
+            elif cls is Not:
+                sugared = True
             push(f.body)
-        elif cls is St or cls is Hyper:
+        elif cls is St:
             internal = False
-        elif cls is not Eq and cls is not In and cls is not SubsetEq:
+        elif cls in _SUGAR:
+            sugared = True
+            if cls is Hyper:
+                internal = False
+        elif cls is not Eq:
             raise AssertionError(f)
-    return Classification(internal, or_free)
+    return internal, or_free, sugared
+
+
+class Checked:
+    """check_formula's memo, kept in the _type slot of the formula it checked.
+
+    free maps each free variable to the annotation all its occurrences carry.
+    The formula passed its check under a context, so it passes under every
+    context that gives each free variable that annotation, and fails under
+    every other. names holds every name, free or bound. desugared is the
+    formula desugar returns, or None until desugar has run on a formula with
+    sugar.
+    """
+
+    __slots__ = ("free", "names", "desugared")
+
+    def __init__(self, free: dict[str, FiniteType], names: set[str], desugared):
+        self.free = free
+        self.names = names
+        self.desugared = desugared
 
 
 def check_formula(formula: Formula, context: dict[str, FiniteType] | None = None) -> None:
     """Check that all embedded terms are well typed and Eq sides share the annotation.
 
+    A formula that passes keeps a Checked memo in its _type slot, paired with
+    the annotations of its free variables the way a term's type memo is.
+    Checking it again under a context that gives each of them its annotation
+    costs one lookup per free variable; under any other context the formula
+    is walked again, so an error keeps its class, message and order.
+    """
+    memo = formula._type
+    context = context or {}
+    if memo is not None:
+        for name, ann in memo.free.items():
+            if context.get(name) != ann:
+                break
+        else:
+            return
+    sugared = _check(formula, context)
+    if memo is None:
+        free, names = free_vars_and_names(formula)
+        _put_type(formula, Checked(free, names, None if sugared else formula))
+
+
+def checked(formula: Formula) -> Checked:
+    """The formula's memo, checking it first under its own free variables if it has none."""
+    memo = formula._type
+    if memo is None:
+        free, names = free_vars_and_names(formula)
+        memo = Checked(free, names, None if _check(formula, free) else formula)
+        _put_type(formula, memo)
+    return memo
+
+
+def _check(formula: Formula, context: dict[str, FiniteType]) -> bool:
+    """check_formula's walk; returns whether it met sugar that desugar expands.
+
     The scope is one dict, updated on entering a binder; the binder pushes
     (name, previous type or None) below its body, which restores it.
     """
-    scope = dict(context) if context else {}
+    scope = dict(context)
+    sugared = False
     stack: list = [formula]
     pop, push = stack.pop, stack.append
 
@@ -243,41 +309,29 @@ def check_formula(formula: Formula, context: dict[str, FiniteType] | None = None
             push((f.var, scope.get(f.var)))
             push(f.body)
             scope[f.var] = ty
-        elif cls is Not:
-            push(f.body)
         elif cls is St:
             expect(f.term, f.type, "st argument")
-        elif cls is In:
-            expect(f.elem, f.type, "in element")
-            expect(f.seq, Star(f.type), "in sequence")
-        elif cls is SubsetEq:
-            lt = type_check(f.left, scope)
-            rt = type_check(f.right, scope)
-            if lt != rt:
-                raise TypeMismatch(f"subseteq sides {lt!r} vs {rt!r}")
-        elif cls is Hyper:
-            expect(f.seq, Star(f.type), "hyper sequence")
+        elif cls in _SUGAR:
+            sugared = True
+            if cls is Not:
+                push(f.body)
+            elif cls is In:
+                expect(f.elem, f.type, "in element")
+                expect(f.seq, Star(f.type), "in sequence")
+            elif cls is SubsetEq:
+                lt = type_check(f.left, scope)
+                rt = type_check(f.right, scope)
+                if lt != rt:
+                    raise TypeMismatch(f"subseteq sides {lt!r} vs {rt!r}")
+            else:
+                expect(f.seq, Star(f.type), "hyper sequence")
         else:
             raise AssertionError(f)
+    return sugared
 
 
 def _has_sugar(formula: Formula) -> bool:
-    """Whether desugar has anything to expand: an In, SubsetEq, Hyper or Not node."""
-    stack: list = [formula]
-    pop, push = stack.pop, stack.append
-    while stack:
-        f = pop()
-        cls = f.__class__
-        if cls is And or cls is Or or cls is Imp:
-            push(f.right)
-            push(f.left)
-        elif cls in _NESTS:
-            push(f.body)
-        elif cls in _SUGAR:
-            return True
-        elif cls is not Eq and cls is not St:
-            raise AssertionError(f)
-    return False
+    return _survey(formula)[2]
 
 
 def _fresh_for(f: Formula, base: str) -> str:
@@ -290,34 +344,55 @@ def desugar(formula: Formula) -> Formula:
 
     A node with no sugar below it is returned as it is, so desugaring a
     desugared formula builds nothing and walks it once, without recursion.
+    A checked formula keeps its desugared form in its Checked memo.
     """
-    if not _has_sugar(formula):
-        return formula
+    memo = formula._type
+    if memo is not None:
+        if memo.desugared is None:
+            memo.desugared = desugar_classified(formula)[0]
+        return memo.desugared
+    return desugar_classified(formula)[0] if _has_sugar(formula) else formula
+
+
+def desugar_classified(formula: Formula) -> tuple[Formula, Classification]:
+    """desugar(formula) and its classification, from one walk of the formula.
+
+    Unchanged subtrees are returned as they are. The walk takes a Python frame
+    per nesting level, which desugar spends only on formulas with sugar.
+    """
+    internal = or_free = True
 
     def go(f: Formula) -> Formula:
-        if isinstance(f, Eq):
+        nonlocal internal, or_free
+        cls = f.__class__
+        if cls is Eq:
             return f
-        if isinstance(f, (And, Or, Imp)):
+        if cls is And or cls is Or or cls is Imp:
+            if cls is Or:
+                or_free = False
             left, right = go(f.left), go(f.right)
             if left is f.left and right is f.right:
                 return f
-            return type(f)(left, right)
-        if isinstance(f, BINDERS):
+            return cls(left, right)
+        if cls in _NESTS:
+            if cls is ForallSt or cls is ExistsSt:
+                internal = False
             body = go(f.body)
-            return f if body is f.body else type(f)(f.var, f.var_type, body)
-        if isinstance(f, (BoundedForall, BoundedExists)):
-            body = go(f.body)
-            return f if body is f.body else type(f)(f.var, f.bound, body)
-        if isinstance(f, St):
+            if body is f.body:
+                return f
+            return cls(f.var, f.bound if cls in _BOUNDED else f.var_type, body)
+        if cls is St:
+            internal = False
             return f
-        if isinstance(f, Not):
+        if cls is Not:
             return Imp(go(f.body), bot())
-        if isinstance(f, In):
+        if cls is In:
             return in_formula(f.type, f.elem, f.seq)
-        if isinstance(f, Hyper):
+        if cls is Hyper:
+            internal = False
             x = _fresh_for(f, "x")
             return ForallSt(x, f.type, in_formula(f.type, Var(x, f.type), f.seq))
-        if isinstance(f, SubsetEq):
+        if cls is SubsetEq:
             left_ty = synth_type(f.left)
             if isinstance(left_ty, Star):
                 x = _fresh_for(f, "x")
@@ -340,7 +415,8 @@ def desugar(formula: Formula) -> Formula:
             raise TypeMismatch(f"subseteq over {left_ty!r}")
         raise AssertionError(f)
 
-    return go(formula)
+    out = go(formula)
+    return out, Classification(internal, or_free)
 
 
 def in_formula(elem_type: FiniteType, elem: Term, seq: Term) -> Formula:

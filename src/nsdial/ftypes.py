@@ -16,8 +16,8 @@ class Node:
 
     The hash equals hash() of the tuple of field values, as a frozen
     dataclass's does, so set and dict orders are those of plain tuples. The
-    _type slot is the type synthesiser's memo; only terms use it. Subclasses
-    are declared with @node.
+    _type slot holds a memo: a term's synthesised type, or a formula's
+    formulas.Checked. Subclasses are declared with @node.
     """
 
     __slots__ = ("_hash", "_type")

@@ -362,15 +362,15 @@ def substitute(tree, var: str, replacement: Term):
     """Capture-avoiding substitution of replacement for the free variable var.
 
     Works on terms and formulas alike, and returns every subtree in which
-    nothing changes as it is. A binder whose variable is free in replacement,
-    and whose body mentions var, is renamed first: to fresh_name of its
-    variable, avoiding replacement's free variables, the body's names and var.
+    nothing changes as it is, so a tree that does not mention var comes back
+    itself. A binder whose variable is free in replacement, and whose body
+    mentions var, is renamed first: to fresh_name of its variable, avoiding
+    replacement's free variables, the body's names and var.
     """
-    if not mentions(tree, var):
-        return tree
-    repl_free = set(free_vars(replacement))
+    repl_free = None  # replacement's free variables, found at the first binder
 
     def go(t):
+        nonlocal repl_free
         cls = t.__class__
         if cls is Var:
             return replacement if t.name == var else t
@@ -387,6 +387,8 @@ def substitute(tree, var: str, replacement: Term):
         if binds:
             name, body = t.var, old[-1]
             if name != var:
+                if repl_free is None:
+                    repl_free = set(free_vars(replacement))
                 if name in repl_free and mentions(body, var):
                     name = fresh_name(name, repl_free | all_names(body) | {var})
                     # a bounded quantifier's variable is a natural

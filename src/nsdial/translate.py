@@ -6,6 +6,13 @@ tuple of challenge variables, and an internal matrix. The herbrandised flavor
 uniform flavor (U) carries plain witnesses combined by ordinary application
 and keeps its matrices free of disjunction. Both share one set of clauses;
 the per-flavor witness builders live on Flavor, for axioms and extraction too.
+
+A translation checks its input under the input's own free variables through
+formulas.checked. The check is memoised on the formula node, paired with the
+annotations of its free variables, together with the names and the desugared
+input, so translating a formula that was parsed, checked or translated before
+does not walk it again. After the clauses, one walk of the matrix desugars it
+and classifies it for the invariant check.
 """
 
 from __future__ import annotations
@@ -15,9 +22,11 @@ from enum import Enum
 
 from .ftypes import FiniteType, N, Star, arrow, seqfn
 from .formulas import (
+    BINDERS,
     And,
     BoundedExists,
     BoundedForall,
+    Classification,
     Eq,
     Exists,
     ExistsSt,
@@ -29,9 +38,9 @@ from .formulas import (
     Not,
     Or,
     St,
-    check_formula,
-    classify,
+    checked,
     desugar,
+    desugar_classified,
 )
 from .terms import (
     NsdialError,
@@ -40,7 +49,6 @@ from .terms import (
     ZERO,
     all_names,
     app,
-    free_vars_and_names,
     fresh_name,
     lam,
     proj,
@@ -119,12 +127,19 @@ class FreshNames:
     free variables or dynamically taken names.
     """
 
-    def __init__(self, free: set[str], source: set[str]):
-        self.static = set(source)
+    def __init__(self, free: dict[str, FiniteType], source: set[str], desugared: bool):
+        self.avoid = set(source)  # the source names and every name taken since
         self.taken = set(free)
+        # No source name is i or i<digits>, and neither is any name issued from
+        # them or from the fixed prefixes. Then the only such names a matrix
+        # holds are those of the indices _indexed binds in it.
+        self.plain = desugared and not any(
+            n[:1] == "i" and (n == "i" or n[1:].isdecimal()) for n in source
+        )
 
     def issue(self, prefix: str) -> str:
-        name = fresh_name(prefix, self.static | self.taken)
+        name = fresh_name(prefix, self.avoid)
+        self.avoid.add(name)
         self.taken.add(name)
         return name
 
@@ -132,6 +147,7 @@ class FreshNames:
         """Claim a binder name; None means the caller must rename via issue."""
         if name in self.taken:
             return None
+        self.avoid.add(name)
         self.taken.add(name)
         return name
 
@@ -139,25 +155,57 @@ class FreshNames:
 Tuple = tuple[tuple[str, FiniteType], ...]
 
 
-def _bounded_all(bounds: list[tuple[str, FiniteType, Term]], body: Formula) -> Formula:
+def _bounded_all(bounds: list[tuple[str, FiniteType, Term]], body: Formula,
+                 fr: FreshNames) -> Formula:
     """forall y in coll, index-encoded so the matrix stays decidable on grids.
 
     Each (name, elem type, collection) becomes forall i < |collection| with the
     i-th projection substituted for name.
     """
     for name, ty, coll in reversed(bounds):
-        body = _indexed(BoundedForall, name, ty, coll, body)
+        body = _indexed(BoundedForall, name, ty, coll, body, fr)
     return body
 
 
 def bounded_exists(var: str, ty: FiniteType, coll: Term, body: Formula) -> Formula:
     """exists var in coll, index-encoded like _bounded_all."""
-    return _indexed(BoundedExists, var, ty, coll, body)
+    return _indexed(BoundedExists, var, ty, coll, body, None)
 
 
-def _indexed(kind, var: str, ty: FiniteType, coll: Term, body: Formula) -> Formula:
-    i = fresh_name("i", all_names(body) | all_names(coll) | {var})
+def _indexed(kind, var: str, ty: FiniteType, coll: Term, body: Formula,
+             fr: FreshNames | None) -> Formula:
+    """The index is i, or i numbered past every name in body and coll and var.
+
+    In a plain translation only index binders hold such names: var and coll
+    hold none, and body's terms none that its binders do not. So the
+    variables of body's quantifiers decide the same index, without a walk of
+    its terms.
+    """
+    if fr is not None and fr.plain:
+        avoid = _bound_names(body)
+    else:
+        avoid = all_names(body) | all_names(coll) | {var}
+    i = fresh_name("i", avoid)
     return kind(i, seq_len(ty, coll), substitute(body, var, proj(ty, coll, Var(i, N))))
+
+
+_QUANTIFIERS = (*BINDERS, BoundedForall, BoundedExists)
+
+
+def _bound_names(f: Formula) -> set[str]:
+    """The variables of f's quantifiers; its terms are not visited."""
+    names = set()
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (And, Or, Imp)):
+            stack += (f.left, f.right)
+        elif isinstance(f, _QUANTIFIERS):
+            names.add(f.var)
+            stack.append(f.body)
+        elif isinstance(f, Not):
+            stack.append(f.body)
+    return names
 
 
 def dst_translate(formula: Formula) -> TranslatedFormula:
@@ -171,21 +219,20 @@ def u_translate(formula: Formula) -> TranslatedFormula:
 
 
 def _translate(formula: Formula, flavor: Flavor) -> TranslatedFormula:
-    free, names = free_vars_and_names(formula)
     try:
-        check_formula(formula, free)
+        memo = checked(formula)
     except NsdialError as e:
         raise IllTypedInput(str(e)) from e
-    fresh = FreshNames(set(free), names)
-    ex, un, m = _clauses(desugar(formula), fresh, flavor)
-    m = desugar(m)
+    source = desugar(formula)
+    fresh = FreshNames(memo.free, memo.names, source is formula)
+    ex, un, m = _clauses(source, fresh, flavor)
+    m, cl = desugar_classified(m)
     tf = TranslatedFormula(tuple(ex), tuple(un), m, flavor)
-    _check_invariants(tf)
+    _check_invariants(tf, cl)
     return tf
 
 
-def _check_invariants(tf: TranslatedFormula) -> None:
-    cl = classify(tf.matrix)
+def _check_invariants(tf: TranslatedFormula, cl: Classification) -> None:
     assert cl.internal, "matrix must be internal"
     if tf.flavor is Flavor.DST:
         for _, ty in tf.exist_tuple:
@@ -247,7 +294,7 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
             (old, ty, flavor.apply(Var(c, cty), x_vars + v_vars))
             for (old, ty), (c, cty) in zip(un1, colls)
         ]
-        matrix = Imp(_bounded_all(bounds, m1), conclusion)
+        matrix = Imp(_bounded_all(bounds, m1, fr), conclusion)
         return fns + colls, ex1 + un2, matrix
 
     if isinstance(f, (Forall, Exists, BoundedForall, BoundedExists)):
@@ -272,7 +319,8 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         u = fr.issue("u")
         u_ty = Star(f.var_type)
         seqs, m = _collect(un, m, fr)
-        return [(u, u_ty)] + ex, seqs, bounded_exists(f.var, f.var_type, Var(u, u_ty), m)
+        m = _indexed(BoundedExists, f.var, f.var_type, Var(u, u_ty), m, fr)
+        return [(u, u_ty)] + ex, seqs, m
 
     if isinstance(f, ForallSt):
         z, z_ty, inner = _open_binder(f, fr)
@@ -296,7 +344,7 @@ def _collect(un: Tuple, m: Formula, fr: FreshNames) -> tuple[list, Formula]:
         t = fr.issue("t")
         seqs.append((t, Star(ty)))
         bounds.append((name, ty, Var(t, Star(ty))))
-    return seqs, _bounded_all(bounds, m)
+    return seqs, _bounded_all(bounds, m, fr)
 
 
 def _open_binder(f, fr: FreshNames) -> tuple[str, FiniteType, Formula]:
