@@ -247,12 +247,8 @@ def check_formula(formula: Formula, context: dict[str, FiniteType] | None = None
     """
     memo = formula._type
     context = context or {}
-    if memo is not None:
-        for name, ann in memo.free.items():
-            if context.get(name) != ann:
-                break
-        else:
-            return
+    if memo is not None and all(context.get(n) == ann for n, ann in memo.free.items()):
+        return
     sugared = _check(formula, context)
     if memo is None:
         free, names = free_vars_and_names(formula)

@@ -127,15 +127,13 @@ class FreshNames:
     free variables or dynamically taken names.
     """
 
-    def __init__(self, free: dict[str, FiniteType], source: set[str], desugared: bool):
+    def __init__(self, free: dict[str, FiniteType], source: set[str]):
         self.avoid = set(source)  # the source names and every name taken since
         self.taken = set(free)
-        # No source name is i or i<digits>, and neither is any name issued from
-        # them or from the fixed prefixes. Then the only such names a matrix
-        # holds are those of the indices _indexed binds in it.
-        self.plain = desugared and not any(
-            n[:1] == "i" and (n == "i" or n[1:].isdecimal()) for n in source
-        )
+        # No source name has the form i or i<digits>. Then no issued name has
+        # it either, and the only such names a matrix holds are those of the
+        # indices bound in it by _indexed and by desugaring the input.
+        self.plain = not any(n[:1] == "i" and (n == "i" or n[1:].isdecimal()) for n in source)
 
     def issue(self, prefix: str) -> str:
         name = fresh_name(prefix, self.avoid)
@@ -174,12 +172,12 @@ def bounded_exists(var: str, ty: FiniteType, coll: Term, body: Formula) -> Formu
 
 def _indexed(kind, var: str, ty: FiniteType, coll: Term, body: Formula,
              fr: FreshNames | None) -> Formula:
-    """The index is i, or i numbered past every name in body and coll and var.
+    """The index is i, numbered past every name in body, in coll and var.
 
-    In a plain translation only index binders hold such names: var and coll
-    hold none, and body's terms none that its binders do not. So the
-    variables of body's quantifiers decide the same index, without a walk of
-    its terms.
+    In a plain translation the only names of that form are index variables,
+    each occurring under its own quantifier, and coll and var hold none. So
+    the variables of body's quantifiers decide the same index, and no term is
+    walked.
     """
     if fr is not None and fr.plain:
         avoid = _bound_names(body)
@@ -223,9 +221,8 @@ def _translate(formula: Formula, flavor: Flavor) -> TranslatedFormula:
         memo = checked(formula)
     except NsdialError as e:
         raise IllTypedInput(str(e)) from e
-    source = desugar(formula)
-    fresh = FreshNames(memo.free, memo.names, source is formula)
-    ex, un, m = _clauses(source, fresh, flavor)
+    fresh = FreshNames(memo.free, memo.names)
+    ex, un, m = _clauses(desugar(formula), fresh, flavor)
     m, cl = desugar_classified(m)
     tf = TranslatedFormula(tuple(ex), tuple(un), m, flavor)
     _check_invariants(tf, cl)
