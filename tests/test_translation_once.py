@@ -34,7 +34,17 @@ from nsdial.formulas import (
 from nsdial.ftypes import N, Star
 from nsdial.gen import random_external, random_upward_safe
 from nsdial.sexpr import parse_formula, print_translated, read_one
-from nsdial.terms import SUCC, ZERO, App, NsdialError, Var, empty_seq, numeral
+from nsdial.terms import (
+    SUCC,
+    ZERO,
+    App,
+    IllTyped,
+    NsdialError,
+    UnboundVariable,
+    Var,
+    empty_seq,
+    numeral,
+)
 from nsdial.translate import IllTypedInput, dst_translate, u_translate
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
@@ -123,7 +133,7 @@ def _raised(call) -> tuple[type, str]:
 def test_ill_typed_input_raises_the_same_on_every_translation():
     f = And(St(N, Var("x", N)), Eq(N, Var("x", N), Var("x", Star(N))))
     first = _raised(lambda: dst_translate(f))
-    assert first[0] is IllTypedInput
+    assert first == (IllTypedInput, "ill-typed at var x: expected (* N), found N")
     assert _raised(lambda: dst_translate(f)) == first
     assert _raised(lambda: u_translate(f)) == first
 
@@ -132,9 +142,14 @@ def test_check_under_a_disagreeing_context_walks_again():
     f = ForallSt("y", N, Eq(N, Var("x", N), Var("y", N)))
     check_formula(f, {"x": N})
     twin = ForallSt("y", N, Eq(N, Var("x", N), Var("y", N)))
-    for context in ({"x": Star(N)}, {}, None):
-        assert _raised(lambda: check_formula(f, context)) == \
-            _raised(lambda: check_formula(twin, context))
+    expected = [
+        (IllTyped, "ill-typed at var x: expected (* N), found N"),
+        (UnboundVariable, "unbound variable 'x'"),
+        (UnboundVariable, "unbound variable 'x'"),
+    ]
+    for context, raised in zip(({"x": Star(N)}, {}, None), expected):
+        assert _raised(lambda: check_formula(f, context)) == raised
+        assert _raised(lambda: check_formula(twin, context)) == raised
     check_formula(f, {"x": N, "z": N})
 
 
