@@ -29,7 +29,6 @@ from .formulas import (
     bot,
     checked,
     classify,
-    desugar,
 )
 from .reduce import normalize
 from .terms import (
@@ -124,7 +123,7 @@ def _require(cond: bool, schema: Schema, reason: str) -> None:
 
 
 def _require_internal(f: Formula, schema: Schema, flavor: Flavor, what: str) -> None:
-    cl = classify(desugar(f))
+    cl = classify(f)
     if not cl.internal:
         raise FlavorViolation(f"{schema.value}: {what} must be internal")
     if flavor is Flavor.U and not cl.or_free:

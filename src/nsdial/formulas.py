@@ -165,14 +165,21 @@ class Classification(Node):
     or_free: bool
 
 
+# The four classifications, indexed by internal then or_free: desugar_classified
+# returns one of these rather than building a node per call.
+_CLASSIFICATIONS = tuple(tuple(Classification(i, o) for o in (False, True)) for i in (False, True))
+
+
 # -- query passes --------------------------------------------------------------
 #
 # Free variables, names, substitution and alpha-equivalence are the binder
-# passes of terms, driven by the binder table. The passes here read formula
-# structure only: each is a loop over an explicit stack that dispatches on the
-# node's class, so it is linear in the number of nodes and takes no Python
-# frame per nesting level. Children are pushed right to left, so nodes are
-# visited in the order of a left-to-right recursive walk.
+# passes of terms, driven by the binder table. The formula passes here are
+# check_formula's walk and desugar_classified, the one walk that classifies a
+# formula and expands its sugar; classify and desugar read it. Each is a loop
+# over an explicit stack that dispatches on the node's class, so it is linear
+# in the number of nodes and takes no Python frame per nesting level. Children
+# are pushed right to left, so nodes are visited in the order of a
+# left-to-right recursive walk.
 
 _BOUNDED = frozenset({BoundedForall, BoundedExists})
 _NESTS = frozenset({*BINDERS, *_BOUNDED})  # formula nodes with a body, besides Not
@@ -181,40 +188,7 @@ _SUGAR = frozenset({In, SubsetEq, Hyper, Not})
 
 def classify(formula: Formula) -> Classification:
     """Internal: no standardness predicate or external quantifier, including via sugar."""
-    internal, or_free, _ = _survey(formula)
-    return Classification(internal, or_free)
-
-
-def _survey(formula: Formula) -> tuple[bool, bool, bool]:
-    """Whether the formula is internal, whether it is or-free, and whether it has
-    sugar, an In, SubsetEq, Hyper or Not node for desugar to expand."""
-    internal = or_free = True
-    sugared = False
-    stack: list = [formula]
-    pop, push = stack.pop, stack.append
-    while stack:
-        f = pop()
-        cls = f.__class__
-        if cls is And or cls is Imp or cls is Or:
-            if cls is Or:
-                or_free = False
-            push(f.right)
-            push(f.left)
-        elif cls in _NESTS or cls is Not:
-            if cls is ForallSt or cls is ExistsSt:
-                internal = False
-            elif cls is Not:
-                sugared = True
-            push(f.body)
-        elif cls is St:
-            internal = False
-        elif cls in _SUGAR:
-            sugared = True
-            if cls is Hyper:
-                internal = False
-        elif cls is not Eq:
-            raise AssertionError(f)
-    return internal, or_free, sugared
+    return desugar_classified(formula)[1]
 
 
 class Checked:
@@ -257,12 +231,9 @@ def check_formula(formula: Formula, context: dict[str, FiniteType] | None = None
 
 def checked(formula: Formula) -> Checked:
     """The formula's memo, checking it first under its own free variables if it has none."""
-    memo = formula._type
-    if memo is None:
-        free, names = free_vars_and_names(formula)
-        memo = Checked(free, names, None if _check(formula, free) else formula)
-        _put_type(formula, memo)
-    return memo
+    if formula._type is None:
+        check_formula(formula, free_vars(formula))
+    return formula._type
 
 
 def _check(formula: Formula, context: dict[str, FiniteType]) -> bool:
@@ -319,6 +290,9 @@ def _check(formula: Formula, context: dict[str, FiniteType]) -> bool:
                 rt = type_check(f.right, scope)
                 if lt != rt:
                     raise TypeMismatch(f"subseteq sides {lt!r} vs {rt!r}")
+                seq = Star(f.type)
+                if lt != seq and not (lt.__class__ is Arrow and lt.codomain == seq):
+                    raise TypeMismatch(f"subseteq over {lt!r}, not {seq!r} or a function into it")
             else:
                 expect(f.seq, Star(f.type), "hyper sequence")
         else:
@@ -326,93 +300,91 @@ def _check(formula: Formula, context: dict[str, FiniteType]) -> bool:
     return sugared
 
 
-def _has_sugar(formula: Formula) -> bool:
-    return _survey(formula)[2]
-
-
-def _fresh_for(f: Formula, base: str) -> str:
-    """base, or base numbered past every name in f."""
-    return fresh_name(base, all_names(f))
-
-
 def desugar(formula: Formula) -> Formula:
     """Expand In/SubsetEq/Hyper/Not sugar; idempotent.
 
     A node with no sugar below it is returned as it is, so desugaring a
-    desugared formula builds nothing and walks it once, without recursion.
-    A checked formula keeps its desugared form in its Checked memo.
+    desugared formula builds nothing. A checked formula keeps its desugared
+    form in its Checked memo.
     """
     memo = formula._type
-    if memo is not None:
-        if memo.desugared is None:
-            memo.desugared = desugar_classified(formula)[0]
-        return memo.desugared
-    return desugar_classified(formula)[0] if _has_sugar(formula) else formula
+    if memo is None:
+        return desugar_classified(formula)[0]
+    if memo.desugared is None:
+        memo.desugared = desugar_classified(formula)[0]
+    return memo.desugared
 
 
 def desugar_classified(formula: Formula) -> tuple[Formula, Classification]:
     """desugar(formula) and its classification, from one walk of the formula.
 
-    Unchanged subtrees are returned as they are. The walk takes a Python frame
-    per nesting level, which desugar spends only on formulas with sugar.
+    A node's subformulas are pushed above a one-element tuple holding it. When
+    the tuple pops, their results are on the done stack, and the node is kept
+    if they are its own subformulas, so unchanged subtrees come back as they
+    are. A connective or quantifier over equations is kept at once. A sugar
+    node is rewritten one step, and the walk goes on into what it wrote.
     """
     internal = or_free = True
-
-    def go(f: Formula) -> Formula:
-        nonlocal internal, or_free
+    done: list = []
+    stack: list = [formula]
+    pop, push, put, take = stack.pop, stack.append, done.append, done.pop
+    while stack:
+        f = pop()
         cls = f.__class__
         if cls is Eq:
-            return f
-        if cls is And or cls is Or or cls is Imp:
+            put(f)
+        elif cls is tuple:
+            f = f[0]
+            cls = f.__class__
+            if cls in _NESTS:
+                body = take()
+                data = f.bound if cls in _BOUNDED else f.var_type
+                put(f if body is f.body else cls(f.var, data, body))
+            else:
+                right = take()
+                left = take()
+                put(f if left is f.left and right is f.right else cls(left, right))
+        elif cls is And or cls is Imp or cls is Or:
             if cls is Or:
                 or_free = False
-            left, right = go(f.left), go(f.right)
-            if left is f.left and right is f.right:
-                return f
-            return cls(left, right)
-        if cls in _NESTS:
+            if f.left.__class__ is Eq and f.right.__class__ is Eq:
+                put(f)
+            else:
+                push((f,))
+                push(f.right)
+                push(f.left)
+        elif cls in _NESTS:
             if cls is ForallSt or cls is ExistsSt:
                 internal = False
-            body = go(f.body)
-            if body is f.body:
-                return f
-            return cls(f.var, f.bound if cls in _BOUNDED else f.var_type, body)
-        if cls is St:
+            if f.body.__class__ is Eq:
+                put(f)
+            else:
+                push((f,))
+                push(f.body)
+        elif cls is St:
             internal = False
-            return f
-        if cls is Not:
-            return Imp(go(f.body), bot())
-        if cls is In:
-            return in_formula(f.type, f.elem, f.seq)
-        if cls is Hyper:
-            internal = False
-            x = _fresh_for(f, "x")
-            return ForallSt(x, f.type, in_formula(f.type, Var(x, f.type), f.seq))
-        if cls is SubsetEq:
-            left_ty = synth_type(f.left)
-            if isinstance(left_ty, Star):
-                x = _fresh_for(f, "x")
+            put(f)
+        elif cls is In:
+            put(in_formula(f.type, f.elem, f.seq))
+        elif cls is Not:
+            push(Imp(f.body, bot()))
+        elif cls is Hyper:
+            x = fresh_name("x", all_names(f))
+            push(ForallSt(x, f.type, In(f.type, Var(x, f.type), f.seq)))
+        elif cls is SubsetEq:
+            ty = synth_type(f.left)
+            x = fresh_name("x", all_names(f))
+            if isinstance(ty, Star):
                 xv = Var(x, f.type)
-                return Forall(
-                    x,
-                    f.type,
-                    Imp(in_formula(f.type, xv, f.left), in_formula(f.type, xv, f.right)),
-                )
-            if isinstance(left_ty, Arrow) and isinstance(left_ty.codomain, Star):
-                x = _fresh_for(f, "x")
-                xv = Var(x, left_ty.domain)
-                return go(
-                    Forall(
-                        x,
-                        left_ty.domain,
-                        SubsetEq(f.type, App(f.left, xv), App(f.right, xv)),
-                    )
-                )
-            raise TypeMismatch(f"subseteq over {left_ty!r}")
-        raise AssertionError(f)
-
-    out = go(formula)
-    return out, Classification(internal, or_free)
+                push(Forall(x, f.type, Imp(In(f.type, xv, f.left), In(f.type, xv, f.right))))
+            elif isinstance(ty, Arrow) and isinstance(ty.codomain, Star):
+                xv = Var(x, ty.domain)  # pointwise
+                push(Forall(x, ty.domain, SubsetEq(f.type, App(f.left, xv), App(f.right, xv))))
+            else:
+                raise TypeMismatch(f"subseteq over {ty!r}")
+        else:
+            raise AssertionError(f)
+    return done[0], _CLASSIFICATIONS[internal][or_free]
 
 
 def in_formula(elem_type: FiniteType, elem: Term, seq: Term) -> Formula:

@@ -50,8 +50,8 @@ from .formulas import (
     Formula,
     Imp,
     Or,
-    classify,
     desugar,
+    desugar_classified,
 )
 from .reduce import (
     CanonicalValue,
@@ -408,8 +408,8 @@ def _verdict(matrix: Formula, env: dict[str, CanonicalValue], swept, grid: Grid)
 
 def eval_formula(matrix: Formula, env: dict[str, CanonicalValue], grid: Grid) -> Verdict:
     """Verdict for one assignment. The matrix must be internal."""
-    m = desugar(matrix)
-    assert classify(m).internal, "eval_formula needs an internal formula"
+    m, cl = desugar_classified(matrix)
+    assert cl.internal, "eval_formula needs an internal formula"
     return _verdict(m, env, (), grid)
 
 

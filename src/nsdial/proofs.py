@@ -13,7 +13,6 @@ from .formulas import (
     Formula,
     Imp,
     classify,
-    desugar,
 )
 from .terms import App, NsdialError, SUCC, Var, ZERO, alpha_eq, free_vars, substitute
 from .translate import Flavor
@@ -167,7 +166,7 @@ def _check_proof_cached(proof: Proof, flavor: Flavor) -> Formula:
         if not alpha_eq(base, substitute(body, n, ZERO)):
             raise BadInstantiation(Schema.IA, "base does not match the zero instance")
         if not external:
-            cl = classify(desugar(body))
+            cl = classify(body)
             if not cl.internal:
                 raise FlavorViolation("internal induction over an external formula")
             if flavor is Flavor.U and not cl.or_free:

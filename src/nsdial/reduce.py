@@ -44,6 +44,7 @@ from .terms import (
     empty_seq,
     free_vars,
     numeral,
+    seq_term,
     spine,
     substitute,
     succ_chain,
@@ -455,8 +456,5 @@ def value_to_term(v: CanonicalValue) -> Term:
     if isinstance(v, Nat):
         return numeral(v.value)
     if isinstance(v, Seq):
-        out = empty_seq(v.element)
-        for item in reversed(v.items):
-            out = cons(v.element, value_to_term(item), out)
-        return out
+        return seq_term(v.element, [value_to_term(item) for item in v.items])
     return v.term

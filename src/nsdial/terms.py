@@ -338,33 +338,13 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     return f"{base}{i}"
 
 
-def mentions(tree, var: str) -> bool:
-    """Whether the variable occurs free in the term or formula."""
-    stack: list = [tree]
-    pop, push, extend = stack.pop, stack.append, stack.extend
-    while stack:
-        t = pop()
-        cls = t.__class__
-        if cls is App:
-            push(t.arg)
-            push(t.fun)
-        elif cls is Var:
-            if t.name == var:
-                return True
-        elif cls is not Const:
-            _, pushed, _, binds = _SYNTAX[cls]
-            # a binder of var hides its body, the first subtree pushed
-            extend(pushed(t)[1:] if binds and t.var == var else pushed(t))
-    return False
-
-
 def substitute(tree, var: str, replacement: Term):
     """Capture-avoiding substitution of replacement for the free variable var.
 
     Works on terms and formulas alike, and returns every subtree in which
     nothing changes as it is, so a tree that does not mention var comes back
     itself. A binder whose variable is free in replacement, and whose body
-    mentions var, is renamed first: to fresh_name of its variable, avoiding
+    has var free, is renamed first: to fresh_name of its variable, avoiding
     replacement's free variables, the body's names and var.
     """
     repl_free = None  # replacement's free variables, found at the first binder
@@ -389,10 +369,12 @@ def substitute(tree, var: str, replacement: Term):
             if name != var:
                 if repl_free is None:
                     repl_free = set(free_vars(replacement))
-                if name in repl_free and mentions(body, var):
-                    name = fresh_name(name, repl_free | all_names(body) | {var})
-                    # a bounded quantifier's variable is a natural
-                    body = substitute(body, t.var, Var(name, getattr(t, "var_type", N)))
+                if name in repl_free:
+                    free, names = free_vars_and_names(body)
+                    if var in free:
+                        name = fresh_name(name, repl_free | names | {var})
+                        # a bounded quantifier's variable is a natural
+                        body = substitute(body, t.var, Var(name, getattr(t, "var_type", N)))
                 body = go(body)
             new.append(body)
         if all(map(is_, new, old)):

@@ -194,6 +194,18 @@ def test_subseteq_formula_translates(tmp_path, capsys):
         assert capsys.readouterr().out.startswith("(exists-st () (forall-st () ")
 
 
+def test_subseteq_over_other_elements_exits_two(tmp_path, capsys):
+    # sides of the same type, but not sequences of N: one error line, no output
+    f = tmp_path / "sub.fml"
+    for text in ("(forall (s (* (* N))) (subseteq N (var s) (var s)))", "(subseteq N zero zero)"):
+        f.write_text(text)
+        for flavor in ("--u", "--dst"):
+            assert run(["translate", flavor, str(f)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("TypeMismatch: subseteq over ") and err.count("\n") == 1
+
+
 def test_verify_ill_typed_realiser_exits_two(tmp_path, capsys):
     text = (CORPUS / "doubling.u.bundle").read_text()
     head = text[: text.index("(terms ")]

@@ -110,7 +110,7 @@ def test_translation_work_linear_in_formula_size(monkeypatch):
     of their entry points adds the node count of its argument.
     """
     calls = 0
-    entry_points = ("free_vars_and_names", "classify", "check_formula", "_has_sugar")
+    entry_points = ("free_vars_and_names", "classify", "check_formula", "desugar_classified")
     for name in entry_points:
         original = getattr(formulas, name)
 
