@@ -1,4 +1,4 @@
-"""Realiser extraction by structural recursion on checked proofs.
+"""Realiser extraction by induction on checked proofs.
 
 Every axiom schema in the catalogue has a realiser rule; modus ponens composes
 by application (sequence application in the herbrandised flavor), quantifier
@@ -25,7 +25,8 @@ from .proofs import (
     InductionNode,
     MPNode,
     Proof,
-    check_proof,
+    conclusions,
+    premises,
 )
 from .reduce import normalize
 from .terms import (
@@ -75,10 +76,11 @@ def extract_dst(proof: Proof) -> RealiserBundle:
 
 
 def extract(proof: Proof, flavor: Flavor) -> RealiserBundle:
-    target = check_proof(proof, flavor)
+    order, concl = conclusions(proof, flavor)
+    target = concl[id(proof)]
     tr = _translator(flavor, target)
     special = _axiom_special_form(proof, flavor)
-    tf, terms = special or (tr(target), _extract(proof, flavor, tr))
+    tf, terms = special or (tr(target), _realisers(order, concl, flavor, tr))
     terms = tuple(normalize(t) for t in terms)
     if len(terms) != len(tf.exist_tuple):
         raise UnsupportedSchema(
@@ -124,26 +126,34 @@ def _translator(flavor: Flavor, target: Formula) -> Translator:
     return tr
 
 
-def _extract(proof: Proof, flavor: Flavor, tr: Translator) -> list[Term]:
-    """The realisers of the proof's conclusion, one per witness of its translation."""
+def _realisers(order: list[Proof], concl, flavor: Flavor, tr: Translator) -> list[Term]:
+    """The root's realisers, node by node in post order; internal induction's premises get none."""
+    root = order[-1]
+    wanted = {id(root)}
+    for p in reversed(order):
+        if id(p) in wanted and not isinstance(p, InductionNode):
+            wanted.update(id(q) for q in premises(p))
+    real: dict[int, list[Term]] = {}
+    for p in order:
+        if id(p) in wanted:
+            real[id(p)] = _realise(p, concl, real, flavor, tr)
+    return real[id(root)]
+
+
+def _realise(proof: Proof, concl, real, flavor: Flavor, tr: Translator) -> list[Term]:
+    """One node's realisers, from the tables of conclusions and realisers."""
     if isinstance(proof, AxiomNode):
-        return _axiom_realisers(proof, check_proof(proof, flavor), flavor, tr)
+        return _axiom_realisers(proof, concl[id(proof)], flavor, tr)
 
     if isinstance(proof, MPNode):
-        major = check_proof(proof.major, flavor)
-        assert isinstance(major, Imp)
-        major_terms = _extract(proof.major, flavor, tr)
-        minor_terms = _extract(proof.minor, flavor, tr)
-        n_fns = len(tr(major.right).exist_tuple)
-        return [flavor.apply(fn, minor_terms) for fn in major_terms[:n_fns]]
+        n_fns = len(tr(concl[id(proof)]).exist_tuple)
+        return [flavor.apply(fn, real[id(proof.minor)]) for fn in real[id(proof.major)][:n_fns]]
 
     if isinstance(proof, ForallRuleNode):
-        return _extract(proof.premise, flavor, tr)
+        return real[id(proof.premise)]
 
     if isinstance(proof, ExistsRuleNode):
-        prem = check_proof(proof.premise, flavor)
-        assert isinstance(prem, Imp)
-        terms = _extract(proof.premise, flavor, tr)
+        prem, terms = concl[id(proof.premise)], real[id(proof.premise)]
         xs, ys = _tuples(tr(prem.left), "x", "y")
         tb = tr(prem.right)
         vs = _tuples(tb, "u", "v")[1]
@@ -159,9 +169,7 @@ def _extract(proof: Proof, flavor: Flavor, tr: Translator) -> list[Term]:
         return []
 
     if isinstance(proof, ExternalInductionNode):
-        base_terms = _extract(proof.base, flavor, tr)
-        step_terms = _extract(proof.step, flavor, tr)
-        t_base = tr(check_proof(proof.base, flavor))
+        t_base = tr(concl[id(proof.base)])
         k = len(t_base.exist_tuple)
         if k == 0:
             return []
@@ -170,12 +178,12 @@ def _extract(proof: Proof, flavor: Flavor, tr: Translator) -> list[Term]:
                 "external induction with more than one witness needs tuple coding"
             )
         (_, wit_ty) = t_base.exist_tuple[0]
-        step = step_terms[0]
+        base, step = (real[id(q)][0] for q in (proof.base, proof.step))
         if flavor is Flavor.DST:
             # the recursor's step is a plain function of (m, prev)
             m_prev = [("m", N), ("prev", wit_ty)]
             step = lam(m_prev, flavor.apply(step, _vs(m_prev)))
-        return [flavor.abs([("n", N)], nat_rec(wit_ty, base_terms[0], step, Var("n", N)))]
+        return [flavor.abs([("n", N)], nat_rec(wit_ty, base, step, Var("n", N)))]
 
     raise AssertionError(proof)
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .ftypes import FiniteType, N, Node, node
 from .axioms import BadInstantiation, FlavorViolation, Schema, build_axiom
 from .formulas import (
@@ -82,46 +80,54 @@ def mp(major: Proof, minor: Proof) -> MPNode:
     return MPNode(major, minor)
 
 
+def premises(proof: Proof) -> tuple[Proof, ...]:
+    """The proof-valued fields, in field order: major before minor, base before step."""
+    return tuple(v for v in proof._values(proof) if isinstance(v, Proof))
+
+
+def post_order(proof: Proof) -> list[Proof]:
+    """Each node object of the proof once, after its premises; no frame per level."""
+    order: list[Proof] = []
+    seen: set[int] = set()
+    stack: list[tuple[Proof, bool]] = [(proof, False)]
+    while stack:
+        p, done = stack.pop()
+        if done:
+            order.append(p)
+        elif id(p) not in seen:
+            seen.add(id(p))
+            stack.append((p, True))
+            stack.extend((q, False) for q in reversed(premises(p)))
+    return order
+
+
 def delta_set(proof: Proof) -> list[Formula]:
-    """All delta hypotheses assumed anywhere in the proof."""
-    out: list[Formula] = []
-
-    def go(p: Proof) -> None:
-        if isinstance(p, AxiomNode):
-            if p.schema is Schema.DELTA:
-                f = p.params_dict()["formula"]
-                if f not in out:
-                    out.append(f)
-        elif isinstance(p, MPNode):
-            go(p.major)
-            go(p.minor)
-        elif isinstance(p, (ForallRuleNode, ExistsRuleNode)):
-            go(p.premise)
-        elif isinstance(p, (InductionNode, ExternalInductionNode)):
-            go(p.base)
-            go(p.step)
-
-    go(proof)
-    return out
+    """All delta hypotheses assumed anywhere in the proof, in order of first use."""
+    deltas = [p for p in post_order(proof) if isinstance(p, AxiomNode) and p.schema is Schema.DELTA]
+    return list(dict.fromkeys(p.params_dict()["formula"] for p in deltas))
 
 
 def check_proof(proof: Proof, flavor: Flavor) -> Formula:
-    """Re-derive and return the conclusion, verifying every side condition.
-
-    Proof trees are immutable, so results are cached; extraction re-checks
-    subproofs freely without quadratic cost.
-    """
-    return _check_proof_cached(proof, flavor)
+    """Re-derive and return the conclusion, verifying every side condition."""
+    return conclusions(proof, flavor)[1][id(proof)]
 
 
-@lru_cache(maxsize=1 << 16)
-def _check_proof_cached(proof: Proof, flavor: Flavor) -> Formula:
+def conclusions(proof: Proof, flavor: Flavor) -> tuple[list[Proof], dict[int, Formula]]:
+    """The post order and each node's conclusion by id(node); the first failing node raises."""
+    order = post_order(proof)
+    table: dict[int, Formula] = {}
+    for p in order:
+        table[id(p)] = _conclude(p, flavor, [table[id(q)] for q in premises(p)])
+    return order, table
+
+
+def _conclude(proof: Proof, flavor: Flavor, prems: list[Formula]) -> Formula:
+    """The conclusion of one rule from its premises' conclusions."""
     if isinstance(proof, AxiomNode):
         return build_axiom(proof.schema, proof.params_dict(), flavor)
 
     if isinstance(proof, MPNode):
-        major = _check_proof_cached(proof.major, flavor)
-        minor = _check_proof_cached(proof.minor, flavor)
+        major, minor = prems
         if not isinstance(major, Imp):
             raise BadInstantiation(Schema.K, f"modus ponens major is not an implication: {major!r}")
         if not alpha_eq(major.left, minor):
@@ -130,30 +136,21 @@ def _check_proof_cached(proof: Proof, flavor: Flavor) -> Formula:
             )
         return major.right
 
-    if isinstance(proof, ForallRuleNode):
-        prem = _check_proof_cached(proof.premise, flavor)
+    if isinstance(proof, (ForallRuleNode, ExistsRuleNode)):
+        (prem,) = prems
         if not isinstance(prem, Imp):
             raise EigenvariableViolation("quantifier rule needs an implication premise")
-        if proof.var in free_vars(prem.left):
-            raise EigenvariableViolation(
-                f"{proof.var} occurs free in the antecedent"
-            )
-        return Imp(prem.left, Forall(proof.var, proof.var_type, prem.right))
-
-    if isinstance(proof, ExistsRuleNode):
-        prem = _check_proof_cached(proof.premise, flavor)
-        if not isinstance(prem, Imp):
-            raise EigenvariableViolation("quantifier rule needs an implication premise")
-        if proof.var in free_vars(prem.right):
-            raise EigenvariableViolation(
-                f"{proof.var} occurs free in the consequent"
-            )
+        forall = isinstance(proof, ForallRuleNode)
+        side, where = (prem.left, "antecedent") if forall else (prem.right, "consequent")
+        if proof.var in free_vars(side):
+            raise EigenvariableViolation(f"{proof.var} occurs free in the {where}")
+        if forall:
+            return Imp(prem.left, Forall(proof.var, proof.var_type, prem.right))
         return Imp(Exists(proof.var, proof.var_type, prem.left), prem.right)
 
     if isinstance(proof, (InductionNode, ExternalInductionNode)):
         external = isinstance(proof, ExternalInductionNode)
-        base = _check_proof_cached(proof.base, flavor)
-        step = _check_proof_cached(proof.step, flavor)
+        base, step = prems
         binder = ForallSt if external else Forall
         if not (isinstance(step, binder) and step.var_type == N and isinstance(step.body, Imp)):
             raise BadInstantiation(

@@ -64,6 +64,30 @@ def test_check_proof(capsys):
     assert "forall-st" in capsys.readouterr().out
 
 
+def test_a_600_step_proof_checks_and_extracts(tmp_path, capsys):
+    from nsdial.axioms import Schema
+    from nsdial.derive import imp_refl
+    from nsdial.formulas import Eq
+    from nsdial.ftypes import N
+    from nsdial.proofs import axiom, mp
+    from nsdial.sexpr import print_proof
+    from nsdial.terms import ZERO
+
+    a = Eq(N, ZERO, ZERO)
+    proof = axiom(Schema.EQ_REFL, type=N, t=ZERO)
+    for _ in range(600):
+        proof = mp(imp_refl(a), proof)
+    f = tmp_path / "chain.u.proof"
+    f.write_text(print_proof(proof))
+    assert run(["check-proof", "--u", str(f)]) == 0
+    assert capsys.readouterr().out == "checked: (eq N zero zero)\n"
+    assert run(["extract", "--u", str(f)]) == 0
+    assert capsys.readouterr().out == (
+        "(bundle u (target (eq N zero zero))"
+        " (translated (exists-st () (forall-st () (eq N zero zero)))) (terms ))\n"
+    )
+
+
 def test_check_term_prints_arrow_typed_normal_form(tmp_path, capsys):
     f = tmp_path / "id.term"
     f.write_text("(app (lam (f (-> N N)) (var f)) (lam (x N) (app succ (var x))))")

@@ -79,6 +79,13 @@ def test_delta_collection():
     d = Eq(N, ZERO, ZERO)
     p = weaken(Eq(N, numeral(1), numeral(1)), axiom(Schema.DELTA, formula=d), d)
     assert delta_set(p) == [d]
+    # two distinct deltas in order of first use; a repeated one is listed once
+    d1, d2 = Eq(N, numeral(1), numeral(1)), d
+    both = mp(weaken(d2, axiom(Schema.DELTA, formula=d1), d1), axiom(Schema.DELTA, formula=d2))
+    p = mp(weaken(d2, both, d1), axiom(Schema.DELTA, formula=d2))
+    assert check_proof(p, U) == d1
+    assert delta_set(both) == [d1, d2]
+    assert delta_set(p) == [d1, d2]
 
 
 def test_external_induction_shape_check():
@@ -115,7 +122,14 @@ def _internal_induction(phi, prove):
     return InductionNode(prove(ZERO), closed)
 
 
-def test_internal_induction_over_an_internal_formula():
+def test_internal_induction_over_an_internal_formula(monkeypatch):
+    import nsdial.extract as ex
+
+    def refuse(*args):
+        raise AssertionError("an axiom under internal induction was realised")
+
+    # the premises of internal induction are checked but not realised
+    monkeypatch.setattr(ex, "_axiom_realisers", refuse)
     p = _internal_induction(lambda t: Eq(N, t, t), lambda t: axiom(Schema.EQ_REFL, type=N, t=t))
     for flavor in (U, D):
         assert check_proof(p, flavor) == Forall("n", N, Eq(N, Var("n", N), Var("n", N)))
@@ -236,3 +250,60 @@ def test_choice_schema_instances_are_capture_free(schema, flavor):
         instance = build_axiom(schema, p, flavor)
         assert free_vars(instance.left) == free_vars(instance.right), p
         assert alpha_eq(instance, build_axiom(schema, apart, flavor)), p
+
+
+# -- one traversal: depth, sharing, and the order errors are found in --------
+
+def test_a_deep_chain_with_shared_subproofs_is_concluded_once_per_node(monkeypatch):
+    import nsdial.proofs as proofs
+
+    a = Eq(N, ZERO, ZERO)
+    r, p = imp_refl(a), axiom(Schema.EQ_REFL, type=N, t=ZERO)
+    for _ in range(10_000):
+        p = mp(r, p)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return build_axiom(*args)
+
+    monkeypatch.setattr(proofs, "build_axiom", counted)
+    for flavor in (U, D):
+        del calls[:]
+        assert check_proof(p, flavor) == a
+        assert len(calls) == 4
+        del calls[:]
+        assert extract(p, flavor).terms == ()
+        assert len(calls) == 4
+    assert delta_set(p) == []
+
+
+def _bad_mp():
+    return mp(axiom(Schema.K, a=_A, b=_A), axiom(Schema.EQ_REFL, type=N, t=numeral(1)))
+
+
+def _bad_forall_rule():
+    z = Var("z", N)
+    refl = axiom(Schema.EQ_REFL, type=N, t=z)
+    premise = mp(axiom(Schema.K, a=Eq(N, z, z), b=Eq(N, z, ZERO)), refl)
+    return ForallRuleNode("z", N, premise)
+
+
+_MP_ERROR = (
+    BadInstantiation,
+    "bad instantiation of Schema.K: modus ponens minor does not match the major premise",
+)
+_FORALL_ERROR = (EigenvariableViolation, "z occurs free in the antecedent")
+
+
+@pytest.mark.parametrize("rule", [mp, ExternalInductionNode], ids=["mp", "ind-st"])
+@pytest.mark.parametrize(
+    "first, second, error",
+    [(_bad_mp, _bad_forall_rule, _MP_ERROR), (_bad_forall_rule, _bad_mp, _FORALL_ERROR)],
+    ids=["mp-first", "forall-rule-first"],
+)
+def test_of_two_faulty_premises_the_first_one_raises(rule, first, second, error):
+    cls, message = error
+    with pytest.raises(cls) as raised:
+        check_proof(rule(first(), second()), U)
+    assert str(raised.value) == message
