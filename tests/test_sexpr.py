@@ -25,7 +25,8 @@ from nsdial.sexpr import (
     read_one,
 )
 from nsdial.terms import (
-    NsdialError, SUCC, App, Const, ConstKind, Lam, Var, ZERO, app, numeral, seq_term, type_check,
+    NsdialError, SUCC, App, Const, ConstKind, Lam, Var, ZERO, app, concat, cons, empty_seq,
+    numeral, seq_app, seq_term, type_check,
 )
 
 import fixture_defs as fx
@@ -241,6 +242,38 @@ def test_successor_chains_print_flat():
     assert print_term(numeral(deep)) == str(deep)
     assert print_term(chain) == "(app succ " * deep + "(var x)" + ")" * deep
     assert print_term(App(SUCC, seq_term(N, []))) == "(app succ (nil N))"
+
+
+_S, _X = Var("s", Star(N)), Var("x", N)
+
+# Each printed form an application can take: a flat successor chain, a cons
+# chain that ends in nil as (seq ...), anything else as its spine.
+PRINTED_TERMS = [
+    (cons(N, numeral(1), cons(N, _X, _S)), "(app (cons N) 1 (app (cons N) (var x) (var s)))"),
+    (cons(N, _X, concat(N, _S, _S)), "(app (cons N) (var x) (app (concat N) (var s) (var s)))"),
+    (App(Const(ConstKind.CONS, (N,)), _X), "(app (cons N) (var x))"),
+    (empty_seq(N), "(nil N)"),
+    (Const(ConstKind.CONS, (N,)), "(cons N)"),
+    (SUCC, "succ"),
+    (App(SUCC, _X), "(app succ (var x))"),
+    (app(SUCC, App(SUCC, _X)), "(app succ (app succ (var x)))"),
+    (
+        seq_term(Star(N), [seq_term(N, [numeral(1), numeral(2)]), empty_seq(N), seq_term(N, [_X])]),
+        "(seq (* N) (seq N 1 2) (nil N) (seq N (var x)))",
+    ),
+    (seq_app(N, N, Var("f", Star(Arrow(N, Star(N)))), numeral(2)), "(app (sapp N N) (var f) 2)"),
+    (concat(N, _S, seq_term(N, [App(SUCC, _X)])), "(app (concat N) (var s) (seq N (app succ (var x))))"),
+    (
+        concat(Star(N), seq_term(Star(N), [_S]), empty_seq(Star(N))),
+        "(app (concat (* N)) (seq (* N) (var s)) (nil (* N)))",
+    ),
+    (app(Lam("y", N, Var("y", N)), numeral(3)), "(app (lam (y N) (var y)) 3)"),
+]
+
+
+@pytest.mark.parametrize("term, printed", PRINTED_TERMS, ids=[p for _, p in PRINTED_TERMS])
+def test_application_forms_print_pinned_text(term, printed):
+    assert print_term(term) == printed
 
 
 def test_comments_ignored():
