@@ -7,12 +7,11 @@ primitive recursion over the base and step realisers.
 
 Most rules are wiring over the translated tuples: a witness pick abstracts
 over the hypotheses' binders and returns one of them, and a challenge echo
-returns one as a singleton.
+returns one as a singleton. The rules read only the types of those tuples
+(translate.tuple_types), so only the target is translated in full.
 """
 
 from __future__ import annotations
-
-from typing import Callable, NamedTuple
 
 from .ftypes import Arrow, FiniteType, N, Star, seqfn
 from .axioms import Schema
@@ -56,9 +55,9 @@ from .translate import (
     Flavor,
     RealiserBundle,
     TranslatedFormula,
-    Tuple,
     bounded_exists,
     dst_translate,
+    tuple_types,
     u_translate,
 )
 
@@ -78,9 +77,12 @@ def extract_dst(proof: Proof) -> RealiserBundle:
 def extract(proof: Proof, flavor: Flavor) -> RealiserBundle:
     order, concl = conclusions(proof, flavor)
     target = concl[id(proof)]
-    tr = _translator(flavor, target)
     special = _axiom_special_form(proof, flavor)
-    tf, terms = special or (tr(target), _realisers(order, concl, flavor, tr))
+    if special is None:
+        translate = dst_translate if flavor is Flavor.DST else u_translate
+        tf, terms = translate(target), _realisers(order, concl, flavor)
+    else:
+        tf, terms = special
     terms = tuple(normalize(t) for t in terms)
     if len(terms) != len(tf.exist_tuple):
         raise UnsupportedSchema(
@@ -93,40 +95,7 @@ def extract(proof: Proof, flavor: Flavor) -> RealiserBundle:
     return RealiserBundle(target, tf, terms, flavor)
 
 
-class _Tuples(NamedTuple):
-    """A translation's witness and challenge tuples: all that realiser rules read."""
-
-    exist_tuple: Tuple
-    univ_tuple: Tuple
-
-
-Translator = Callable[[Formula], TranslatedFormula | _Tuples]
-
-
-def _translator(flavor: Flavor, target: Formula) -> Translator:
-    """The flavor's translation, each distinct formula translated once.
-
-    Extraction builds every node's realisers from the translations of its
-    premises and its conclusion, so the same formulas recur along the proof.
-    The memo lives for one extraction; sharing it is sound because a
-    translation depends only on its formula (fresh names are drawn from it).
-    Only the target's matrix is printed, so of every other formula the memo
-    keeps just the tuples, not a matrix per proof node.
-    """
-    translate = dst_translate if flavor is Flavor.DST else u_translate
-    memo: dict[Formula, TranslatedFormula | _Tuples] = {}
-
-    def tr(f: Formula) -> TranslatedFormula | _Tuples:
-        tf = memo.get(f)
-        if tf is None:
-            tf = translate(f)
-            memo[f] = tf if f == target else _Tuples(tf.exist_tuple, tf.univ_tuple)
-        return tf
-
-    return tr
-
-
-def _realisers(order: list[Proof], concl, flavor: Flavor, tr: Translator) -> list[Term]:
+def _realisers(order: list[Proof], concl, flavor: Flavor) -> list[Term]:
     """The root's realisers, node by node in post order; internal induction's premises get none."""
     root = order[-1]
     wanted = {id(root)}
@@ -136,17 +105,17 @@ def _realisers(order: list[Proof], concl, flavor: Flavor, tr: Translator) -> lis
     real: dict[int, list[Term]] = {}
     for p in order:
         if id(p) in wanted:
-            real[id(p)] = _realise(p, concl, real, flavor, tr)
+            real[id(p)] = _realise(p, concl, real, flavor)
     return real[id(root)]
 
 
-def _realise(proof: Proof, concl, real, flavor: Flavor, tr: Translator) -> list[Term]:
+def _realise(proof: Proof, concl, real, flavor: Flavor) -> list[Term]:
     """One node's realisers, from the tables of conclusions and realisers."""
     if isinstance(proof, AxiomNode):
-        return _axiom_realisers(proof, concl[id(proof)], flavor, tr)
+        return _axiom_realisers(proof, concl[id(proof)], flavor)
 
     if isinstance(proof, MPNode):
-        n_fns = len(tr(concl[id(proof)]).exist_tuple)
+        n_fns = len(tuple_types(concl[id(proof)], flavor)[0])
         return [flavor.apply(fn, real[id(proof.minor)]) for fn in real[id(proof.major)][:n_fns]]
 
     if isinstance(proof, ForallRuleNode):
@@ -154,10 +123,9 @@ def _realise(proof: Proof, concl, real, flavor: Flavor, tr: Translator) -> list[
 
     if isinstance(proof, ExistsRuleNode):
         prem, terms = concl[id(proof.premise)], real[id(proof.premise)]
-        xs, ys = _tuples(tr(prem.left), "x", "y")
-        tb = tr(prem.right)
-        vs = _tuples(tb, "u", "v")[1]
-        n_fns = len(tb.exist_tuple)
+        xs, ys = _tuples(prem.left, flavor, "x", "y")
+        us, vs = _tuples(prem.right, flavor, "u", "v")
+        n_fns = len(us)
         args = _vs(xs + vs)
         colls = [
             flavor.abs(xs + vs, singleton(Star(t), flavor.apply(coll, args)))
@@ -169,15 +137,14 @@ def _realise(proof: Proof, concl, real, flavor: Flavor, tr: Translator) -> list[
         return []
 
     if isinstance(proof, ExternalInductionNode):
-        t_base = tr(concl[id(proof.base)])
-        k = len(t_base.exist_tuple)
-        if k == 0:
+        wits = tuple_types(concl[id(proof.base)], flavor)[0]
+        if not wits:
             return []
-        if k > 1:
+        if len(wits) > 1:
             raise UnsupportedSchema(
                 "external induction with more than one witness needs tuple coding"
             )
-        (_, wit_ty) = t_base.exist_tuple[0]
+        (wit_ty,) = wits
         base, step = (real[id(q)][0] for q in (proof.base, proof.step))
         if flavor is Flavor.DST:
             # the recursor's step is a plain function of (m, prev)
@@ -201,9 +168,10 @@ def _types(tup) -> list[FiniteType]:
     return [t for _, t in tup]
 
 
-def _tuples(tf: TranslatedFormula | _Tuples, ex: str, un: str) -> tuple[_Binders, _Binders]:
-    """The translation's witness and challenge tuples as binders ex0…, un0…."""
-    return _bnd(ex, _types(tf.exist_tuple)), _bnd(un, _types(tf.univ_tuple))
+def _tuples(f: Formula, flavor: Flavor, ex: str, un: str) -> tuple[_Binders, _Binders]:
+    """The witness and challenge tuples of f's translation as binders ex0…, un0…."""
+    wits, chals = tuple_types(f, flavor)
+    return _bnd(ex, wits), _bnd(un, chals)
 
 
 def _picks(flavor: Flavor, over: _Binders, picked: _Binders) -> list[Term]:
@@ -239,19 +207,16 @@ def _union_over(seqs: list[Term], bound: _Binders, body: Term, out_elem: FiniteT
 
 # -- axiom realisers ---------------------------------------------------------
 
-def _axiom_realisers(
-    node: AxiomNode, conclusion: Formula, flavor: Flavor, tr: Translator
-) -> list[Term]:
-    tf = tr(conclusion)
-    if not tf.exist_tuple:
+def _axiom_realisers(node: AxiomNode, conclusion: Formula, flavor: Flavor) -> list[Term]:
+    if not tuple_types(conclusion, flavor)[0]:
         return []
     if node.schema in _IDENTITY_SHAPED:
-        return _realise_identity_shaped(conclusion, flavor, tr)
+        return _realise_identity_shaped(conclusion, flavor)
     p = node.params_dict()
     fn = _REALISERS.get(node.schema)
     if fn is None:
         raise UnsupportedSchema(f"no realiser rule for {node.schema.value}")
-    return fn(p, flavor, tr)
+    return fn(p, flavor)
 
 
 def _axiom_special_form(proof: Proof, flavor: Flavor):
@@ -261,17 +226,17 @@ def _axiom_special_form(proof: Proof, flavor: Flavor):
     return None
 
 
-def _realise_k(p, flavor, tr):
-    xs, ys = _tuples(tr(p["a"]), "x", "y")
-    us, vs = _tuples(tr(p["b"]), "u", "v")
+def _realise_k(p, flavor):
+    xs, ys = _tuples(p["a"], flavor, "x", "y")
+    us, vs = _tuples(p["b"], flavor, "u", "v")
     voids = [flavor.abs(xs + us + ys, empty_seq(t)) for _, t in vs]
     return _picks(flavor, xs + us, xs) + voids + _echoes(flavor, xs + us + ys, ys)
 
 
-def _realise_s(p, flavor, tr):
-    xs, ys = _tuples(tr(p["a"]), "x", "y")
-    us, vs = _tuples(tr(p["b"]), "u", "v")
-    ps, qs = _tuples(tr(p["c"]), "p", "c")
+def _realise_s(p, flavor):
+    xs, ys = _tuples(p["a"], flavor, "x", "y")
+    us, vs = _tuples(p["b"], flavor, "u", "v")
+    ps, qs = _tuples(p["c"], flavor, "p", "c")
     xs_t, us_t, vs_t, qs_t = _types(xs), _types(us), _types(vs), _types(qs)
     fn = flavor.fn_type
     # premise tuple: witness functions and collectors of A -> (B -> C)
@@ -300,16 +265,16 @@ def _realise_s(p, flavor, tr):
     return out + _echoes(flavor, over, qs)
 
 
-def _realise_and_intro(p, flavor, tr):
-    xs, ys = _tuples(tr(p["a"]), "x", "y")
-    us, vs = _tuples(tr(p["b"]), "u", "v")
+def _realise_and_intro(p, flavor):
+    xs, ys = _tuples(p["a"], flavor, "x", "y")
+    us, vs = _tuples(p["b"], flavor, "u", "v")
     over = xs + us + ys + vs
     return _picks(flavor, xs + us, xs + us) + _echoes(flavor, over, vs + ys)
 
 
-def _realise_and_elim(p, flavor, tr, keep_left: bool):
-    xs, ys = _tuples(tr(p["a"]), "x", "w")
-    us, vs = _tuples(tr(p["b"]), "u", "w")
+def _realise_and_elim(p, flavor, keep_left: bool):
+    xs, ys = _tuples(p["a"], flavor, "x", "w")
+    us, vs = _tuples(p["b"], flavor, "u", "w")
     (kept, ws), other = ((xs, ys), vs) if keep_left else ((us, vs), ys)
     over = xs + us + ws
     ya = _echoes(flavor, over, ws)
@@ -317,9 +282,9 @@ def _realise_and_elim(p, flavor, tr, keep_left: bool):
     return _picks(flavor, xs + us, kept) + (ya + yb if keep_left else yb + ya)
 
 
-def _realise_or_intro(p, flavor, tr, left: bool):
-    xs, ys = _tuples(tr(p["a"]), "x", "y")
-    us, vs = _tuples(tr(p["b"]), "u", "v")
+def _realise_or_intro(p, flavor, left: bool):
+    xs, ys = _tuples(p["a"], flavor, "x", "y")
+    us, vs = _tuples(p["b"], flavor, "u", "v")
     (src, src_univ), other = ((xs, ys), us) if left else ((us, vs), xs)
     out = [flavor.abs(src, ZERO if left else numeral(1))] if flavor is Flavor.U else []
     picks = _picks(flavor, src, src)
@@ -328,10 +293,10 @@ def _realise_or_intro(p, flavor, tr, left: bool):
     return out + _echoes(flavor, src + ys + vs, src_univ)
 
 
-def _realise_or_elim(p, flavor, tr):
-    xs, ys = _tuples(tr(p["a"]), "x", "y")
-    us, vs = _tuples(tr(p["b"]), "u", "v")
-    ps, qs = _tuples(tr(p["c"]), "p", "c")
+def _realise_or_elim(p, flavor):
+    xs, ys = _tuples(p["a"], flavor, "x", "y")
+    us, vs = _tuples(p["b"], flavor, "u", "v")
+    ps, qs = _tuples(p["c"], flavor, "p", "c")
     xs_t, us_t, qs_t = _types(xs), _types(us), _types(qs)
     fn = flavor.fn_type
     p1 = _bnd("p", [fn(xs_t, t) for t in _types(ps)])
@@ -359,24 +324,24 @@ def _realise_or_elim(p, flavor, tr):
     return out + _echoes(flavor, over, us + qs + xs + qs)
 
 
-def _realise_ex_falso(p, flavor, tr):
-    return [default_term(t) for t in _types(tr(p["a"]).exist_tuple)]
+def _realise_ex_falso(p, flavor):
+    return [default_term(t) for t in tuple_types(p["a"], flavor)[0]]
 
 
-def _realise_forall_inst(p, flavor, tr):
-    xs, ys = _tuples(tr(p["body"]), "x", "y")
+def _realise_forall_inst(p, flavor):
+    xs, ys = _tuples(p["body"], flavor, "x", "y")
     return _picks(flavor, xs, xs) + _echoes(flavor, xs + ys, ys)
 
 
-def _realise_exists_intro(p, flavor, tr):
-    ta = tr(p["body"])
-    xs = _tuples(ta, "x", "y")[0]
-    ts = _bnd("t", [Star(t) for t in _types(ta.univ_tuple)])
+def _realise_exists_intro(p, flavor):
+    wits, chals = tuple_types(p["body"], flavor)
+    xs = _bnd("x", wits)
+    ts = _bnd("t", [Star(t) for t in chals])
     return _picks(flavor, xs, xs) + _picks(flavor, xs + ts, ts)
 
 
-def _realise_forallst_elim(p, flavor, tr):
-    us, vs = _tuples(tr(p["body"]), "u", "v")
+def _realise_forallst_elim(p, flavor):
+    us, vs = _tuples(p["body"], flavor, "u", "v")
     sigma = p["var_type"]
     if flavor is Flavor.U:
         lifted = _bnd("U", [Arrow(sigma, t) for t in _types(us)])
@@ -395,8 +360,8 @@ def _realise_forallst_elim(p, flavor, tr):
     return out + _echoes(flavor, over, vs) + _picks(flavor, over, [w])
 
 
-def _realise_forallst_intro(p, flavor, tr):
-    us, vs = _tuples(tr(p["body"]), "u", "v")
+def _realise_forallst_intro(p, flavor):
+    us, vs = _tuples(p["body"], flavor, "u", "v")
     sigma = p["var_type"]
     xp = ("xp", sigma)
     x = Var(*xp)
@@ -415,19 +380,18 @@ def _realise_forallst_intro(p, flavor, tr):
     return out + [flavor.abs(over, coll)] + _echoes(flavor, over, vs)
 
 
-def _realise_existsst_elim(p, flavor, tr):
-    tphi = tr(p["body"])
-    sigma = p["var_type"]
-    wit = ("xw", flavor.witness_type(sigma))
-    us = _tuples(tphi, "u", "v")[0]
-    ts = _bnd("t", [Star(t) for t in _types(tphi.univ_tuple)])
+def _realise_existsst_elim(p, flavor):
+    wits, chals = tuple_types(p["body"], flavor)
+    wit = ("xw", flavor.witness_type(p["var_type"]))
+    us = _bnd("u", wits)
+    ts = _bnd("t", [Star(t) for t in chals])
     over = [wit] + us + ts
     colls = _picks(flavor, over, ts) if flavor is Flavor.U else _echoes(flavor, over, ts)
     return _picks(flavor, [wit] + us, [wit] + us) + colls
 
 
-def _realise_existsst_intro(p, flavor, tr):
-    us, vs = _tuples(tr(p["body"]), "u", "v")
+def _realise_existsst_intro(p, flavor):
+    us, vs = _tuples(p["body"], flavor, "u", "v")
     sigma = p["var_type"]
     wit = ("yw", flavor.witness_type(sigma))
     if flavor is Flavor.U:
@@ -445,20 +409,20 @@ def _realise_existsst_intro(p, flavor, tr):
     return [flavor.abs([wit] + us, head)] + _picks(flavor, [wit] + us, us) + colls
 
 
-def _realise_st_ext(p, flavor, tr):
+def _realise_st_ext(p, flavor):
     sigma = p["type"]
     w = ("w", flavor.witness_type(sigma))
     return _picks(flavor, [w], [w])
 
 
-def _realise_st_closed(p, flavor, tr):
+def _realise_st_closed(p, flavor):
     a = p["term"]
     if flavor is Flavor.U:
         return [a]
     return [singleton(p["type"], a)]
 
 
-def _realise_st_app(p, flavor, tr):
+def _realise_st_app(p, flavor):
     dom, cod = p["domain"], p["codomain"]
     if flavor is Flavor.U:
         fb = [("fp", Arrow(dom, cod)), ("xq", dom)]
@@ -473,12 +437,12 @@ def _realise_st_app(p, flavor, tr):
     return [sabs([wf, wx], body)]
 
 
-def _realise_os_star(p, flavor, tr):
+def _realise_os_star(p, flavor):
     sp = ("sp", Star(p["type"]))
     return _echoes(flavor, [sp], [sp])
 
 
-def _realise_us_star(p, flavor, tr):
+def _realise_us_star(p, flavor):
     sp = ("sp", Star(p["type"]))
     return (_picks if flavor is Flavor.U else _echoes)(flavor, [sp], [sp])
 
@@ -488,34 +452,33 @@ def _realise_us_star(p, flavor, tr):
 _IDENTITY_SHAPED = {Schema.NU, Schema.AC_ST, Schema.IP_FORALLST}
 
 
-def _realise_identity_shaped(instance: Imp, flavor: Flavor, tr: Translator) -> list[Term]:
+def _realise_identity_shaped(instance: Imp, flavor: Flavor) -> list[Term]:
     """Premise and conclusion share an interpretation: project and collect singletons."""
-    es, us = _tuples(tr(instance.left), "e", "uq")
-    if (es, us) != _tuples(tr(instance.right), "e", "uq"):
+    es, us = _tuples(instance.left, flavor, "e", "uq")
+    if (es, us) != _tuples(instance.right, flavor, "e", "uq"):
         raise UnsupportedSchema("premise and conclusion interpretations differ")
     return _picks(flavor, es, es) + _echoes(flavor, es + us, us)
 
 
-def _realise_ncr(p, flavor, tr):
-    tphi = tr(p["body"])
-    us = _tuples(tphi, "u", "v")[0]
-    ts = _bnd("t", [Star(Star(t)) for t in _types(tphi.univ_tuple)])
+def _realise_ncr(p, flavor):
+    wits, chals = tuple_types(p["body"], flavor)
+    us = _bnd("u", wits)
+    ts = _bnd("t", [Star(Star(t)) for t in chals])
     return _realise_herbrandised(flavor, ("u0", Star(p["x_type"])), us, ts)
 
 
-def _realise_hac_st(p, flavor, tr):
-    tphi = tr(p["body"])
+def _realise_hac_st(p, flavor):
+    wits, chals = tuple_types(p["body"], flavor)
     sx, sy = p["x_type"], p["y_type"]
-    us = _bnd("U", [Star(Arrow(sx, t)) for t in _types(tphi.exist_tuple)])
-    ts = _bnd("t", [Star(Star(t)) for t in _types(tphi.univ_tuple)])
+    us = _bnd("U", [Star(Arrow(sx, t)) for t in wits])
+    ts = _bnd("t", [Star(Star(t)) for t in chals])
     lead = ("U0", Star(Arrow(sx, Star(sy))))
     return _realise_herbrandised(flavor, lead, us, ts + [("xs", Star(sx))])
 
 
-def _realise_hip(p, flavor, tr):
-    tpsi = tr(p["conclusion"])
-    us = _tuples(tpsi, "u", "v")[0]
-    vs_t = _types(tpsi.univ_tuple)
+def _realise_hip(p, flavor):
+    wits, vs_t = tuple_types(p["conclusion"], flavor)
+    us = _bnd("u", wits)
     sx_coll = ("S", seqfn([Star(t) for t in vs_t], Star(p["x_type"])))
     ts = _bnd("t", [Star(Star(t)) for t in vs_t])
     return _realise_herbrandised(flavor, ("u0", Star(p["y_type"])), us + [sx_coll], ts)
@@ -564,10 +527,10 @@ _REALISERS = {
     Schema.K: _realise_k,
     Schema.S: _realise_s,
     Schema.AND_INTRO: _realise_and_intro,
-    Schema.AND_ELIM_L: lambda p, fl, tr: _realise_and_elim(p, fl, tr, True),
-    Schema.AND_ELIM_R: lambda p, fl, tr: _realise_and_elim(p, fl, tr, False),
-    Schema.OR_INTRO_L: lambda p, fl, tr: _realise_or_intro(p, fl, tr, True),
-    Schema.OR_INTRO_R: lambda p, fl, tr: _realise_or_intro(p, fl, tr, False),
+    Schema.AND_ELIM_L: lambda p, fl: _realise_and_elim(p, fl, True),
+    Schema.AND_ELIM_R: lambda p, fl: _realise_and_elim(p, fl, False),
+    Schema.OR_INTRO_L: lambda p, fl: _realise_or_intro(p, fl, True),
+    Schema.OR_INTRO_R: lambda p, fl: _realise_or_intro(p, fl, False),
     Schema.OR_ELIM: _realise_or_elim,
     Schema.EX_FALSO: _realise_ex_falso,
     Schema.FORALL_INST: _realise_forall_inst,

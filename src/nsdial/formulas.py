@@ -155,8 +155,12 @@ Formula = (
 BINDERS = (Forall, Exists, ForallSt, ExistsSt)
 
 
+_BOT = Eq(N, ZERO, numeral(1))
+
+
 def bot() -> Formula:
-    return Eq(N, ZERO, numeral(1))
+    """Falsum, 0 = 1: one shared node, since nodes are immutable."""
+    return _BOT
 
 
 @node
@@ -230,9 +234,14 @@ def check_formula(formula: Formula, context: dict[str, FiniteType] | None = None
 
 
 def checked(formula: Formula) -> Checked:
-    """The formula's memo, checking it first under its own free variables if it has none."""
+    """The formula's memo, checking it first under its own free variables if it has none.
+
+    One walk gives both the context and the memo's free variables and names.
+    """
     if formula._type is None:
-        check_formula(formula, free_vars(formula))
+        free, names = free_vars_and_names(formula)
+        sugared = _check(formula, free)
+        _put_type(formula, Checked(free, names, None if sugared else formula))
     return formula._type
 
 

@@ -278,46 +278,35 @@ def print_term_top(t: Term) -> str:
     return f"(open ({decls}) {print_term(t)})"
 
 
-def _seq_items(t: Term) -> tuple[FiniteType, list[Term]] | None:
-    items = []
-    while True:
-        if isinstance(t, Const) and t.kind is ConstKind.EMPTY:
-            return t.types[0], items
-        if (
-            isinstance(t, App)
-            and isinstance(t.fun, App)
-            and isinstance(t.fun.fun, Const)
-            and t.fun.fun.kind is ConstKind.CONS
-        ):
-            items.append(t.fun.arg)
-            t = t.arg
-            continue
-        return None
-
-
 def print_term(t: Term) -> str:
-    count, base = succ_chain(t)
-    if count:  # a numeral, or succ applied count times: printed flat, whatever its length
-        if base.__class__ is Const and base.kind is ConstKind.ZERO:
-            return str(count)
-        return "(app succ " * count + print_term(base) + ")" * count
-    seq = _seq_items(t)
-    if seq is not None and seq[1]:
-        elem, items = seq
-        return f"(seq {print_type(elem)} {' '.join(print_term(i) for i in items)})"
-    if isinstance(t, Var):
-        return f"(var {t.name})"
-    if isinstance(t, Lam):
-        return f"(lam ({t.var} {print_type(t.var_type)}) {print_term(t.body)})"
-    if isinstance(t, SeqAbs):
-        return f"(sabs ({t.var} {print_type(t.var_type)}) {print_term(t.body)})"
-    if isinstance(t, App):
+    """One view per node: an application is a successor chain, a sequence or a spine."""
+    cls = t.__class__
+    if cls is App:
+        fun = t.fun
+        if fun.__class__ is Const and fun.kind is ConstKind.SUCC:
+            count, base = succ_chain(t)  # printed flat, whatever its length
+            if base.__class__ is Const and base.kind is ConstKind.ZERO:
+                return str(count)
+            return "(app succ " * count + print_term(base) + ")" * count
+        items, end = [], t
+        while (end.__class__ is App and end.fun.__class__ is App
+               and end.fun.fun.__class__ is Const and end.fun.fun.kind is ConstKind.CONS):
+            items.append(end.fun.arg)
+            end = end.arg
+        if items and end.__class__ is Const and end.kind is ConstKind.EMPTY:
+            return f"(seq {print_type(end.types[0])} {' '.join(map(print_term, items))})"
         head, args = spine(t)
-        return f"(app {print_term(head)} {' '.join(print_term(a) for a in args)})"
-    if isinstance(t, Const):
+        return f"(app {print_term(head)} {' '.join(map(print_term, args))})"
+    if cls is Var:
+        return f"(var {t.name})"
+    if cls is Lam:
+        return f"(lam ({t.var} {print_type(t.var_type)}) {print_term(t.body)})"
+    if cls is SeqAbs:
+        return f"(sabs ({t.var} {print_type(t.var_type)}) {print_term(t.body)})"
+    if cls is Const:
         if not t.types:
             return t.kind.value
-        return f"({t.kind.value} {' '.join(print_type(ty) for ty in t.types)})"
+        return f"({t.kind.value} {' '.join(map(print_type, t.types))})"
     raise AssertionError(t)
 
 

@@ -216,7 +216,7 @@ def _synth(t: Term, env: dict[str, FiniteType], closed: bool) -> FiniteType:
         ty, free = memo
         for name, ann in free:
             expected = env.get(name)
-            if expected != ann and (closed or expected is not None):
+            if (closed if expected is None else expected != ann):
                 break
         else:
             return ty

@@ -33,11 +33,14 @@ from .formulas import (
     Forall,
     ForallSt,
     Formula,
+    Hyper,
     Imp,
     In,
     Not,
     Or,
     St,
+    SubsetEq,
+    bot,
     checked,
     desugar,
     desugar_classified,
@@ -303,9 +306,7 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         if isinstance(f, Exists):
             seqs, m = _collect(un, m, fr)
             return ex, seqs, Exists(f.var, f.var_type, m)
-        raise Untranslatable(
-            f"bounded quantifier over {f.var}: no clause for a body with witnesses or challenges"
-        )
+        raise _untranslatable(f)
 
     if isinstance(f, ExistsSt):
         ex, un, m = _clauses(f.body, fr, flavor)
@@ -331,6 +332,51 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         return lifts, un + [(z, z_ty)], m
 
     raise AssertionError(f"untranslatable node {f!r}")
+
+
+def _untranslatable(f) -> Untranslatable:
+    return Untranslatable(
+        f"bounded quantifier over {f.var}: no clause for a body with witnesses or challenges"
+    )
+
+
+def tuple_types(f: Formula, flavor: Flavor) -> tuple[list, list]:
+    """The types of the witness and challenge tuples of f's translation.
+
+    This is _clauses' recursion with the names, matrices and checks left out;
+    sugar counts as desugar expands it. Extraction reads only these types of
+    every formula but its target.
+    """
+    cls = f.__class__
+    if cls is Eq or cls is In or cls is SubsetEq:
+        return [], []
+    if cls is St:
+        return [flavor.witness_type(f.type)], []
+    if cls is Not:
+        return tuple_types(Imp(f.body, bot()), flavor)
+    if cls is Hyper:  # forall-st x. x in seq
+        return [], [f.type]
+    if cls is And or cls is Or or cls is Imp:
+        ex1, un1 = tuple_types(f.left, flavor)
+        ex2, un2 = tuple_types(f.right, flavor)
+        if cls is Imp:
+            fns = [flavor.fn_type(ex1, ty) for ty in ex2]
+            return fns + [flavor.fn_type(ex1 + un2, Star(ty)) for ty in un1], ex1 + un2
+        flag = [N] if cls is Or and flavor is Flavor.U else []
+        return flag + ex1 + ex2, un1 + un2
+    if cls not in _QUANTIFIERS:
+        raise AssertionError(f"untranslatable node {f!r}")
+    ex, un = tuple_types(f.body, flavor)
+    if cls is ForallSt:
+        return [flavor.fn_type([f.var_type], ty) for ty in ex], un + [f.var_type]
+    if cls is ExistsSt:
+        seqs = [Star(ty) for ty in un] if flavor is Flavor.DST else un
+        return [flavor.witness_type(f.var_type)] + ex, seqs
+    if cls is Exists:
+        return ex, [Star(ty) for ty in un]
+    if cls is not Forall and (ex or un):
+        raise _untranslatable(f)
+    return ex, un
 
 
 def _collect(un: Tuple, m: Formula, fr: FreshNames) -> tuple[list, Formula]:

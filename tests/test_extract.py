@@ -10,9 +10,13 @@ from nsdial.axioms import Schema
 from nsdial.cli import run
 from nsdial.derive import imp_refl
 from nsdial.extract import UnsupportedSchema, extract, extract_dst, extract_u
-from nsdial.formulas import And, Eq, ExistsSt, ForallSt, Imp, In, Or, St
+from nsdial.formulas import (
+    And, BoundedExists, BoundedForall, Eq, ExistsSt, Forall, ForallSt, Hyper, Imp, In, Not, Or,
+    St, SubsetEq,
+)
+from nsdial.gen import random_external, rng
 from nsdial.oracle import CounterexampleFound, Grid, GridValid, Unknown, verify_bundle
-from nsdial.proofs import AxiomNode, ExternalInductionNode, axiom, check_proof, mp
+from nsdial.proofs import AxiomNode, ExternalInductionNode, axiom, check_proof, conclusions, mp
 from nsdial.reduce import eval_nat, normalize
 from nsdial.terms import (
     App,
@@ -34,7 +38,7 @@ from nsdial.reduce import spine
 from nsdial.sexpr import (
     parse_bundle, parse_proof, print_bundle, print_formula, print_proof, print_term, read_one,
 )
-from nsdial.translate import Flavor
+from nsdial.translate import Flavor, Untranslatable, _translate, tuple_types
 
 import fixture_defs as fx
 
@@ -307,8 +311,77 @@ def test_extract_translates_each_formula_once(monkeypatch):
     monkeypatch.setattr(module, "u_translate", counting)
     proof = parse_proof(read_one((CORPUS / "doubling.u.proof").read_text()))
     bundle = module.extract(proof, U)
-    assert len(seen) == len(set(seen)) == 122
+    # the realiser rules read only tuple types; the target alone is translated
+    assert seen == [bundle.target]
     assert print_bundle(bundle) + "\n" == (CORPUS / "doubling.u.bundle").read_text()
+
+
+def _tuple_types_or_error(f, flavor, full: bool):
+    """tuple_types, or the types of the full translation's tuples; an Untranslatable as its message."""
+    try:
+        if not full:
+            return tuple_types(f, flavor)
+        tf = _translate(f, flavor)
+        return [t for _, t in tf.exist_tuple], [t for _, t in tf.univ_tuple]
+    except Untranslatable as e:
+        return f"Untranslatable: {e}"
+
+
+def _subformulas(f):
+    out, stack = [], [f]
+    while stack:
+        f = stack.pop()
+        out.append(f)
+        if isinstance(f, (And, Or, Imp)):
+            stack += (f.left, f.right)
+        elif hasattr(f, "body"):
+            stack.append(f.body)
+    return out
+
+
+_S, _X = Var("s", Star(N)), Var("x", N)
+_EXTERNAL = ForallSt("y", N, ExistsSt("w", N, Eq(N, Var("w", N), Var("y", N))))
+TUPLE_TYPE_CASES = [
+    Not(_EXTERNAL),
+    Not(Not(And(St(N, _X), _EXTERNAL))),
+    Imp(Not(St(N, _X)), Or(St(N, _X), Hyper(N, _S))),
+    Hyper(N, _S),
+    Not(Hyper(N, _S)),
+    ExistsSt("x", N, And(In(N, _X, _S), SubsetEq(N, _S, _S))),
+    Forall("s2", Star(N), Imp(SubsetEq(N, Var("s2", Star(N)), _S), Hyper(N, Var("s2", Star(N))))),
+    BoundedForall("i", numeral(2), Or(Eq(N, Var("i", N), ZERO), Eq(N, ZERO, ZERO))),
+    BoundedExists("i", numeral(2), St(N, Var("i", N))),
+    And(St(N, _X), BoundedForall("i", _X, ForallSt("y", N, Eq(N, Var("y", N), Var("i", N))))),
+    Imp(BoundedExists("j", _X, Not(St(N, Var("j", N)))), BoundedForall("i", _X, St(N, _X))),
+]
+
+
+def test_tuple_types_are_the_types_of_the_translated_tuples():
+    # every formula but the target is read only through tuple_types, so it
+    # must agree with the full translation, errors included
+    r = rng(28)
+    formulas = [random_external(r, [("fv", N)], 3) for _ in range(2000)]
+    formulas += [Not(f) for f in formulas[:200]] + TUPLE_TYPE_CASES
+    for proof in _golden_instances().values():
+        for flavor in (U, D):
+            try:
+                table = conclusions(proof, flavor)[1]
+            except NsdialError:
+                continue
+            formulas += [g for f in table.values() for g in _subformulas(f)]
+    errors = set()
+    for f in formulas:
+        for flavor in (U, D):
+            expected = _tuple_types_or_error(f, flavor, True)
+            assert _tuple_types_or_error(f, flavor, False) == expected, (f, flavor)
+            if isinstance(expected, str):
+                errors.add((flavor, expected))
+    assert errors == {
+        (U, "Untranslatable: bounded quantifier over i: no clause for a body with witnesses or challenges"),
+        (D, "Untranslatable: bounded quantifier over i: no clause for a body with witnesses or challenges"),
+        (U, "Untranslatable: bounded quantifier over j: no clause for a body with witnesses or challenges"),
+        (D, "Untranslatable: bounded quantifier over j: no clause for a body with witnesses or challenges"),
+    }
 
 
 def test_extract_types_each_constant_once(monkeypatch):
