@@ -11,7 +11,6 @@ from .terms import (
     Var,
     ZERO,
     all_names,
-    alpha_eq,
     fresh_name,
     free_vars,
     free_vars_and_names,
@@ -24,11 +23,10 @@ from .terms import (
     type_check,
 )
 
-# The binder-aware passes live in terms and serve formulas too. They stay
-# importable from here (free_vars, all_names, free_vars_and_names, and these
-# second names) for callers of the formula copies they replaced.
+# The binder-aware passes live in terms and serve formulas too. free_vars,
+# all_names and free_vars_and_names stay importable from here; subst_formula
+# is the name the benchmark's tracer (perfbench/tracer.py) imports substitute by.
 subst_formula = substitute
-formula_alpha_eq = alpha_eq
 
 
 @syntax("left", "right")

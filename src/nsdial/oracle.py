@@ -39,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .ftypes import FiniteType, Ground, Star, is_data_type, type_depth
+from .ftypes import FiniteType, Ground, is_data_type, type_depth
 from .formulas import (
     And,
     BoundedExists,
@@ -56,10 +56,8 @@ from .formulas import (
 from .reduce import (
     CanonicalValue,
     Closure,
-    Nat,
     NotClosed,
     NotDataType,
-    Seq,
     Scope,
     compile_term,
     normalize,
@@ -122,20 +120,9 @@ UNKNOWN = object()  # three-valued evaluation marker
 
 
 def enumerate_values(t: FiniteType, grid: Grid):
-    """Deterministic finite stream of canonical values of a data type."""
-    if not is_data_type(t):
-        raise NotDataType(repr(t))
-    if type_depth(t) > grid.depth_bound:
-        raise NotDataType(f"type depth {type_depth(t)} exceeds grid bound {grid.depth_bound}")
-    if isinstance(t, Ground):
-        for n in range(grid.nat_bound + 1):
-            yield Nat(n)
-        return
-    assert isinstance(t, Star)
-    elems = list(enumerate_values(t.element, grid))
-    for length in range(grid.seq_len_bound + 1):
-        for combo in itertools.product(elems, repeat=length):
-            yield Seq(t.element, combo)
+    """Deterministic finite stream of canonical values of a data type: ``_domain``'s, in order."""
+    for v in _domain(t, grid):
+        yield to_canonical(v, t)
 
 
 class _Frame(Scope):
@@ -360,11 +347,15 @@ def compile_matrix(matrix: Formula, grid: Grid):
 def _domain(t: FiniteType, grid: Grid) -> tuple:
     """Native values of a data type on the grid, in enumeration order; cached per (type, grid).
 
-    A sequence type's values are built from its element type's domain, by
-    length and then in product order, as ``enumerate_values`` yields them.
+    N's values are 0 to nat_bound. A sequence type's values are built from
+    its element type's domain, by length and then in product order.
     """
-    if not isinstance(t, Star) or type_depth(t) > grid.depth_bound:
-        return tuple(to_native(v) for v in enumerate_values(t, grid))
+    if not is_data_type(t):
+        raise NotDataType(repr(t))
+    if type_depth(t) > grid.depth_bound:
+        raise NotDataType(f"type depth {type_depth(t)} exceeds grid bound {grid.depth_bound}")
+    if isinstance(t, Ground):
+        return tuple(range(grid.nat_bound + 1))
     elems = _domain(t.element, grid)
     return tuple(itertools.chain.from_iterable(
         itertools.product(elems, repeat=n) for n in range(grid.seq_len_bound + 1)))

@@ -193,24 +193,25 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
 def normalize(term: Term) -> Term:
     """Full normal form: weak-head reduce, then recurse into all subterms.
 
-    Terms are immutable, so results are memoized.
+    A successor chain is rebuilt in one loop over its normalised base.
     """
-    return _normalize_cached(term)
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _normalize_cached(term: Term) -> Term:
     t = whnf(term)
     if isinstance(t, Lam):
-        return Lam(t.var, t.var_type, _normalize_cached(t.body))
+        return Lam(t.var, t.var_type, normalize(t.body))
     if isinstance(t, SeqAbs):
-        return SeqAbs(t.var, t.var_type, _normalize_cached(t.body))
+        return SeqAbs(t.var, t.var_type, normalize(t.body))
+    k, base = succ_chain(t)
+    if k:
+        out = normalize(base)
+        for _ in range(k):
+            out = App(SUCC, out)
+        return out
     head, args = spine(t)
     if not args:
         return t
-    out = head if isinstance(head, (Var, Const)) else _normalize_cached(head)
+    out = head if isinstance(head, (Var, Const)) else normalize(head)
     for a in args:
-        out = App(out, _normalize_cached(a))
+        out = App(out, normalize(a))
     return out
 
 

@@ -279,7 +279,7 @@ def print_term_top(t: Term) -> str:
 
 
 def print_term(t: Term) -> str:
-    """One view per node: an application is a successor chain, a sequence or a spine."""
+    """One view per node: an application is a successor chain, a cons chain or a spine."""
     cls = t.__class__
     if cls is App:
         fun = t.fun
@@ -288,13 +288,17 @@ def print_term(t: Term) -> str:
             if base.__class__ is Const and base.kind is ConstKind.ZERO:
                 return str(count)
             return "(app succ " * count + print_term(base) + ")" * count
-        items, end = [], t
+        cells, end = [], t
         while (end.__class__ is App and end.fun.__class__ is App
                and end.fun.fun.__class__ is Const and end.fun.fun.kind is ConstKind.CONS):
-            items.append(end.fun.arg)
+            cells.append(end.fun)  # the cons constant applied to the cell's head
             end = end.arg
-        if items and end.__class__ is Const and end.kind is ConstKind.EMPTY:
-            return f"(seq {print_type(end.types[0])} {' '.join(map(print_term, items))})"
+        if cells:  # each cell printed once: a sequence if the chain ends in nil
+            heads = [print_term(c.arg) for c in cells]
+            if end.__class__ is Const and end.kind is ConstKind.EMPTY:
+                return f"(seq {print_type(end.types[0])} {' '.join(heads)})"
+            opened = "".join(f"(app {print_term(c.fun)} {h} " for c, h in zip(cells, heads))
+            return opened + print_term(end) + ")" * len(cells)
         head, args = spine(t)
         return f"(app {print_term(head)} {' '.join(map(print_term, args))})"
     if cls is Var:

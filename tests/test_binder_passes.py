@@ -30,7 +30,6 @@ from nsdial.formulas import (
     Or,
     St,
     SubsetEq,
-    formula_alpha_eq,
     subst_formula,
 )
 from nsdial.ftypes import N, Node, Star
@@ -334,7 +333,7 @@ def test_alpha_eq_on_terms_matches_reference():
 
 
 def test_formulas_reexports_the_binder_passes():
-    assert subst_formula is substitute and formula_alpha_eq is alpha_eq
+    assert subst_formula is substitute
 
 
 def test_every_syntax_class_is_in_the_binder_table():

@@ -95,6 +95,14 @@ def test_check_term_prints_arrow_typed_normal_form(tmp_path, capsys):
     assert capsys.readouterr().out == "(lam (x N) (app succ (var x)))\n"
 
 
+def test_check_term_prints_a_function_returning_a_numeral(tmp_path, capsys):
+    # normalised and printed without a frame per successor
+    f = tmp_path / "const.term"
+    f.write_text("(lam (x N) 1000)\n")
+    assert run(["check-term", str(f)]) == 0
+    assert capsys.readouterr().out == "(lam (x N) 1000)\n"
+
+
 def test_check_proof_lists_delta_hypotheses(tmp_path, capsys):
     f = tmp_path / "delta.u.proof"
     f.write_text("(axiom delta (formula (eq N zero zero)))")
@@ -115,8 +123,23 @@ def test_verify_non_data_quantifier_is_unknown(tmp_path, capsys):
     assert capsys.readouterr().out == "unknown: non-data quantifier encountered\n"
 
 
+def test_counterexample_is_the_first_false_point_in_product_order(tmp_path, capsys):
+    # two swept names, x outermost
+    f = tmp_path / "two.u.bundle"
+    f.write_text(
+        "(bundle u (target (forall-st (x N) (forall-st (y N) (eq N (var x) (var y)))))"
+        " (translated (exists-st () (forall-st ((x N) (y N)) (eq N (var x) (var y))))) (terms))\n"
+    )
+    assert run(["verify", str(f), "--nat-bound", "2", "--len-bound", "1"]) == 1
+    assert capsys.readouterr().out == "counterexample:\n  x = zero\n  y = 1\n"
+
+
 def test_corpus_runs_clean(capsys):
     assert run(["corpus", "run", str(CORPUS)] + CORPUS_GRID) == 0
+
+
+def test_negative_corpus_run_fails(capsys):
+    assert run(["corpus", "run", str(NEGATIVE)] + CORPUS_GRID) == 1
 
 
 def _strip_wall(path: Path) -> dict:
@@ -216,6 +239,24 @@ def test_subseteq_formula_translates(tmp_path, capsys):
     for flavor in ("--u", "--dst"):
         assert run(["translate", flavor, str(f)]) == 0
         assert capsys.readouterr().out.startswith("(exists-st () (forall-st () ")
+
+
+@pytest.mark.parametrize(
+    "flavor, text, translated",
+    [
+        ("--dst", "(forall-st (i N) (st N (var i)))",
+         "(exists-st ((S (* (-> N (* N))))) (forall-st ((i N)) (bexists (i1 (app (len N)"
+         " (app (sapp N N) (var S) (var i)))) (eq N (var i) (app (proj N)"
+         " (app (sapp N N) (var S) (var i)) (var i1))))))"),
+        ("--u", "(exists-st (i N) (st N (var i)))",
+         "(exists-st ((i1 N) (y N)) (forall-st () (eq N (var y) (var i1))))"),
+    ],
+)
+def test_source_binder_named_i_moves_the_index_to_i1(tmp_path, capsys, flavor, text, translated):
+    f = tmp_path / "named_i.fml"
+    f.write_text(text + "\n")
+    assert run(["translate", flavor, str(f)]) == 0
+    assert capsys.readouterr().out == translated + "\n"
 
 
 def test_subseteq_over_other_elements_exits_two(tmp_path, capsys):
@@ -608,6 +649,7 @@ def _arity_cases(command, arity, what):
             (["check-term"], f"({head}{' x' * (n + 1)})", f"malformed {head} form")
             for head, n in _CONST_ARITY.items()
         ),
+        (["translate", "--u"], "(subseteq N (var s))", "malformed subseteq form"),
     ],
 )
 def test_malformed_form_exits_two(tmp_path, capsys, command, text, message):

@@ -199,9 +199,9 @@ def test_external_induction_multi_witness_unsupported():
         ExistsSt("y", N, Eq(N, Var("y", N), Var("n", N))),
         ExistsSt("w", N, Eq(N, Var("w", N), Var("n", N))),
     )
-    from nsdial.formulas import subst_formula
+    from nsdial.terms import substitute
 
-    base_pf_formula = subst_formula(phi, "n", ZERO)
+    base_pf_formula = substitute(phi, "n", ZERO)
     # build the base proof for phi(0) directly
     def exist_pair(val_term):
         c = val_term

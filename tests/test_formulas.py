@@ -17,12 +17,10 @@ from nsdial.formulas import (
     check_formula,
     classify,
     desugar,
-    formula_alpha_eq,
     free_vars,
-    subst_formula,
 )
 from nsdial.gen import random_external, rng
-from nsdial.terms import App, Lam, Var, ZERO, numeral
+from nsdial.terms import App, Lam, Var, ZERO, alpha_eq, numeral, substitute
 
 
 def x(name="x", ty=N):
@@ -102,22 +100,22 @@ def test_free_vars_example():
 
 def test_subst_example():
     f = Eq(N, x(), x("y"))
-    assert subst_formula(f, "y", ZERO) == Eq(N, x(), ZERO)
+    assert substitute(f, "y", ZERO) == Eq(N, x(), ZERO)
 
 
 def test_subst_renames_binder():
     f = Forall("x", N, Eq(N, x(), x("y")))
-    out = subst_formula(f, "y", x())
+    out = substitute(f, "y", x())
     assert isinstance(out, Forall)
     assert out.var != "x"
-    assert formula_alpha_eq(out, Forall("z", N, Eq(N, Var("z", N), x())))
+    assert alpha_eq(out, Forall("z", N, Eq(N, Var("z", N), x())))
 
 
 def test_subst_preserves_classification():
     r = rng(13)
     for i in range(60):
         f = random_external(r, [("fv", N)], 3)
-        sub = subst_formula(f, "fv", numeral(2))
+        sub = substitute(f, "fv", numeral(2))
         assert classify(sub) == classify(f)
 
 
@@ -125,7 +123,7 @@ def test_subst_preserves_welltypedness():
     r = rng(14)
     for i in range(60):
         f = random_external(r, [("fv", N)], 3)
-        sub = subst_formula(f, "fv", numeral(1))
+        sub = substitute(f, "fv", numeral(1))
         check_formula(sub, free_vars(sub))
 
 
@@ -136,5 +134,5 @@ def test_bot_is_false_equation():
 def test_formula_alpha_eq():
     f = Exists("a", N, Eq(N, Var("a", N), ZERO))
     g = Exists("b", N, Eq(N, Var("b", N), ZERO))
-    assert formula_alpha_eq(f, g)
-    assert not formula_alpha_eq(f, Exists("b", N, Eq(N, Var("b", N), numeral(1))))
+    assert alpha_eq(f, g)
+    assert not alpha_eq(f, Exists("b", N, Eq(N, Var("b", N), numeral(1))))

@@ -644,14 +644,6 @@ def test_upward_sweep_builds_each_domain_once(monkeypatch):
     from nsdial import oracle
     from nsdial.gen import random_upward_safe
 
-    calls = []
-    real = oracle.enumerate_values
-
-    def counting(t, grid):
-        calls.append(t)
-        return real(t, grid)
-
-    monkeypatch.setattr(oracle, "enumerate_values", counting)
     monkeypatch.setattr(oracle, "_upward_certified", lambda matrix, witnesses: False)
     oracle._domain.cache_clear()
     oracle._extensions.cache_clear()
@@ -660,7 +652,7 @@ def test_upward_sweep_builds_each_domain_once(monkeypatch):
         assert check_upward_closed(dst_translate(random_upward_safe(r, [("fv", N)], 3)),
                                    Grid(2, 2)) == GridValid()
     # one enumeration per (type, grid) pair, where the sweep used to enumerate per matrix
-    assert 0 < len(calls) <= 20
+    assert 0 < oracle._domain.cache_info().misses <= 20
     assert isinstance(oracle._domain(Star(N), Grid(2, 2)), tuple)
     assert isinstance(oracle._extensions(Star(N), Grid(2, 2)), tuple)
 
@@ -746,8 +738,7 @@ def test_witness_carrying_upward_safe_translations_are_certified():
 
 def test_certified_matrices_are_neither_compiled_nor_swept(monkeypatch):
     calls = []
-    enumerate_real, evaluator_real = oracle.enumerate_values, oracle._evaluator
-    monkeypatch.setattr(oracle, "enumerate_values", lambda *a: calls.append(a) or enumerate_real(*a))
+    evaluator_real = oracle._evaluator
     monkeypatch.setattr(oracle, "_evaluator", lambda *a: calls.append(a) or evaluator_real(*a))
     oracle._domain.cache_clear()
     oracle._extensions.cache_clear()
@@ -758,6 +749,7 @@ def test_certified_matrices_are_neither_compiled_nor_swept(monkeypatch):
         assert check_upward_closed(tf, Grid(2, 2)) == GridValid()
         certified += bool(tf.exist_tuple)
     assert calls == [] and certified >= 40
+    assert oracle._domain.cache_info().misses == 0
 
 
 def test_certificate_runs_after_the_type_guard():

@@ -7,7 +7,7 @@ from nsdial.ftypes import N, Star
 from nsdial.axioms import BadInstantiation, FlavorViolation, Schema, build_axiom
 from nsdial.derive import imp_refl, imp_trans, weaken
 from nsdial.extract import extract
-from nsdial.formulas import And, Eq, ExistsSt, Forall, Imp, Or, St, formula_alpha_eq
+from nsdial.formulas import And, Eq, ExistsSt, Forall, Imp, Or, St
 from nsdial.proofs import (
     EigenvariableViolation,
     ExternalInductionNode,
@@ -100,7 +100,7 @@ def test_imp_trans_combinator():
     refl = axiom(Schema.EQ_REFL, type=N, t=Var("v", N))
     p1 = weaken(a, refl, a)
     concl = check_proof(imp_trans(p1, p1, a, a, a), U)
-    assert formula_alpha_eq(concl, Imp(a, a))
+    assert alpha_eq(concl, Imp(a, a))
 
 
 _A = Eq(N, ZERO, ZERO)

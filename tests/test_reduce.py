@@ -44,6 +44,7 @@ from nsdial.terms import (
     seq_term,
     singleton,
     substitute,
+    succ_chain,
     synth_type,
 )
 
@@ -264,6 +265,19 @@ def test_normal_forms_of_stuck_operands_are_pinned():
             synth_type(t)
             digest.update(print_term_top(normalize(t)).encode() + b"\n")
     assert digest.hexdigest() == STUCK_NORMAL_FORMS_SHA256
+
+
+def test_long_successor_chains_normalise_under_a_binder():
+    # the base is normalised and the successors re-applied in one loop
+    x = Var("x", N)
+    chain = x
+    for _ in range(10 ** 4):
+        chain = App(SUCC, chain)
+    for body in (numeral(10 ** 4), chain):
+        nf = normalize(Lam("x", N, body))
+        assert (nf.__class__, nf.var, nf.var_type) == (Lam, "x", N)
+        # compared as chains: structural equality recurses once per successor
+        assert succ_chain(nf.body) == succ_chain(body)
 
 
 def test_value_entry_points_type_check_first():

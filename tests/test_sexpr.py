@@ -276,6 +276,22 @@ def test_application_forms_print_pinned_text(term, printed):
     assert print_term(term) == printed
 
 
+def _cons_chain(cells: int) -> App:
+    chain = _S
+    for i in range(cells):
+        chain = cons(N, numeral(i % 3), chain)
+    return chain
+
+
+def test_cons_chains_ending_in_a_variable_print_flat():
+    # each cell is printed once, with no Python frame per cell
+    for cells in (500, 5000):
+        heads = "".join(f"(app (cons N) {('zero', 1, 2)[i % 3]} " for i in reversed(range(cells)))
+        assert print_term(_cons_chain(cells)) == heads + "(var s)" + ")" * cells
+    chain = _cons_chain(200)
+    assert parse_term(read_one(print_term(chain))) == chain
+
+
 def test_comments_ignored():
     text = "; leading remark\n(eq N zero zero) ; trailing"
     assert parse_formula(read_one(text)) == Eq(N, ZERO, ZERO)

@@ -12,11 +12,10 @@ from nsdial.formulas import (
     ForallSt,
     St,
     classify,
-    formula_alpha_eq,
 )
 from nsdial.gen import random_external, random_upward_safe, rng
 from nsdial.sexpr import print_translated
-from nsdial.terms import Var, proj, seq_app, seq_len
+from nsdial.terms import Var, alpha_eq, proj, seq_app, seq_len
 from nsdial.translate import Flavor, dst_translate, u_translate
 
 
@@ -50,7 +49,7 @@ def test_worked_example_matches_hand_derivation():
         seq_len(N, collector),
         Eq(N, proj(N, collector, Var("i", N)), Var("x", N)),
     )
-    assert formula_alpha_eq(tf.matrix, expected)
+    assert alpha_eq(tf.matrix, expected)
 
 
 def test_witnesses_are_sequence_typed():

@@ -7,11 +7,9 @@ from nsdial.formulas import (
     Or,
     St,
     classify,
-    formula_alpha_eq,
-    subst_formula,
 )
 from nsdial.gen import random_external, random_sigma_st, rng
-from nsdial.terms import App, Var
+from nsdial.terms import App, Var, alpha_eq, substitute
 from nsdial.translate import Flavor, TranslatedFormula, u_translate
 
 
@@ -25,9 +23,9 @@ def tuples_alpha_eq(tf: TranslatedFormula, exist, univ, matrix) -> bool:
     pairs = list(zip(tf.exist_tuple + tf.univ_tuple, tuple(exist) + tuple(univ)))
     for k, ((n1, ty), (n2, _)) in enumerate(pairs):
         probe = Var(f"@p{k}", ty)
-        got = subst_formula(got, n1, probe)
-        want = subst_formula(want, n2, probe)
-    return formula_alpha_eq(got, want)
+        got = substitute(got, n1, probe)
+        want = substitute(want, n2, probe)
+    return alpha_eq(got, want)
 
 
 def test_st_clause():
