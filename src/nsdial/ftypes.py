@@ -12,12 +12,14 @@ from operator import attrgetter
 
 
 class Node:
-    """Immutable tree node with structural equality and a hash computed once.
+    """Immutable tree node with structural equality and a hash computed on first use.
 
     The hash equals hash() of the tuple of field values, as a frozen
     dataclass's does, so set and dict orders are those of plain tuples. The
-    _type slot holds a memo: a term's synthesised type, or a formula's
-    formulas.Checked. Subclasses are declared with @node.
+    _hash slot stays unset until the first hash() stores it there, so a
+    node that is never hashed costs no write for it. The _type slot holds a
+    memo: a term's synthesised type, or a formula's formulas.Checked.
+    Subclasses are declared with @node.
     """
 
     __slots__ = ("_hash", "_type")
@@ -35,11 +37,12 @@ class Node:
         return self._values(self) == self._values(other)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash(self._values(self))
             _put_hash(self, h)
-        return h
+            return h
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -91,7 +94,10 @@ _put_type = Node._type.__set__
 
 
 def _initialiser(put, defaults):
-    """An __init__ that stores its arguments through the slot setters in put."""
+    """An __init__ that stores its arguments through the slot setters in put.
+
+    It clears the _type memo and leaves _hash unset, for __hash__ to fill.
+    """
     if len(put) == 3:
         p0, p1, p2 = put
 
@@ -99,7 +105,6 @@ def _initialiser(put, defaults):
             p0(self, a)
             p1(self, b)
             p2(self, c)
-            _put_hash(self, None)
             _put_type(self, None)
     elif len(put) == 2:
         p0, p1 = put
@@ -107,19 +112,16 @@ def _initialiser(put, defaults):
         def __init__(self, a, b):
             p0(self, a)
             p1(self, b)
-            _put_hash(self, None)
             _put_type(self, None)
     elif len(put) == 1:
         (p0,) = put
 
         def __init__(self, a):
             p0(self, a)
-            _put_hash(self, None)
             _put_type(self, None)
     elif not put:
 
         def __init__(self):
-            _put_hash(self, None)
             _put_type(self, None)
     else:
         raise TypeError("a node has at most three fields")

@@ -68,9 +68,10 @@ from .reduce import (
 from .terms import (
     App,
     Const,
-    ConstKind,
     IllTyped,
+    LEN_KIND,
     Lam,
+    PROJ_KIND,
     SeqAbs,
     Var,
     alpha_eq,
@@ -476,7 +477,7 @@ def _upward_certified(matrix: Formula, witnesses) -> bool:
         if cls is App:
             fun, arg = node.fun, node.arg
             if (fun.__class__ is App and fun.fun.__class__ is Const
-                    and fun.fun.kind is ConstKind.PROJ and fun.arg.__class__ is Var
+                    and fun.fun.kind is PROJ_KIND and fun.arg.__class__ is Var
                     and arg.__class__ is Var and role.get(arg.name) == fun.arg.name
                     and role.get(fun.arg.name) is _WITNESS):
                 continue  # a unit
@@ -503,7 +504,7 @@ def _upward_certified(matrix: Formula, witnesses) -> bool:
         elif cls is BoundedExists or cls is BoundedForall:
             bound, witness = node.bound, None
             if ((cls is BoundedExists) is positive and bound.__class__ is App
-                    and bound.fun.__class__ is Const and bound.fun.kind is ConstKind.LEN
+                    and bound.fun.__class__ is Const and bound.fun.kind is LEN_KIND
                     and bound.arg.__class__ is Var and role.get(bound.arg.name) is _WITNESS):
                 witness = bound.arg.name
             else:

@@ -27,16 +27,27 @@ from operator import itemgetter
 from .ftypes import FiniteType, Ground, N, Star, is_data_type
 from .terms import (
     App,
+    CONCAT_KIND,
+    CONS_KIND,
     Const,
     ConstKind,
+    EMPTY_KIND,
     IllTyped,
+    LEN_KIND,
+    LISTREC_KIND,
     Lam,
+    NATREC_KIND,
     NsdialError,
+    PROJ_KIND,
+    SEQAPP_KIND,
+    SINGLETON_KIND,
     SUCC,
+    SUCC_KIND,
     SeqAbs,
     Term,
     Var,
     ZERO,
+    ZERO_KIND,
     app,
     cons,
     concat,
@@ -86,9 +97,7 @@ class Closure:
 CanonicalValue = Nat | Seq | Closure
 
 
-# the cells _view gives zero, nil and a stuck term, built once
-_CELLS = {k: (k, None, None) for k in (ConstKind.ZERO, ConstKind.EMPTY)}
-_STUCK = (None, None, None)
+_STUCK = (None, None, None)  # the cell _view gives a stuck term
 
 
 def _view(t: Term) -> tuple[ConstKind | None, Term | None, Term | None]:
@@ -102,15 +111,17 @@ def _view(t: Term) -> tuple[ConstKind | None, Term | None, Term | None]:
     cls = t.__class__
     if cls is App:
         f = t.fun
-        if f.__class__ is Const and f.kind is ConstKind.SUCC:
-            return ConstKind.SUCC, t.arg, None
-        if f.__class__ is App and f.fun.__class__ is Const and f.fun.kind is ConstKind.CONS:
-            return ConstKind.CONS, f.arg, t.arg
+        if f.__class__ is Const and f.kind is SUCC_KIND:
+            return SUCC_KIND, t.arg, None
+        if f.__class__ is App and f.fun.__class__ is Const and f.fun.kind is CONS_KIND:
+            return CONS_KIND, f.arg, t.arg
     elif cls is Const:
-        return _CELLS.get(t.kind, _STUCK)
+        kind = t.kind
+        if kind is ZERO_KIND or kind is EMPTY_KIND:
+            return kind, None, None
     elif cls is SeqAbs:
         fn = Lam(t.var, t.var_type, t.body)
-        return ConstKind.CONS, fn, Const(ConstKind.EMPTY, (synth_type(fn),))
+        return CONS_KIND, fn, Const(EMPTY_KIND, (synth_type(fn),))
     return _STUCK
 
 
@@ -118,10 +129,11 @@ def whnf(t: Term) -> Term:
     """Reduce to weak head normal form."""
     while True:
         head, args = spine(t)
-        if isinstance(head, Lam) and args:
+        cls = head.__class__
+        if cls is Lam and args:
             t = app(substitute(head.body, head.var, args[0]), *args[1:])
             continue
-        if isinstance(head, Const):
+        if cls is Const:
             reduced = _const_step(head, args)
             if reduced is not None:
                 t = reduced
@@ -134,21 +146,21 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
     k = head.kind
     if len(args) < k.operands:
         return None
-    if k is ConstKind.SINGLETON:
+    if k is SINGLETON_KIND:
         (elem,) = head.types
         out = cons(elem, args[0], empty_seq(elem))
-    elif k is ConstKind.NATREC or k is ConstKind.LISTREC:
+    elif k is NATREC_KIND or k is LISTREC_KIND:
         x, y = args[0], args[1]
         tag, h, tail = _view(args[2])
-        if tag is ConstKind.ZERO or tag is ConstKind.EMPTY:
+        if tag is ZERO_KIND or tag is EMPTY_KIND:
             out = x
-        elif tag is ConstKind.SUCC:
+        elif tag is SUCC_KIND:
             out = app(y, h, app(head, x, y, h))
-        elif tag is ConstKind.CONS:
+        elif tag is CONS_KIND:
             out = app(y, app(head, x, y, tail), h)
         else:
             return None
-    elif k is ConstKind.SEQAPP:
+    elif k is SEQAPP_KIND:
         s, a = whnf(args[0]), args[1]
         if isinstance(s, SeqAbs):
             out = substitute(s.body, s.var, a)
@@ -156,7 +168,7 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
             # the functions of a sequence whose every cell is a constructor, applied to a
             fns = []
             tag, h, s = _view(s)
-            while tag is ConstKind.CONS:
+            while tag is CONS_KIND:
                 fns.append(h)
                 tag, h, s = _view(s)
             if tag is None:
@@ -165,23 +177,23 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
             out = App(fns[-1], a) if fns else empty_seq(elem)
             for f in reversed(fns[:-1]):
                 out = concat(elem, App(f, a), out)
-    elif k is ConstKind.LEN or k is ConstKind.PROJ or k is ConstKind.CONCAT:
+    elif k is LEN_KIND or k is PROJ_KIND or k is CONCAT_KIND:
         (elem,) = head.types
         tag, h, tail = _view(args[0])
-        empty = tag is ConstKind.EMPTY
-        if not empty and tag is not ConstKind.CONS:
+        empty = tag is EMPTY_KIND
+        if not empty and tag is not CONS_KIND:
             return None
-        if k is ConstKind.LEN:
+        if k is LEN_KIND:
             out = ZERO if empty else App(SUCC, App(head, tail))
-        elif k is ConstKind.CONCAT:
+        elif k is CONCAT_KIND:
             out = args[1] if empty else cons(elem, h, concat(elem, tail, args[1]))
         elif empty:
             out = default_term(elem)
         else:
             tag, i, _ = _view(args[1])
-            if tag is ConstKind.ZERO:
+            if tag is ZERO_KIND:
                 out = h
-            elif tag is ConstKind.SUCC:
+            elif tag is SUCC_KIND:
                 out = app(head, tail, i)
             else:
                 return None
@@ -196,9 +208,10 @@ def normalize(term: Term) -> Term:
     A successor chain is rebuilt in one loop over its normalised base.
     """
     t = whnf(term)
-    if isinstance(t, Lam):
+    cls = t.__class__
+    if cls is Lam:
         return Lam(t.var, t.var_type, normalize(t.body))
-    if isinstance(t, SeqAbs):
+    if cls is SeqAbs:
         return SeqAbs(t.var, t.var_type, normalize(t.body))
     k, base = succ_chain(t)
     if k:
@@ -209,7 +222,7 @@ def normalize(term: Term) -> Term:
     head, args = spine(t)
     if not args:
         return t
-    out = head if isinstance(head, (Var, Const)) else normalize(head)
+    out = head if head.__class__ is Var or head.__class__ is Const else normalize(head)
     for a in args:
         out = App(out, normalize(a))
     return out
@@ -281,9 +294,9 @@ def _curry(fn, arity: int):
 
 def _const(c: Const):
     """Native value of a constant; operators are curried callables."""
-    if c.kind is ConstKind.ZERO:
+    if c.kind is ZERO_KIND:
         return 0
-    if c.kind is ConstKind.EMPTY:
+    if c.kind is EMPTY_KIND:
         return ()
     return _curry(_OPERATORS[c.kind](c), c.kind.operands)
 
@@ -349,7 +362,7 @@ def _compile(t: Term, scope: Scope):
     assert isinstance(t, App)
     k, base = succ_chain(t)
     if k:  # numerals and other successor chains compile flat, whatever their depth
-        if isinstance(base, Const) and base.kind is ConstKind.ZERO:
+        if base.__class__ is Const and base.kind is ZERO_KIND:
             return (lambda frame: k), -1
         inner, depth = _compile(base, scope)
         return scope.share(t, lambda frame: inner(frame) + k, depth), depth

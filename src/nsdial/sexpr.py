@@ -25,13 +25,19 @@ from .ftypes import Arrow, FiniteType, N, Star
 from . import formulas as F
 from .terms import (
     App,
+    CONS_KIND,
     Const,
     ConstKind,
+    EMPTY_KIND,
     Lam,
     NsdialError,
+    SUCC,
+    SUCC_KIND,
     SeqAbs,
     Term,
     Var,
+    ZERO,
+    ZERO_KIND,
     default_term,
     free_vars,
     numeral,
@@ -50,25 +56,26 @@ class ParseError(NsdialError):
 # -- s-expression reader -----------------------------------------------------
 
 _TOKEN = re.compile(r"[()]|[^\s();]+")
+# a ; comment runs to the end of its line: to the next separator str.splitlines honours
+_COMMENT = re.compile(";[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 def read_sexprs(text: str) -> list:
-    tokens = []
-    for line in text.splitlines():
-        line = line.split(";", 1)[0]
-        tokens.extend(_TOKEN.findall(line))
-    out, stack = [], []
-    for tok in tokens:
+    out = current = []  # the list that the next item joins
+    enclosing = []  # the lists current is nested in
+    for tok in _TOKEN.findall(_COMMENT.sub("", text)):
         if tok == "(":
-            stack.append([])
+            inner = []
+            current.append(inner)
+            enclosing.append(current)
+            current = inner
         elif tok == ")":
-            if not stack:
+            if not enclosing:
                 raise ParseError("unbalanced )")
-            done = stack.pop()
-            (stack[-1] if stack else out).append(done)
+            current = enclosing.pop()
         else:
-            (stack[-1] if stack else out).append(tok)
-    if stack:
+            current.append(tok)
+    if enclosing:
         raise ParseError("unbalanced (")
     return out
 
@@ -139,14 +146,6 @@ def parse_type(sx) -> FiniteType:
     raise ParseError(f"not a type: {sx!r}")
 
 
-def is_type_sx(sx) -> bool:
-    try:
-        parse_type(sx)
-        return True
-    except ParseError:
-        return False
-
-
 def print_type(t: FiniteType) -> str:
     return repr(t)
 
@@ -166,86 +165,117 @@ _SUGAR_HEADS = {
 
 
 class _Elab:
-    """Bidirectional term elaboration with a shared free-variable table."""
+    """Bidirectional term elaboration with a shared free-variable table.
+
+    A form is elaborated by the method that _TERM_FORMS gives its head.
+    """
 
     def __init__(self):
         self.free: dict[str, FiniteType] = {}
 
     def term(self, sx, env: dict[str, FiniteType], expected: FiniteType | None) -> Term:
-        t = self._term(sx, env, expected)
+        if isinstance(sx, str):
+            t = self._atom(sx, expected)
+        else:  # dispatched here, so that a nested form costs two frames: this and its method
+            if not sx:
+                raise ParseError("empty term")
+            head = sx[0]
+            if not isinstance(head, str) or len(sx) not in _TERM_LENGTHS.get(head, _ANY_LENGTH):
+                raise _bad_form(sx, "term")
+            form = _TERM_FORMS.get(head)
+            if form is None:
+                raise ParseError(f"unknown term form {sx!r}")
+            t = form(self, sx, env, expected)
         if expected is not None:
-            found = synth_type(t)
-            if found != expected:
+            found = t.type if t.__class__ is Var else synth_type(t)
+            if found is not expected and found != expected:
                 raise ParseError(f"expected type {print_type(expected)}, found {print_type(found)} in {sx!r}")
         return t
 
-    def _term(self, sx, env, expected) -> Term:
-        if isinstance(sx, str):
-            if sx == "zero":
-                return Const(ConstKind.ZERO)
-            if sx == "succ":
-                return Const(ConstKind.SUCC)
-            if sx.isdecimal():  # int() reads every such atom; isdigit() also passes '²'
-                return numeral(int(sx))
-            if sx == "cons":  # its type parameter read off the expected type's two domains
-                if isinstance(expected, Arrow) and isinstance(expected.codomain, Arrow):
-                    const = ConstKind.CONS.instance(expected.domain, expected.codomain.domain)
-                    if const is not None:
-                        return const
-                raise ParseError("bare cons needs an application argument to fix its type")
-            raise ParseError(f"unknown term atom {sx!r}")
-        if not sx:
-            raise ParseError("empty term")
-        head = sx[0]
-        if not isinstance(head, str) or len(sx) not in _TERM_LENGTHS.get(head, _ANY_LENGTH):
-            raise _bad_form(sx, "term")
-        if head == "var":
-            name = sx[1]
-            if not isinstance(name, str):
-                raise ParseError(f"malformed var form: {sx!r}")
-            if name in env:
-                return Var(name, env[name])
-            if name in self.free:
-                return Var(name, self.free[name])
-            if expected is not None:
-                self.free[name] = expected
-                return Var(name, expected)
-            raise ParseError(f"cannot infer the type of free variable {name!r}")
-        if head == "the":
-            ty = parse_type(sx[1])
-            return self.term(sx[2], env, ty)
-        if head == "open":
-            for name, ty_sx in _binders(sx[1], head):
-                self.free.setdefault(name, parse_type(ty_sx))
-            return self.term(sx[2], env, expected)
-        if head == "lam" or head == "sabs":
-            (name, ty_sx), body_sx = _binder(sx[1], head), sx[2]
-            ty = parse_type(ty_sx)
-            body_expected = None
-            if head == "lam" and isinstance(expected, Arrow) and expected.domain == ty:
-                body_expected = expected.codomain
-            body = self.term(body_sx, {**env, name: ty}, body_expected)
-            return Lam(name, ty, body) if head == "lam" else SeqAbs(name, ty, body)
-        if head == "app":
-            return self._app(sx[1:], env)
-        if head == "default":
-            return default_term(parse_type(sx[1]))
-        if head == "seq":
-            elem = parse_type(sx[1])
-            return seq_term(elem, [self.term(s, env, elem) for s in sx[2:]])
-        if head in _CONST_HEADS:
-            kind = _CONST_HEADS[head]
-            if len(sx) == kind.type_params + 1 and all(is_type_sx(s) for s in sx[1:]):
-                return Const(kind, tuple(parse_type(s) for s in sx[1:]))
-            if head in _SUGAR_HEADS and len(sx) == kind.operands + 1:
-                return self._applied(kind, sx[1:], env, _SUGAR_HEADS[head])
-            raise ParseError(f"malformed {head} form: {sx!r}")
-        raise ParseError(f"unknown term form {sx!r}")
+    def _atom(self, sx: str, expected) -> Term:
+        if sx == "zero":
+            return ZERO
+        if sx == "succ":
+            return SUCC
+        if sx.isdecimal():  # int() reads every such atom; isdigit() also passes '²'
+            return numeral(int(sx))
+        if sx == "cons":  # its type parameter read off the expected type's two domains
+            if isinstance(expected, Arrow) and isinstance(expected.codomain, Arrow):
+                const = CONS_KIND.instance(expected.domain, expected.codomain.domain)
+                if const is not None:
+                    return const
+            raise ParseError("bare cons needs an application argument to fix its type")
+        raise ParseError(f"unknown term atom {sx!r}")
 
-    def _app(self, parts, env) -> Term:
-        if parts[0] == "cons" and len(parts) >= 2:
-            return self._applied(ConstKind.CONS, parts[1:], env, None)
-        return self._apply(self.term(parts[0], env, None), parts[1:], env)
+    def _var(self, sx, env, expected) -> Term:
+        name = sx[1]
+        if not isinstance(name, str):
+            raise ParseError(f"malformed var form: {sx!r}")
+        if name in env:
+            return Var(name, env[name])
+        if name in self.free:
+            return Var(name, self.free[name])
+        if expected is not None:
+            self.free[name] = expected
+            return Var(name, expected)
+        raise ParseError(f"cannot infer the type of free variable {name!r}")
+
+    def _the(self, sx, env, expected) -> Term:
+        return self.term(sx[2], env, parse_type(sx[1]))
+
+    def _open(self, sx, env, expected) -> Term:
+        for name, ty_sx in _binders(sx[1], "open"):
+            self.free.setdefault(name, parse_type(ty_sx))
+        return self.term(sx[2], env, expected)
+
+    def _abstraction(self, sx, env, expected) -> Term:
+        """A lam or sabs form."""
+        head = sx[0]
+        (name, ty_sx), body_sx = _binder(sx[1], head), sx[2]
+        ty = parse_type(ty_sx)
+        body_expected = None
+        if head == "lam" and isinstance(expected, Arrow):
+            if expected.domain is ty or expected.domain == ty:
+                body_expected = expected.codomain
+        body = self.term(body_sx, {**env, name: ty}, body_expected)
+        return Lam(name, ty, body) if head == "lam" else SeqAbs(name, ty, body)
+
+    def _app(self, sx, env, expected) -> Term:
+        fun = sx[1]
+        if fun == "succ" and len(sx) == 3:
+            # a nest (app succ (app succ ... x)) is read in one loop, not one frame per succ
+            count, base = 1, sx[2]
+            while (isinstance(base, list) and len(base) == 3
+                   and base[0] == "app" and base[1] == "succ"):
+                count += 1
+                base = base[2]
+            out = self.term(base, env, N)
+            for _ in range(count):
+                out = App(SUCC, out)
+            return out
+        if fun == "cons" and len(sx) >= 3:
+            return self._applied(CONS_KIND, sx[2:], env, None)
+        return self._apply(self.term(fun, env, None), sx[2:], env)
+
+    def _default(self, sx, env, expected) -> Term:
+        return default_term(parse_type(sx[1]))
+
+    def _seq(self, sx, env, expected) -> Term:
+        elem = parse_type(sx[1])
+        return seq_term(elem, [self.term(s, env, elem) for s in sx[2:]])
+
+    def _constant(self, sx, env, expected) -> Term:
+        """A constant given its type parameters, or the applied sugar of its head."""
+        head = sx[0]
+        kind = _CONST_HEADS[head]
+        if len(sx) == kind.type_params + 1:
+            try:
+                return Const(kind, tuple(map(parse_type, sx[1:])))
+            except ParseError:
+                pass
+        if head in _SUGAR_HEADS and len(sx) == kind.operands + 1:
+            return self._applied(kind, sx[1:], env, _SUGAR_HEADS[head])
+        raise ParseError(f"malformed {head} form: {sx!r}")
 
     def _applied(self, kind: ConstKind, parts, env, error: str | None) -> Term:
         """kind's constant applied to parts, its type parameters read off the first part's type."""
@@ -257,11 +287,19 @@ class _Elab:
 
     def _apply(self, out: Term, parts, env) -> Term:
         for arg_sx in parts:
-            fn_ty = synth_type(out)
+            fn_ty = out.type if out.__class__ is Var else synth_type(out)
             if not isinstance(fn_ty, Arrow):
                 raise ParseError(f"application of a non-function: {print_type(fn_ty)}")
             out = App(out, self.term(arg_sx, env, fn_ty.domain))
         return out
+
+
+_TERM_FORMS = {
+    "var": _Elab._var, "the": _Elab._the, "open": _Elab._open,
+    "lam": _Elab._abstraction, "sabs": _Elab._abstraction, "app": _Elab._app,
+    "default": _Elab._default, "seq": _Elab._seq,
+    **dict.fromkeys(_CONST_HEADS, _Elab._constant),
+}
 
 
 def parse_term(sx, env: dict[str, FiniteType] | None = None,
@@ -283,19 +321,19 @@ def print_term(t: Term) -> str:
     cls = t.__class__
     if cls is App:
         fun = t.fun
-        if fun.__class__ is Const and fun.kind is ConstKind.SUCC:
+        if fun.__class__ is Const and fun.kind is SUCC_KIND:
             count, base = succ_chain(t)  # printed flat, whatever its length
-            if base.__class__ is Const and base.kind is ConstKind.ZERO:
+            if base.__class__ is Const and base.kind is ZERO_KIND:
                 return str(count)
             return "(app succ " * count + print_term(base) + ")" * count
         cells, end = [], t
         while (end.__class__ is App and end.fun.__class__ is App
-               and end.fun.fun.__class__ is Const and end.fun.fun.kind is ConstKind.CONS):
+               and end.fun.fun.__class__ is Const and end.fun.fun.kind is CONS_KIND):
             cells.append(end.fun)  # the cons constant applied to the cell's head
             end = end.arg
         if cells:  # each cell printed once: a sequence if the chain ends in nil
             heads = [print_term(c.arg) for c in cells]
-            if end.__class__ is Const and end.kind is ConstKind.EMPTY:
+            if end.__class__ is Const and end.kind is EMPTY_KIND:
                 return f"(seq {print_type(end.types[0])} {' '.join(heads)})"
             opened = "".join(f"(app {print_term(c.fun)} {h} " for c, h in zip(cells, heads))
             return opened + print_term(end) + ")" * len(cells)
@@ -307,10 +345,10 @@ def print_term(t: Term) -> str:
         return f"(lam ({t.var} {print_type(t.var_type)}) {print_term(t.body)})"
     if cls is SeqAbs:
         return f"(sabs ({t.var} {print_type(t.var_type)}) {print_term(t.body)})"
-    if cls is Const:
+    if cls is Const:  # _value_ is the member's slot; .value reads it through a Python property
         if not t.types:
-            return t.kind.value
-        return f"({t.kind.value} {' '.join(map(print_type, t.types))})"
+            return t.kind._value_
+        return f"({t.kind._value_} {' '.join(map(print_type, t.types))})"
     raise AssertionError(t)
 
 

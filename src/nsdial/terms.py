@@ -70,6 +70,16 @@ class ConstKind(Enum):
         return None if None in found else Const(self, tuple(found))
 
 
+# Every member bound to a module name once. On Python 3.11 reading ConstKind.X
+# runs the enum class's attribute hook, about ten times the cost of reading a
+# global, so hot code compares kinds through these names.
+(ZERO_KIND, SUCC_KIND, NATREC_KIND, LISTREC_KIND, EMPTY_KIND, CONS_KIND, LEN_KIND, PROJ_KIND,
+ CONCAT_KIND, SEQAPP_KIND, SINGLETON_KIND) = (
+    ConstKind.ZERO, ConstKind.SUCC, ConstKind.NATREC, ConstKind.LISTREC, ConstKind.EMPTY,
+    ConstKind.CONS, ConstKind.LEN, ConstKind.PROJ, ConstKind.CONCAT, ConstKind.SEQAPP,
+    ConstKind.SINGLETON)
+
+
 def _match(pattern, ty: FiniteType, found: list) -> bool:
     """Whether ty is an instance of pattern, whose int n stands for the type found[n]."""
     cls = pattern.__class__
@@ -174,7 +184,7 @@ def const_type(c: Const) -> FiniteType:
 def spine(t: Term) -> tuple[Term, list[Term]]:
     """The head of an application and its arguments, in order."""
     args: list[Term] = []
-    while isinstance(t, App):
+    while t.__class__ is App:
         args.append(t.arg)
         t = t.fun
     args.reverse()
@@ -184,7 +194,7 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 def succ_chain(t: Term) -> tuple[int, Term]:
     """The successors applied to a term and the term: (2, x) for succ (succ x)."""
     count = 0
-    while t.__class__ is App and t.fun.__class__ is Const and t.fun.kind is ConstKind.SUCC:
+    while t.__class__ is App and t.fun.__class__ is Const and t.fun.kind is SUCC_KIND:
         count += 1
         t = t.arg
     return count, t
@@ -220,42 +230,43 @@ def _synth(t: Term, env: dict[str, FiniteType], closed: bool) -> FiniteType:
                 break
         else:
             return ty
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is Var:
         expected = env.get(t.name)
         if expected is None:
             if closed:
                 raise UnboundVariable(t.name)
-        elif expected != t.type:
+        elif expected is not t.type and expected != t.type:
             raise IllTyped(f"var {t.name}", expected, t.type)
         return t.type
-    if isinstance(t, Const):
+    if cls is Const:
         ty = const_type(t)
         _put_type(t, ty)
         return ty
-    if isinstance(t, (Lam, SeqAbs)):
-        body = _synth(t.body, {**env, t.var: t.var_type}, closed)
-        if isinstance(t, Lam):
-            ty = Arrow(t.var_type, body)
-        elif isinstance(body, Star):
-            ty = Star(Arrow(t.var_type, body))
-        else:
-            raise IllTyped("seqabs body", "a sequence type", body)
-        free = tuple(p for p in _annotations(t.body) if p[0] != t.var)
-    elif isinstance(t, App):
+    if cls is App:
         head, operand = t.fun, t.arg
-        if head.__class__ is Const and head.kind is ConstKind.SUCC:
+        if head.__class__ is Const and head.kind is SUCC_KIND:
             # a successor chain is typed as succ applied to its base: one frame, not one per succ
             head, operand = SUCC, succ_chain(t)[1]
         fun = _synth(head, env, closed)
         arg = _synth(operand, env, closed)
-        if not isinstance(fun, Arrow):
+        if fun.__class__ is not Arrow:
             raise IllTyped("application head", "an arrow type", fun)
-        if fun.domain != arg:
+        if fun.domain is not arg and fun.domain != arg:
             raise IllTyped("application argument", fun.domain, arg)
         ty = fun.codomain
         free, extra = _annotations(head), _annotations(operand)
         if extra:
             free += tuple(p for p in extra if p not in free)
+    elif cls is Lam or cls is SeqAbs:
+        body = _synth(t.body, {**env, t.var: t.var_type}, closed)
+        if cls is Lam:
+            ty = Arrow(t.var_type, body)
+        elif body.__class__ is Star:
+            ty = Star(Arrow(t.var_type, body))
+        else:
+            raise IllTyped("seqabs body", "a sequence type", body)
+        free = tuple(p for p in _annotations(t.body) if p[0] != t.var)
     else:
         raise AssertionError(t)
     _put_type(t, (ty, free) if free else ty)
@@ -264,7 +275,7 @@ def _synth(t: Term, env: dict[str, FiniteType], closed: bool) -> FiniteType:
 
 def _annotations(t: Term) -> tuple[tuple[str, FiniteType], ...]:
     """The (name, annotation) pairs of the free variables of a synthesised term."""
-    if isinstance(t, Var):
+    if t.__class__ is Var:
         return ((t.name, t.type),)
     memo = t._type
     return memo[1] if memo.__class__ is tuple else ()
@@ -419,8 +430,8 @@ def alpha_eq(x, y) -> bool:
 
 # -- construction helpers ----------------------------------------------------
 
-ZERO = Const(ConstKind.ZERO)
-SUCC = Const(ConstKind.SUCC)
+ZERO = Const(ZERO_KIND)
+SUCC = Const(SUCC_KIND)
 
 
 def app(f: Term, *args: Term) -> Term:
@@ -450,11 +461,11 @@ def numeral(n: int) -> Term:
 
 
 def empty_seq(elem: FiniteType) -> Term:
-    return Const(ConstKind.EMPTY, (elem,))
+    return Const(EMPTY_KIND, (elem,))
 
 
 def cons(elem: FiniteType, head: Term, tail: Term) -> Term:
-    return app(Const(ConstKind.CONS, (elem,)), head, tail)
+    return app(Const(CONS_KIND, (elem,)), head, tail)
 
 
 def seq_term(elem: FiniteType, items: list[Term]) -> Term:
@@ -465,39 +476,39 @@ def seq_term(elem: FiniteType, items: list[Term]) -> Term:
 
 
 def singleton(elem: FiniteType, item: Term) -> Term:
-    return App(Const(ConstKind.SINGLETON, (elem,)), item)
+    return App(Const(SINGLETON_KIND, (elem,)), item)
 
 
 def seq_len(elem: FiniteType, s: Term) -> Term:
-    return App(Const(ConstKind.LEN, (elem,)), s)
+    return App(Const(LEN_KIND, (elem,)), s)
 
 
 def proj(elem: FiniteType, s: Term, i: Term) -> Term:
-    return app(Const(ConstKind.PROJ, (elem,)), s, i)
+    return app(Const(PROJ_KIND, (elem,)), s, i)
 
 
 def concat(elem: FiniteType, s: Term, t: Term) -> Term:
-    return app(Const(ConstKind.CONCAT, (elem,)), s, t)
+    return app(Const(CONCAT_KIND, (elem,)), s, t)
 
 
 def seq_app(dom: FiniteType, codom_elem: FiniteType, s: Term, a: Term) -> Term:
     """s[a] for s : (dom -> codom_elem*)*."""
-    return app(Const(ConstKind.SEQAPP, (dom, codom_elem)), s, a)
+    return app(Const(SEQAPP_KIND, (dom, codom_elem)), s, a)
 
 
 def seq_app_infer(s: Term, a: Term, s_type: FiniteType) -> Term:
-    c = ConstKind.SEQAPP.instance(s_type)
+    c = SEQAPP_KIND.instance(s_type)
     if c is None:
         raise IllTyped("sequence application", "a type of shape (s -> t*)*", s_type)
     return app(c, s, a)
 
 
 def nat_rec(result: FiniteType, base: Term, step: Term, n: Term) -> Term:
-    return app(Const(ConstKind.NATREC, (result,)), base, step, n)
+    return app(Const(NATREC_KIND, (result,)), base, step, n)
 
 
 def list_rec(result: FiniteType, elem: FiniteType, base: Term, step: Term, s: Term) -> Term:
-    return app(Const(ConstKind.LISTREC, (result, elem)), base, step, s)
+    return app(Const(LISTREC_KIND, (result, elem)), base, step, s)
 
 
 def default_term(t: FiniteType) -> Term:

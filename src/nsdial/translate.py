@@ -84,25 +84,29 @@ class Flavor(Enum):
 
     def witness_type(self, sigma: FiniteType) -> FiniteType:
         """Type of a witness for a sigma: sigma itself, or a sequence of candidates."""
-        return Star(sigma) if self is Flavor.DST else sigma
+        return Star(sigma) if self is _DST else sigma
 
     def fn_type(self, domains: list[FiniteType], result: FiniteType) -> FiniteType:
         """Type of a witness function taking the domains in turn and yielding result."""
-        if self is Flavor.DST:
+        if self is _DST:
             return seqfn(domains, result)
         return arrow(*domains, result)
 
     def abs(self, binders: list[tuple[str, FiniteType]], body: Term) -> Term:
-        return sabs(binders, body) if self is Flavor.DST else lam(binders, body)
+        return sabs(binders, body) if self is _DST else lam(binders, body)
 
     def apply(self, fn: Term, args: list[Term]) -> Term:
-        if self is Flavor.U:
+        if self is _U:
             return app(fn, *args)
         ty = synth_type(fn)
         for a in args:
             fn = seq_app_infer(fn, a, ty)
             ty = ty.element.codomain
         return fn
+
+
+# the members bound to module names once: Flavor.X reads run the enum class's attribute hook
+_DST, _U = Flavor.DST, Flavor.U
 
 
 @dataclass(frozen=True)
@@ -211,12 +215,12 @@ def _bound_names(f: Formula) -> set[str]:
 
 def dst_translate(formula: Formula) -> TranslatedFormula:
     """Herbrandised translation; every witness variable has sequence type."""
-    return _translate(formula, Flavor.DST)
+    return _translate(formula, _DST)
 
 
 def u_translate(formula: Formula) -> TranslatedFormula:
     """Uniform translation; matrices are additionally disjunction-free."""
-    return _translate(formula, Flavor.U)
+    return _translate(formula, _U)
 
 
 def _translate(formula: Formula, flavor: Flavor) -> TranslatedFormula:
@@ -234,7 +238,7 @@ def _translate(formula: Formula, flavor: Flavor) -> TranslatedFormula:
 
 def _check_invariants(tf: TranslatedFormula, cl: Classification) -> None:
     assert cl.internal, "matrix must be internal"
-    if tf.flavor is Flavor.DST:
+    if tf.flavor is _DST:
         for _, ty in tf.exist_tuple:
             assert isinstance(ty, Star), f"dst witness not sequence-typed: {ty!r}"
     else:
@@ -251,33 +255,35 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
     subformulas (or-free ones, in the uniform flavor) do. So a node is
     classified once, from its subformulas' results, not re-walked per ancestor.
     """
-    dst = flavor is Flavor.DST
+    cls = f.__class__
+    dst = flavor is _DST
 
-    if isinstance(f, Eq):
+    if cls is Eq:
         return [], [], f
 
-    if isinstance(f, St):
+    if cls is St:
         if dst:
             s = fr.issue("s")
             return [(s, Star(f.type))], [], In(f.type, f.term, Var(s, Star(f.type)))
         y = fr.issue("y")
         return [(y, f.type)], [], Eq(f.type, Var(y, f.type), f.term)
 
-    if isinstance(f, (And, Or, Imp)):
+    if cls is And or cls is Or or cls is Imp:
         ex1, un1, m1 = _clauses(f.left, fr, flavor)
         ex2, un2, m2 = _clauses(f.right, fr, flavor)
-        if not (ex1 or un1 or ex2 or un2) and (dst or not isinstance(f, Or)):
+        if not (ex1 or un1 or ex2 or un2) and (dst or cls is not Or):
             return [], [], f
 
-    if isinstance(f, (And, Or)):
-        if isinstance(f, And) or dst:
-            return ex1 + ex2, un1 + un2, type(f)(m1, m2)
-        z = fr.issue("z")
-        zero_eq = Eq(N, Var(z, N), ZERO)
-        matrix = And(Imp(zero_eq, m1), Imp(Not(zero_eq), m2))
-        return [(z, N)] + ex1 + ex2, un1 + un2, matrix
+        if cls is And or (cls is Or and dst):
+            return ex1 + ex2, un1 + un2, cls(m1, m2)
 
-    if isinstance(f, Imp):
+        if cls is Or:
+            z = fr.issue("z")
+            zero_eq = Eq(N, Var(z, N), ZERO)
+            matrix = And(Imp(zero_eq, m1), Imp(Not(zero_eq), m2))
+            return [(z, N)] + ex1 + ex2, un1 + un2, matrix
+
+        # an implication
         x_types = [ty for _, ty in ex1]
         fn_prefix = "T" if dst else "U"
         fns = [(fr.issue(fn_prefix), flavor.fn_type(x_types, ty)) for _, ty in ex2]
@@ -297,18 +303,18 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         matrix = Imp(_bounded_all(bounds, m1, fr), conclusion)
         return fns + colls, ex1 + un2, matrix
 
-    if isinstance(f, (Forall, Exists, BoundedForall, BoundedExists)):
+    if cls is Forall or cls is Exists or cls is BoundedForall or cls is BoundedExists:
         ex, un, m = _clauses(f.body, fr, flavor)
         if not (ex or un):
             return [], [], f
-        if isinstance(f, Forall):
+        if cls is Forall:
             return ex, un, Forall(f.var, f.var_type, m)
-        if isinstance(f, Exists):
+        if cls is Exists:
             seqs, m = _collect(un, m, fr)
             return ex, seqs, Exists(f.var, f.var_type, m)
         raise _untranslatable(f)
 
-    if isinstance(f, ExistsSt):
+    if cls is ExistsSt:
         ex, un, m = _clauses(f.body, fr, flavor)
         if not dst:
             x = fr.issue(f.var)
@@ -320,7 +326,7 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
         m = _indexed(BoundedExists, f.var, f.var_type, Var(u, u_ty), m, fr)
         return [(u, u_ty)] + ex, seqs, m
 
-    if isinstance(f, ForallSt):
+    if cls is ForallSt:
         z, z_ty, inner = _open_binder(f, fr)
         ex, un, m = _clauses(inner, fr, flavor)
         lift_prefix = "S" if dst else "X"
@@ -362,7 +368,7 @@ def tuple_types(f: Formula, flavor: Flavor) -> tuple[list, list]:
         if cls is Imp:
             fns = [flavor.fn_type(ex1, ty) for ty in ex2]
             return fns + [flavor.fn_type(ex1 + un2, Star(ty)) for ty in un1], ex1 + un2
-        flag = [N] if cls is Or and flavor is Flavor.U else []
+        flag = [N] if cls is Or and flavor is _U else []
         return flag + ex1 + ex2, un1 + un2
     if cls not in _QUANTIFIERS:
         raise AssertionError(f"untranslatable node {f!r}")
@@ -370,7 +376,7 @@ def tuple_types(f: Formula, flavor: Flavor) -> tuple[list, list]:
     if cls is ForallSt:
         return [flavor.fn_type([f.var_type], ty) for ty in ex], un + [f.var_type]
     if cls is ExistsSt:
-        seqs = [Star(ty) for ty in un] if flavor is Flavor.DST else un
+        seqs = [Star(ty) for ty in un] if flavor is _DST else un
         return [flavor.witness_type(f.var_type)] + ex, seqs
     if cls is Exists:
         return ex, [Star(ty) for ty in un]

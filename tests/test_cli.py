@@ -103,6 +103,28 @@ def test_check_term_prints_a_function_returning_a_numeral(tmp_path, capsys):
     assert capsys.readouterr().out == "(lam (x N) 1000)\n"
 
 
+def test_nested_successor_applications_are_elaborated_in_one_loop(tmp_path, capsys):
+    from nsdial.ftypes import N
+    from nsdial.sexpr import ParseError, parse_term, read_one
+    from nsdial.terms import Lam, Var, succ_chain
+
+    def nest(depth, base):
+        return "(app succ " * depth + base + ")" * depth
+
+    f = tmp_path / "deep.term"
+    f.write_text(nest(10**4, "zero") + "\n")
+    assert run(["check-term", str(f)]) == 0
+    assert capsys.readouterr().out == "10000\n"
+    # compared with succ_chain: == on a chain recurses per level
+    t = parse_term(read_one(f"(lam (x N) {nest(10**4, '(var x)')})"))
+    assert t.__class__ is Lam and succ_chain(t.body) == (10**4, Var("x", N))
+    for base, message in (("(app succ zero zero)", "application of a non-function: N"),
+                          ("(nil N)", "expected type N, found (* N) in ['nil', 'N']")):
+        with pytest.raises(ParseError) as info:
+            parse_term(read_one(nest(3, base)))
+        assert str(info.value) == message
+
+
 def test_check_proof_lists_delta_hypotheses(tmp_path, capsys):
     f = tmp_path / "delta.u.proof"
     f.write_text("(axiom delta (formula (eq N zero zero)))")
@@ -293,7 +315,8 @@ def test_verify_deep_numeral_in_matrix(tmp_path, capsys):
 
 def test_too_deep_input_exits_one_without_traceback(tmp_path, capsys):
     term = tmp_path / "deep.term"
-    term.write_text("(app succ " * 400 + "zero" + ")" * 400 + "\n")
+    # a lam nest recurses per level; a succ nest is elaborated in one loop
+    term.write_text("(lam (x N) " * 1000 + "zero" + ")" * 1000 + "\n")
     report = tmp_path / "report.json"
     assert run(["--json", str(report), "check-term", str(term)]) == 1
     err = capsys.readouterr().err
@@ -371,7 +394,7 @@ _MISMATCHED_MINOR = (
         ("ill_typed.term", "(app zero zero)", ["check-term"], 2),
         ("bounded.u.fml", "(bforall (i 2) (st N (var i)))", ["translate", "--u"], 2),
         ("mismatch.u.proof", _MISMATCHED_MINOR, ["extract", "--u"], 1),
-        ("deep.term", "(app succ " * 400 + "zero" + ")" * 400, ["check-term"], 1),
+        ("deep.term", "(lam (x N) " * 1000 + "zero" + ")" * 1000, ["check-term"], 1),
     ],
     ids=["parse-error", "ill-typed", "untranslatable", "mismatched-minor", "recursion"],
 )

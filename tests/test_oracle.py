@@ -96,6 +96,19 @@ def test_enumerate_nested_hand_order():
     assert as_lists(enumerate_values(Star(Star(N)), Grid(0, 1))) == [[], [[]], [[0]]]
 
 
+def test_enumerate_longer_sequences_in_product_order():
+    # by length, then each length in product order of the element domain
+    assert as_lists(enumerate_values(Star(N), Grid(1, 2))) == [
+        [], [0], [1], [0, 0], [0, 1], [1, 0], [1, 1],
+    ]
+    nested = as_lists(enumerate_values(Star(Star(N)), Grid(1, 2)))
+    assert len(nested) == 1 + 7 + 7 * 7
+    assert nested[:12] == [
+        [], [[]], [[0]], [[1]], [[0, 0]], [[0, 1]], [[1, 0]], [[1, 1]],
+        [[], []], [[], [0]], [[], [1]], [[], [0, 0]],
+    ]
+
+
 def test_eval_trivial_equation():
     assert eval_formula(Eq(N, ZERO, ZERO), {}, Grid(2, 1)) == GridValid()
 

@@ -151,6 +151,22 @@ def test_node_contract():
     assert custom == {"Ground", "Arrow", "Star"}
 
 
+def test_hash_slot_is_unset_until_first_hash():
+    # test_node_contract hashes every node before it checks; these nodes are fresh
+    for x in _nodes(tuple(_node_samples()), []):
+        values = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+        fresh = type(x)(*values)
+        assert not hasattr(fresh, "_hash")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fresh, "_hash", 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(fresh, "_hash")
+        for copy in (pickle.loads(pickle.dumps(fresh)), copy_module.deepcopy(fresh)):
+            assert not hasattr(copy, "_hash") and hash(copy) == hash(values)
+        assert not hasattr(fresh, "_hash")
+        assert hash(fresh) == hash(values) and fresh._hash == hash(values)
+
+
 def test_node_equality_is_structural():
     from nsdial.ftypes import Arrow, N, Star
     from nsdial.terms import Const, ConstKind, Var

@@ -23,6 +23,7 @@ from nsdial.sexpr import (
     print_term_top,
     print_type,
     read_one,
+    read_sexprs,
 )
 from nsdial.terms import (
     NsdialError, SUCC, App, Const, ConstKind, Lam, Var, ZERO, app, concat, cons, empty_seq,
@@ -295,6 +296,25 @@ def test_cons_chains_ending_in_a_variable_print_flat():
 def test_comments_ignored():
     text = "; leading remark\n(eq N zero zero) ; trailing"
     assert parse_formula(read_one(text)) == Eq(N, ZERO, ZERO)
+
+
+# every line separator str.splitlines honours
+_LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("end", _LINE_ENDS, ids=[repr(e) for e in _LINE_ENDS])
+def test_a_comment_ends_at_every_line_separator(end):
+    assert read_sexprs(f"(a ; one ) ({end}b) ; two{end}c;three") == [["a", "b"], "c"]
+    assert read_sexprs(f"x{end}y") == ["x", "y"]  # a separator also separates atoms
+
+
+def test_reader_nesting_and_unbalanced_messages():
+    assert read_sexprs("(a (b (c)) ()) d") == [["a", ["b", ["c"]], []], "d"]
+    for text, message in (("(a (b)", "unbalanced ("), ("(a))", "unbalanced )"),
+                          (")(", "unbalanced )"), ("(; )\n", "unbalanced (")):
+        with pytest.raises(ParseError) as info:
+            read_sexprs(text)
+        assert str(info.value) == message
 
 
 def test_free_variable_type_adoption():
