@@ -673,6 +673,14 @@ def _arity_cases(command, arity, what):
             for head, n in _CONST_ARITY.items()
         ),
         (["translate", "--u"], "(subseteq N (var s))", "malformed subseteq form"),
+        *_arity_cases(
+            ["check-term"],
+            {"var": 1, "the": 2, "open": 2, "lam": 2, "sabs": 2, "default": 1},
+            "term",
+        ),
+        (["check-term"], "(seq)", "malformed seq form"),
+        # every binder's shape is checked before any binder's type is read
+        (["check-term"], "(open ((x BAD) (y)) zero)", "malformed binder in open form"),
     ],
 )
 def test_malformed_form_exits_two(tmp_path, capsys, command, text, message):
