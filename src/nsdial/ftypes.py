@@ -17,8 +17,10 @@ class Node:
     The hash equals hash() of the tuple of field values, as a frozen
     dataclass's does, so set and dict orders are those of plain tuples. The
     _hash slot stays unset until the first hash() stores it there, so a
-    node that is never hashed costs no write for it. The _type slot holds a
-    memo: a term's synthesised type, or a formula's formulas.Checked.
+    node that is never hashed costs no write for it. That first hash() fills
+    the slots of the unhashed descendants on an explicit stack, children
+    first. The _type slot holds a memo: a term's synthesised type, or a
+    formula's formulas.Checked.
     Subclasses are declared with @node.
     """
 
@@ -40,9 +42,21 @@ class Node:
         try:
             return self._hash
         except AttributeError:
-            h = hash(self._values(self))
-            _put_hash(self, h)
-            return h
+            pass
+        # the unhashed descendants first, children before parents, so that no hash() recurses.
+        # An entry (node, True) hashes the node, whose descendants are then all hashed; a
+        # shared node's later entries find its hash set, so each node is expanded once.
+        stack = [(self, False)]
+        while stack:
+            x, ready = stack.pop()
+            if ready:
+                _put_hash(x, hash(x._values(x)))
+            elif isinstance(x, tuple):
+                stack += [(v, False) for v in x]
+            elif isinstance(x, Node) and not hasattr(x, "_hash"):
+                stack.append((x, True))
+                stack += [(v, False) for v in x._values(x)]
+        return self._hash
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

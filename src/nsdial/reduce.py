@@ -215,10 +215,7 @@ def normalize(term: Term) -> Term:
         return SeqAbs(t.var, t.var_type, normalize(t.body))
     k, base = succ_chain(t)
     if k:
-        out = normalize(base)
-        for _ in range(k):
-            out = App(SUCC, out)
-        return out
+        return numeral(k, normalize(base))
     head, args = spine(t)
     if not args:
         return t

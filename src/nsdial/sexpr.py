@@ -21,7 +21,7 @@ import sys
 from functools import cache
 from operator import attrgetter
 
-from .ftypes import Arrow, FiniteType, N, Star
+from .ftypes import Arrow, FiniteType, N, Star, arrow
 from . import formulas as F
 from .terms import (
     App,
@@ -87,34 +87,6 @@ def read_one(text: str):
     return items[0]
 
 
-# Argument count of each term and section head, checked before a form is taken apart.
-# The heads in _VARIADIC take at least that many arguments, the rest exactly. Term
-# constant heads such as (nil N) check their own arity, formula and proof heads their sorts.
-_VARIADIC = {"app", "seq", "terms"}
-_ANY_LENGTH = range(sys.maxsize)
-
-
-def _lengths(arity: dict[str, int]) -> dict[str, range]:
-    """The valid lengths of each form, head included."""
-    return {
-        head: range(n + 1, sys.maxsize if head in _VARIADIC else n + 2)
-        for head, n in arity.items()
-    }
-
-
-_TERM_LENGTHS = _lengths(
-    {"var": 1, "the": 2, "open": 2, "lam": 2, "sabs": 2, "app": 1, "default": 1, "seq": 1}
-)
-_SECTION_LENGTHS = _lengths({"target": 1, "translated": 1, "terms": 0})
-
-
-def _bad_form(sx: list, what: str) -> ParseError:
-    """The error for a non-empty form whose head is not a name or whose length is wrong."""
-    if isinstance(sx[0], str):
-        return ParseError(f"malformed {sx[0]} form: {sx!r}")
-    return ParseError(f"unknown {what} form {sx!r}")
-
-
 def _binder(sx, head: str) -> tuple[str, object]:
     """A (name x) pair of a binding form: x is a type, or a bound for bforall/bexists."""
     if not (isinstance(sx, list) and len(sx) == 2 and isinstance(sx[0], str)):
@@ -122,10 +94,16 @@ def _binder(sx, head: str) -> tuple[str, object]:
     return sx[0], sx[1]
 
 
-def _binders(sx, head: str) -> list[tuple[str, object]]:
+def _typed_binders(sx, head: str) -> tuple[tuple[str, FiniteType], ...]:
+    """A ((name type) ...) list, the shape of every binder checked before any type is read."""
     if not isinstance(sx, list):
         raise ParseError(f"malformed binder list in {head} form: {sx!r}")
-    return [_binder(b, head) for b in sx]
+    return tuple((name, parse_type(ty)) for name, ty in [_binder(b, head) for b in sx])
+
+
+def _print_typed_binders(binders) -> str:
+    """The ((name type) ...) text of (name, type) pairs."""
+    return "(" + " ".join(f"({name} {print_type(ty)})" for name, ty in binders) + ")"
 
 
 # -- types -------------------------------------------------------------------
@@ -136,11 +114,7 @@ def parse_type(sx) -> FiniteType:
     if isinstance(sx, list) and sx and sx[0] == "->":
         if len(sx) < 3:
             raise ParseError("(-> ...) needs at least two types")
-        parts = [parse_type(p) for p in sx[1:]]
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = Arrow(p, out)
-        return out
+        return arrow(*map(parse_type, sx[1:]))
     if isinstance(sx, list) and len(sx) == 2 and sx[0] == "*":
         return Star(parse_type(sx[1]))
     raise ParseError(f"not a type: {sx!r}")
@@ -167,7 +141,8 @@ _SUGAR_HEADS = {
 class _Elab:
     """Bidirectional term elaboration with a shared free-variable table.
 
-    A form is elaborated by the method that _TERM_FORMS gives its head.
+    A form is elaborated by the method that _TERM_FORMS gives its head, once its
+    length is one that the entry allows.
     """
 
     def __init__(self):
@@ -180,11 +155,12 @@ class _Elab:
             if not sx:
                 raise ParseError("empty term")
             head = sx[0]
-            if not isinstance(head, str) or len(sx) not in _TERM_LENGTHS.get(head, _ANY_LENGTH):
-                raise _bad_form(sx, "term")
-            form = _TERM_FORMS.get(head)
-            if form is None:
+            entry = _TERM_FORMS.get(head) if isinstance(head, str) else None
+            if entry is None:
                 raise ParseError(f"unknown term form {sx!r}")
+            form, lengths = entry
+            if len(sx) not in lengths:
+                raise ParseError(f"malformed {head} form: {sx!r}")
             t = form(self, sx, env, expected)
         if expected is not None:
             found = t.type if t.__class__ is Var else synth_type(t)
@@ -224,8 +200,8 @@ class _Elab:
         return self.term(sx[2], env, parse_type(sx[1]))
 
     def _open(self, sx, env, expected) -> Term:
-        for name, ty_sx in _binders(sx[1], "open"):
-            self.free.setdefault(name, parse_type(ty_sx))
+        for name, ty in _typed_binders(sx[1], "open"):
+            self.free.setdefault(name, ty)
         return self.term(sx[2], env, expected)
 
     def _abstraction(self, sx, env, expected) -> Term:
@@ -249,10 +225,7 @@ class _Elab:
                    and base[0] == "app" and base[1] == "succ"):
                 count += 1
                 base = base[2]
-            out = self.term(base, env, N)
-            for _ in range(count):
-                out = App(SUCC, out)
-            return out
+            return numeral(count, self.term(base, env, N))
         if fun == "cons" and len(sx) >= 3:
             return self._applied(CONS_KIND, sx[2:], env, None)
         return self._apply(self.term(fun, env, None), sx[2:], env)
@@ -294,11 +267,14 @@ class _Elab:
         return out
 
 
+# Each term head's method and valid lengths, head included. A constant head such
+# as (nil N) takes any length here and checks its own.
 _TERM_FORMS = {
-    "var": _Elab._var, "the": _Elab._the, "open": _Elab._open,
-    "lam": _Elab._abstraction, "sabs": _Elab._abstraction, "app": _Elab._app,
-    "default": _Elab._default, "seq": _Elab._seq,
-    **dict.fromkeys(_CONST_HEADS, _Elab._constant),
+    "var": (_Elab._var, range(2, 3)), "the": (_Elab._the, range(3, 4)),
+    "open": (_Elab._open, range(3, 4)), "lam": (_Elab._abstraction, range(3, 4)),
+    "sabs": (_Elab._abstraction, range(3, 4)), "app": (_Elab._app, range(2, sys.maxsize)),
+    "default": (_Elab._default, range(2, 3)), "seq": (_Elab._seq, range(2, sys.maxsize)),
+    **dict.fromkeys(_CONST_HEADS, (_Elab._constant, range(sys.maxsize))),
 }
 
 
@@ -312,8 +288,7 @@ def print_term_top(t: Term) -> str:
     fv = free_vars(t)
     if not fv:
         return print_term(t)
-    decls = " ".join(f"({n} {print_type(ty)})" for n, ty in sorted(fv.items()))
-    return f"(open ({decls}) {print_term(t)})"
+    return f"(open {_print_typed_binders(sorted(fv.items()))} {print_term(t)})"
 
 
 def print_term(t: Term) -> str:
@@ -513,9 +488,8 @@ def _print_axiom(p) -> str:
 # -- translated formulas -----------------------------------------------------
 
 def print_translated(tf: TranslatedFormula) -> str:
-    ex = " ".join(f"({n} {print_type(t)})" for n, t in tf.exist_tuple)
-    un = " ".join(f"({n} {print_type(t)})" for n, t in tf.univ_tuple)
-    return f"(exists-st ({ex}) (forall-st ({un}) {print_formula(tf.matrix)}))"
+    ex, un = _print_typed_binders(tf.exist_tuple), _print_typed_binders(tf.univ_tuple)
+    return f"(exists-st {ex} (forall-st {un} {print_formula(tf.matrix)}))"
 
 
 def parse_translated(sx, flavor: Flavor) -> TranslatedFormula:
@@ -524,8 +498,8 @@ def parse_translated(sx, flavor: Flavor) -> TranslatedFormula:
         and isinstance(sx[2], list) and len(sx[2]) == 3 and sx[2][0] == "forall-st"
     ):
         raise ParseError("expected (exists-st (...) (forall-st (...) matrix))")
-    ex = tuple((n, parse_type(t)) for n, t in _binders(sx[1], "exists-st"))
-    un = tuple((n, parse_type(t)) for n, t in _binders(sx[2][1], "forall-st"))
+    ex = _typed_binders(sx[1], "exists-st")
+    un = _typed_binders(sx[2][1], "forall-st")
     env = {n: t for n, t in ex} | {n: t for n, t in un}
     matrix = parse_formula(sx[2][2], env)
     if not F.classify(matrix).internal:
@@ -534,6 +508,12 @@ def parse_translated(sx, flavor: Flavor) -> TranslatedFormula:
 
 
 # -- bundles -----------------------------------------------------------------
+
+# the valid lengths of each section, head included, in the order of the sections
+_SECTION_LENGTHS = {
+    "target": range(2, 3), "translated": range(2, 3), "terms": range(1, sys.maxsize),
+}
+
 
 def print_bundle(b) -> str:
     terms = " ".join(print_term(t) for t in b.terms)
@@ -558,7 +538,7 @@ def parse_bundle(sx):
                 f"expected one each of the sections {', '.join(_SECTION_LENGTHS)}, found {item!r}"
             )
         if len(item) not in _SECTION_LENGTHS[head]:
-            raise _bad_form(item, "section")
+            raise ParseError(f"malformed {head} form: {item!r}")
         sections[head] = item
     target = parse_formula(sections["target"][1])
     translated = parse_translated(sections["translated"][1], flavor)

@@ -192,7 +192,7 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 
 
 def succ_chain(t: Term) -> tuple[int, Term]:
-    """The successors applied to a term and the term: (2, x) for succ (succ x)."""
+    """The successors applied to a term and the term: (2, x) for succ (succ x), numeral(2, x)."""
     count = 0
     while t.__class__ is App and t.fun.__class__ is Const and t.fun.kind is SUCC_KIND:
         count += 1
@@ -453,8 +453,9 @@ def sabs(binders: list[tuple[str, FiniteType]], body: Term) -> Term:
     return body
 
 
-def numeral(n: int) -> Term:
-    t: Term = ZERO
+def numeral(n: int, base: Term = ZERO) -> Term:
+    """n successors applied to base: the inverse of succ_chain."""
+    t = base
     for _ in range(n):
         t = App(SUCC, t)
     return t

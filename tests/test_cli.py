@@ -125,6 +125,22 @@ def test_nested_successor_applications_are_elaborated_in_one_loop(tmp_path, caps
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("chains", [1, 2])
+def test_bundle_with_a_deep_successor_chain_verifies(tmp_path, capsys, chains):
+    # the oracle keys shared subterms by term, so each chain is hashed as a whole
+    from nsdial.sexpr import parse_formula, print_translated, read_one
+    from nsdial.translate import u_translate
+
+    chain = "(app succ " * 500 + "(var x)" + ")" * 500
+    matrix = f"(eq N {chain} {chain})" if chains == 2 else f"(not (eq N {chain} zero))"
+    target = f"(forall-st (x N) {matrix})"
+    translated = print_translated(u_translate(parse_formula(read_one(target))))
+    f = tmp_path / "deep.u.bundle"
+    f.write_text(f"(bundle u (target {target}) (translated {translated}) (terms))\n")
+    assert run(["verify", str(f), *CORPUS_GRID]) == 0
+    assert capsys.readouterr().out.startswith("grid-valid")
+
+
 def test_check_proof_lists_delta_hypotheses(tmp_path, capsys):
     f = tmp_path / "delta.u.proof"
     f.write_text("(axiom delta (formula (eq N zero zero)))")

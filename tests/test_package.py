@@ -167,6 +167,16 @@ def test_hash_slot_is_unset_until_first_hash():
         assert hash(fresh) == hash(values) and fresh._hash == hash(values)
 
 
+def test_deep_and_shared_terms_hash_without_recursion():
+    from nsdial.terms import App, SUCC, ZERO, numeral
+
+    assert hash(numeral(10**4)) == hash((SUCC, numeral(9999)))
+    t = ZERO
+    for _ in range(60):  # 61 distinct nodes, 2**60 paths
+        t = App(t, t)
+    assert hash(t) == hash((t.fun, t.arg))
+
+
 def test_node_equality_is_structural():
     from nsdial.ftypes import Arrow, N, Star
     from nsdial.terms import Const, ConstKind, Var
