@@ -201,7 +201,9 @@ class Checked:
     context that gives each free variable that annotation, and fails under
     every other. names holds every name, free or bound. desugared is the
     formula desugar returns, or None until desugar has run on a formula with
-    sugar.
+    sugar, or True for a formula with none: desugar returns that formula
+    itself, and the memo does not point back at it, so a checked formula
+    holds no reference cycle.
     """
 
     __slots__ = ("free", "names", "desugared")
@@ -228,7 +230,7 @@ def check_formula(formula: Formula, context: dict[str, FiniteType] | None = None
     sugared = _check(formula, context)
     if memo is None:
         free, names = free_vars_and_names(formula)
-        _put_type(formula, Checked(free, names, None if sugared else formula))
+        _put_type(formula, Checked(free, names, None if sugared else True))
 
 
 def checked(formula: Formula) -> Checked:
@@ -239,7 +241,7 @@ def checked(formula: Formula) -> Checked:
     if formula._type is None:
         free, names = free_vars_and_names(formula)
         sugared = _check(formula, free)
-        _put_type(formula, Checked(free, names, None if sugared else formula))
+        _put_type(formula, Checked(free, names, None if sugared else True))
     return formula._type
 
 
@@ -317,6 +319,8 @@ def desugar(formula: Formula) -> Formula:
     memo = formula._type
     if memo is None:
         return desugar_classified(formula)[0]
+    if memo.desugared is True:
+        return formula
     if memo.desugared is None:
         memo.desugared = desugar_classified(formula)[0]
     return memo.desugared

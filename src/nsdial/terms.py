@@ -356,43 +356,52 @@ def substitute(tree, var: str, replacement: Term):
     nothing changes as it is, so a tree that does not mention var comes back
     itself. A binder whose variable is free in replacement, and whose body
     has var free, is renamed first: to fresh_name of its variable, avoiding
-    replacement's free variables, the body's names and var.
+    replacement's free variables, the body's names and var. A successor chain
+    is read in one loop and rebuilt with numeral.
     """
-    repl_free = None  # replacement's free variables, found at the first binder
+    return _substitute(tree, var, replacement, [None])
 
-    def go(t):
-        nonlocal repl_free
-        cls = t.__class__
-        if cls is Var:
-            return replacement if t.name == var else t
-        if cls is App:
-            fun, arg = go(t.fun), go(t.arg)
-            return t if fun is t.fun and arg is t.arg else App(fun, arg)
-        if cls is Const:
-            return t
-        subtrees, _, data, binds = _SYNTAX[cls]
-        old = subtrees(t)
-        new = []
-        for sub in old[:-1] if binds else old:
-            new.append(go(sub))
-        if binds:
-            name, body = t.var, old[-1]
-            if name != var:
-                if repl_free is None:
-                    repl_free = set(free_vars(replacement))
-                if name in repl_free:
-                    free, names = free_vars_and_names(body)
-                    if var in free:
-                        name = fresh_name(name, repl_free | names | {var})
-                        # a bounded quantifier's variable is a natural
-                        body = substitute(body, t.var, Var(name, getattr(t, "var_type", N)))
-                body = go(body)
-            new.append(body)
-        if all(map(is_, new, old)):
-            return t
-        return cls(name, *data(t), *new) if binds else cls(*data(t), *new)
 
-    return go(tree)
+def _substitute(t, var: str, replacement: Term, repl_free: list):
+    """substitute's walk; repl_free[0] holds replacement's free variables, found at the first binder.
+
+    A module function, not a closure, so that a call leaves no reference cycle.
+    """
+    cls = t.__class__
+    if cls is Var:
+        return replacement if t.name == var else t
+    if cls is App:
+        fun = t.fun
+        if fun.__class__ is Const and fun.kind is SUCC_KIND:
+            count, base = succ_chain(t)
+            new = _substitute(base, var, replacement, repl_free)
+            return t if new is base else numeral(count, new)
+        fun = _substitute(fun, var, replacement, repl_free)
+        arg = _substitute(t.arg, var, replacement, repl_free)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg)
+    if cls is Const:
+        return t
+    subtrees, _, data, binds = _SYNTAX[cls]
+    old = subtrees(t)
+    new = []
+    for sub in old[:-1] if binds else old:
+        new.append(_substitute(sub, var, replacement, repl_free))
+    if binds:
+        name, body = t.var, old[-1]
+        if name != var:
+            if repl_free[0] is None:
+                repl_free[0] = set(free_vars(replacement))
+            if name in repl_free[0]:
+                free, names = free_vars_and_names(body)
+                if var in free:
+                    name = fresh_name(name, repl_free[0] | names | {var})
+                    # a bounded quantifier's variable is a natural
+                    body = substitute(body, t.var, Var(name, getattr(t, "var_type", N)))
+            body = _substitute(body, var, replacement, repl_free)
+        new.append(body)
+    if all(map(is_, new, old)):
+        return t
+    return cls(name, *data(t), *new) if binds else cls(*data(t), *new)
 
 
 def alpha_eq(x, y) -> bool:
@@ -400,32 +409,37 @@ def alpha_eq(x, y) -> bool:
 
     A bound variable stands for the depth of its binder: bound occurrences
     agree when their binders are paired, free ones when their names agree.
+    A loop over an explicit stack of (a, b, env_a, env_b, depth) pairs,
+    pushed right to left, so pairs are compared in left-to-right order.
     """
-
-    def go(a, b, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
+    stack: list = [(x, y, {}, {}, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        a, b, env_a, env_b, depth = pop()
         cls = a.__class__
         if cls is not b.__class__:
             return False
         if cls is Var:
             da, db = env_a.get(a.name), env_b.get(b.name)
-            return da == db and a.type == b.type and (da is not None or a.name == b.name)
-        if cls is App:
-            return go(a.fun, b.fun, env_a, env_b, depth) and go(a.arg, b.arg, env_a, env_b, depth)
-        if cls is Const:
-            return a == b
-        subtrees, _, data, binds = _SYNTAX[cls]
-        if data(a) != data(b):
-            return False
-        subs_a, subs_b = subtrees(a), subtrees(b)
-        for i in range(len(subs_a)):
-            if binds and i == len(subs_a) - 1:  # the body, in the binders' scope
-                env_a, env_b = {**env_a, a.var: depth}, {**env_b, b.var: depth}
-                depth += 1
-            if not go(subs_a[i], subs_b[i], env_a, env_b, depth):
+            if not (da == db and a.type == b.type and (da is not None or a.name == b.name)):
                 return False
-        return True
-
-    return go(x, y, {}, {}, 0)
+        elif cls is App:
+            push((a.arg, b.arg, env_a, env_b, depth))
+            push((a.fun, b.fun, env_a, env_b, depth))
+        elif cls is Const:
+            if a != b:
+                return False
+        else:
+            _, pushed, data, binds = _SYNTAX[cls]
+            if data(a) != data(b):
+                return False
+            subs_a, subs_b = pushed(a), pushed(b)
+            if binds:  # the body, last in left-to-right order, is in the binders' scope
+                push((subs_a[0], subs_b[0], {**env_a, a.var: depth}, {**env_b, b.var: depth},
+                      depth + 1))
+            for i in range(1 if binds else 0, len(subs_a)):
+                push((subs_a[i], subs_b[i], env_a, env_b, depth))
+    return True
 
 
 # -- construction helpers ----------------------------------------------------

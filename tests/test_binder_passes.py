@@ -49,8 +49,10 @@ from nsdial.terms import (
     alpha_eq,
     fresh_name,
     free_vars,
+    numeral,
     singleton,
     substitute,
+    succ_chain,
 )
 from nsdial.translate import Flavor
 from test_query_passes import (
@@ -300,6 +302,12 @@ def test_substitute_returns_unchanged_subtrees_as_they_are():
     out = substitute(f, "z", ZERO)
     assert out.left is left and out.right.body is right.body
     assert substitute(f, "x", ZERO) is f  # x is bound wherever it occurs
+
+
+def test_substitute_takes_a_successor_chain_in_one_loop():
+    chain = numeral(10**4, Var("x", N))
+    assert substitute(chain, "y", ZERO) is chain
+    assert succ_chain(substitute(chain, "x", Var("z", N))) == (10**4, Var("z", N))
 
 
 def test_alpha_eq_matches_reference():

@@ -88,6 +88,16 @@ def test_a_600_step_proof_checks_and_extracts(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("n", [1000, 10**4])
+def test_modus_ponens_compares_deep_numerals_in_one_loop(tmp_path, capsys, n):
+    # the minor premise is matched up to alpha on an explicit stack, not a frame per successor
+    f = tmp_path / "deep.u.proof"
+    f.write_text(f"(mp (axiom k (a (eq N {n} {n})) (b (eq N zero zero)))"
+                 f" (axiom eq-refl (t {n}) (type N)))\n")
+    assert run(["check-proof", "--u", str(f)]) == 0
+    assert capsys.readouterr().out == f"checked: (imp (eq N zero zero) (eq N {n} {n}))\n"
+
+
 def test_check_term_prints_arrow_typed_normal_form(tmp_path, capsys):
     f = tmp_path / "id.term"
     f.write_text("(app (lam (f (-> N N)) (var f)) (lam (x N) (app succ (var x))))")
@@ -101,6 +111,19 @@ def test_check_term_prints_a_function_returning_a_numeral(tmp_path, capsys):
     f.write_text("(lam (x N) 1000)\n")
     assert run(["check-term", str(f)]) == 0
     assert capsys.readouterr().out == "(lam (x N) 1000)\n"
+
+
+@pytest.mark.parametrize("n", [1000, 10**4])
+def test_beta_step_substitutes_into_a_deep_successor_chain(tmp_path, capsys, n):
+    from nsdial.ftypes import N
+    from nsdial.sexpr import print_term
+    from nsdial.terms import Lam, Var, numeral
+
+    f = tmp_path / "beta.term"
+    chain = "(app succ " * n + "(var x)" + ")" * n
+    f.write_text(f"(lam (y N) (app (lam (x N) {chain}) (var y)))\n")
+    assert run(["check-term", str(f)]) == 0
+    assert capsys.readouterr().out == print_term(Lam("y", N, numeral(n, Var("y", N)))) + "\n"
 
 
 def test_nested_successor_applications_are_elaborated_in_one_loop(tmp_path, capsys):

@@ -188,6 +188,67 @@ def test_node_equality_is_structural():
     assert len({Var("x", N), Var("x", N), Var("y", N)}) == 2
 
 
+def _every_layer():
+    """A seeded pass over every layer: formulas printed, parsed, checked and
+    translated both ways with round trips, terms normalised, the doubling proof
+    checked and extracted, the corpus bundles verified and upward closure checked."""
+    from nsdial import gen
+    from nsdial.extract import extract
+    from nsdial.formulas import check_formula
+    from nsdial.ftypes import N, is_data_type
+    from nsdial.oracle import Grid, check_upward_closed, verify_bundle
+    from nsdial.proofs import check_proof
+    from nsdial.reduce import normalize
+    from nsdial.sexpr import (parse_bundle, parse_formula, parse_proof, parse_term,
+                              parse_translated, print_bundle, print_formula, print_term,
+                              print_translated, read_one)
+    from nsdial.terms import type_check
+    from nsdial.translate import Flavor, dst_translate, u_translate
+
+    r = gen.rng(7)
+    grid = Grid(2, 2)
+    for _ in range(200):
+        f = gen.random_external(r, [("fv", N)], 3)
+        g = parse_formula(read_one(print_formula(f)))
+        assert g == f
+        check_formula(g, {"fv": N})
+        for flavor, translate in ((Flavor.U, u_translate), (Flavor.DST, dst_translate)):
+            text = print_translated(translate(g))
+            assert print_translated(parse_translated(read_one(text), flavor)) == text
+    for _ in range(200):
+        ty = gen.random_type(r, 2, data_only=True)
+        t = parse_term(read_one(print_term(gen.random_term(r, ty, [], 4))))
+        assert type_check(t) == ty
+        print_term(normalize(t))
+    corpus = Path(__file__).parent / "fixtures" / "corpus"
+    proof = parse_proof(read_one((corpus / "doubling.u.proof").read_text()))
+    check_proof(proof, Flavor.U)
+    bundle = print_bundle(extract(proof, Flavor.U))
+    assert bundle == (corpus / "doubling.u.bundle").read_text().strip()
+    for path in sorted(corpus.glob("*.bundle")):
+        verify_bundle(parse_bundle(read_one(path.read_text())), grid)
+    closed = 0
+    while closed < 100:
+        tf = dst_translate(gen.random_upward_safe(r, [("fv", N)], 3))
+        if all(is_data_type(t) for _, t in tf.exist_tuple + tf.univ_tuple):
+            check_upward_closed(tf, grid)
+            closed += 1
+
+
+def test_no_layer_leaves_cyclic_garbage():
+    # reference counting alone frees what a pass leaves, so the cyclic collector finds nothing
+    import gc
+
+    _every_layer()  # fills the caches that outlive a call
+    gc.collect()
+    gc.disable()
+    try:
+        _every_layer()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _fresh(code: str) -> str:
     """Last line of stdout of code run in a fresh interpreter that can import nsdial."""
     script = f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n{code}\n"
