@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nsdial.cli import _digest, run
+from nsdial.cli import _digest, build_parser, run
 from nsdial.oracle import Grid
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -281,6 +282,86 @@ def test_grid_flags_out_of_range_exit_two(capsys):
             assert f"argument {flags[0]}" in capsys.readouterr().err
     # the smallest grid is accepted
     assert run(["verify", bundle, "--nat-bound", "0", "--len-bound", "1"]) == 0
+
+
+# -- the argument parser, read through build_parser() and run() ----------------
+
+_GRID_DEFAULTS = {"nat_bound": 3, "len_bound": 2, "depth_bound": 2}
+_GRID_LEAST = {"--nat-bound": 0, "--len-bound": 1, "--depth-bound": 0}
+# Each subcommand in order: its help line, a shortest argv after its name, and
+# the arguments that argv parses to besides --json and the command.
+_SUBCOMMANDS = {
+    "check-term": ("parse, type and normalize a closed term", ["f"], {"file": Path("f")}),
+    "translate": ("translate a formula", ["--u", "f"], {"dst": False, "u": True, "file": Path("f")}),
+    "check-proof": ("check a proof file", ["--dst", "f"], {"dst": True, "u": False, "file": Path("f")}),
+    "extract": (
+        "check a proof and extract its realiser bundle",
+        ["--u", "f"],
+        {"dst": False, "u": True, "file": Path("f")},
+    ),
+    "verify": ("verify a realiser bundle on a grid", ["f"], {"file": Path("f"), **_GRID_DEFAULTS}),
+    "corpus": (
+        "batch-run a fixture directory",
+        ["run", "d"],
+        {"action": "run", "directory": Path("d"), **_GRID_DEFAULTS},
+    ),
+}
+
+
+def _parse(argv):
+    """The parsed arguments of argv, or the exit code of a usage error."""
+    try:
+        return vars(build_parser().parse_args(argv))
+    except SystemExit as e:
+        return e.code
+
+
+def test_parser_subcommands_arguments_and_help_lines(capsys):
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sub.required and sub.dest == "command"
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        (name, line) for name, (line, _, _) in _SUBCOMMANDS.items()
+    ]
+    assert _parse(["--json", "r.json", "check-term", "f"])["json"] == Path("r.json")
+    for name, (_, argv, parsed) in _SUBCOMMANDS.items():
+        assert _parse([name, *argv]) == {"json": None, "command": name, **parsed}
+        # one positional argument too few, and one too many
+        assert _parse([name, *argv[:-1]]) == 2
+        assert _parse([name, *argv, "x"]) == 2
+        takes_grid = "nat_bound" in parsed
+        takes_flavor = "dst" in parsed
+        for flag, least in _GRID_LEAST.items():
+            for value, ok in ((least, takes_grid), (least - 1, False)):
+                got = _parse([name, *argv, flag, str(value)])
+                assert got == ({"json": None, "command": name, **parsed,
+                                flag[2:].replace("-", "_"): value} if ok else 2), (name, flag)
+        if takes_flavor:
+            # exactly one of --dst and --u
+            flags = [a for a in argv if a.startswith("--")]
+            assert _parse([name, *[a for a in argv if a not in flags]]) == 2
+            assert _parse([name, "--dst", "--u", *argv[1:]]) == 2
+        else:
+            for flag in ("--dst", "--u"):
+                assert _parse([name, flag, *argv]) == 2
+    capsys.readouterr()
+
+
+def test_usage_errors_exit_two(tmp_path, capsys):
+    f = tmp_path / "a.fml"
+    f.write_text("(eq N zero zero)\n")
+    for argv, message in (
+        (["translate", str(f)], "nsdial translate: error: one of the arguments --dst --u is required"),
+        (
+            ["verify", str(CORPUS / "doubling.u.bundle"), "--len-bound", "0"],
+            "nsdial verify: error: argument --len-bound: must be at least 1, got 0",
+        ),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines()[-1] == message
 
 
 def test_grid_rejects_out_of_range_bounds():

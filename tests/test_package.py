@@ -4,7 +4,9 @@ and every syntax-tree node keeps the contract of a frozen dataclass."""
 import builtins
 import copy as copy_module
 import dataclasses
+import importlib
 import importlib.util
+import inspect
 import pickle
 import subprocess
 import symtable
@@ -165,6 +167,42 @@ def test_hash_slot_is_unset_until_first_hash():
             assert not hasattr(copy, "_hash") and hash(copy) == hash(values)
         assert not hasattr(fresh, "_hash")
         assert hash(fresh) == hash(values) and fresh._hash == hash(values)
+
+
+def _node_classes():
+    """Every @node class the package declares, as its module binds it."""
+    from nsdial.ftypes import Node
+
+    modules = [importlib.import_module(f"nsdial.{module}") for module in MODULES]
+    declared = {id(v) for m in modules for v in vars(m).values()}
+    out, stack = [], [Node]
+    while stack:
+        cls = stack.pop()
+        subclasses = cls.__subclasses__()
+        out += [c for c in subclasses if id(c) in declared]
+        stack += subclasses
+    return out
+
+
+def test_every_node_initialiser_takes_its_fields_in_order_with_their_defaults():
+    classes = _node_classes()
+    assert {cls.__name__ for cls in classes} == set(NODE_FIELDS)
+    for cls in classes:
+        declared = dataclasses.fields(cls)
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * len(declared)
+        assert [p.default for p in params] == [
+            inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+            for f in declared
+        ], cls
+        values = tuple(object() for _ in declared)
+        x = cls(*values)
+        assert tuple(getattr(x, f.name) for f in declared) == values == x._values(x)
+        assert x._type is None and not hasattr(x, "_hash")
+        required = [v for v, f in zip(values, declared) if f.default is dataclasses.MISSING]
+        assert cls(*required)._values(cls(*required)) == (
+            *required, *(f.default for f in declared[len(required):])
+        )
 
 
 def test_deep_and_shared_terms_hash_without_recursion():
