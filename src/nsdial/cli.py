@@ -3,7 +3,8 @@
 Each command is one step on a file's text, and `corpus run` runs each file
 through the step of its kind, so an item is classified as its single-file
 command would be: `ok`, `fail` (exit 1) or `error` (exit 2). One `_failure`
-maps what a step raises to an exit code, an outcome and a stderr line.
+maps what a step raises to an exit code, an outcome and a stderr line. The
+parser, the corpus kinds and the report read each command's `_COMMANDS` entry.
 
 Module level loads only the front end that every command needs: reading,
 printing, type checking and translation. Each command imports the layers it
@@ -101,7 +102,7 @@ def _verify(text: str, flavor: Flavor, args):
     from .oracle import CounterexampleFound, Grid, GridValid, verify_bundle
     from .reduce import value_to_term
 
-    grid = Grid(args.nat_bound, args.len_bound, args.depth_bound)
+    grid = Grid(*(getattr(args, name) for name, _, _ in _GRID_OPTIONS))
     verdict = verify_bundle(parse_bundle(read_one(text)), grid)
     if isinstance(verdict, GridValid):
         return EXIT_OK, "grid-valid", {"verdict": "grid-valid"}, {}
@@ -113,20 +114,33 @@ def _verify(text: str, flavor: Flavor, args):
     return EXIT_FAIL, f"unknown: {reason}", {"verdict": "unknown", "reason": reason}, {}
 
 
+class _Command(NamedTuple):
+    step: object  # None for corpus, which runs each file through the step of its kind
+    layer: str | None  # the module the step loads beyond the front end
+    options: str | None  # "flavor" or "grid"
+    help: str
+
+
 _COMMANDS = {
-    "check-term": _check_term,
-    "translate": _translate,
-    "check-proof": _check_proof,
-    "extract": _extract,
-    "verify": _verify,
+    "check-term": _Command(_check_term, "reduce", None, "parse, type and normalize a closed term"),
+    "translate": _Command(_translate, None, "flavor", "translate a formula"),
+    "check-proof": _Command(_check_proof, "proofs", "flavor", "check a proof file"),
+    "extract": _Command(
+        _extract, "extract", "flavor", "check a proof and extract its realiser bundle"
+    ),
+    "verify": _Command(_verify, "oracle", "grid", "verify a realiser bundle on a grid"),
+    "corpus": _Command(None, None, "grid", "batch-run a fixture directory"),
 }
 
-# Corpus file kinds: the step each runs, and the layer it runs on beyond the front end.
+# The grid options, each with its least and its default value, in Grid's order.
+_GRID_OPTIONS = (("nat_bound", 0, 3), ("len_bound", 1, 2), ("depth_bound", 0, 2))
+
+# Corpus file kinds: the command each runs as.
 _CORPUS_KINDS = {
-    ".term": (_check_term, "reduce"),
-    ".u.fml": (_translate, None), ".dst.fml": (_translate, None),
-    ".u.proof": (_extract, "extract"), ".dst.proof": (_extract, "extract"),
-    ".u.bundle": (_verify, "oracle"), ".dst.bundle": (_verify, "oracle"),
+    ".term": "check-term",
+    ".u.fml": "translate", ".dst.fml": "translate",
+    ".u.proof": "extract", ".dst.proof": "extract",
+    ".u.bundle": "verify", ".dst.bundle": "verify",
 }
 
 _STATUS = ("ok", "fail", "error")  # a corpus item's status, indexed by its exit code
@@ -170,7 +184,8 @@ def cmd_corpus(files: list[Path], contents: Iterable[bytes], args) -> tuple[int,
     # Load the layers these files run on before the first item. Without a
     # bytecode cache an import compiles its module, and doing that on top of
     # the memory earlier items hold would raise the run's peak.
-    for kind, (_, layer) in _CORPUS_KINDS.items():
+    for kind, name in _CORPUS_KINDS.items():
+        layer = _COMMANDS[name].layer
         if layer is not None and any(p.name.endswith(kind) for p in files):
             importlib.import_module(f".{layer}", __package__)
     for path, data in zip(files, contents):
@@ -187,7 +202,7 @@ def cmd_corpus(files: list[Path], contents: Iterable[bytes], args) -> tuple[int,
 def _corpus_item(file: _CorpusFile, args) -> tuple[int, dict]:
     """A file's exit code and corpus outcome from the step of its kind."""
     kind = next(kind for kind in _CORPUS_KINDS if file.name.endswith(kind))
-    step, _ = _CORPUS_KINDS[kind]
+    step = _COMMANDS[_CORPUS_KINDS[kind]].step
     # the flavor of the suffix that chose the step, so `a.dst.u.fml` is a `.u.fml` item
     flavor = Flavor.DST if kind.startswith(".dst.") else Flavor.U
     code, _, outcome, _ = step(_decode(file.data), flavor, args)
@@ -217,40 +232,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", type=Path, help="write a machine-readable report here")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid(p):
-        p.add_argument("--nat-bound", type=_int_at_least(0), default=3)
-        p.add_argument("--len-bound", type=_int_at_least(1), default=2)
-        p.add_argument("--depth-bound", type=_int_at_least(0), default=2)
-
-    def add_flavor(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--dst", action="store_true")
-        group.add_argument("--u", action="store_true")
-
-    p = sub.add_parser("check-term", help="parse, type and normalize a closed term")
-    p.add_argument("file", type=Path)
-
-    p = sub.add_parser("translate", help="translate a formula")
-    add_flavor(p)
-    p.add_argument("file", type=Path)
-
-    p = sub.add_parser("check-proof", help="check a proof file")
-    add_flavor(p)
-    p.add_argument("file", type=Path)
-
-    p = sub.add_parser("extract", help="check a proof and extract its realiser bundle")
-    add_flavor(p)
-    p.add_argument("file", type=Path)
-
-    p = sub.add_parser("verify", help="verify a realiser bundle on a grid")
-    p.add_argument("file", type=Path)
-    add_grid(p)
-
-    p = sub.add_parser("corpus", help="batch-run a fixture directory")
-    p.add_argument("action", choices=["run"])
-    p.add_argument("directory", type=Path)
-    add_grid(p)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.step is None:
+            p.add_argument("action", choices=["run"])
+            p.add_argument("directory", type=Path)
+        else:
+            p.add_argument("file", type=Path)
+        if command.options == "flavor":
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--dst", action="store_true")
+            group.add_argument("--u", action="store_true")
+        elif command.options == "grid":
+            for option, least, default in _GRID_OPTIONS:
+                flag = "--" + option.replace("_", "-")
+                p.add_argument(flag, type=_int_at_least(least), default=default)
     return parser
 
 
@@ -271,12 +267,8 @@ def run(argv: list[str]) -> int:
             return _report_error(e)
     started = time.monotonic()
     report = {"command": argv, "grid": None, "inputs": [], "outcome": {}}
-    if hasattr(args, "nat_bound"):
-        report["grid"] = {
-            "nat_bound": args.nat_bound,
-            "len_bound": args.len_bound,
-            "depth_bound": args.depth_bound,
-        }
+    if _COMMANDS[args.command].options == "grid":
+        report["grid"] = {name: getattr(args, name) for name, _, _ in _GRID_OPTIONS}
     try:
         if args.command == "corpus":
             files = _corpus_files(args.directory)
@@ -291,7 +283,8 @@ def run(argv: list[str]) -> int:
                 report["inputs"] = [_digest(args.file, data)]
             # a command without a flavor flag runs a step that ignores the flavor
             flavor = Flavor.DST if getattr(args, "dst", False) else Flavor.U
-            status, text, outcome, extra = _COMMANDS[args.command](_decode(data), flavor, args)
+            step = _COMMANDS[args.command].step
+            status, text, outcome, extra = step(_decode(data), flavor, args)
             print(text)
             outcome.update(extra)
     except _FAILURES as e:

@@ -151,6 +151,7 @@ Formula = (
 )
 
 BINDERS = (Forall, Exists, ForallSt, ExistsSt)
+QUANTIFIERS = (*BINDERS, BoundedForall, BoundedExists)  # the formula nodes that bind a variable
 
 
 _BOT = Eq(N, ZERO, numeral(1))
@@ -184,7 +185,7 @@ _CLASSIFICATIONS = tuple(tuple(Classification(i, o) for o in (False, True)) for 
 # left-to-right recursive walk.
 
 _BOUNDED = frozenset({BoundedForall, BoundedExists})
-_NESTS = frozenset({*BINDERS, *_BOUNDED})  # formula nodes with a body, besides Not
+_NESTS = frozenset(QUANTIFIERS)  # formula nodes with a body, besides Not
 _SUGAR = frozenset({In, SubsetEq, Hyper, Not})
 
 

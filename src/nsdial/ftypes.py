@@ -77,7 +77,8 @@ def node(cls):
     """Class decorator for a Node subclass: its annotated fields become slots.
 
     They are registered as (fields-only) dataclass fields, and the class gets
-    a positional __init__ chosen by arity, whose defaults are the fields'.
+    a positional __init__ built from its arity's template, whose defaults are
+    the fields'.
     Done by a decorator, not a metaclass, so that isinstance on node classes
     keeps its fast path.
     """
@@ -105,40 +106,27 @@ def tuple_getter(names: tuple[str, ...]):
 
 _put_hash = Node._hash.__set__
 _put_type = Node._type.__set__
+_makers = {}  # arity -> the function that closes an __init__ of that arity over its setters
 
 
 def _initialiser(put, defaults):
     """An __init__ that stores its arguments through the slot setters in put.
 
-    It clears the _type memo and leaves _hash unset, for __hash__ to fill.
+    It clears the _type memo and leaves _hash unset, for __hash__ to fill. As
+    dataclasses builds __init__, its source comes from the arity alone and is
+    compiled once per arity; the setters are closure variables, _put_type a global.
     """
-    if len(put) == 3:
-        p0, p1, p2 = put
-
-        def __init__(self, a, b, c):
-            p0(self, a)
-            p1(self, b)
-            p2(self, c)
-            _put_type(self, None)
-    elif len(put) == 2:
-        p0, p1 = put
-
-        def __init__(self, a, b):
-            p0(self, a)
-            p1(self, b)
-            _put_type(self, None)
-    elif len(put) == 1:
-        (p0,) = put
-
-        def __init__(self, a):
-            p0(self, a)
-            _put_type(self, None)
-    elif not put:
-
-        def __init__(self):
-            _put_type(self, None)
-    else:
-        raise TypeError("a node has at most three fields")
+    make = _makers.get(len(put))
+    if make is None:
+        p = [f"p{i}" for i in range(len(put))]
+        a = [f"a{i}" for i in range(len(put))]
+        lines = [f"def make({', '.join(p)}):", f"    def __init__({', '.join(['self', *a])}):"]
+        lines += [f"        {setter}(self, {arg})" for setter, arg in zip(p, a)]
+        lines += ["        _put_type(self, None)", "    return __init__"]
+        namespace = {}
+        exec("\n".join(lines), globals(), namespace)
+        make = _makers[len(put)] = namespace["make"]
+    __init__ = make(*put)
     __init__.__defaults__ = defaults or None
     return __init__
 

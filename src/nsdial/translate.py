@@ -22,7 +22,7 @@ from enum import Enum
 
 from .ftypes import FiniteType, N, Star, arrow, seqfn
 from .formulas import (
-    BINDERS,
+    QUANTIFIERS,
     And,
     BoundedExists,
     BoundedForall,
@@ -194,9 +194,6 @@ def _indexed(kind, var: str, ty: FiniteType, coll: Term, body: Formula,
     return kind(i, seq_len(ty, coll), substitute(body, var, proj(ty, coll, Var(i, N))))
 
 
-_QUANTIFIERS = (*BINDERS, BoundedForall, BoundedExists)
-
-
 def _bound_names(f: Formula) -> set[str]:
     """The variables of f's quantifiers; its terms are not visited."""
     names = set()
@@ -205,7 +202,7 @@ def _bound_names(f: Formula) -> set[str]:
         f = stack.pop()
         if isinstance(f, (And, Or, Imp)):
             stack += (f.left, f.right)
-        elif isinstance(f, _QUANTIFIERS):
+        elif isinstance(f, QUANTIFIERS):
             names.add(f.var)
             stack.append(f.body)
         elif isinstance(f, Not):
@@ -370,7 +367,7 @@ def tuple_types(f: Formula, flavor: Flavor) -> tuple[list, list]:
             return fns + [flavor.fn_type(ex1 + un2, Star(ty)) for ty in un1], ex1 + un2
         flag = [N] if cls is Or and flavor is _U else []
         return flag + ex1 + ex2, un1 + un2
-    if cls not in _QUANTIFIERS:
+    if cls not in QUANTIFIERS:
         raise AssertionError(f"untranslatable node {f!r}")
     ex, un = tuple_types(f.body, flavor)
     if cls is ForallSt:

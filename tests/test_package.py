@@ -190,7 +190,8 @@ def test_every_node_initialiser_takes_its_fields_in_order_with_their_defaults():
     for cls in classes:
         declared = dataclasses.fields(cls)
         params = list(inspect.signature(cls.__init__).parameters.values())[1:]
-        assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * len(declared)
+        assert len(params) == len(declared)
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
         assert [p.default for p in params] == [
             inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
             for f in declared
@@ -203,6 +204,33 @@ def test_every_node_initialiser_takes_its_fields_in_order_with_their_defaults():
         assert cls(*required)._values(cls(*required)) == (
             *required, *(f.default for f in declared[len(required):])
         )
+
+
+def test_node_initialisers_share_one_code_object_per_arity():
+    codes = {}
+    for cls in _node_classes():
+        assert codes.setdefault(len(cls._fields), cls.__init__.__code__) is cls.__init__.__code__
+
+
+def test_a_node_may_have_more_than_three_fields():
+    from nsdial.ftypes import Node, node
+
+    @node
+    class Quad(Node):
+        a: int
+        b: str
+        c: tuple
+        d: int = 4
+
+    x = Quad(1, "b", ())
+    assert (x.a, x.b, x.c, x.d) == (1, "b", (), 4) and x._type is None
+    assert x == Quad(1, "b", (), 4) and x != Quad(1, "b", (), 5)
+    assert hash(x) == hash((1, "b", (), 4)) and len({x, Quad(1, "b", (), 4)}) == 1
+    assert repr(x).endswith("Quad(a=1, b='b', c=(), d=4)")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.d = 5
+    with pytest.raises(TypeError):
+        Quad(1, "b")
 
 
 def test_deep_and_shared_terms_hash_without_recursion():
