@@ -129,7 +129,11 @@ def _conclude(proof: Proof, flavor: Flavor, prems: list[Formula]) -> Formula:
     if isinstance(proof, MPNode):
         major, minor = prems
         if not isinstance(major, Imp):
-            raise BadInstantiation(Schema.K, f"modus ponens major is not an implication: {major!r}")
+            from .sexpr import print_formula
+
+            raise BadInstantiation(
+                Schema.K, f"modus ponens major is not an implication: {print_formula(major)}"
+            )
         if not alpha_eq(major.left, minor):
             raise BadInstantiation(
                 Schema.K, "modus ponens minor does not match the major premise"

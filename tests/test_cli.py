@@ -185,6 +185,13 @@ def test_verify_non_data_quantifier_is_unknown(tmp_path, capsys):
     assert capsys.readouterr().out == "unknown: non-data quantifier encountered\n"
 
 
+def test_verify_type_deeper_than_the_depth_bound_is_unknown(capsys):
+    path = CORPUS / "underspill.dst.bundle"
+    assert run(["verify", "--depth-bound", "1", str(path)]) == 1
+    out = "unknown: universal variable type deeper than the grid bound\n"
+    assert capsys.readouterr() == (out, "")
+
+
 def test_counterexample_is_the_first_false_point_in_product_order(tmp_path, capsys):
     # two swept names, x outermost
     f = tmp_path / "two.u.bundle"
@@ -292,8 +299,12 @@ _GRID_LEAST = {"--nat-bound": 0, "--len-bound": 1, "--depth-bound": 0}
 # the arguments that argv parses to besides --json and the command.
 _SUBCOMMANDS = {
     "check-term": ("parse, type and normalize a closed term", ["f"], {"file": Path("f")}),
-    "translate": ("translate a formula", ["--u", "f"], {"dst": False, "u": True, "file": Path("f")}),
-    "check-proof": ("check a proof file", ["--dst", "f"], {"dst": True, "u": False, "file": Path("f")}),
+    "translate": (
+        "translate a formula", ["--u", "f"], {"dst": False, "u": True, "file": Path("f")}
+    ),
+    "check-proof": (
+        "check a proof file", ["--dst", "f"], {"dst": True, "u": False, "file": Path("f")}
+    ),
     "extract": (
         "check a proof and extract its realiser bundle",
         ["--u", "f"],
@@ -351,7 +362,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     f = tmp_path / "a.fml"
     f.write_text("(eq N zero zero)\n")
     for argv, message in (
-        (["translate", str(f)], "nsdial translate: error: one of the arguments --dst --u is required"),
+        (
+            ["translate", str(f)],
+            "nsdial translate: error: one of the arguments --dst --u is required",
+        ),
         (
             ["verify", str(CORPUS / "doubling.u.bundle"), "--len-bound", "0"],
             "nsdial verify: error: argument --len-bound: must be at least 1, got 0",
@@ -775,6 +789,8 @@ def _arity_cases(command, arity, what):
         (["check-proof", "--dst"], "(mp (axiom ex-falso (a bot)))", "malformed mp form"),
         (["extract", "--u"], "(forall-rule x (axiom ex-falso (a bot)))", "malformed binder"),
         (["check-term"], "(app succ ²)", "unknown term atom"),
+        (["check-term"], "zero zero", "error: expected one expression, found 2"),
+        (["check-term"], "(the (-> N) zero)", "error: (-> ...) needs at least two types"),
         *_arity_cases(["translate", "--u"], _FORMULA_ARITY, "formula"),
         *_arity_cases(["check-proof", "--u"], _PROOF_ARITY, "proof"),
         (

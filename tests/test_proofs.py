@@ -307,3 +307,78 @@ def test_of_two_faulty_premises_the_first_one_raises(rule, first, second, error)
     with pytest.raises(cls) as raised:
         check_proof(rule(first(), second()), U)
     assert str(raised.value) == message
+
+
+def _two_witness_external_induction():
+    """ind-st over st zero and st zero, whose realiser needs two witnesses."""
+    from nsdial.derive import forallst_intro_from
+
+    phi = And(St(N, ZERO), St(N, ZERO))
+    st_zero = axiom(Schema.ST_CLOSED, type=N, term=ZERO)
+    base = mp(mp(axiom(Schema.AND_INTRO, a=St(N, ZERO), b=St(N, ZERO)), st_zero), st_zero)
+    return ExternalInductionNode(base, forallst_intro_from(imp_refl(phi), Imp(phi, phi), "n"))
+
+
+def _induction_from_one():
+    """Internal induction over n = n whose base proves 1 = 1."""
+    def refl(t):
+        return axiom(Schema.EQ_REFL, type=N, t=t)
+
+    return InductionNode(refl(numeral(1)), _internal_induction(lambda t: Eq(N, t, t), refl).step)
+
+
+_REFL = "(axiom eq-refl (type N) (t zero))"
+_CHECK, _EXTRACT = ("check-proof", "extract"), ("extract",)
+
+
+@pytest.mark.parametrize(
+    "commands, proof, line",
+    [
+        (
+            _CHECK,
+            f"(mp {_REFL} {_REFL})",
+            "BadInstantiation: bad instantiation of Schema.K: "
+            "modus ponens major is not an implication: (eq N zero zero)",
+        ),
+        (
+            _CHECK,
+            f"(forall-rule (x N) {_REFL})",
+            "EigenvariableViolation: quantifier rule needs an implication premise",
+        ),
+        (
+            _CHECK,
+            f"(ind {_REFL} {_REFL})",
+            "BadInstantiation: bad instantiation of Schema.IA: "
+            "induction step must be a universal implication over the naturals",
+        ),
+        (
+            _CHECK,
+            _induction_from_one,
+            "BadInstantiation: bad instantiation of Schema.IA: "
+            "base does not match the zero instance",
+        ),
+        (
+            _CHECK,
+            "(axiom ia (var n) (body (st N (var n))))",
+            "FlavorViolation: ia: induction formula must be internal",
+        ),
+        (
+            _EXTRACT,
+            _two_witness_external_induction,
+            "UnsupportedSchema: external induction with more than one witness needs tuple coding",
+        ),
+    ],
+    ids=["mp-major", "forall-rule-premise", "ind-step", "ind-base", "ia-external", "ind-st-tuple"],
+)
+@pytest.mark.parametrize("flavor", ["--u", "--dst"])
+def test_refused_proof_prints_one_line_and_exits_one(
+    tmp_path, capsys, commands, proof, line, flavor
+):
+    from nsdial.cli import run
+    from nsdial.sexpr import print_proof
+
+    f = tmp_path / "refused.proof"
+    f.write_text(proof if isinstance(proof, str) else print_proof(proof()))
+    for command in commands:
+        assert run([command, flavor, str(f)]) == 1
+        assert capsys.readouterr() == ("", line + "\n")
