@@ -19,7 +19,7 @@ import importlib
 import io
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import NamedTuple
 
@@ -115,7 +115,7 @@ def _verify(text: str, flavor: Flavor, args):
 
 
 class _Command(NamedTuple):
-    step: object  # None for corpus, which runs each file through the step of its kind
+    step: Callable | None  # None for corpus, which runs each file through the step of its kind
     layer: str | None  # the module the step loads beyond the front end
     options: str | None  # "flavor" or "grid"
     help: str

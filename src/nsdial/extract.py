@@ -220,7 +220,7 @@ def _axiom_realisers(node: AxiomNode, conclusion: Formula, flavor: Flavor) -> li
 
 
 def _axiom_special_form(proof: Proof, flavor: Flavor):
-    """Canonical printed interpretation attached to one schema (see ledger)."""
+    """A us-star axiom's translation and realisers under dst, in the paper's form; else None."""
     if isinstance(proof, AxiomNode) and proof.schema is Schema.US_STAR and flavor is Flavor.DST:
         return _us_star_dst_paper_form(proof.params_dict())
     return None
