@@ -789,8 +789,6 @@ def _arity_cases(command, arity, what):
         (["check-proof", "--dst"], "(mp (axiom ex-falso (a bot)))", "malformed mp form"),
         (["extract", "--u"], "(forall-rule x (axiom ex-falso (a bot)))", "malformed binder"),
         (["check-term"], "(app succ ²)", "unknown term atom"),
-        (["check-term"], "zero zero", "error: expected one expression, found 2"),
-        (["check-term"], "(the (-> N) zero)", "error: (-> ...) needs at least two types"),
         *_arity_cases(["translate", "--u"], _FORMULA_ARITY, "formula"),
         *_arity_cases(["check-proof", "--u"], _PROOF_ARITY, "proof"),
         (
@@ -817,6 +815,8 @@ def _arity_cases(command, arity, what):
         (["check-term"], "(seq)", "malformed seq form"),
         # every binder's shape is checked before any binder's type is read
         (["check-term"], "(open ((x BAD) (y)) zero)", "malformed binder in open form"),
+        (["check-term"], "zero zero", "error: expected one expression, found 2"),
+        (["check-term"], "(the (-> N) zero)", "error: (-> ...) needs at least two types"),
     ],
 )
 def test_malformed_form_exits_two(tmp_path, capsys, command, text, message):
