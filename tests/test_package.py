@@ -1,5 +1,5 @@
 """Package hygiene: every global a function reads is defined, no import cycle bites,
-and every syntax-tree node keeps the contract of a frozen dataclass."""
+and every syntax-tree node and value class keeps the contract of a frozen dataclass."""
 
 import builtins
 import copy as copy_module
@@ -231,6 +231,67 @@ def test_a_node_may_have_more_than_three_fields():
         x.d = 5
     with pytest.raises(TypeError):
         Quad(1, "b")
+
+
+# Field names of the value classes: the translations and bundles, the oracle's
+# grid and verdicts, and the canonical values.
+VALUE_FIELDS = {
+    "TranslatedFormula": ("exist_tuple", "univ_tuple", "matrix", "flavor"),
+    "RealiserBundle": ("target", "translated", "terms", "flavor"),
+    "Grid": ("nat_bound", "seq_len_bound", "depth_bound"),
+    "GridValid": (), "CounterexampleFound": ("environment",), "Unknown": ("reason",),
+    "Nat": ("value",), "Seq": ("element", "items"), "Closure": ("term",),
+}
+
+
+def _value_samples():
+    """One instance of each value class."""
+    from nsdial.ftypes import N, Star
+    from nsdial.oracle import CounterexampleFound, Grid, GridValid, Unknown
+    from nsdial.reduce import Closure, Nat, Seq
+    from nsdial.terms import Lam, Var
+    import fixture_defs as fx
+
+    bundle = fx.os_dst_bundle()
+    seq = Seq(Star(N), (Seq(N, ()), Seq(N, (Nat(0), Nat(2)))))
+    return [bundle.translated, bundle, Grid(2, 1, 0), GridValid(),
+            CounterexampleFound((("s", seq), ("x", Nat(1)))), Unknown("non-data quantifier"),
+            Nat(3), seq, Closure(Lam("x", N, Var("x", N)))]
+
+
+@pytest.mark.parametrize("x", _value_samples(), ids=lambda x: type(x).__name__)
+def test_value_class_contract(x):
+    cls = type(x)
+    names = VALUE_FIELDS[cls.__name__]
+    assert dataclasses.is_dataclass(cls) and tuple(f.name for f in dataclasses.fields(cls)) == names
+    params = inspect.signature(cls).parameters.values()
+    assert tuple(p.name for p in params) == names
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    defaults = (3, 2, 2) if cls.__name__ == "Grid" else (inspect.Parameter.empty,) * len(names)
+    assert tuple(p.default for p in params) == defaults
+    values = tuple(getattr(x, n) for n in names)
+    for copy in (cls(*values), cls(**dict(zip(names, values))),
+                 pickle.loads(pickle.dumps(x)), copy_module.deepcopy(x)):
+        assert type(copy) is cls and copy == x and not copy != x and hash(copy) == hash(x)
+    assert hash(x) == hash(values) and x != values
+    assert repr(x) == f"{cls.__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    for name in (*names, "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)
+
+
+def test_grid_defaults_and_bound_errors():
+    from nsdial.oracle import Grid
+
+    assert Grid() == Grid(3, 2, 2) == Grid(depth_bound=2, nat_bound=3)
+    for args, message in (((-1,), "nat_bound must be at least 0, got -1"),
+                          ((2, 0), "seq_len_bound must be at least 1, got 0"),
+                          ((2, 2, -1), "depth_bound must be at least 0, got -1")):
+        with pytest.raises(ValueError) as info:
+            Grid(*args)
+        assert str(info.value) == message
 
 
 def test_deep_and_shared_terms_hash_without_recursion():

@@ -1,4 +1,6 @@
 import copy
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -315,6 +317,66 @@ def test_reader_nesting_and_unbalanced_messages():
         with pytest.raises(ParseError) as info:
             read_sexprs(text)
         assert str(info.value) == message
+
+
+# every character str.isspace accepts, which is every character the regex \s matches
+_SPACES = [chr(i) for i in range(sys.maxunicode + 1) if chr(i).isspace()]
+
+
+@pytest.mark.parametrize("c", _SPACES, ids=[f"U+{ord(c):04X}" for c in _SPACES])
+def test_every_space_character_separates_atoms(c):
+    assert read_sexprs(f"(a{c}b){c}c") == [["a", "b"], "c"]
+
+
+def test_a_zero_width_space_stays_inside_an_atom():
+    assert read_sexprs("(a\u200bb c)\u200b") == [["a\u200bb", "c"], "\u200b"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for d in ("corpus", "negative") for p in sorted((_FIXTURES / d).iterdir())],
+    ids=lambda p: p.name,
+)
+def test_a_trailing_comment_changes_no_reading(path):
+    text = path.read_text()
+    for comment in ("; note", ";", ";)(", "; (a"):
+        assert read_sexprs(text + comment) == read_sexprs(text)
+        assert read_sexprs(text.rstrip() + comment) == read_sexprs(text)
+
+
+def _regex_reader(text: str) -> list:
+    """The reader as a regular-expression tokeniser: the reference for read_sexprs."""
+    text = re.sub(";[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*", "", text)
+    out = current = []
+    enclosing = []
+    for tok in re.findall(r"[()]|[^\s();]+", text):
+        if tok == "(":
+            current.append([])
+            enclosing.append(current)
+            current = current[-1]
+        elif tok == ")":
+            if not enclosing:
+                raise ParseError("unbalanced )")
+            current = enclosing.pop()
+        else:
+            current.append(tok)
+    if enclosing:
+        raise ParseError("unbalanced (")
+    return out
+
+
+def _reading(read, text: str):
+    try:
+        return read(text)
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+def test_reader_agrees_with_the_regex_tokeniser_on_random_text():
+    r = rng(57)
+    alphabet = [*_SPACES, "(", ")", ";", "a", "b", "\u200b"]
+    for _ in range(5000):
+        text = "".join(r.choices(alphabet, k=r.randrange(24)))
+        assert _reading(read_sexprs, text) == _reading(_regex_reader, text), repr(text)
 
 
 def test_free_variable_type_adoption():
