@@ -2,7 +2,9 @@
 
 Also home to Node and the @node decorator, from which every syntax-tree class
 of the package is built: the types here, and the terms, formulas and proofs
-of the modules above this one.
+of the modules above this one. Node extends Record, which with @record also
+builds the package's value classes: translations and bundles, the oracle's
+grid and verdicts, and canonical values.
 """
 
 from __future__ import annotations
@@ -11,8 +13,50 @@ from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import attrgetter
 
 
-class Node:
-    """Immutable tree node with structural equality and a hash computed on first use.
+class Record:
+    """Immutable record: equality and hash by field values, a dataclass-style repr.
+
+    A frozen dataclass's methods without generating them per class: == compares
+    the field tuples of two instances of one class, the hash is hash() of the
+    field tuple, pickle and copy rebuild through __init__, and assignment and
+    deletion raise FrozenInstanceError. Subclasses are declared with @record,
+    or with @node as subclasses of Node.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    @staticmethod
+    def _values(record) -> tuple:
+        return ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; a node's memos are not carried
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Node(Record):
+    """Immutable tree node: a Record whose hash is computed on first use.
 
     The hash equals hash() of the tuple of field values, as a frozen
     dataclass's does, so set and dict orders are those of plain tuples. The
@@ -25,18 +69,6 @@ class Node:
     """
 
     __slots__ = ("_hash", "_type")
-    _fields: tuple[str, ...] = ()
-
-    @staticmethod
-    def _values(node) -> tuple:
-        return ()
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == self._values(other)
 
     def __hash__(self) -> int:
         try:
@@ -58,40 +90,27 @@ class Node:
                 stack += [(v, False) for v in x._values(x)]
         return self._hash
 
-    def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{self.__class__.__qualname__}({args})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__; the memos are not carried
-        return self.__class__, self._values(self)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
 
 def node(cls):
     """Class decorator for a Node subclass: its annotated fields become slots.
 
     They are registered as (fields-only) dataclass fields, and the class gets
     a positional __init__ built from its arity's template, whose defaults are
-    the fields'.
+    the fields'. The __init__ also clears the _type memo and leaves _hash
+    unset, for __hash__ to fill.
     Done by a decorator, not a metaclass, so that isinstance on node classes
     keeps its fast path.
     """
-    if cls.__doc__ is None:  # spares dataclass the signature it would print
-        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
-    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
-    declared = fields(cls)
-    names = tuple(f.name for f in declared)
-    cls._fields = names
-    cls._values = staticmethod(tuple_getter(names))
-    defaults = tuple(f.default for f in declared if f.default is not MISSING)
-    cls.__init__ = _initialiser([getattr(cls, n).__set__ for n in names], defaults)
-    return cls
+    return _declare(cls, memo=True)
+
+
+def record(cls):
+    """Class decorator for a Record subclass, as @node is for a Node subclass.
+
+    The __init__ takes the fields by position or by name. A class that checks
+    its arguments defines its own __init__, which the decorator keeps.
+    """
+    return _declare(cls, memo=False)
 
 
 def tuple_getter(names: tuple[str, ...]):
@@ -106,29 +125,43 @@ def tuple_getter(names: tuple[str, ...]):
 
 _put_hash = Node._hash.__set__
 _put_type = Node._type.__set__
-_makers = {}  # arity -> the function that closes an __init__ of that arity over its setters
+_makers = {}  # (arity, memo) -> the function that closes an __init__ over its setters
 
 
-def _initialiser(put, defaults):
-    """An __init__ that stores its arguments through the slot setters in put.
+def _declare(cls, memo: bool):
+    """The @node (memo) or @record class of cls.
 
-    It clears the _type memo and leaves _hash unset, for __hash__ to fill. As
-    dataclasses builds __init__, its source comes from the arity alone and is
-    compiled once per arity; the setters are closure variables, _put_type a global.
+    Its __init__ stores its arguments through the fields' slot setters. As
+    dataclasses builds __init__, the source comes from the arity (and memo)
+    alone and is compiled once; the setters are closure variables, _put_type
+    a global. A record's __init__ is that code with the fields' names as
+    parameter names.
     """
-    make = _makers.get(len(put))
+    if cls.__doc__ is None:  # spares dataclass the signature it would print
+        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
+    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
+    declared = fields(cls)
+    names = cls._fields = tuple(f.name for f in declared)
+    cls._values = staticmethod(tuple_getter(names))
+    if "__init__" in vars(cls):
+        return cls
+    make = _makers.get((len(names), memo))
     if make is None:
-        p = [f"p{i}" for i in range(len(put))]
-        a = [f"a{i}" for i in range(len(put))]
+        p = [f"p{i}" for i in range(len(names))]
+        a = [f"a{i}" for i in range(len(names))]
+        body = [f"        {setter}(self, {arg})" for setter, arg in zip(p, a)]
+        body += ["        _put_type(self, None)"] * memo
         lines = [f"def make({', '.join(p)}):", f"    def __init__({', '.join(['self', *a])}):"]
-        lines += [f"        {setter}(self, {arg})" for setter, arg in zip(p, a)]
-        lines += ["        _put_type(self, None)", "    return __init__"]
+        lines += [*(body or ["        pass"]), "    return __init__"]
         namespace = {}
         exec("\n".join(lines), globals(), namespace)
-        make = _makers[len(put)] = namespace["make"]
-    __init__ = make(*put)
-    __init__.__defaults__ = defaults or None
-    return __init__
+        make = _makers[len(names), memo] = namespace["make"]
+    init = cls.__init__ = make(*[getattr(cls, n).__set__ for n in names])
+    init.__defaults__ = tuple(f.default for f in declared if f.default is not MISSING) or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    if not memo:
+        init.__code__ = init.__code__.replace(co_varnames=("self", *names))
+    return cls
 
 
 @node

@@ -37,9 +37,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
-from .ftypes import FiniteType, Ground, is_data_type, type_depth
+from .ftypes import FiniteType, Ground, Record, is_data_type, record, type_depth
 from .formulas import (
     And,
     BoundedExists,
@@ -82,36 +81,35 @@ from .terms import (
 from .translate import Flavor
 
 
-@dataclass(frozen=True)
-class Grid:
-    nat_bound: int = 3
-    seq_len_bound: int = 2
-    depth_bound: int = 2
+@record
+class Grid(Record):
+    nat_bound: int
+    seq_len_bound: int
+    depth_bound: int
 
-    def __post_init__(self):
-        if self.nat_bound < 0:
-            raise ValueError(f"nat_bound must be at least 0, got {self.nat_bound}")
-        if self.seq_len_bound < 1:
-            raise ValueError(f"seq_len_bound must be at least 1, got {self.seq_len_bound}")
-        if self.depth_bound < 0:
-            raise ValueError(f"depth_bound must be at least 0, got {self.depth_bound}")
+    def __init__(self, nat_bound: int = 3, seq_len_bound: int = 2, depth_bound: int = 2):
+        bounds = (nat_bound, seq_len_bound, depth_bound)
+        for name, bound, least in zip(self._fields, bounds, (0, 1, 0)):
+            if bound < least:
+                raise ValueError(f"{name} must be at least {least}, got {bound}")
+            object.__setattr__(self, name, bound)
 
 
-@dataclass(frozen=True)
-class GridValid:
+@record
+class GridValid(Record):
     pass
 
 
-@dataclass(frozen=True)
-class CounterexampleFound:
+@record
+class CounterexampleFound(Record):
     environment: tuple[tuple[str, CanonicalValue], ...]
 
     def env_dict(self) -> dict[str, CanonicalValue]:
         return dict(self.environment)
 
 
-@dataclass(frozen=True)
-class Unknown:
+@record
+class Unknown(Record):
     reason: str
 
 

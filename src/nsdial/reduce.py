@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .ftypes import FiniteType, Ground, N, Star, is_data_type
+from .ftypes import FiniteType, Ground, N, Record, Star, is_data_type, record
 from .terms import (
     App,
     CONCAT_KIND,
@@ -76,19 +75,19 @@ class NotDataType(NsdialError):
     pass
 
 
-@dataclass(frozen=True)
-class Nat:
+@record
+class Nat(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class Seq:
+@record
+class Seq(Record):
     element: FiniteType
     items: tuple["CanonicalValue", ...]
 
 
-@dataclass(frozen=True)
-class Closure:
+@record
+class Closure(Record):
     """Normal form of arrow type; compared only by its term."""
 
     term: Term

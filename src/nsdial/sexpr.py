@@ -55,15 +55,18 @@ class ParseError(NsdialError):
 
 # -- s-expression reader -----------------------------------------------------
 
-_TOKEN = re.compile(r"[()]|[^\s();]+")
 # a ; comment runs to the end of its line: to the next separator str.splitlines honours
 _COMMENT = re.compile(";[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 def read_sexprs(text: str) -> list:
+    """The items of text: a token is a parenthesis, or a maximal run of characters
+    that are neither parentheses nor whitespace (str.isspace, which str.split splits on)."""
+    if ";" in text:
+        text = _COMMENT.sub("", text)
     out = current = []  # the list that the next item joins
     enclosing = []  # the lists current is nested in
-    for tok in _TOKEN.findall(_COMMENT.sub("", text)):
+    for tok in text.replace("(", " ( ").replace(")", " ) ").split():
         if tok == "(":
             inner = []
             current.append(inner)

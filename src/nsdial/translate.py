@@ -17,10 +17,9 @@ and classifies it for the invariant check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .ftypes import FiniteType, N, Star, arrow, seqfn
+from .ftypes import FiniteType, N, Record, Star, arrow, record, seqfn
 from .formulas import (
     QUANTIFIERS,
     And,
@@ -109,16 +108,16 @@ class Flavor(Enum):
 _DST, _U = Flavor.DST, Flavor.U
 
 
-@dataclass(frozen=True)
-class TranslatedFormula:
+@record
+class TranslatedFormula(Record):
     exist_tuple: tuple[tuple[str, FiniteType], ...]
     univ_tuple: tuple[tuple[str, FiniteType], ...]
     matrix: Formula
     flavor: Flavor
 
 
-@dataclass(frozen=True)
-class RealiserBundle:
+@record
+class RealiserBundle(Record):
     target: Formula
     translated: TranslatedFormula
     terms: tuple[Term, ...]

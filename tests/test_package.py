@@ -282,6 +282,15 @@ def test_value_class_contract(x):
             delattr(x, name)
 
 
+def test_value_classes_take_their_methods_from_one_base():
+    from nsdial.ftypes import Node, Record
+
+    for cls in map(type, _value_samples()):
+        assert not issubclass(cls, Node)
+        for name in ("__eq__", "__hash__", "__repr__"):
+            assert getattr(cls, name) is getattr(Record, name), (cls, name)
+
+
 def test_grid_defaults_and_bound_errors():
     from nsdial.oracle import Grid
 
