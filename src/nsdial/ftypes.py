@@ -26,10 +26,6 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    @staticmethod
-    def _values(record) -> tuple:
-        return ()
-
     def __eq__(self, other):
         if self is other:
             return True

@@ -342,6 +342,23 @@ def compile_matrix(matrix: Formula, grid: Grid):
     return lambda env: run([env[name] for name in names])
 
 
+def _check_data(t: FiniteType, grid: Grid) -> None:
+    """Raise NotDataType unless t is a data type within the grid's depth bound."""
+    if not is_data_type(t):
+        raise NotDataType(repr(t))
+    if type_depth(t) > grid.depth_bound:
+        raise NotDataType(f"type depth {type_depth(t)} exceeds grid bound {grid.depth_bound}")
+
+
+def _domain_size(t: FiniteType, grid: Grid) -> int:
+    """len(_domain(t, grid)), counted without building the domain."""
+    _check_data(t, grid)
+    if isinstance(t, Ground):
+        return grid.nat_bound + 1
+    elems = _domain_size(t.element, grid)
+    return sum(elems ** n for n in range(grid.seq_len_bound + 1))
+
+
 @functools.lru_cache(maxsize=64)
 def _domain(t: FiniteType, grid: Grid) -> tuple:
     """Native values of a data type on the grid, in enumeration order; cached per (type, grid).
@@ -349,22 +366,12 @@ def _domain(t: FiniteType, grid: Grid) -> tuple:
     N's values are 0 to nat_bound. A sequence type's values are built from
     its element type's domain, by length and then in product order.
     """
-    if not is_data_type(t):
-        raise NotDataType(repr(t))
-    if type_depth(t) > grid.depth_bound:
-        raise NotDataType(f"type depth {type_depth(t)} exceeds grid bound {grid.depth_bound}")
+    _check_data(t, grid)
     if isinstance(t, Ground):
         return tuple(range(grid.nat_bound + 1))
     elems = _domain(t.element, grid)
     return tuple(itertools.chain.from_iterable(
         itertools.product(elems, repeat=n) for n in range(grid.seq_len_bound + 1)))
-
-
-@functools.lru_cache(maxsize=64)
-def _extensions(t: FiniteType, grid: Grid) -> tuple:
-    """The (small, big) pairs of the sequence type t where big extends small, in domain order."""
-    domain = _domain(t, grid)
-    return tuple((a, b) for a in domain for b in domain if set(a) <= set(b))
 
 
 def _counterexample(values, names: list[tuple[str, FiniteType]], known=()) -> CounterexampleFound:
@@ -551,16 +558,17 @@ def check_upward_closed(tf, grid: Grid) -> Verdict:
     order = rest + list(tf.exist_tuple)
     evaluate = _evaluator(matrix, [n for n, _ in order], grid)
     exist_domains = [_domain(t, grid) for _, t in tf.exist_tuple]
-    pairs_per_comp = [_extensions(t, grid) for _, t in tf.exist_tuple]
     for outer in itertools.product(*(_domain(t, grid) for _, t in rest)):
         # evaluate once per witness assignment, then sweep the extension pairs
         truth = {combo: evaluate([*outer, *combo]) for combo in itertools.product(*exist_domains)}
-        # keep, in order, the pairs whose ends occur in some true / false witness tuple
+        # per witness, in domain order, the extension pairs from a true tuple's end to a false one's
         viable = []
-        for k, pairs in enumerate(pairs_per_comp):
-            smalls = {c[k] for c, r in truth.items() if r is True}
-            bigs = {c[k] for c, r in truth.items() if r is False}
-            viable.append([(a, b) for a, b in pairs if a in smalls and b in bigs])
+        for k, domain in enumerate(exist_domains):
+            true_ends = {c[k] for c, r in truth.items() if r is True}
+            false_ends = {c[k] for c, r in truth.items() if r is False}
+            bigs = [(b, set(b)) for b in domain if b in false_ends]
+            viable.append([(a, b) for a in domain if a in true_ends
+                           for b, elems in bigs if elems.issuperset(a)])
         for pair_combo in itertools.product(*viable):
             small, big = zip(*pair_combo)
             if truth[small] is True and truth[big] is False:
@@ -569,9 +577,9 @@ def check_upward_closed(tf, grid: Grid) -> Verdict:
 
 
 def sweep_points(tf, grid: Grid) -> int:
-    """Grid points of a full sweep over the tuples and other free variables of tf."""
+    """Grid points of a full sweep over tf's tuples and other free variables; builds no domain."""
     names = _sweep_names(list(tf.exist_tuple) + list(tf.univ_tuple), desugar(tf.matrix))
-    return math.prod(len(_domain(t, grid)) for _, t in names)
+    return math.prod(_domain_size(t, grid) for _, t in names)
 
 
 def brute_force_witness(formula: Formula, grid: Grid):

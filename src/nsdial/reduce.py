@@ -160,22 +160,18 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
         else:
             return None
     elif k is SEQAPP_KIND:
-        s, a = whnf(args[0]), args[1]
-        if isinstance(s, SeqAbs):
-            out = substitute(s.body, s.var, a)
-        else:
-            # the functions of a sequence whose every cell is a constructor, applied to a
-            fns = []
+        # the functions of a sequence whose every cell is a constructor, applied to a
+        fns = []
+        tag, h, s = _view(args[0])
+        while tag is CONS_KIND:
+            fns.append(h)
             tag, h, s = _view(s)
-            while tag is CONS_KIND:
-                fns.append(h)
-                tag, h, s = _view(s)
-            if tag is None:
-                return None
-            elem = head.types[1]
-            out = App(fns[-1], a) if fns else empty_seq(elem)
-            for f in reversed(fns[:-1]):
-                out = concat(elem, App(f, a), out)
+        if tag is None:
+            return None
+        elem, a = head.types[1], args[1]
+        out = App(fns[-1], a) if fns else empty_seq(elem)
+        for f in reversed(fns[:-1]):
+            out = concat(elem, App(f, a), out)
     elif k is LEN_KIND or k is PROJ_KIND or k is CONCAT_KIND:
         (elem,) = head.types
         tag, h, tail = _view(args[0])

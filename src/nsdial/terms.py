@@ -506,11 +506,6 @@ def concat(elem: FiniteType, s: Term, t: Term) -> Term:
     return app(Const(CONCAT_KIND, (elem,)), s, t)
 
 
-def seq_app(dom: FiniteType, codom_elem: FiniteType, s: Term, a: Term) -> Term:
-    """s[a] for s : (dom -> codom_elem*)*."""
-    return app(Const(SEQAPP_KIND, (dom, codom_elem)), s, a)
-
-
 def seq_app_infer(s: Term, a: Term, s_type: FiniteType) -> Term:
     c = SEQAPP_KIND.instance(s_type)
     if c is None:

@@ -61,7 +61,7 @@ from nsdial.terms import (
     list_rec,
     numeral,
     proj,
-    seq_app,
+    seq_app_infer,
     seq_len,
     seq_term,
     singleton,
@@ -173,7 +173,7 @@ def test_defining_equations():
     ]
     for body in bodies:
         for a in grid_values(N):
-            lhs = seq_app(N, N, SeqAbs("x", N, body), value_to_term(a))
+            lhs = seq_app_infer(SeqAbs("x", N, body), value_to_term(a), Star(Arrow(N, Star(N))))
             rhs = substitute(body, "x", value_to_term(a))
             failures += not norm_eq(lhs, rhs)
     assert failures == 0
@@ -212,8 +212,9 @@ def test_sequence_lemmas():
         sup = [r.choice(pool) for _ in range(r.randint(0, 3))]
         sub = [f for f in sup if r.random() < 0.6]
         a = numeral(r.randint(0, 3))
-        small = eval_seq(seq_app(N, N, seq_term(Arrow(N, Star(N)), sub), a))
-        big = eval_seq(seq_app(N, N, seq_term(Arrow(N, Star(N)), sup), a))
+        fn_seq = Star(Arrow(N, Star(N)))
+        small = eval_seq(seq_app_infer(seq_term(Arrow(N, Star(N)), sub), a, fn_seq))
+        big = eval_seq(seq_app_infer(seq_term(Arrow(N, Star(N)), sup), a, fn_seq))
         failures += not all(item in big for item in small)
     # length is additive over concatenation
     for sv in grid_values(Star(N)):
@@ -235,7 +236,7 @@ def test_dst_structural_invariants():
     f = ForallSt("x", N, ExistsSt("y", N, Eq(N, Var("y", N), Var("x", N))))
     tf = dst_translate(f)
     coll_ty = Star(Arrow(N, Star(N)))
-    collector = seq_app(N, N, Var("S", coll_ty), Var("x", N))
+    collector = seq_app_infer(Var("S", coll_ty), Var("x", N), coll_ty)
     expected_matrix = BoundedExists(
         "i", seq_len(N, collector), Eq(N, proj(N, collector, Var("i", N)), Var("x", N))
     )

@@ -8,7 +8,7 @@ import pytest
 from nsdial.ftypes import Arrow, N, Star
 from nsdial.axioms import Schema
 from nsdial.cli import run
-from nsdial.derive import imp_refl
+from nsdial.derive import forallst_intro_from, imp_refl, weaken
 from nsdial.extract import UnsupportedSchema, extract, extract_dst, extract_u
 from nsdial.formulas import (
     And, BoundedExists, BoundedForall, Eq, ExistsSt, Forall, ForallSt, Hyper, Imp, In, Not, Or,
@@ -16,7 +16,9 @@ from nsdial.formulas import (
 )
 from nsdial.gen import random_external, rng
 from nsdial.oracle import CounterexampleFound, Grid, GridValid, Unknown, verify_bundle
-from nsdial.proofs import AxiomNode, ExternalInductionNode, axiom, check_proof, conclusions, mp
+from nsdial.proofs import (
+    AxiomNode, ExistsRuleNode, ExternalInductionNode, axiom, check_proof, conclusions, mp,
+)
 from nsdial.reduce import eval_nat, normalize
 from nsdial.terms import (
     App,
@@ -226,6 +228,32 @@ def test_external_induction_multi_witness_unsupported():
 
     with pytest.raises((BadInstantiation, UnsupportedSchema)):
         extract_u(ExternalInductionNode(both0, step))
+
+
+def test_external_induction_without_a_witness_extracts_no_term():
+    # Phi(n) = (n = n) is internal: the conclusion forall-st n Phi(n) has a challenge only
+    n, sn = Var("n", N), App(Const(ConstKind.SUCC), Var("n", N))
+    step = weaken(Eq(N, n, n), axiom(Schema.EQ_REFL, type=N, t=sn), Eq(N, sn, sn))
+    proof = ExternalInductionNode(axiom(Schema.EQ_REFL, type=N, t=ZERO),
+                                  forallst_intro_from(step, Imp(Eq(N, n, n), Eq(N, sn, sn)), "n"))
+    for flavor in (U, D):
+        bundle = extract(proof, flavor)
+        assert bundle.terms == () and bundle.translated.exist_tuple == ()
+        assert print_formula(bundle.target) == "(forall-st (n N) (eq N (var n) (var n)))"
+        assert verify_bundle(bundle, Grid(2, 2)) == GridValid()
+
+
+def test_exists_rule_collects_the_challenges_of_its_antecedent():
+    # from (forall-st w (w = w)) and (z = z) -> forall-st w (w = w), eliminate exists z: the
+    # antecedent's challenge w gets a collector that echoes the conclusion's challenge
+    w, z = Var("w", N), Var("z", N)
+    refl_w = ForallSt("w", N, Eq(N, w, w))
+    proof = ExistsRuleNode("z", N, axiom(Schema.AND_ELIM_L, a=refl_w, b=Eq(N, z, z)))
+    for flavor, abstraction in ((U, "lam"), (D, "sabs")):
+        bundle = extract(proof, flavor)
+        assert [print_term(t) for t in bundle.terms] == [
+            f"({abstraction} (v0 N) (seq (* N) (seq N (var v0))))"]
+        assert verify_bundle(bundle, Grid(2, 2)) == GridValid()
 
 
 def test_dst_bundles_pass_oracle_certification():

@@ -127,6 +127,17 @@ def test_subst_preserves_welltypedness():
         check_formula(sub, free_vars(sub))
 
 
+def test_random_external_applies_st_to_a_numeral_without_a_ground_variable():
+    # at depth 1 over a scope with no ground variable, every st at the top is st of 0, 1 or 2
+    r = rng(15)
+    drawn = [random_external(r, [("s", Star(N))], 1) for _ in range(200)]
+    leaves = [f for f in drawn if isinstance(f, St)]
+    assert len(leaves) >= 10
+    assert {f.term for f in leaves} <= {numeral(k) for k in range(3)}
+    for f in drawn:
+        check_formula(f, {"s": Star(N)})
+
+
 def test_bot_is_false_equation():
     assert bot() == Eq(N, ZERO, numeral(1))
 

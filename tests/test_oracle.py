@@ -63,7 +63,7 @@ from nsdial.terms import (
     numeral,
     proj,
     sabs,
-    seq_app,
+    seq_app_infer,
     seq_len,
     seq_term,
     singleton,
@@ -403,18 +403,18 @@ def test_compiled_proj_out_of_range_is_default():
 
 
 def test_compiled_sapp_on_sabs_and_on_a_sequence_of_functions():
-    x = Var("x", N)
+    x, fn_seq = Var("x", N), Star(Arrow(N, Star(N)))
     one_fn = sabs([("x", N)], seq_term(N, [x, App(SUCC, x)]))
-    f = Eq(Star(N), seq_app(N, N, one_fn, a_), seq_term(N, [a_, App(SUCC, a_)]))
+    f = Eq(Star(N), seq_app_infer(one_fn, a_, fn_seq), seq_term(N, [a_, App(SUCC, a_)]))
     assert all(compiled_results(f, [("a", N)], Grid(2, 1)))
     fns = seq_term(Arrow(N, Star(N)), [
         lam([("x", N)], singleton(N, x)),
         lam([("x", N)], seq_term(N, [x, x])),
     ])
-    g = Eq(Star(N), seq_app(N, N, fns, a_), seq_term(N, [a_, a_, a_]))
+    g = Eq(Star(N), seq_app_infer(fns, a_, fn_seq), seq_term(N, [a_, a_, a_]))
     assert all(compiled_results(g, [("a", N)], Grid(2, 1)))
     empty = seq_term(Arrow(N, Star(N)), [])
-    h = Eq(Star(N), seq_app(N, N, empty, a_), seq_term(N, []))
+    h = Eq(Star(N), seq_app_infer(empty, a_, fn_seq), seq_term(N, []))
     assert all(compiled_results(h, [("a", N)], Grid(2, 1)))
 
 
@@ -659,7 +659,6 @@ def test_upward_sweep_builds_each_domain_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_upward_certified", lambda matrix, witnesses: False)
     oracle._domain.cache_clear()
-    oracle._extensions.cache_clear()
     r = rng(7)
     for _ in range(100):
         assert check_upward_closed(dst_translate(random_upward_safe(r, [("fv", N)], 3)),
@@ -667,7 +666,6 @@ def test_upward_sweep_builds_each_domain_once(monkeypatch):
     # one enumeration per (type, grid) pair, where the sweep used to enumerate per matrix
     assert 0 < oracle._domain.cache_info().misses <= 20
     assert isinstance(oracle._domain(Star(N), Grid(2, 2)), tuple)
-    assert isinstance(oracle._extensions(Star(N), Grid(2, 2)), tuple)
 
 
 def test_domain_is_the_enumeration_in_native_form():
@@ -682,6 +680,36 @@ def test_domain_is_the_enumeration_in_native_form():
             assert oracle._domain(t, grid) == want, (t, grid)
     with pytest.raises(NotDataType):
         oracle._domain(Star(Arrow(N, N)), Grid(1, 1))
+
+
+def test_sweep_points_counts_without_building_a_domain(monkeypatch):
+    # the product of the domain lengths, computed before _domain is patched out
+    cases = []
+    for k, grid in enumerate((Grid(1, 1), Grid(2, 2), Grid(3, 2), Grid(2, 3))):
+        r = rng(130 + k)
+        for _ in range(50):
+            tf = dst_translate(random_upward_safe(r, [("fv", N)], 3))
+            names = oracle._sweep_names(tf.exist_tuple + tf.univ_tuple, desugar(tf.matrix))
+            points = 1
+            for _, t in names:
+                points *= len(oracle._domain(t, grid))
+            cases.append((tf, grid, points))
+    assert len({points for _, _, points in cases}) >= 10
+
+    def no_domain(t, grid):
+        raise AssertionError(f"built the domain of {t!r}")
+
+    monkeypatch.setattr(oracle, "_domain", no_domain)
+    for tf, grid, points in cases:
+        assert oracle.sweep_points(tf, grid) == points, (tf, grid)
+    # underspill's challenge spp : (* (* N)) at (3,4): sum of 341^n for n <= 4 values
+    spp = Var("spp", Star(Star(N)))
+    tf = TranslatedFormula((), (("spp", spp.type),), Eq(N, seq_len(Star(N), spp), ZERO), Flavor.DST)
+    assert oracle.sweep_points(tf, Grid(3, 4)) == 13_561_039_405
+    f = Var("f", Arrow(N, N))
+    for univ, grid in (((("f", f.type),), Grid(2, 2)), ((("spp", spp.type),), Grid(2, 2, 1))):
+        with pytest.raises(NotDataType):
+            oracle.sweep_points(TranslatedFormula((), univ, Eq(N, ZERO, ZERO), Flavor.DST), grid)
 
 
 # -- the upward-closure certificate ---------------------------------------------
@@ -754,7 +782,6 @@ def test_certified_matrices_are_neither_compiled_nor_swept(monkeypatch):
     evaluator_real = oracle._evaluator
     monkeypatch.setattr(oracle, "_evaluator", lambda *a: calls.append(a) or evaluator_real(*a))
     oracle._domain.cache_clear()
-    oracle._extensions.cache_clear()
     r = rng(7)
     certified = 0
     for _ in range(100):
@@ -822,8 +849,9 @@ def test_certificate_scopes_end_at_a_rebinding_binder():
         (BoundedExists("i", len_s, Eq(N, App(Lam("s", Star(N), proj(N, s_, i)), seq_term(N, [])),
                                       ZERO)), False),
         # sapp (sabs i. [s_i]) 0 is the first element of s
-        (BoundedExists("i", len_s, Eq(Star(N), seq_app(N, N, sabs([("i", N)], singleton(N, proj(N, s_, i))),
-                                                       ZERO), singleton(N, one))), False),
+        (BoundedExists("i", len_s, Eq(Star(N), seq_app_infer(
+            sabs([("i", N)], singleton(N, proj(N, s_, i))), ZERO, Star(Arrow(N, Star(N)))),
+            singleton(N, one))), False),
     ]
     grid = Grid(1, 2)
     verdicts = set()

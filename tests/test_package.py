@@ -450,6 +450,16 @@ EXPORTS = {
 }
 
 
+def test_dir_lists_every_export_without_loading_a_layer():
+    code = (
+        "import nsdial\n"
+        "names = dir(nsdial)\n"
+        "assert names == sorted(names) and {*nsdial.__all__, '__version__'} <= {*names}, names\n"
+        "print(sorted(m for m in sys.modules if m.startswith('nsdial.')))"
+    )
+    assert _fresh(code) == "[]"
+
+
 @pytest.mark.parametrize("prelude", ["", "import nsdial.cli"])
 def test_exports_resolve_lazily_to_their_home_objects(prelude):
     # ``from nsdial import name`` loads the home module, unless the prelude or an earlier name did

@@ -39,7 +39,7 @@ from nsdial.terms import (
     nat_rec,
     numeral,
     proj,
-    seq_app,
+    seq_app_infer,
     seq_len,
     seq_term,
     singleton,
@@ -80,7 +80,7 @@ def test_listrec_base():
 def test_seqabs_application_is_substitution():
     body = seq_term(N, [Var("x", N), ZERO])
     sa = SeqAbs("x", N, body)
-    reduced = normalize(seq_app(N, N, sa, numeral(4)))
+    reduced = normalize(seq_app_infer(sa, numeral(4), Star(Arrow(N, Star(N)))))
     expected = normalize(substitute(body, "x", numeral(4)))
     assert alpha_eq(reduced, expected)
 
@@ -185,11 +185,12 @@ def with_operators(r, t, ty):
     copy = lam([("acc", ty), ("x", e)], cons(e, Var("x", e), Var("acc", ty)))
     grow = lam([("k", N), ("acc", ty)], concat(e, Var("acc", ty), u))
     fns = seq_term(Arrow(e, ty), [Lam("x", e, cons(e, Var("x", e), t)), Lam("y", e, u)])
+    fns_ty = Star(Arrow(e, ty))
     head = proj(e, t, numeral(r.randint(0, 2)))
     return out + [(seq_len(e, t), N), (concat(e, t, u), ty), (head, e),
                   (list_rec(ty, e, empty_seq(e), copy, t), ty), (nat_rec(ty, t, grow, n), ty),
-                  (seq_app(e, e, SeqAbs("x", e, cons(e, Var("x", e), u)), head), ty),
-                  (seq_app(e, e, fns, head), ty)]
+                  (seq_app_infer(SeqAbs("x", e, cons(e, Var("x", e), u)), head, fns_ty), ty),
+                  (seq_app_infer(fns, head, fns_ty), ty)]
 
 
 def test_values_match_the_substitution_normaliser():
@@ -242,7 +243,7 @@ def stuck_operand_terms(r):
         list_rec(se, e, seq(2), copy, seq()),
         nat_rec(se, seq(2), grow, nat()),
         singleton(e, elem()),
-        seq_app(e, e, fns(), elem()),
+        seq_app_infer(fns(), elem(), Star(fn)),
         App(proj(fn, fns(), nat()), elem()),
         App(nat_rec(fn, Lam("y", e, seq(2)), compose, nat()), elem()),
         App(list_rec(fn, e, Lam("y", e, seq(2)), prepend, seq()), elem()),
@@ -320,8 +321,8 @@ def test_sequence_application_monotone():
         s = seq_term(Arrow(N, Star(N)), sub)
         s_big = seq_term(Arrow(N, Star(N)), sup)
         a = numeral(r.randint(0, 2))
-        small = eval_seq(seq_app(N, N, s, a))
-        big = eval_seq(seq_app(N, N, s_big, a))
+        small = eval_seq(seq_app_infer(s, a, fun_seq))
+        big = eval_seq(seq_app_infer(s_big, a, fun_seq))
         for item in small:
             assert item in big
 

@@ -29,7 +29,7 @@ from nsdial.sexpr import (
 )
 from nsdial.terms import (
     NsdialError, SUCC, App, Const, ConstKind, Lam, Var, ZERO, app, concat, cons, empty_seq,
-    numeral, seq_app, seq_term, type_check,
+    numeral, seq_app_infer, seq_term, type_check,
 )
 
 import fixture_defs as fx
@@ -264,7 +264,8 @@ PRINTED_TERMS = [
         seq_term(Star(N), [seq_term(N, [numeral(1), numeral(2)]), empty_seq(N), seq_term(N, [_X])]),
         "(seq (* N) (seq N 1 2) (nil N) (seq N (var x)))",
     ),
-    (seq_app(N, N, Var("f", Star(Arrow(N, Star(N)))), numeral(2)), "(app (sapp N N) (var f) 2)"),
+    (seq_app_infer(Var("f", Star(Arrow(N, Star(N)))), numeral(2), Star(Arrow(N, Star(N)))),
+     "(app (sapp N N) (var f) 2)"),
     (concat(N, _S, seq_term(N, [App(SUCC, _X)])), "(app (concat N) (var s) (seq N (app succ (var x))))"),
     (
         concat(Star(N), seq_term(Star(N), [_S]), empty_seq(Star(N))),

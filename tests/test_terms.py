@@ -173,6 +173,13 @@ def test_free_vars_and_data_types():
     assert type_depth(Star(Star(N))) == 2
 
 
+def test_type_depth_of_an_arrow_is_one_more_than_its_deeper_side():
+    assert type_depth(Arrow(N, N)) == 1
+    assert type_depth(Arrow(Star(Star(N)), N)) == 3
+    assert type_depth(Arrow(N, Star(Arrow(N, N)))) == 3
+    assert type_depth(Star(Arrow(Star(N), N))) == 3
+
+
 def _reference_synth(t, env, closed):
     """The type synthesiser as it was before terms kept their types."""
     if isinstance(t, Var):

@@ -15,7 +15,7 @@ from nsdial.formulas import (
 )
 from nsdial.gen import random_external, random_upward_safe, rng
 from nsdial.sexpr import print_translated
-from nsdial.terms import Var, alpha_eq, proj, seq_app, seq_len
+from nsdial.terms import Var, alpha_eq, proj, seq_app_infer, seq_len
 from nsdial.translate import Flavor, dst_translate, u_translate
 
 
@@ -43,7 +43,8 @@ def test_worked_example_matches_hand_derivation():
     tf = dst_translate(f)
     assert tf.exist_tuple == (("S", Star(Arrow(N, Star(N)))),)
     assert tf.univ_tuple == (("x", N),)
-    collector = seq_app(N, N, Var("S", Star(Arrow(N, Star(N)))), Var("x", N))
+    fn_seq = Star(Arrow(N, Star(N)))
+    collector = seq_app_infer(Var("S", fn_seq), Var("x", N), fn_seq)
     expected = BoundedExists(
         "i",
         seq_len(N, collector),
