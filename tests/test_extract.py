@@ -430,6 +430,20 @@ def test_extract_types_each_constant_once(monkeypatch):
     assert print_bundle(bundle) + "\n" == (CORPUS / "doubling.u.bundle").read_text()
 
 
+@pytest.mark.parametrize("terms, message", [
+    ([], "extracted 0 terms for 1 witnesses"),
+    ([ZERO], "realiser type N does not match witness (-> N N)"),
+])
+def test_extract_rejects_a_rule_with_the_wrong_terms(monkeypatch, terms, message):
+    # no rule returns these; a patched rule for K reaches extract's own checks
+    module = importlib.import_module("nsdial.extract")
+    monkeypatch.setitem(module._REALISERS, Schema.K, lambda p, flavor: list(terms))
+    proof = parse_proof(read_one("(axiom k (a (st N (var x))) (b (eq N zero zero)))"))
+    with pytest.raises(UnsupportedSchema) as info:
+        extract(proof, U)
+    assert str(info.value) == message
+
+
 # -- printed realisers, one line per (instance, flavor) ----------------------
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden" / "realisers.golden"

@@ -46,7 +46,7 @@ from nsdial.reduce import (
     to_canonical,
     value_to_term,
 )
-from nsdial.sexpr import parse_bundle, read_one
+from nsdial.sexpr import parse_bundle, parse_formula, parse_term, read_one
 from nsdial.terms import (
     App,
     Const,
@@ -343,6 +343,36 @@ def test_cheaper_operand_runs_first(monkeypatch):
     assert calls
 
 
+# the default grid's counterexample to underspill is a grid artefact: it replays
+# true at (4,2) only, where every negative fixture's points replay true at all four
+LARGER_GRIDS = (Grid(3, 3), Grid(4, 2), Grid(4, 3), Grid(3, 4))
+UNDERSPILL_POINT = "(seq (* N) (seq N 1) (seq N 2 3))"
+
+
+@pytest.mark.parametrize("path", BUNDLES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_fixture_counterexamples_replay_at_larger_grids(path):
+    bundle = parse_bundle(read_one(path.read_text()))
+    negative = path.parent.name == "negative"
+    found = []
+    for grid in (Grid(2, 2), Grid()):
+        verdict = verify_bundle(bundle, grid)
+        if not isinstance(verdict, CounterexampleFound):
+            continue
+        found.append(grid)
+        assert replay(bundle, verdict, grid)
+        larger = [replay(bundle, verdict, g) for g in LARGER_GRIDS]
+        if negative:
+            assert larger == [True] * 4, grid
+        else:
+            spp = term_to_value(parse_term(read_one(UNDERSPILL_POINT)), Star(Star(N)))
+            assert verdict == CounterexampleFound((("spp", spp),))
+            assert larger == [False, True, False, False]
+    if negative:
+        assert found == [Grid(2, 2), Grid()]
+    else:
+        assert found == ([Grid()] if path.name == "underspill.dst.bundle" else [])
+
+
 def test_verify_and_replay_desugar_the_matrix_once(monkeypatch):
     calls = []
     real = oracle.desugar
@@ -505,6 +535,26 @@ def test_eval_formula_closure_values_and_missing_variables():
         eval_formula(f, {"f": identity}, Grid(2, 1))
     with pytest.raises(NotClosed):
         brute_force_witness(Exists("y", N, Eq(N, Var("y", N), a_)), Grid(2, 1))
+
+
+@pytest.mark.parametrize("text, name, value, want", [
+    # a data value that reaches an arrow-typed equation
+    ("(eq (-> N N) (lam (x N) (var a)) (lam (x N) 2))", "a", Nat(2), GridValid()),
+    ("(eq (-> N N) (lam (x N) (var a)) (lam (x N) 2))", "a", Nat(1),
+     Unknown("non-data quantifier encountered")),
+    # a sequence value in the same place
+    ("(eq (-> N (* N)) (lam (x N) (var s)) (lam (x N) (seq N 1)))", "s", Seq(N, (Nat(1),)),
+     GridValid()),
+    ("(eq (-> N (* N)) (lam (x N) (var s)) (lam (x N) (seq N 1)))", "s", Seq(N, (Nat(0),)),
+     Unknown("non-data quantifier encountered")),
+    # an environment name that a binder rebinds
+    ("(and (eq N (var a) 2) (forall (a N) (eq N (var a) (var a))))", "a", Nat(2), GridValid()),
+    ("(and (eq N (var a) 2) (forall (a N) (eq N (var a) (var a))))", "a", Nat(0),
+     CounterexampleFound((("a", Nat(0)),))),
+])
+def test_eval_formula_substitutes_data_values(text, name, value, want):
+    f = parse_formula(read_one(text), {"a": N, "s": Star(N)})
+    assert eval_formula(f, {name: value}, Grid(2, 1)) == want
 
 
 def test_witness_of_a_non_data_or_too_deep_variable_raises():
