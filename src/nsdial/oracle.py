@@ -54,14 +54,12 @@ from .formulas import (
 )
 from .reduce import (
     CanonicalValue,
-    Closure,
     NotClosed,
     NotDataType,
     Scope,
     compile_term,
     normalize,
     to_canonical,
-    to_native,
     value_to_term,
 )
 from .terms import (
@@ -330,18 +328,6 @@ def _evaluator(matrix: Formula, names, grid: Grid):
     return evaluate
 
 
-def compile_matrix(matrix: Formula, grid: Grid):
-    """Compile an internal matrix once: env -> True | False | UNKNOWN.
-
-    The environment maps every free variable of the matrix to its native
-    value (see ``to_native``).
-    """
-    matrix = desugar(matrix)
-    names = list(free_vars(matrix))
-    run = _evaluator(matrix, names, grid)
-    return lambda env: run([env[name] for name in names])
-
-
 def _check_data(t: FiniteType, grid: Grid) -> None:
     """Raise NotDataType unless t is a data type within the grid's depth bound."""
     if not is_data_type(t):
@@ -383,23 +369,19 @@ def _counterexample(values, names: list[tuple[str, FiniteType]], known=()) -> Co
 def _verdict(matrix: Formula, env: dict[str, CanonicalValue], swept, grid: Grid) -> Verdict:
     """Verdict of the matrix at env, with the swept names as its outermost universals.
 
-    Arrow-typed values of env are substituted into the matrix and the others
-    converted to natives. A counterexample is env and the first false point.
+    The values of env are substituted into the matrix as terms, and the
+    closed matrix is evaluated. A counterexample is env and the first false point.
     """
-    native = {}
     for name, v in env.items():
-        if isinstance(v, Closure):
-            matrix = substitute(matrix, name, v.term)
-        else:
-            native[name] = to_native(v)
+        matrix = substitute(matrix, name, value_to_term(v))
     for name, ty in reversed(swept):
         matrix = Forall(name, ty, matrix)
-    frame = list(native.values())
-    r = _evaluator(matrix, list(native), grid)(frame)
+    frame: list = []
+    r = _evaluator(matrix, (), grid)(frame)
     if r is True:
         return GridValid()
     if r is False:
-        return _counterexample(frame[len(native):], swept, env.items())
+        return _counterexample(frame, swept, env.items())
     return Unknown("non-data quantifier encountered")
 
 

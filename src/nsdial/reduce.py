@@ -223,15 +223,6 @@ def normalize(term: Term) -> Term:
 # -- native evaluator ----------------------------------------------------------
 
 
-def to_native(v: CanonicalValue):
-    """Native value of a canonical data value: ``int`` or nested ``tuple``."""
-    if isinstance(v, Nat):
-        return v.value
-    if isinstance(v, Seq):
-        return tuple(to_native(i) for i in v.items)
-    raise NotDataType(f"no native data value for {v!r}")
-
-
 def to_canonical(v, t: FiniteType) -> CanonicalValue:
     """Canonical value of a native value at the data type t."""
     if isinstance(t, Ground):

@@ -28,11 +28,9 @@ from nsdial.oracle import (
     Unknown,
     brute_force_witness,
     check_upward_closed,
-    compile_matrix,
     enumerate_values,
     eval_formula,
     replay,
-    to_native,
     verify_bundle,
 )
 from nsdial.reduce import (
@@ -41,6 +39,7 @@ from nsdial.reduce import (
     NotClosed,
     NotDataType,
     Seq,
+    compile_term,
     normalize,
     term_to_value,
     to_canonical,
@@ -269,10 +268,10 @@ def envs(scope, grid):
 
 def compiled_results(f, scope, grid):
     """Compiled results over every grid environment, checked against the reference."""
-    evaluate = compile_matrix(f, grid)
+    result = {GridValid: True, CounterexampleFound: False, Unknown: UNKNOWN}
     out = []
     for env in envs(scope, grid):
-        got = evaluate({k: to_native(v) for k, v in env.items()})
+        got = result[type(eval_formula(f, env, grid))]
         assert got is reference_eval(f, env, grid), (f, env)
         out.append(got)
     return out
@@ -637,14 +636,17 @@ def reference_upward_sweep(tf, grid):
         return GridValid()
 
     def domain(t):
-        return [to_native(v) for v in enumerate_values(t, grid)]
+        return list(oracle._domain(t, grid))
 
     def counterexample(env):
         return CounterexampleFound(tuple(sorted((n, to_canonical(env[n], t)) for n, t in names)))
 
-    evaluate = compile_matrix(matrix, grid)
     exist_names = [n for n, _ in tf.exist_tuple]
     rest = [(n, t) for n, t in names if n not in exist_names]
+    run = oracle._evaluator(matrix, [n for n, _ in rest] + exist_names, grid)
+
+    def evaluate(env):
+        return run([env[n] for n, _ in rest] + [env[n] for n in exist_names])
     exist_domains = [domain(t) for _, t in tf.exist_tuple]
     pairs_per_comp = [[(a, b) for a in d for b in d if set(a) <= set(b)] for d in exist_domains]
     for combo in itertools.product(*[domain(t) for _, t in rest]):
@@ -722,7 +724,7 @@ def test_domain_is_the_enumeration_in_native_form():
     for t in (N, Star(N), Star(Star(N)), Star(Star(Star(N)))):
         for grid in (Grid(0, 1), Grid(1, 1, 3), Grid(2, 2), Grid(1, 2, 1)):
             try:
-                want = tuple(to_native(v) for v in enumerate_values(t, grid))
+                want = tuple(compile_term(value_to_term(v))(()) for v in enumerate_values(t, grid))
             except NotDataType:
                 with pytest.raises(NotDataType):
                     oracle._domain(t, grid)
