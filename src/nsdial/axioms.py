@@ -307,7 +307,7 @@ def _build(schema: Schema, p: dict, flavor: Flavor) -> Formula:
         _require_internal(f, schema, flavor, "delta hypothesis")
         return f
 
-    raise BadInstantiation(schema, "unknown schema")
+    raise BadInstantiation(schema, "unknown schema")  # unreached: every Schema member has a branch
 
 
 def _witness(flavor: Flavor, var: str, ty: FiniteType, prefix: str, captured, taken) -> Var:

@@ -215,6 +215,7 @@ def _axiom_realisers(node: AxiomNode, conclusion: Formula, flavor: Flavor) -> li
     p = node.params_dict()
     fn = _REALISERS.get(node.schema)
     if fn is None:
+        # unreached: a schema without a rule has a witness-free conclusion, returned above
         raise UnsupportedSchema(f"no realiser rule for {node.schema.value}")
     return fn(p, flavor)
 
@@ -456,6 +457,7 @@ def _realise_identity_shaped(instance: Imp, flavor: Flavor) -> list[Term]:
     """Premise and conclusion share an interpretation: project and collect singletons."""
     es, us = _tuples(instance.left, flavor, "e", "uq")
     if (es, us) != _tuples(instance.right, flavor, "e", "uq"):
+        # unreached: the NU, AC-ST and IP-FORALLST builders give both sides one interpretation
         raise UnsupportedSchema("premise and conclusion interpretations differ")
     return _picks(flavor, es, es) + _echoes(flavor, es + us, us)
 
