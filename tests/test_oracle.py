@@ -342,8 +342,9 @@ def test_cheaper_operand_runs_first(monkeypatch):
     assert calls
 
 
-# the default grid's counterexample to underspill is a grid artefact: it replays
-# true at (4,2) only, where every negative fixture's points replay true at all four
+# the default grid's counterexample to underspill is a grid artefact: of the larger
+# grids it replays true at (4,2) only, while every negative fixture's points replay
+# true at all four
 LARGER_GRIDS = (Grid(3, 3), Grid(4, 2), Grid(4, 3), Grid(3, 4))
 UNDERSPILL_POINT = "(seq (* N) (seq N 1) (seq N 2 3))"
 
@@ -643,10 +644,12 @@ def reference_upward_sweep(tf, grid):
 
     exist_names = [n for n, _ in tf.exist_tuple]
     rest = [(n, t) for n, t in names if n not in exist_names]
-    run = oracle._evaluator(matrix, [n for n, _ in rest] + exist_names, grid)
+    order = [n for n, _ in rest] + exist_names
+    run = oracle._evaluator(matrix, order, grid)
 
     def evaluate(env):
-        return run([env[n] for n, _ in rest] + [env[n] for n in exist_names])
+        return run([env[n] for n in order])
+
     exist_domains = [domain(t) for _, t in tf.exist_tuple]
     pairs_per_comp = [[(a, b) for a in d for b in d if set(a) <= set(b)] for d in exist_domains]
     for combo in itertools.product(*[domain(t) for _, t in rest]):
