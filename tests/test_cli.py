@@ -877,3 +877,34 @@ def test_verify_output_matches_golden(capsys):
     # verdict and exit code do not depend on the order the evaluator visits
     # operands in; a deliberate change rewrites the file from _verify_golden_lines()
     assert _verify_golden_lines(capsys) == VERIFY_GOLDEN.read_text().splitlines()
+
+
+# -- corpus reports, one block per (directory, grid) ----------------------------
+
+CORPUS_REPORTS_GOLDEN = FIXTURES / "golden" / "corpus_reports.golden"
+
+
+def _corpus_report_lines(tmp_path, capsys):
+    """Printed lines, exit code, and the --json report's grid and outcome of each corpus run.
+
+    The report's command, inputs (paths) and wall time are left out.
+    """
+    lines = []
+    report = tmp_path / "report.json"
+    for directory in (CORPUS, NEGATIVE):
+        for grid in (CORPUS_GRID, []):
+            code = run(["--json", str(report), "corpus", "run", str(directory)] + grid)
+            lines.append(" ".join([directory.name, *grid, f"exit {code}"]))
+            lines += ["  " + line for line in capsys.readouterr().out.splitlines()]
+            data = json.loads(report.read_text())
+            pinned = {"grid": data["grid"], "outcome": data["outcome"]}
+            lines += ["  " + line for line in json.dumps(pinned, indent=2, sort_keys=True).splitlines()]
+    return lines
+
+
+def test_corpus_reports_match_golden(tmp_path, capsys):
+    # both fixture directories at (2,2) and at the default grid (3,2); the printed
+    # normal forms and counterexample environments are pinned here; a deliberate
+    # change rewrites the file from _corpus_report_lines()
+    want = CORPUS_REPORTS_GOLDEN.read_text().splitlines()
+    assert _corpus_report_lines(tmp_path, capsys) == want
