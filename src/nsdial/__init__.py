@@ -18,7 +18,7 @@ import importlib
 _EXPORTS = {
     "ftypes": ("Arrow", "FiniteType", "Ground", "N", "Star", "is_data_type"),
     "terms": ("Term", "alpha_eq", "substitute", "type_check"),
-    "reduce": ("CanonicalValue", "eval_nat", "eval_seq", "normalize"),
+    "reduce": ("eval_nat", "eval_seq", "normalize"),
     "formulas": ("Formula", "classify", "desugar"),
     "translate": ("Flavor", "RealiserBundle", "TranslatedFormula", "dst_translate", "u_translate"),
     "proofs": ("check_proof",),

@@ -64,12 +64,12 @@ def _digest(path: Path, data: bytes) -> dict:
 
 
 def _check_term(text: str, flavor: Flavor, args):
-    from .reduce import term_to_value, value_to_term
+    from .reduce import term_to_value
 
     term = parse_term(read_one(text))
     ty = type_check(term, {})
     # its value at a data type, else its normalised term
-    nf = print_term(value_to_term(term_to_value(term, ty)))
+    nf = print_term(term_to_value(term, ty))
     return EXIT_OK, nf, {"normal_form": nf}, {"type": print_type(ty)}
 
 
@@ -100,14 +100,13 @@ def _extract(text: str, flavor: Flavor, args):
 
 def _verify(text: str, flavor: Flavor, args):
     from .oracle import CounterexampleFound, Grid, GridValid, verify_bundle
-    from .reduce import value_to_term
 
     grid = Grid(*(getattr(args, name) for name, _, _ in _GRID_OPTIONS))
     verdict = verify_bundle(parse_bundle(read_one(text)), grid)
     if isinstance(verdict, GridValid):
         return EXIT_OK, "grid-valid", {"verdict": "grid-valid"}, {}
     if isinstance(verdict, CounterexampleFound):
-        env = [(name, print_term(value_to_term(val))) for name, val in verdict.environment]
+        env = [(name, print_term(val)) for name, val in verdict.environment]
         out = "\n".join(["counterexample:", *(f"  {name} = {val}" for name, val in env)])
         return EXIT_FAIL, out, {"verdict": "counterexample", "environment": dict(env)}, {}
     reason = verdict.reason

@@ -3,8 +3,8 @@
 Also home to Node and the @node decorator, from which every syntax-tree class
 of the package is built: the types here, and the terms, formulas and proofs
 of the modules above this one. Node extends Record, which with @record also
-builds the package's value classes: translations and bundles, the oracle's
-grid and verdicts, and canonical values.
+builds the package's value classes: translations and bundles, and the
+oracle's grid and verdicts.
 """
 
 from __future__ import annotations

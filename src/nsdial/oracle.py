@@ -19,7 +19,7 @@ recursion that compiles a node
 
 The closures compute values and read nothing back into terms. A grid sweep
 evaluates the matrix under the swept names as its outermost quantifiers, in
-one frame; canonical ``Nat``/``Seq`` values are rebuilt only to report a point.
+one frame; native values are read back into literal terms only to report a point.
 
 Upward closure of a herbrandised matrix is first certified statically, and
 swept only where the certificate does not apply. A witness s is certified
@@ -52,16 +52,7 @@ from .formulas import (
     desugar,
     desugar_classified,
 )
-from .reduce import (
-    CanonicalValue,
-    NotClosed,
-    NotDataType,
-    Scope,
-    compile_term,
-    normalize,
-    to_canonical,
-    value_to_term,
-)
+from .reduce import NotClosed, NotDataType, Scope, compile_term, normalize, value_to_term
 from .terms import (
     App,
     Const,
@@ -70,6 +61,7 @@ from .terms import (
     Lam,
     PROJ_KIND,
     SeqAbs,
+    Term,
     Var,
     alpha_eq,
     free_vars,
@@ -100,9 +92,9 @@ class GridValid(Record):
 
 @record
 class CounterexampleFound(Record):
-    environment: tuple[tuple[str, CanonicalValue], ...]
+    environment: tuple[tuple[str, Term], ...]
 
-    def env_dict(self) -> dict[str, CanonicalValue]:
+    def env_dict(self) -> dict[str, Term]:
         return dict(self.environment)
 
 
@@ -117,9 +109,9 @@ UNKNOWN = object()  # three-valued evaluation marker
 
 
 def enumerate_values(t: FiniteType, grid: Grid):
-    """Deterministic finite stream of canonical values of a data type: ``_domain``'s, in order."""
+    """Deterministic finite stream of the literals of a data type: ``_domain``'s, in order."""
     for v in _domain(t, grid):
-        yield to_canonical(v, t)
+        yield value_to_term(v, t)
 
 
 class _Frame(Scope):
@@ -247,7 +239,7 @@ def _arrow_eq(f: Eq, scope: _Frame):
     def run(frame):
         left, right = f.left, f.right
         for name, ty, slot in names:
-            value = value_to_term(to_canonical(frame[slot], ty))
+            value = value_to_term(frame[slot], ty)
             left = substitute(left, name, value)
             right = substitute(right, name, value)
         return True if alpha_eq(normalize(left), normalize(right)) else UNKNOWN
@@ -362,18 +354,19 @@ def _domain(t: FiniteType, grid: Grid) -> tuple:
 
 def _counterexample(values, names: list[tuple[str, FiniteType]], known=()) -> CounterexampleFound:
     """The typed names at their native values, with the known (name, value) pairs, sorted."""
-    point = [(name, to_canonical(v, t)) for (name, t), v in zip(names, values)]
+    point = [(name, value_to_term(v, t)) for (name, t), v in zip(names, values)]
     return CounterexampleFound(tuple(sorted([*known, *point])))
 
 
-def _verdict(matrix: Formula, env: dict[str, CanonicalValue], swept, grid: Grid) -> Verdict:
+def _verdict(matrix: Formula, env: dict[str, Term], swept, grid: Grid) -> Verdict:
     """Verdict of the matrix at env, with the swept names as its outermost universals.
 
-    The values of env are substituted into the matrix as terms, and the
-    closed matrix is evaluated. A counterexample is env and the first false point.
+    The values of env, terms, are substituted into the matrix as given, and the
+    matrix, which must then be closed, is evaluated. A counterexample is env
+    and the first false point.
     """
     for name, v in env.items():
-        matrix = substitute(matrix, name, value_to_term(v))
+        matrix = substitute(matrix, name, v)
     for name, ty in reversed(swept):
         matrix = Forall(name, ty, matrix)
     frame: list = []
@@ -385,7 +378,7 @@ def _verdict(matrix: Formula, env: dict[str, CanonicalValue], swept, grid: Grid)
     return Unknown("non-data quantifier encountered")
 
 
-def eval_formula(matrix: Formula, env: dict[str, CanonicalValue], grid: Grid) -> Verdict:
+def eval_formula(matrix: Formula, env: dict[str, Term], grid: Grid) -> Verdict:
     """Verdict for one assignment. The matrix must be internal."""
     m, cl = desugar_classified(matrix)
     assert cl.internal, "eval_formula needs an internal formula"
@@ -565,11 +558,11 @@ def sweep_points(tf, grid: Grid) -> int:
 
 
 def brute_force_witness(formula: Formula, grid: Grid):
-    """First witness of a leading existential, in enumeration order, or None."""
+    """First witness of a leading existential, in enumeration order, as its literal; or None."""
     f = desugar(formula)
     assert isinstance(f, Exists), "needs a leading existential"
     _domain(f.var_type, grid)  # raises NotDataType, where the compiled quantifier is UNKNOWN
     frame: list = []
     if _evaluator(f, (), grid)(frame) is True:
-        return to_canonical(frame[0], f.var_type)
+        return value_to_term(frame[0], f.var_type)
     return None

@@ -11,10 +11,13 @@ arrows are one-argument callables; recursors run as loops. A ``Scope``
 resolves each variable to its frame index at compile time. The frame of a
 function body is a tuple: the argument, then the values the function value
 captured when it was built, so a function value gives the same results for
-as long as it lives. The evaluator computes values and has no read-back to
-terms. Every closed data-typed term is evaluated by it (``eval_nat``,
-``eval_seq``, ``term_to_value``). It trusts types, so each of those entry
-points type-checks first.
+as long as it lives. Every closed data-typed term is evaluated by it
+(``eval_nat``, ``eval_seq``, ``term_to_value``). It trusts types, so each of
+those entry points type-checks first.
+
+Outside the native evaluator a value is a term: at a data type its literal, a
+numeral or a sequence literal, which ``value_to_term`` reads back from a
+native value; at an arrow type its normal form.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import functools
 import itertools
 from operator import itemgetter
 
-from .ftypes import FiniteType, Ground, N, Record, Star, is_data_type, record
+from .ftypes import FiniteType, Ground, N, Star, is_data_type
 from .terms import (
     App,
     CONCAT_KIND,
@@ -73,27 +76,6 @@ class NotGroundType(NsdialError):
 
 class NotDataType(NsdialError):
     pass
-
-
-@record
-class Nat(Record):
-    value: int
-
-
-@record
-class Seq(Record):
-    element: FiniteType
-    items: tuple["CanonicalValue", ...]
-
-
-@record
-class Closure(Record):
-    """Normal form of arrow type; compared only by its term."""
-
-    term: Term
-
-
-CanonicalValue = Nat | Seq | Closure
 
 
 _STUCK = (None, None, None)  # the cell _view gives a stuck term
@@ -221,14 +203,6 @@ def normalize(term: Term) -> Term:
 
 
 # -- native evaluator ----------------------------------------------------------
-
-
-def to_canonical(v, t: FiniteType) -> CanonicalValue:
-    """Canonical value of a native value at the data type t."""
-    if isinstance(t, Ground):
-        return Nat(v)
-    assert isinstance(t, Star)
-    return Seq(t.element, tuple(to_canonical(i, t.element) for i in v))
 
 
 def _nrec(x, y, n):
@@ -431,27 +405,26 @@ def eval_nat(term: Term) -> int:
     return compile_term(term)(())
 
 
-def eval_seq(term: Term) -> list[CanonicalValue]:
-    """Canonical list value of a closed term of data sequence type."""
+def eval_seq(term: Term) -> list[Term]:
+    """The item literals of a closed term of data sequence type."""
     t = _closed_type(term)
     if not (isinstance(t, Star) and is_data_type(t)):
         raise NotDataType(repr(t))
-    return [to_canonical(v, t.element) for v in compile_term(term)(())]
+    return [value_to_term(v, t.element) for v in compile_term(term)(())]
 
 
-def term_to_value(term: Term, t: FiniteType) -> CanonicalValue:
-    """Canonical value of a closed term at a data type; its normal form as a closure otherwise."""
+def term_to_value(term: Term, t: FiniteType) -> Term:
+    """The literal of a closed term's value at a data type; its normal form otherwise."""
     if not is_data_type(t):
-        return Closure(normalize(term))
+        return normalize(term)
     found = _closed_type(term)
     if found != t:
         raise IllTyped("term_to_value", t, found)
-    return to_canonical(compile_term(term)(()), t)
+    return value_to_term(compile_term(term)(()), t)
 
 
-def value_to_term(v: CanonicalValue) -> Term:
-    if isinstance(v, Nat):
-        return numeral(v.value)
-    if isinstance(v, Seq):
-        return seq_term(v.element, [value_to_term(item) for item in v.items])
-    return v.term
+def value_to_term(v, t: FiniteType) -> Term:
+    """The literal of a native value at the data type t: a numeral or a sequence literal."""
+    if isinstance(t, Ground):
+        return numeral(v)
+    return seq_term(t.element, [value_to_term(item, t.element) for item in v])

@@ -36,9 +36,9 @@ from nsdial.oracle import (
 from nsdial.proofs import axiom, check_proof
 from nsdial.reduce import (
     eval_nat,
+    eval_seq,
     normalize,
     spine,
-    value_to_term,
 )
 from nsdial.sexpr import parse_bundle, parse_formula, parse_proof, parse_term, print_bundle, print_formula, print_proof, print_term_top, read_one
 from nsdial.terms import (
@@ -117,8 +117,8 @@ def test_defining_equations():
     # ground element type: every grid instance of every equation variable
     nil = empty_seq(N)
     assert norm_eq(seq_len(N, nil), ZERO)
-    elems = [value_to_term(v) for v in grid_values(N)]
-    seqs = [value_to_term(v) for v in grid_values(Star(N))]
+    elems = grid_values(N)
+    seqs = grid_values(Star(N))
     for a in elems:
         for s in seqs:
             cas = cons(N, a, s)
@@ -158,7 +158,7 @@ def test_defining_equations():
     # list recursor equations over a closed step-function pool
     for acc_ty, steps in fun_pool.items():
         for y in steps:
-            for x in [value_to_term(v) for v in grid_values(acc_ty, Grid(1, 1))]:
+            for x in grid_values(acc_ty, Grid(1, 1)):
                 failures += not norm_eq(list_rec(acc_ty, N, x, y, empty_seq(N)), x)
                 for z in [ZERO, numeral(2)]:
                     for s in [seq_term(N, []), seq_term(N, [numeral(1)])]:
@@ -173,8 +173,8 @@ def test_defining_equations():
     ]
     for body in bodies:
         for a in grid_values(N):
-            lhs = seq_app_infer(SeqAbs("x", N, body), value_to_term(a), Star(Arrow(N, Star(N))))
-            rhs = substitute(body, "x", value_to_term(a))
+            lhs = seq_app_infer(SeqAbs("x", N, body), a, Star(Arrow(N, Star(N))))
+            rhs = substitute(body, "x", a)
             failures += not norm_eq(lhs, rhs)
     assert failures == 0
 
@@ -182,25 +182,21 @@ def test_defining_equations():
 @criterion(2, "sequence lemmas hold on the full grid (B=3, L=2)")
 def test_sequence_lemmas():
     failures = 0
-    for sv in grid_values(Star(N)):
-        s = value_to_term(sv)
+    for s in grid_values(Star(N)):
         is_zero_len = eval_nat(seq_len(N, s)) == 0
-        is_nil = sv.items == ()
+        is_nil = eval_seq(s) == []
         failures += is_zero_len != is_nil
     # extensional equality implies identity
-    for sv in grid_values(Star(N)):
-        for tv in grid_values(Star(N)):
-            s, t = value_to_term(sv), value_to_term(tv)
+    for s in grid_values(Star(N)):
+        for t in grid_values(Star(N)):
             same_len = eval_nat(seq_len(N, s)) == eval_nat(seq_len(N, t))
             pointwise = same_len and all(
                 eval_nat(proj(N, s, numeral(i))) == eval_nat(proj(N, t, numeral(i)))
-                for i in range(len(sv.items))
+                for i in range(len(eval_seq(s)))
             )
             if pointwise:
-                failures += sv != tv
+                failures += s != t
     # monotonicity of sequence application in the function sequence
-    from nsdial.reduce import eval_seq
-
     pool = [
         Lam("x", N, empty_seq(N)),
         Lam("x", N, seq_term(N, [Var("x", N)])),
@@ -217,11 +213,10 @@ def test_sequence_lemmas():
         big = eval_seq(seq_app_infer(seq_term(Arrow(N, Star(N)), sup), a, fn_seq))
         failures += not all(item in big for item in small)
     # length is additive over concatenation
-    for sv in grid_values(Star(N)):
-        for tv in grid_values(Star(N)):
-            s, t = value_to_term(sv), value_to_term(tv)
+    for s in grid_values(Star(N)):
+        for t in grid_values(Star(N)):
             total = eval_nat(seq_len(N, concat(N, s, t)))
-            failures += total != len(sv.items) + len(tv.items)
+            failures += total != len(eval_seq(s)) + len(eval_seq(t))
     assert failures == 0
 
 
@@ -402,9 +397,7 @@ def test_negative_controls():
         assert replay(bundle, verdict, grid)
     # the stated environment for the corrupted overspill collector
     verdict = verify_bundle(fx.os_u_corrupt(), grid)
-    from nsdial.reduce import Nat, Seq
-
-    assert list(verdict.env_dict().values()) == [Seq(N, (Nat(0),))]
+    assert list(verdict.env_dict().values()) == [seq_term(N, [numeral(0)])]
 
 
 @criterion(10, "corpus reports are deterministic and printing round-trips")

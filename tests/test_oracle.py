@@ -34,15 +34,13 @@ from nsdial.oracle import (
     verify_bundle,
 )
 from nsdial.reduce import (
-    Closure,
-    Nat,
     NotClosed,
     NotDataType,
-    Seq,
     compile_term,
+    eval_nat,
+    eval_seq,
     normalize,
     term_to_value,
-    to_canonical,
     value_to_term,
 )
 from nsdial.sexpr import parse_bundle, parse_formula, parse_term, read_one
@@ -75,11 +73,11 @@ import fixture_defs as fx
 
 def as_lists(values):
     def conv(v):
-        if isinstance(v, Nat):
-            return v.value
-        return [conv(i) for i in v.items]
+        if isinstance(v, int):
+            return v
+        return [conv(i) for i in v]
 
-    return [conv(v) for v in values]
+    return [conv(compile_term(v)(())) for v in values]
 
 
 def test_enumerate_ground():
@@ -114,7 +112,7 @@ def test_eval_trivial_equation():
 
 def test_eval_membership():
     f = In(N, Var("a", N), Var("s", Star(N)))
-    env = {"a": Nat(1), "s": Seq(N, (Nat(0), Nat(1)))}
+    env = {"a": numeral(1), "s": seq_term(N, [numeral(0), numeral(1)])}
     assert eval_formula(f, env, Grid(2, 2)) == GridValid()
 
 
@@ -131,7 +129,7 @@ def test_verify_corrupted_os_star_bundle():
     verdict = verify_bundle(fx.os_u_corrupt(), Grid(2, 2))
     assert isinstance(verdict, CounterexampleFound)
     # the first counterexample in enumeration order is the singleton zero
-    assert list(verdict.env_dict().values()) == [Seq(N, (Nat(0),))]
+    assert list(verdict.env_dict().values()) == [seq_term(N, [numeral(0)])]
     assert replay(fx.os_u_corrupt(), verdict, Grid(2, 2))
 
 
@@ -177,13 +175,13 @@ def test_upward_closure_on_random_formulas():
 
 def test_witness_basic():
     f = Exists("y", N, Eq(N, Var("y", N), numeral(2)))
-    assert brute_force_witness(f, Grid(3, 1)) == Nat(2)
+    assert brute_force_witness(f, Grid(3, 1)) == numeral(2)
 
 
 def test_witness_first_in_order():
     # first length-2 sequence in canonical order
     f = Exists("s", Star(N), Eq(N, seq_len(N, Var("s", Star(N))), numeral(2)))
-    assert brute_force_witness(f, Grid(1, 2)) == Seq(N, (Nat(0), Nat(0)))
+    assert brute_force_witness(f, Grid(1, 2)) == seq_term(N, [numeral(0), numeral(0)])
 
 
 def test_witness_none():
@@ -221,7 +219,7 @@ def reference_eval(f, env, grid):
 
     def close(t, env):
         for name, v in env.items():
-            t = substitute(t, name, value_to_term(v))
+            t = substitute(t, name, v)
         return normalize(t)
 
     def go(f, env):
@@ -243,8 +241,8 @@ def reference_eval(f, env, grid):
                 return True
             return UNKNOWN if UNKNOWN in (a, b) else False
         if isinstance(f, (BoundedForall, BoundedExists)):
-            n = term_to_value(close(f.bound, env), N).value
-            rs = [go(f.body, {**env, f.var: Nat(i)}) for i in range(n)]
+            n = eval_nat(term_to_value(close(f.bound, env), N))
+            rs = [go(f.body, {**env, f.var: numeral(i)}) for i in range(n)]
             universal = isinstance(f, BoundedForall)
         else:
             assert isinstance(f, (Forall, Exists))
@@ -420,7 +418,7 @@ def test_compiled_lrec_sums():
     total = list_rec(N, N, ZERO, step, s_)
     f = Eq(N, total, numeral(2))
     results = compiled_results(f, [("s", Star(N))], Grid(2, 2))
-    sums = [sum(v.value for v in env["s"].items) for env in envs([("s", Star(N))], Grid(2, 2))]
+    sums = [sum(compile_term(env["s"])(())) for env in envs([("s", Star(N))], Grid(2, 2))]
     assert results == [x == 2 for x in sums]
 
 
@@ -478,7 +476,7 @@ def test_compiled_unsaturated_operators_as_arguments():
     f = Eq(Star(N), flat, seq_term(N, [ZERO, numeral(1)]))
     results = compiled_results(f, [("ss", Star(Star(N)))], Grid(1, 2))
     want = [
-        [v for part in reversed(env["ss"].items) for v in part.items] == [Nat(0), Nat(1)]
+        [v for part in reversed(eval_seq(env["ss"])) for v in eval_seq(part)] == [numeral(0), numeral(1)]
         for env in envs([("ss", Star(Star(N)))], Grid(1, 2))
     ]
     assert results == want and any(want)
@@ -503,7 +501,7 @@ def test_upward_closure_counterexample_is_first_in_pair_order():
         got = check_upward_closed(TranslatedFormula(exist, univ, matrix, Flavor.DST), grid)
         # reference: every extension pair in product order, evaluated by substitution
         domain = list(enumerate_values(Star(N), grid))
-        pairs = [(x, y) for x in domain for y in domain if set(x.items) <= set(y.items)]
+        pairs = [(x, y) for x in domain for y in domain if set(eval_seq(x)) <= set(eval_seq(y))]
         want = GridValid()
         for a in enumerate_values(N, grid):
             truth = {}
@@ -526,11 +524,11 @@ def test_upward_closure_counterexample_is_first_in_pair_order():
 
 def test_eval_formula_closure_values_and_missing_variables():
     f = Eq(N, App(Var("f", Arrow(N, N)), a_), a_)
-    identity = Closure(Lam("x", N, Var("x", N)))
-    constant = Closure(Lam("x", N, ZERO))
-    assert eval_formula(f, {"f": identity, "a": Nat(2)}, Grid(2, 1)) == GridValid()
-    verdict = eval_formula(f, {"f": constant, "a": Nat(2)}, Grid(2, 1))
-    assert verdict == CounterexampleFound((("a", Nat(2)), ("f", constant)))
+    identity = Lam("x", N, Var("x", N))
+    constant = Lam("x", N, ZERO)
+    assert eval_formula(f, {"f": identity, "a": numeral(2)}, Grid(2, 1)) == GridValid()
+    verdict = eval_formula(f, {"f": constant, "a": numeral(2)}, Grid(2, 1))
+    assert verdict == CounterexampleFound((("a", numeral(2)), ("f", constant)))
     with pytest.raises(NotClosed):
         eval_formula(f, {"f": identity}, Grid(2, 1))
     with pytest.raises(NotClosed):
@@ -539,18 +537,18 @@ def test_eval_formula_closure_values_and_missing_variables():
 
 @pytest.mark.parametrize("text, name, value, want", [
     # a data value that reaches an arrow-typed equation
-    ("(eq (-> N N) (lam (x N) (var a)) (lam (x N) 2))", "a", Nat(2), GridValid()),
-    ("(eq (-> N N) (lam (x N) (var a)) (lam (x N) 2))", "a", Nat(1),
+    ("(eq (-> N N) (lam (x N) (var a)) (lam (x N) 2))", "a", numeral(2), GridValid()),
+    ("(eq (-> N N) (lam (x N) (var a)) (lam (x N) 2))", "a", numeral(1),
      Unknown("non-data quantifier encountered")),
     # a sequence value in the same place
-    ("(eq (-> N (* N)) (lam (x N) (var s)) (lam (x N) (seq N 1)))", "s", Seq(N, (Nat(1),)),
+    ("(eq (-> N (* N)) (lam (x N) (var s)) (lam (x N) (seq N 1)))", "s", seq_term(N, [numeral(1)]),
      GridValid()),
-    ("(eq (-> N (* N)) (lam (x N) (var s)) (lam (x N) (seq N 1)))", "s", Seq(N, (Nat(0),)),
+    ("(eq (-> N (* N)) (lam (x N) (var s)) (lam (x N) (seq N 1)))", "s", seq_term(N, [numeral(0)]),
      Unknown("non-data quantifier encountered")),
     # an environment name that a binder rebinds
-    ("(and (eq N (var a) 2) (forall (a N) (eq N (var a) (var a))))", "a", Nat(2), GridValid()),
-    ("(and (eq N (var a) 2) (forall (a N) (eq N (var a) (var a))))", "a", Nat(0),
-     CounterexampleFound((("a", Nat(0)),))),
+    ("(and (eq N (var a) 2) (forall (a N) (eq N (var a) (var a))))", "a", numeral(2), GridValid()),
+    ("(and (eq N (var a) 2) (forall (a N) (eq N (var a) (var a))))", "a", numeral(0),
+     CounterexampleFound((("a", numeral(0)),))),
 ])
 def test_eval_formula_substitutes_data_values(text, name, value, want):
     f = parse_formula(read_one(text), {"a": N, "s": Star(N)})
@@ -640,7 +638,7 @@ def reference_upward_sweep(tf, grid):
         return list(oracle._domain(t, grid))
 
     def counterexample(env):
-        return CounterexampleFound(tuple(sorted((n, to_canonical(env[n], t)) for n, t in names)))
+        return CounterexampleFound(tuple(sorted((n, value_to_term(env[n], t)) for n, t in names)))
 
     exist_names = [n for n, _ in tf.exist_tuple]
     rest = [(n, t) for n, t in names if n not in exist_names]
@@ -727,7 +725,7 @@ def test_domain_is_the_enumeration_in_native_form():
     for t in (N, Star(N), Star(Star(N)), Star(Star(Star(N)))):
         for grid in (Grid(0, 1), Grid(1, 1, 3), Grid(2, 2), Grid(1, 2, 1)):
             try:
-                want = tuple(compile_term(value_to_term(v))(()) for v in enumerate_values(t, grid))
+                want = tuple(compile_term(v)(()) for v in enumerate_values(t, grid))
             except NotDataType:
                 with pytest.raises(NotDataType):
                     oracle._domain(t, grid)

@@ -233,14 +233,13 @@ def test_a_node_may_have_more_than_three_fields():
         Quad(1, "b")
 
 
-# Field names of the value classes: the translations and bundles, the oracle's
-# grid and verdicts, and the canonical values.
+# Field names of the value classes: the translations and bundles, and the
+# oracle's grid and verdicts.
 VALUE_FIELDS = {
     "TranslatedFormula": ("exist_tuple", "univ_tuple", "matrix", "flavor"),
     "RealiserBundle": ("target", "translated", "terms", "flavor"),
     "Grid": ("nat_bound", "seq_len_bound", "depth_bound"),
     "GridValid": (), "CounterexampleFound": ("environment",), "Unknown": ("reason",),
-    "Nat": ("value",), "Seq": ("element", "items"), "Closure": ("term",),
 }
 
 
@@ -248,15 +247,13 @@ def _value_samples():
     """One instance of each value class."""
     from nsdial.ftypes import N, Star
     from nsdial.oracle import CounterexampleFound, Grid, GridValid, Unknown
-    from nsdial.reduce import Closure, Nat, Seq
-    from nsdial.terms import Lam, Var
+    from nsdial.terms import numeral, seq_term
     import fixture_defs as fx
 
     bundle = fx.os_dst_bundle()
-    seq = Seq(Star(N), (Seq(N, ()), Seq(N, (Nat(0), Nat(2)))))
+    seq = seq_term(Star(N), [seq_term(N, []), seq_term(N, [numeral(0), numeral(2)])])
     return [bundle.translated, bundle, Grid(2, 1, 0), GridValid(),
-            CounterexampleFound((("s", seq), ("x", Nat(1)))), Unknown("non-data quantifier"),
-            Nat(3), seq, Closure(Lam("x", N, Var("x", N)))]
+            CounterexampleFound((("s", seq), ("x", numeral(1)))), Unknown("non-data quantifier")]
 
 
 @pytest.mark.parametrize("x", _value_samples(), ids=lambda x: type(x).__name__)
@@ -439,7 +436,7 @@ def test_json_report_does_not_load_openssl(tmp_path):
 EXPORTS = {
     "ftypes": ("Arrow", "FiniteType", "Ground", "N", "Star", "is_data_type"),
     "terms": ("Term", "alpha_eq", "substitute", "type_check"),
-    "reduce": ("CanonicalValue", "eval_nat", "eval_seq", "normalize"),
+    "reduce": ("eval_nat", "eval_seq", "normalize"),
     "formulas": ("Formula", "classify", "desugar"),
     "translate": ("Flavor", "RealiserBundle", "TranslatedFormula", "dst_translate",
                   "u_translate"),
