@@ -148,6 +148,22 @@ class App(Node):
     fun: "Term"
     arg: "Term"
 
+    __hash__ = Node.__hash__
+
+    def __eq__(self, other):
+        # field equality; a successor chain is compared in one loop, not one frame per succ
+        if other.__class__ is not App:
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            f = a.fun
+            if f.__class__ is not Const or f.kind is not SUCC_KIND or f != b.fun:
+                return Node.__eq__(a, b)
+            a, b = a.arg, b.arg
+            if a.__class__ is not App or b.__class__ is not App:
+                return a == b
+        return True
+
 
 @syntax()
 @node

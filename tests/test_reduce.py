@@ -275,7 +275,6 @@ def test_long_successor_chains_normalise_under_a_binder():
     for body in (numeral(10 ** 4), chain):
         nf = normalize(Lam("x", N, body))
         assert (nf.__class__, nf.var, nf.var_type) == (Lam, "x", N)
-        # compared as chains: structural equality recurses once per successor
         assert succ_chain(nf.body) == succ_chain(body)
 
 

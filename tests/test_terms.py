@@ -165,6 +165,28 @@ def test_successor_chains_type_in_one_frame():
         type_check(App(SUCC, App(SUCC, empty_seq(N))))
 
 
+def test_successor_chains_compare_in_one_loop():
+    from nsdial.oracle import CounterexampleFound
+    from nsdial.reduce import normalize
+
+    big = 10 ** 4
+    assert numeral(big) == numeral(big) and not numeral(big) != numeral(big)
+    assert numeral(big) != numeral(big - 1) and numeral(big - 1) != numeral(big)
+    assert hash(numeral(big)) == hash(numeral(big))
+    assert CounterexampleFound((("a", numeral(big)),)) == CounterexampleFound((("a", numeral(big)),))
+    assert normalize(Lam("x", N, numeral(big))) == Lam("x", N, numeral(big))
+    # the same result as comparing fields, with succ constants that carry type arguments
+    typed, x = Const(ConstKind.SUCC, (N,)), Var("x", N)
+    pool = [ZERO, x, numeral(2), numeral(3), numeral(2, x), numeral(2, App(x, ZERO)),
+            App(typed, numeral(1)), App(SUCC, App(typed, ZERO)), App(typed, App(typed, ZERO)),
+            App(x, numeral(1)), App(App(SUCC, x), ZERO), App(Lam("y", N, ZERO), ZERO)]
+    for a in pool:
+        for b in pool:
+            # a node's repr spells out every field
+            assert (a == b) is (repr(a) == repr(b)) is not (a != b), (a, b)
+            assert a != b or hash(a) == hash(b)
+
+
 def test_free_vars_and_data_types():
     t = lam([("a", N)], App(Var("f", Arrow(N, N)), Var("a", N)))
     assert set(free_vars(t)) == {"f"}
