@@ -535,6 +535,31 @@ def test_eval_formula_closure_values_and_missing_variables():
         brute_force_witness(Exists("y", N, Eq(N, Var("y", N), a_)), Grid(2, 1))
 
 
+@pytest.mark.parametrize("path", sorted((FIXTURES / "negative").glob("*.bundle")), ids=lambda p: p.name)
+def test_counterexample_environment_goes_back_through_eval_formula(path):
+    # its values are literal terms, taken as they are
+    bundle = parse_bundle(read_one(path.read_text()))
+    grid = Grid(2, 2)
+    verdict = verify_bundle(bundle, grid)
+    assert eval_formula(oracle._instantiate(bundle), verdict.env_dict(), grid) == verdict
+    for name, value in verdict.environment:
+        ty = dict(bundle.translated.univ_tuple)[name]
+        assert term_to_value(value, ty) == value
+        open_value = CounterexampleFound(((name, Var("b", ty)),))
+        with pytest.raises(NotClosed):
+            replay(bundle, open_value, grid)
+        with pytest.raises(NotClosed):
+            eval_formula(oracle._instantiate(bundle), open_value.env_dict(), grid)
+
+
+def test_witness_is_the_enumerated_literal():
+    grid = Grid(1, 2)
+    for t in (N, Star(N), Star(Star(N))):
+        for v, native in zip(enumerate_values(t, grid), oracle._domain(t, grid), strict=True):
+            w = brute_force_witness(Exists("y", t, Eq(t, Var("y", t), v)), grid)
+            assert w == v == term_to_value(w, t) and compile_term(w)(()) == native
+
+
 @pytest.mark.parametrize("text, name, value, want", [
     # a data value that reaches an arrow-typed equation
     ("(eq (-> N N) (lam (x N) (var a)) (lam (x N) 2))", "a", numeral(2), GridValid()),
