@@ -241,7 +241,7 @@ def reference_eval(f, env, grid):
                 return True
             return UNKNOWN if UNKNOWN in (a, b) else False
         if isinstance(f, (BoundedForall, BoundedExists)):
-            n = eval_nat(term_to_value(close(f.bound, env), N))
+            n = eval_nat(close(f.bound, env))
             rs = [go(f.body, {**env, f.var: numeral(i)}) for i in range(n)]
             universal = isinstance(f, BoundedForall)
         else:
@@ -476,7 +476,7 @@ def test_compiled_unsaturated_operators_as_arguments():
     f = Eq(Star(N), flat, seq_term(N, [ZERO, numeral(1)]))
     results = compiled_results(f, [("ss", Star(Star(N)))], Grid(1, 2))
     want = [
-        [v for part in reversed(eval_seq(env["ss"])) for v in eval_seq(part)] == [numeral(0), numeral(1)]
+        [v for part in reversed(compile_term(env["ss"])(())) for v in part] == [0, 1]
         for env in envs([("ss", Star(Star(N)))], Grid(1, 2))
     ]
     assert results == want and any(want)
@@ -539,9 +539,9 @@ def test_eval_formula_closure_values_and_missing_variables():
 def test_counterexample_environment_goes_back_through_eval_formula(path):
     # its values are literal terms, taken as they are
     bundle = parse_bundle(read_one(path.read_text()))
-    grid = Grid(2, 2)
+    matrix, grid = oracle._instantiate(bundle), Grid(2, 2)
     verdict = verify_bundle(bundle, grid)
-    assert eval_formula(oracle._instantiate(bundle), verdict.env_dict(), grid) == verdict
+    assert eval_formula(matrix, verdict.env_dict(), grid) == verdict
     for name, value in verdict.environment:
         ty = dict(bundle.translated.univ_tuple)[name]
         assert term_to_value(value, ty) == value
@@ -549,7 +549,7 @@ def test_counterexample_environment_goes_back_through_eval_formula(path):
         with pytest.raises(NotClosed):
             replay(bundle, open_value, grid)
         with pytest.raises(NotClosed):
-            eval_formula(oracle._instantiate(bundle), open_value.env_dict(), grid)
+            eval_formula(matrix, open_value.env_dict(), grid)
 
 
 def test_witness_is_the_enumerated_literal():
