@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import io
+import os
 import sys
 import time
 from collections.abc import Callable, Iterable
@@ -302,7 +303,22 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console script: run, then end the process without interpreter teardown.
+
+    The report has been written and closed by then; once stdout and stderr
+    are flushed, tearing down the modules and objects of the run does no work
+    for the user. os._exit skips atexit handlers, so a tool that needs them,
+    such as coverage, calls run instead. A flush that fails (stdout a closed
+    pipe) leaves the exit to sys.exit, which reports it as before.
+    """
+    status = run(sys.argv[1:])
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started with the fd closed
+                stream.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -5,11 +5,15 @@ of the package is built: the types here, and the terms, formulas and proofs
 of the modules above this one. Node extends Record, which with @record also
 builds the package's value classes: translations and bundles, and the
 oracle's grid and verdicts.
+
+These classes keep a frozen slotted dataclass's contract without importing
+dataclasses, which would load inspect and ast into every command: the
+decorators build the slotted class themselves, and each class's field table
+is built by dataclasses on first access, which no command makes.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import attrgetter
 
 
@@ -45,9 +49,13 @@ class Record:
         return self.__class__, self._values(self)
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -90,10 +98,11 @@ class Node(Record):
 def node(cls):
     """Class decorator for a Node subclass: its annotated fields become slots.
 
-    They are registered as (fields-only) dataclass fields, and the class gets
-    a positional __init__ built from its arity's template, whose defaults are
-    the fields'. The __init__ also clears the _type memo and leaves _hash
-    unset, for __hash__ to fill.
+    dataclasses.is_dataclass and dataclasses.fields accept the class: its
+    field table is built by dataclasses on first access. The class gets a
+    positional __init__ built from its arity's template, whose defaults are
+    the fields' class-level defaults. The __init__ also clears the _type
+    memo and leaves _hash unset, for __hash__ to fill.
     Done by a decorator, not a metaclass, so that isinstance on node classes
     keeps its fast path.
     """
@@ -119,6 +128,28 @@ def tuple_getter(names: tuple[str, ...]):
     return lambda node: ()
 
 
+class _FieldTable:
+    """A declared class's __dataclass_fields__, built by dataclasses on first access.
+
+    That access imports dataclasses and has make_dataclass build the table of
+    a class with the same annotated fields and defaults; the table then
+    replaces this descriptor on the class.
+    """
+
+    def __init__(self, cls, defaults: dict):
+        self.cls, self.defaults = cls, defaults
+
+    def __get__(self, instance, owner):
+        from dataclasses import field, make_dataclass
+
+        cls, defaults = self.cls, self.defaults
+        spec = [(name, ann, field(default=defaults[name])) if name in defaults else (name, ann)
+                for name, ann in vars(cls).get("__annotations__", {}).items()]
+        table = make_dataclass(cls.__name__, spec, init=False, repr=False, eq=False)
+        cls.__dataclass_fields__ = table = table.__dataclass_fields__
+        return table
+
+
 _put_hash = Node._hash.__set__
 _put_type = Node._type.__set__
 _makers = {}  # (arity, memo) -> the function that closes an __init__ over its setters
@@ -127,19 +158,26 @@ _makers = {}  # (arity, memo) -> the function that closes an __init__ over its s
 def _declare(cls, memo: bool):
     """The @node (memo) or @record class of cls.
 
+    As dataclass(slots=True) does, it is a new class whose slots are the
+    annotated names; their class-level defaults become __init__'s defaults.
     Its __init__ stores its arguments through the fields' slot setters. As
     dataclasses builds __init__, the source comes from the arity (and memo)
     alone and is compiled once; the setters are closure variables, _put_type
     a global. A record's __init__ is that code with the fields' names as
     parameter names.
     """
-    if cls.__doc__ is None:  # spares dataclass the signature it would print
-        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
-    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
-    declared = fields(cls)
-    names = cls._fields = tuple(f.name for f in declared)
-    cls._values = staticmethod(tuple_getter(names))
-    if "__init__" in vars(cls):
+    attrs = dict(vars(cls))
+    names = tuple(attrs.get("__annotations__", ()))
+    defaults = {name: attrs.pop(name) for name in names if name in attrs}
+    del attrs["__dict__"], attrs["__weakref__"]  # the descriptors of the class being replaced
+    if attrs["__doc__"] is None:  # the signature a dataclass would print
+        attrs["__doc__"] = f"{cls.__name__}({', '.join(names)})"
+    attrs.setdefault("__match_args__", names)
+    attrs.update(__slots__=names, __qualname__=cls.__qualname__, _fields=names,
+                 _values=staticmethod(tuple_getter(names)))
+    cls = type(cls)(cls.__name__, cls.__bases__, attrs)
+    cls.__dataclass_fields__ = _FieldTable(cls, defaults)
+    if "__init__" in attrs:
         return cls
     make = _makers.get((len(names), memo))
     if make is None:
@@ -153,7 +191,7 @@ def _declare(cls, memo: bool):
         exec("\n".join(lines), globals(), namespace)
         make = _makers[len(names), memo] = namespace["make"]
     init = cls.__init__ = make(*[getattr(cls, n).__set__ for n in names])
-    init.__defaults__ = tuple(f.default for f in declared if f.default is not MISSING) or None
+    init.__defaults__ = tuple(defaults.values()) or None
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     if not memo:
         init.__code__ = init.__code__.replace(co_varnames=("self", *names))

@@ -206,9 +206,9 @@ def _compile(f: Formula, scope: _Frame, grid: Grid):
         b, cost_b = _compile(f.right, scope, grid)
         return _connective(type(f), a, b, cost_b < cost_a), cost_a + cost_b
     if isinstance(f, (BoundedForall, BoundedExists, Forall, Exists)):
-        bounded = isinstance(f, (BoundedForall, BoundedExists))
-        if not bounded and (not is_data_type(f.var_type) or type_depth(f.var_type) > grid.depth_bound):
+        if _unsampled(f, grid):
             return (lambda frame: UNKNOWN), 1
+        bounded = isinstance(f, (BoundedForall, BoundedExists))
         slot, outer = scope.bind(f.var)
         body, cost = _compile(f.body, scope, grid)
         resets = scope.unbind(f.var, outer)
@@ -226,6 +226,27 @@ def _compile(f: Formula, scope: _Frame, grid: Grid):
         raise AssertionError(f"non-internal node in matrix: {f!r}")
 
     return non_internal, 1
+
+
+def _unsampled(f: Formula, grid: Grid) -> bool:
+    """True for an unbounded quantifier over a non-data type or one deeper than the grid."""
+    return (isinstance(f, (Forall, Exists))
+            and (not is_data_type(f.var_type) or type_depth(f.var_type) > grid.depth_bound))
+
+
+def _unknown_reason(matrix: Formula, grid: Grid) -> str:
+    """Why a matrix evaluated to UNKNOWN: a quantifier that _compile cannot sample,
+    else an arrow-typed equation whose normal forms differ."""
+    stack = [matrix]
+    while stack:
+        f = stack.pop()
+        if _unsampled(f, grid):
+            return "non-data quantifier encountered"
+        if isinstance(f, (And, Or, Imp)):
+            stack += [f.left, f.right]
+        elif isinstance(f, (BoundedForall, BoundedExists, Forall, Exists)):
+            stack.append(f.body)
+    return "arrow-typed equation not decided by normal forms"
 
 
 def _arrow_eq(f: Eq, scope: _Frame):
@@ -375,7 +396,7 @@ def _verdict(matrix: Formula, env: dict[str, Term], swept, grid: Grid) -> Verdic
         return GridValid()
     if r is False:
         return _counterexample(frame, swept, env.items())
-    return Unknown("non-data quantifier encountered")
+    return Unknown(_unknown_reason(matrix, grid))
 
 
 def eval_formula(matrix: Formula, env: dict[str, Term], grid: Grid) -> Verdict:

@@ -1,11 +1,14 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import nsdial
 from nsdial.cli import _digest, build_parser, run
 from nsdial.oracle import Grid
 
@@ -908,3 +911,71 @@ def test_corpus_reports_match_golden(tmp_path, capsys):
     # change rewrites the file from _corpus_report_lines()
     want = CORPUS_REPORTS_GOLDEN.read_text().splitlines()
     assert _corpus_report_lines(tmp_path, capsys) == want
+
+
+# -- the console entry point: python -m nsdial.cli, which ends without interpreter teardown --
+
+
+def _a5(tmp_path) -> Path:
+    """Five left-nested implications of standardness atoms; the dst translation prints 214 KB."""
+    text = "(st N (var x0))"
+    for k in range(1, 6):
+        text = f"(imp {text} (st N (var x{k})))"
+    path = tmp_path / "a5.fml"
+    path.write_text(text + "\n")
+    return path
+
+
+def _write(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
+def _main(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """`python -m nsdial.cli argv` in a fresh interpreter whose stdout is block-buffered,
+    as it is on a pipe, so that output the exit does not flush would be lost."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nsdial.__file__).parent.parent), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return subprocess.run([sys.executable, "-m", "nsdial.cli", *map(str, argv)], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("make_argv, code, last_err", [
+    (lambda tmp: ["translate", "--dst", _a5(tmp)], 0, None),
+    (lambda tmp: ["verify", NEGATIVE / "overspill_corrupt.u.bundle", *CORPUS_GRID], 1, None),
+    (lambda tmp: ["translate", "--u", _write(tmp / "bad.u.fml", "(imp (st N\n")], 2,
+     "error: unbalanced ("),
+    (lambda tmp: ["--help"], 0, None),
+    (lambda tmp: ["translate", CORPUS / "worked.u.fml"], 2,
+     "nsdial translate: error: one of the arguments --dst --u is required"),
+], ids=["a5", "counterexample", "malformed", "help", "usage-error"])
+def test_main_prints_and_exits_as_run(tmp_path, capsys, monkeypatch, make_argv, code, last_err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the same width in both
+    argv = [str(a) for a in make_argv(tmp_path)]
+    done = _main(argv)
+    try:
+        status = run(argv)
+    except SystemExit as e:  # --help and usage errors leave run through argparse
+        status = e.code
+    out, err = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (status, out.encode(), err)
+    assert status == code
+    assert (err.splitlines() or [None])[-1] == last_err
+
+
+def test_main_on_a_closed_pipe_ends_as_before(tmp_path):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        large = _main(["translate", "--dst", _a5(tmp_path)], stdout=write)
+        small = _main(["translate", "--u", CORPUS / "worked.u.fml"], stdout=write)
+    finally:
+        os.close(write)
+    # the first write of a large output fails inside run, which reports it and returns 2
+    assert (large.returncode, large.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+    # a small output waits in the buffer until the exit's flush, which fails; the
+    # interpreter's teardown then reports it as for any script, with status 120
+    assert small.returncode == 120 and b"BrokenPipeError" in small.stderr

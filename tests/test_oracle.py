@@ -564,12 +564,12 @@ def test_witness_is_the_enumerated_literal():
     # a data value that reaches an arrow-typed equation
     ("(eq (-> N N) (lam (x N) (var a)) (lam (x N) 2))", "a", numeral(2), GridValid()),
     ("(eq (-> N N) (lam (x N) (var a)) (lam (x N) 2))", "a", numeral(1),
-     Unknown("non-data quantifier encountered")),
+     Unknown("arrow-typed equation not decided by normal forms")),
     # a sequence value in the same place
     ("(eq (-> N (* N)) (lam (x N) (var s)) (lam (x N) (seq N 1)))", "s", seq_term(N, [numeral(1)]),
      GridValid()),
     ("(eq (-> N (* N)) (lam (x N) (var s)) (lam (x N) (seq N 1)))", "s", seq_term(N, [numeral(0)]),
-     Unknown("non-data quantifier encountered")),
+     Unknown("arrow-typed equation not decided by normal forms")),
     # an environment name that a binder rebinds
     ("(and (eq N (var a) 2) (forall (a N) (eq N (var a) (var a))))", "a", numeral(2), GridValid()),
     ("(and (eq N (var a) 2) (forall (a N) (eq N (var a) (var a))))", "a", numeral(0),
@@ -578,6 +578,24 @@ def test_witness_is_the_enumerated_literal():
 def test_eval_formula_substitutes_data_values(text, name, value, want):
     f = parse_formula(read_one(text), {"a": N, "s": Star(N)})
     assert eval_formula(f, {name: value}, Grid(2, 1)) == want
+
+
+_UNDECIDED = "(eq (-> N N) (lam (x N) (var a)) (lam (x N) 2))"  # undecided at a = 1
+
+
+@pytest.mark.parametrize("text, reason", [
+    # the scan looks through connectives and bounded quantifiers
+    (f"(bforall (i 2) (or (eq N (var i) 5) {_UNDECIDED}))",
+     "arrow-typed equation not decided by normal forms"),
+    # a quantifier over an arrow type beside an undecided arrow equation
+    (f"(and {_UNDECIDED} (exists (f (-> N N)) (eq N (app (var f) zero) 7)))",
+     "non-data quantifier encountered"),
+    # a quantifier over a type deeper than the grid's depth bound 2
+    ("(forall (s (* (* (* N)))) (eq N (var a) 1))", "non-data quantifier encountered"),
+])
+def test_unknown_names_its_cause(text, reason):
+    f = parse_formula(read_one(text), {"a": N})
+    assert eval_formula(f, {"a": numeral(1)}, Grid(2, 1)) == Unknown(reason)
 
 
 def test_witness_of_a_non_data_or_too_deep_variable_raises():

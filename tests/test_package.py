@@ -1,6 +1,7 @@
 """Package hygiene: every global a function reads is defined, no import cycle bites,
 and every syntax-tree node and value class keeps the contract of a frozen dataclass."""
 
+import ast
 import builtins
 import copy as copy_module
 import dataclasses
@@ -429,6 +430,40 @@ def test_json_report_does_not_load_openssl(tmp_path):
     )
     assert "json" in loaded and report.exists()
     assert loaded & {"hashlib", "_hashlib"} == set()
+
+
+def test_no_command_loads_dataclasses_and_field_tables_build_on_first_access():
+    # dataclasses loads inspect, ast, dis and tokenize; the node and record classes keep its
+    # contract without it, and each builds its field table when dataclasses first asks
+    code = (
+        "before = set(sys.modules)\n"
+        "def heavy():\n"
+        "    return sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))\n"
+        "import nsdial.cli\n"
+        "assert heavy() == [], heavy()\n"
+        f"nsdial.cli.run(['corpus', 'run', {str(CORPUS)!r}, '--nat-bound', '1',"
+        " '--len-bound', '1'])\n"
+        "assert heavy() == [], heavy()\n"
+        "import importlib\n"
+        f"modules = [importlib.import_module('nsdial.' + m) for m in {MODULES!r}]\n"
+        "assert heavy() == [], heavy()\n"
+        "import dataclasses\n"
+        "from nsdial.ftypes import Node, Record\n"
+        "tables = {}\n"
+        "for m in modules:\n"
+        "    for c in vars(m).values():\n"
+        "        if isinstance(c, type) and issubclass(c, Record) and c.__module__ == m.__name__:\n"
+        "            fs = dataclasses.fields(c) if dataclasses.is_dataclass(c) else ()\n"
+        "            tables[c.__name__] = (dataclasses.is_dataclass(c), tuple(f.name for f in fs),\n"
+        "                                  {f.name: f.default for f in fs\n"
+        "                                   if f.default is not dataclasses.MISSING})\n"
+        "print(repr(tables))"
+    )
+    declared = {**NODE_FIELDS, **VALUE_FIELDS}
+    want = {name: (True, names, {"types": ()} if name == "Const" else {})
+            for name, names in declared.items()}
+    want.update(Node=(False, (), {}), Record=(False, (), {}))
+    assert ast.literal_eval(_fresh(code)) == want
 
 
 # The package's exports and the module each is defined in (RealiserBundle is
