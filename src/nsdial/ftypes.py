@@ -99,10 +99,10 @@ def node(cls):
     """Class decorator for a Node subclass: its annotated fields become slots.
 
     dataclasses.is_dataclass and dataclasses.fields accept the class: its
-    field table is built by dataclasses on first access. The class gets a
-    positional __init__ built from its arity's template, whose defaults are
-    the fields' class-level defaults. The __init__ also clears the _type
-    memo and leaves _hash unset, for __hash__ to fill.
+    field table is built by dataclasses on first access. The class gets an
+    __init__ from its arity's template that takes the fields by position or
+    by name, with their class-level defaults. The __init__ also clears the
+    _type memo and leaves _hash unset, for __hash__ to fill.
     Done by a decorator, not a metaclass, so that isinstance on node classes
     keeps its fast path.
     """
@@ -112,8 +112,8 @@ def node(cls):
 def record(cls):
     """Class decorator for a Record subclass, as @node is for a Node subclass.
 
-    The __init__ takes the fields by position or by name. A class that checks
-    its arguments defines its own __init__, which the decorator keeps.
+    A class that checks its arguments defines its own __init__, which the
+    decorator keeps.
     """
     return _declare(cls, memo=False)
 
@@ -163,8 +163,8 @@ def _declare(cls, memo: bool):
     Its __init__ stores its arguments through the fields' slot setters. As
     dataclasses builds __init__, the source comes from the arity (and memo)
     alone and is compiled once; the setters are closure variables, _put_type
-    a global. A record's __init__ is that code with the fields' names as
-    parameter names.
+    a global. Each generated __init__ is that bytecode with the fields' names
+    as parameter names.
     """
     attrs = dict(vars(cls))
     names = tuple(attrs.get("__annotations__", ()))
@@ -193,8 +193,7 @@ def _declare(cls, memo: bool):
     init = cls.__init__ = make(*[getattr(cls, n).__set__ for n in names])
     init.__defaults__ = tuple(defaults.values()) or None
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    if not memo:
-        init.__code__ = init.__code__.replace(co_varnames=("self", *names))
+    init.__code__ = init.__code__.replace(co_varnames=("self", *names))
     return cls
 
 

@@ -121,7 +121,8 @@ class _Frame(Scope):
     given order, then one slot per quantifier binder and one per shared
     subterm. A binder is a new slot even where it shadows a name, so an inner
     loop never clobbers an outer variable. A variable's depth is the nesting
-    level of its binder, 0 for a free variable of the matrix.
+    level of its binder, 0 for a free variable of the matrix. reason is why
+    the matrix may be UNKNOWN; _compile sets it on an unsampled quantifier.
     """
 
     def __init__(self, names):
@@ -131,6 +132,7 @@ class _Frame(Scope):
         # per depth: the binder's slot and the shared slots its loop resets; depth 0 is the root
         self.loops: list = [(None, [])]
         self.shared: dict = {}  # (term, binder slot) -> shared closure
+        self.reason = "arrow-typed equation not decided by normal forms"
 
     def slot(self, initial) -> int:
         self.initial.append(initial)
@@ -207,6 +209,7 @@ def _compile(f: Formula, scope: _Frame, grid: Grid):
         return _connective(type(f), a, b, cost_b < cost_a), cost_a + cost_b
     if isinstance(f, (BoundedForall, BoundedExists, Forall, Exists)):
         if _unsampled(f, grid):
+            scope.reason = "non-data quantifier encountered"
             return (lambda frame: UNKNOWN), 1
         bounded = isinstance(f, (BoundedForall, BoundedExists))
         slot, outer = scope.bind(f.var)
@@ -232,21 +235,6 @@ def _unsampled(f: Formula, grid: Grid) -> bool:
     """True for an unbounded quantifier over a non-data type or one deeper than the grid."""
     return (isinstance(f, (Forall, Exists))
             and (not is_data_type(f.var_type) or type_depth(f.var_type) > grid.depth_bound))
-
-
-def _unknown_reason(matrix: Formula, grid: Grid) -> str:
-    """Why a matrix evaluated to UNKNOWN: a quantifier that _compile cannot sample,
-    else an arrow-typed equation whose normal forms differ."""
-    stack = [matrix]
-    while stack:
-        f = stack.pop()
-        if _unsampled(f, grid):
-            return "non-data quantifier encountered"
-        if isinstance(f, (And, Or, Imp)):
-            stack += [f.left, f.right]
-        elif isinstance(f, (BoundedForall, BoundedExists, Forall, Exists)):
-            stack.append(f.body)
-    return "arrow-typed equation not decided by normal forms"
 
 
 def _arrow_eq(f: Eq, scope: _Frame):
@@ -325,7 +313,8 @@ def _evaluator(matrix: Formula, names, grid: Grid):
     """Compile a desugared internal matrix once: frame -> True | False | UNKNOWN.
 
     The frame is the caller's list of the values of names, in order; the
-    evaluation appends the other slots, the outermost binders' first.
+    evaluation appends the other slots, the outermost binders' first. The
+    evaluator's reason attribute is the compiled matrix's cause of UNKNOWN.
     """
     missing = sorted(set(free_vars(matrix)) - set(names))
     if missing:
@@ -338,6 +327,7 @@ def _evaluator(matrix: Formula, names, grid: Grid):
         frame += initial
         return run(frame)
 
+    evaluate.reason = scope.reason
     return evaluate
 
 
@@ -391,12 +381,13 @@ def _verdict(matrix: Formula, env: dict[str, Term], swept, grid: Grid) -> Verdic
     for name, ty in reversed(swept):
         matrix = Forall(name, ty, matrix)
     frame: list = []
-    r = _evaluator(matrix, (), grid)(frame)
+    evaluate = _evaluator(matrix, (), grid)
+    r = evaluate(frame)
     if r is True:
         return GridValid()
     if r is False:
         return _counterexample(frame, swept, env.items())
-    return Unknown(_unknown_reason(matrix, grid))
+    return Unknown(evaluate.reason)
 
 
 def eval_formula(matrix: Formula, env: dict[str, Term], grid: Grid) -> Verdict:
@@ -574,7 +565,7 @@ def check_upward_closed(tf, grid: Grid) -> Verdict:
 
 def sweep_points(tf, grid: Grid) -> int:
     """Grid points of a full sweep over tf's tuples and other free variables; builds no domain."""
-    names = _sweep_names(list(tf.exist_tuple) + list(tf.univ_tuple), desugar(tf.matrix))
+    names = _sweep_names(list(tf.exist_tuple) + list(tf.univ_tuple), tf.matrix)
     return math.prod(_domain_size(t, grid) for _, t in names)
 
 

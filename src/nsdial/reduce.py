@@ -3,7 +3,7 @@
 The normaliser (``whnf``, ``normalize``) applies the beta rule and the
 defining equations of the operators and returns a symbolic normal form. It
 serves where a term is the output: arrow-typed values and extracted
-realisers.
+realisers. It synthesises no type: a rule reads its operator's type parameters.
 
 The native evaluator (``compile_term``) compiles a term once into a Python
 closure over a frame of native values: N is ``int``, ``t*`` is ``tuple`` and
@@ -26,7 +26,7 @@ import functools
 import itertools
 from operator import itemgetter
 
-from .ftypes import FiniteType, Ground, N, Star, is_data_type
+from .ftypes import Arrow, FiniteType, Ground, N, Star, is_data_type
 from .terms import (
     App,
     CONCAT_KIND,
@@ -61,7 +61,6 @@ from .terms import (
     spine,
     substitute,
     succ_chain,
-    synth_type,
     type_check,
 )
 
@@ -81,11 +80,12 @@ class NotDataType(NsdialError):
 _STUCK = (None, None, None)  # the cell _view gives a stuck term
 
 
-def _view(t: Term) -> tuple[ConstKind | None, Term | None, Term | None]:
+def _view(t: Term, elem: FiniteType) -> tuple[ConstKind | None, Term | None, Term | None]:
     """View the weak head normal form of t as a constructor cell.
 
     The cell is (ZERO, _, _), (SUCC, n, _), (EMPTY, _, _) or (CONS, head, tail),
-    a sequence abstraction being the singleton of its lambda, or (None, _, _)
+    a sequence abstraction being the singleton of its lambda, whose nil is typed
+    by elem, the element type the reading operator declares; or (None, _, _)
     when t is stuck. The rules read their operands through it alone.
     """
     t = whnf(t)
@@ -101,8 +101,7 @@ def _view(t: Term) -> tuple[ConstKind | None, Term | None, Term | None]:
         if kind is ZERO_KIND or kind is EMPTY_KIND:
             return kind, None, None
     elif cls is SeqAbs:
-        fn = Lam(t.var, t.var_type, t.body)
-        return CONS_KIND, fn, Const(EMPTY_KIND, (synth_type(fn),))
+        return CONS_KIND, Lam(t.var, t.var_type, t.body), empty_seq(elem)
     return _STUCK
 
 
@@ -132,7 +131,7 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
         out = cons(elem, args[0], empty_seq(elem))
     elif k is NATREC_KIND or k is LISTREC_KIND:
         x, y = args[0], args[1]
-        tag, h, tail = _view(args[2])
+        tag, h, tail = _view(args[2], head.types[-1])  # lrec's element type; nrec reads a numeral
         if tag is ZERO_KIND or tag is EMPTY_KIND:
             out = x
         elif tag is SUCC_KIND:
@@ -143,20 +142,20 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
             return None
     elif k is SEQAPP_KIND:
         # the functions of a sequence whose every cell is a constructor, applied to a
-        fns = []
-        tag, h, s = _view(args[0])
+        fns, elem, a = [], head.types[1], args[1]
+        fn_type = Arrow(head.types[0], Star(elem))
+        tag, h, s = _view(args[0], fn_type)
         while tag is CONS_KIND:
             fns.append(h)
-            tag, h, s = _view(s)
+            tag, h, s = _view(s, fn_type)
         if tag is None:
             return None
-        elem, a = head.types[1], args[1]
         out = App(fns[-1], a) if fns else empty_seq(elem)
         for f in reversed(fns[:-1]):
             out = concat(elem, App(f, a), out)
     elif k is LEN_KIND or k is PROJ_KIND or k is CONCAT_KIND:
         (elem,) = head.types
-        tag, h, tail = _view(args[0])
+        tag, h, tail = _view(args[0], elem)
         empty = tag is EMPTY_KIND
         if not empty and tag is not CONS_KIND:
             return None
@@ -167,7 +166,7 @@ def _const_step(head: Const, args: list[Term]) -> Term | None:
         elif empty:
             out = default_term(elem)
         else:
-            tag, i, _ = _view(args[1])
+            tag, i, _ = _view(args[1], N)
             if tag is ZERO_KIND:
                 out = h
             elif tag is SUCC_KIND:

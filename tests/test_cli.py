@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nsdial
-from nsdial.cli import _digest, build_parser, run
+from nsdial.cli import _GRID_OPTIONS, _digest, build_parser, run
 from nsdial.oracle import Grid
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -390,6 +390,25 @@ def test_grid_rejects_out_of_range_bounds():
         Grid(2, 2, -1)
     assert Grid(0, 1).nat_bound == 0
     assert Grid(0, 1, 0).depth_bound == 0
+
+
+def test_grid_options_restate_the_grid_defaults_and_minimums(capsys):
+    # the parser restates Grid's defaults and minimums, in Grid's field order, so that it
+    # need not import the oracle: each default is Grid()'s, and at each minimum both accept
+    # the value and both reject the one below it
+    assert [default for _, _, default in _GRID_OPTIONS] == [getattr(Grid(), f) for f in Grid._fields]
+    bundle = str(CORPUS / "doubling.u.bundle")
+    for k, (option, least, _) in enumerate(_GRID_OPTIONS):
+        flag = "--" + option.replace("_", "-")
+        bounds = [default for _, _, default in _GRID_OPTIONS]
+        bounds[k] = least
+        assert [getattr(Grid(*bounds), f) for f in Grid._fields] == bounds
+        assert _parse(["verify", bundle, flag, str(least)])[option] == least
+        bounds[k] = least - 1
+        with pytest.raises(ValueError):
+            Grid(*bounds)
+        assert _parse(["verify", bundle, flag, str(least - 1)]) == 2
+    capsys.readouterr()
 
 
 def test_subseteq_formula_translates(tmp_path, capsys):

@@ -430,6 +430,23 @@ def test_extract_types_each_constant_once(monkeypatch):
     assert print_bundle(bundle) + "\n" == (CORPUS / "doubling.u.bundle").read_text()
 
 
+def test_normalising_herbrandised_realisers_synthesises_no_type(monkeypatch):
+    # sequence application on sequence abstractions reads the element types off the
+    # operator: normalising the realisers of a composed dst extraction types nothing
+    module, terms = importlib.import_module("nsdial.extract"), importlib.import_module("nsdial.terms")
+    a = St(N, Var("x0", N))
+    for k in (1, 2, 3):
+        a = Imp(a, St(N, Var(f"x{k}", N)))
+    handed = []
+    monkeypatch.setattr(module, "normalize", lambda t: handed.append(t) or normalize(t))
+    bundle = extract(imp_refl(a), D)
+    calls = []
+    synth = terms._synth
+    monkeypatch.setattr(terms, "_synth", lambda *args: calls.append(args) or synth(*args))
+    assert tuple(map(normalize, handed)) == bundle.terms and handed
+    assert calls == []
+
+
 @pytest.mark.parametrize("terms, message", [
     ([], "extracted 0 terms for 1 witnesses"),
     ([ZERO], "realiser type N does not match witness (-> N N)"),

@@ -607,15 +607,29 @@ def test_witness_of_a_non_data_or_too_deep_variable_raises():
                             Grid(1, 1))
 
 
+# Disjuncts that are never False: one is undecided at every a but 2, where it is true;
+# the other quantifies over a type the grid cannot sample.
+_NEVER_FALSE = (
+    (_UNDECIDED, "arrow-typed equation not decided by normal forms"),
+    ("(exists (f (-> N N)) (eq N (app (var f) zero) 7))", "non-data quantifier encountered"),
+)
+
+
 def test_verify_sweeps_several_names_in_product_order():
     # the counterexample is the first False in product order over the univ tuple, as given;
-    # a subterm that reads only an outer name is shared across the inner names' points
+    # a subterm that reads only an outer name is shared across the inner names' points.
+    # Every second matrix M is swept as (or M U), U a disjunct of _NEVER_FALSE, in turn:
+    # it is never False, and Unknown names the cause that U brings in
     scope = (("a", N), ("s", Star(N)), ("b", N))
+    wraps = [(parse_formula(read_one(text), dict(scope)), reason) for text, reason in _NEVER_FALSE]
     grid = Grid(2, 2)
     r = rng(48)
     verdicts = set()
-    for _ in range(150):
-        matrix = random_internal(r, list(scope), 3)
+    for i in range(150):
+        matrix, reason = random_internal(r, list(scope), 3), None
+        if i % 2:
+            wrap, reason = wraps[i // 2 % 2]
+            matrix = Or(matrix, wrap)
         bundle = RealiserBundle(matrix, TranslatedFormula((), scope, matrix, Flavor.U), (), Flavor.U)
         want, unknown = None, False
         for env in envs(scope, grid):
@@ -625,10 +639,10 @@ def test_verify_sweeps_several_names_in_product_order():
                 break
             unknown = unknown or got is UNKNOWN
         if want is None:
-            want = Unknown("non-data quantifier encountered") if unknown else GridValid()
+            want = Unknown(reason) if unknown else GridValid()
         assert verify_bundle(bundle, grid) == want, matrix
-        verdicts.add(type(want))
-    assert {GridValid, CounterexampleFound} <= verdicts
+        verdicts.add(want.reason if isinstance(want, Unknown) else type(want))
+    assert verdicts == {GridValid, CounterexampleFound, *(reason for _, reason in _NEVER_FALSE)}
 
 
 # -- frame reuse: one environment per quantifier call, rebound for each value --

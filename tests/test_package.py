@@ -207,10 +207,23 @@ def test_every_node_initialiser_takes_its_fields_in_order_with_their_defaults():
         )
 
 
-def test_node_initialisers_share_one_code_object_per_arity():
+def test_node_initialisers_take_fields_by_name_from_one_template_per_arity():
+    # each class's __init__ names its parameters after its fields, so keywords and
+    # dataclasses.replace work; the bytecode is its arity's template
     codes = {}
     for cls in _node_classes():
-        assert codes.setdefault(len(cls._fields), cls.__init__.__code__) is cls.__init__.__code__
+        declared = [f.name for f in dataclasses.fields(cls)]
+        values = [object() for _ in declared]
+        x = cls(**dict(zip(declared, values)))
+        assert x._values(x) == tuple(values) and x._type is None, cls
+        for name in declared:
+            new = object()
+            y = dataclasses.replace(x, **{name: new})
+            assert type(y) is cls and getattr(y, name) is new, (cls, name)
+            assert [getattr(y, n) for n in declared if n != name] == [
+                v for n, v in zip(declared, values) if n != name]
+        code = cls.__init__.__code__.co_code
+        assert codes.setdefault(len(declared), code) == code, cls
 
 
 def test_a_node_may_have_more_than_three_fields():
