@@ -19,8 +19,8 @@ _EXPORTS = {
     "ftypes": ("Arrow", "FiniteType", "Ground", "N", "Star", "is_data_type"),
     "terms": ("Term", "alpha_eq", "substitute", "type_check"),
     "reduce": ("eval_nat", "eval_seq", "normalize"),
-    "formulas": ("Formula", "classify", "desugar"),
-    "translate": ("Flavor", "RealiserBundle", "TranslatedFormula", "dst_translate", "u_translate"),
+    "formulas": ("Flavor", "Formula", "RealiserBundle", "TranslatedFormula", "classify", "desugar"),
+    "translate": ("dst_translate", "u_translate"),
     "proofs": ("check_proof",),
     "extract": ("extract", "extract_dst", "extract_u"),
     "oracle": (

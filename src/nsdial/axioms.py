@@ -17,6 +17,7 @@ from .formulas import (
     Eq,
     Exists,
     ExistsSt,
+    Flavor,
     Forall,
     ForallSt,
     Formula,
@@ -49,7 +50,6 @@ from .terms import (
     synth_type,
     type_check,
 )
-from .translate import Flavor
 
 
 class BadInstantiation(NsdialError):

@@ -7,9 +7,9 @@ maps what a step raises to an exit code, an outcome and a stderr line. The
 parser, the corpus kinds and the report read each command's `_COMMANDS` entry.
 
 Module level loads only the front end that every command needs: reading,
-printing, type checking and translation. Each command imports the layers it
-uses (normalisation, the proof kernel, extraction, the grid oracle, JSON) on
-first use, so that a run never loads what it does not execute.
+printing and type checking. Each command imports the layers it uses
+(normalisation, translation, the proof kernel, extraction, the grid oracle,
+JSON) on first use, so that a run never loads what it does not execute.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .sexpr import (
     print_type,
     read_one,
 )
-from .terms import IllTyped, NsdialError, TypeMismatch, UnboundVariable, type_check
-from .translate import Flavor, IllTypedInput, Untranslatable, dst_translate, u_translate
+from .formulas import Flavor
+from .terms import InputError, NsdialError, type_check
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,7 +51,7 @@ def _digest(path: Path, data: bytes) -> dict:
     # only the fallback for an interpreter built without the module.
     try:
         if sys.version_info >= (3, 12):
-            from _sha2 import sha256
+            from _sha2 import sha256  # not reached on 3.11, where the module is _sha256
         else:
             from _sha256 import sha256
     except ImportError:
@@ -75,6 +75,8 @@ def _check_term(text: str, flavor: Flavor, args):
 
 
 def _translate(text: str, flavor: Flavor, args):
+    from .translate import dst_translate, u_translate
+
     translate = dst_translate if flavor is Flavor.DST else u_translate
     out = print_translated(translate(parse_formula(read_one(text))))
     return EXIT_OK, out, {"translated": out}, {}
@@ -123,7 +125,7 @@ class _Command(NamedTuple):
 
 _COMMANDS = {
     "check-term": _Command(_check_term, "reduce", None, "parse, type and normalize a closed term"),
-    "translate": _Command(_translate, None, "flavor", "translate a formula"),
+    "translate": _Command(_translate, "translate", "flavor", "translate a formula"),
     "check-proof": _Command(_check_proof, "proofs", "flavor", "check a proof file"),
     "extract": _Command(
         _extract, "extract", "flavor", "check a proof and extract its realiser bundle"
@@ -147,8 +149,6 @@ _STATUS = ("ok", "fail", "error")  # a corpus item's status, indexed by its exit
 
 # What a step may raise on bad input; anything else is a bug and stays a traceback.
 _FAILURES = (NsdialError, OSError, UnicodeDecodeError, RecursionError)
-# The nsdial errors that mean ill-formed input, as a parse error does.
-_INPUT_ERRORS = (IllTyped, UnboundVariable, TypeMismatch, IllTypedInput, Untranslatable)
 
 
 def _failure(e: Exception) -> tuple[int, dict, str]:
@@ -156,10 +156,14 @@ def _failure(e: Exception) -> tuple[int, dict, str]:
     if isinstance(e, (ParseError, OSError, UnicodeDecodeError)):
         # unparsable, unreadable or non-UTF-8 input
         return EXIT_ERROR, {"error": str(e)}, f"error: {e}"
-    # a RecursionError is input nested deeper than the recursive traversals reach
     kind = type(e).__name__
-    code = EXIT_ERROR if isinstance(e, _INPUT_ERRORS) else EXIT_FAIL
-    return code, {"error": str(e), "kind": kind}, f"{kind}: {e}"
+    outcome = {"error": str(e), "kind": kind}
+    if isinstance(e, RecursionError):
+        # a resource limit, not a verdict: the recursive traversals reach no deeper
+        return EXIT_FAIL, outcome, "unknown: input nested deeper than the recursion limit"
+    # ill-formed input (InputError) exits as a parse error does
+    code = EXIT_ERROR if isinstance(e, InputError) else EXIT_FAIL
+    return code, outcome, f"{kind}: {e}"
 
 
 def _decode(data: bytes) -> str:
@@ -310,6 +314,8 @@ def main() -> None:
     for the user. os._exit skips atexit handlers, so a tool that needs them,
     such as coverage, calls run instead. A flush that fails (stdout a closed
     pipe) leaves the exit to sys.exit, which reports it as before.
+
+    The tests run it in a child process only: os._exit would end the test run.
     """
     status = run(sys.argv[1:])
     try:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .ftypes import Arrow, FiniteType, N, Star, seqfn
 from .axioms import Schema
-from .formulas import Forall, Formula, Imp, SubsetEq, desugar
+from .formulas import Flavor, Forall, Formula, Imp, RealiserBundle, SubsetEq, TranslatedFormula, desugar
 from .proofs import (
     AxiomNode,
     ExistsRuleNode,
@@ -51,15 +51,7 @@ from .terms import (
     substitute,
     type_check,
 )
-from .translate import (
-    Flavor,
-    RealiserBundle,
-    TranslatedFormula,
-    bounded_exists,
-    dst_translate,
-    tuple_types,
-    u_translate,
-)
+from .translate import bounded_exists, dst_translate, tuple_types, u_translate
 
 
 class UnsupportedSchema(NsdialError):

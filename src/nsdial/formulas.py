@@ -1,8 +1,16 @@
-"""Formulas of arithmetic with internal and external quantifiers and a standardness predicate."""
+"""Formulas of arithmetic with internal and external quantifiers and a standardness predicate.
+
+Also home to Flavor, the choice between the paper's two systems, and to the
+records of a translated formula and of a realiser bundle. The proof kernel,
+the axiom catalogue, the oracle and the concrete syntax read them from here,
+so none of them loads the translation, which only translating commands run.
+"""
 
 from __future__ import annotations
 
-from .ftypes import Arrow, FiniteType, N, Node, Star, _put_type, node
+from enum import Enum
+
+from .ftypes import Arrow, FiniteType, N, Node, Record, Star, _put_type, arrow, node, record, seqfn
 from .terms import (
     App,
     IllTyped,
@@ -11,11 +19,15 @@ from .terms import (
     Var,
     ZERO,
     all_names,
+    app,
     fresh_name,
     free_vars,
     free_vars_and_names,
+    lam,
     numeral,
     proj,
+    sabs,
+    seq_app_infer,
     seq_len,
     substitute,
     synth_type,
@@ -408,3 +420,59 @@ def in_formula(elem_type: FiniteType, elem: Term, seq: Term) -> Formula:
         seq_len(elem_type, seq),
         Eq(elem_type, elem, proj(elem_type, seq, Var(i, N))),
     )
+
+
+# -- the two systems and their translation records ------------------------------
+
+class Flavor(Enum):
+    """The two systems and their witness builders: witness_type, fn_type, abs, apply.
+
+    Herbrandised (DST) witnesses are sequences of candidate functions built by
+    sequence abstraction and applied by sequence application; uniform (U)
+    witnesses are plain functions built by lambda and ordinary application.
+    """
+
+    DST = "dst"
+    U = "u"
+
+    def witness_type(self, sigma: FiniteType) -> FiniteType:
+        """Type of a witness for a sigma: sigma itself, or a sequence of candidates."""
+        return Star(sigma) if self is _DST else sigma
+
+    def fn_type(self, domains: list[FiniteType], result: FiniteType) -> FiniteType:
+        """Type of a witness function taking the domains in turn and yielding result."""
+        if self is _DST:
+            return seqfn(domains, result)
+        return arrow(*domains, result)
+
+    def abs(self, binders: list[tuple[str, FiniteType]], body: Term) -> Term:
+        return sabs(binders, body) if self is _DST else lam(binders, body)
+
+    def apply(self, fn: Term, args: list[Term]) -> Term:
+        if self is _U:
+            return app(fn, *args)
+        ty = synth_type(fn)
+        for a in args:
+            fn = seq_app_infer(fn, a, ty)
+            ty = ty.element.codomain
+        return fn
+
+
+# the members bound to module names once: Flavor.X reads run the enum class's attribute hook
+_DST, _U = Flavor.DST, Flavor.U
+
+
+@record
+class TranslatedFormula(Record):
+    exist_tuple: tuple[tuple[str, FiniteType], ...]
+    univ_tuple: tuple[tuple[str, FiniteType], ...]
+    matrix: Formula
+    flavor: Flavor
+
+
+@record
+class RealiserBundle(Record):
+    target: Formula
+    translated: TranslatedFormula
+    terms: tuple[Term, ...]
+    flavor: Flavor

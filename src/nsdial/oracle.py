@@ -45,6 +45,7 @@ from .formulas import (
     BoundedForall,
     Eq,
     Exists,
+    Flavor,
     Forall,
     Formula,
     Imp,
@@ -68,7 +69,6 @@ from .terms import (
     substitute,
     synth_type,
 )
-from .translate import Flavor
 
 
 @record

@@ -6,6 +6,7 @@ from .ftypes import FiniteType, N, Node, node
 from .axioms import BadInstantiation, FlavorViolation, Schema, build_axiom
 from .formulas import (
     Exists,
+    Flavor,
     Forall,
     ForallSt,
     Formula,
@@ -13,7 +14,6 @@ from .formulas import (
     classify,
 )
 from .terms import App, NsdialError, SUCC, Var, ZERO, alpha_eq, free_vars, substitute
-from .translate import Flavor
 
 
 class EigenvariableViolation(NsdialError):

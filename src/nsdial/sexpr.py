@@ -23,6 +23,7 @@ from operator import attrgetter
 
 from .ftypes import Arrow, FiniteType, N, Star, arrow
 from . import formulas as F
+from .formulas import Flavor, RealiserBundle, TranslatedFormula
 from .terms import (
     App,
     CONS_KIND,
@@ -46,7 +47,6 @@ from .terms import (
     succ_chain,
     synth_type,
 )
-from .translate import Flavor, RealiserBundle, TranslatedFormula
 
 
 class ParseError(NsdialError):

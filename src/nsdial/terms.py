@@ -12,13 +12,17 @@ class NsdialError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UnboundVariable(NsdialError):
+class InputError(NsdialError):
+    """Ill-formed input, which the command line reports as it does a parse error."""
+
+
+class UnboundVariable(InputError):
     def __init__(self, name: str):
         super().__init__(f"unbound variable {name!r}")
         self.name = name
 
 
-class IllTyped(NsdialError):
+class IllTyped(InputError):
     def __init__(self, location: str, expected, found):
         super().__init__(f"ill-typed at {location}: expected {expected!r}, found {found!r}")
         self.location = location
@@ -26,7 +30,7 @@ class IllTyped(NsdialError):
         self.found = found
 
 
-class TypeMismatch(NsdialError):
+class TypeMismatch(InputError):
     pass
 
 

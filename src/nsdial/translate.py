@@ -5,7 +5,9 @@ tuple of challenge variables, and an internal matrix. The herbrandised flavor
 (Dst) carries sequence-typed witnesses combined by sequence application; the
 uniform flavor (U) carries plain witnesses combined by ordinary application
 and keeps its matrices free of disjunction. Both share one set of clauses;
-the per-flavor witness builders live on Flavor, for axioms and extraction too.
+the per-flavor witness builders live on formulas.Flavor, beside the
+TranslatedFormula and RealiserBundle records, so the layers that read them
+(the kernel, the axioms, the oracle, the concrete syntax) do not load this one.
 
 A translation checks its input under the input's own free variables through
 formulas.checked. The check is memoised on the formula node, paired with the
@@ -17,9 +19,7 @@ and classifies it for the invariant check.
 
 from __future__ import annotations
 
-from enum import Enum
-
-from .ftypes import FiniteType, N, Record, Star, arrow, record, seqfn
+from .ftypes import FiniteType, N, Star
 from .formulas import (
     QUANTIFIERS,
     And,
@@ -29,6 +29,7 @@ from .formulas import (
     Eq,
     Exists,
     ExistsSt,
+    Flavor,
     Forall,
     ForallSt,
     Formula,
@@ -39,89 +40,34 @@ from .formulas import (
     Or,
     St,
     SubsetEq,
+    TranslatedFormula,
+    _DST,
+    _U,
     bot,
     checked,
     desugar,
     desugar_classified,
 )
 from .terms import (
+    InputError,
     NsdialError,
     Term,
     Var,
     ZERO,
     all_names,
-    app,
     fresh_name,
-    lam,
     proj,
-    sabs,
-    seq_app_infer,
     seq_len,
     substitute,
-    synth_type,
 )
 
 
-class IllTypedInput(NsdialError):
+class IllTypedInput(InputError):
     pass
 
 
-class Untranslatable(NsdialError):
+class Untranslatable(InputError):
     """A well-typed formula outside the fragment the translation clauses cover."""
-
-
-class Flavor(Enum):
-    """The two systems and their witness builders: witness_type, fn_type, abs, apply.
-
-    Herbrandised (DST) witnesses are sequences of candidate functions built by
-    sequence abstraction and applied by sequence application; uniform (U)
-    witnesses are plain functions built by lambda and ordinary application.
-    """
-
-    DST = "dst"
-    U = "u"
-
-    def witness_type(self, sigma: FiniteType) -> FiniteType:
-        """Type of a witness for a sigma: sigma itself, or a sequence of candidates."""
-        return Star(sigma) if self is _DST else sigma
-
-    def fn_type(self, domains: list[FiniteType], result: FiniteType) -> FiniteType:
-        """Type of a witness function taking the domains in turn and yielding result."""
-        if self is _DST:
-            return seqfn(domains, result)
-        return arrow(*domains, result)
-
-    def abs(self, binders: list[tuple[str, FiniteType]], body: Term) -> Term:
-        return sabs(binders, body) if self is _DST else lam(binders, body)
-
-    def apply(self, fn: Term, args: list[Term]) -> Term:
-        if self is _U:
-            return app(fn, *args)
-        ty = synth_type(fn)
-        for a in args:
-            fn = seq_app_infer(fn, a, ty)
-            ty = ty.element.codomain
-        return fn
-
-
-# the members bound to module names once: Flavor.X reads run the enum class's attribute hook
-_DST, _U = Flavor.DST, Flavor.U
-
-
-@record
-class TranslatedFormula(Record):
-    exist_tuple: tuple[tuple[str, FiniteType], ...]
-    univ_tuple: tuple[tuple[str, FiniteType], ...]
-    matrix: Formula
-    flavor: Flavor
-
-
-@record
-class RealiserBundle(Record):
-    target: Formula
-    translated: TranslatedFormula
-    terms: tuple[Term, ...]
-    flavor: Flavor
 
 
 class FreshNames:
@@ -333,6 +279,7 @@ def _clauses(f: Formula, fr: FreshNames, flavor: Flavor) -> tuple[list, list, Fo
             m = substitute(m, name, flavor.apply(lift, [Var(z, z_ty)]))
         return lifts, un + [(z, z_ty)], m
 
+    # unreachable: checked() rejects a non-formula, and desugar leaves only the classes above
     raise AssertionError(f"untranslatable node {f!r}")
 
 

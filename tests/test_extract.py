@@ -575,3 +575,8 @@ def test_every_schema_prints_and_parses_back():
     assert {p.schema for p in instances} == set(Schema)
     for p in instances:
         assert parse_proof(read_one(print_proof(p))) == p
+
+
+def test_tuple_types_rejects_a_term_in_formula_position():
+    with pytest.raises(AssertionError, match="untranslatable node"):
+        tuple_types(Var("x", N), Flavor.U)

@@ -1,3 +1,5 @@
+import pytest
+
 from nsdial.ftypes import Arrow, N, Star
 from nsdial.formulas import (
     And,
@@ -20,7 +22,7 @@ from nsdial.formulas import (
     free_vars,
 )
 from nsdial.gen import random_external, rng
-from nsdial.terms import App, Lam, Var, ZERO, alpha_eq, numeral, substitute
+from nsdial.terms import App, Lam, TypeMismatch, Var, ZERO, alpha_eq, numeral, substitute
 
 
 def x(name="x", ty=N):
@@ -147,3 +149,20 @@ def test_formula_alpha_eq():
     g = Exists("b", N, Eq(N, Var("b", N), ZERO))
     assert alpha_eq(f, g)
     assert not alpha_eq(f, Exists("b", N, Eq(N, Var("b", N), numeral(1))))
+
+
+def test_subseteq_sides_of_different_types_are_a_type_mismatch():
+    f = SubsetEq(N, Var("s", Star(N)), Var("g", Arrow(N, Star(N))))
+    with pytest.raises(TypeMismatch, match="subseteq sides"):
+        check_formula(f, {"s": Star(N), "g": Arrow(N, Star(N))})
+
+
+def test_desugaring_an_unchecked_subseteq_over_naturals_is_a_type_mismatch():
+    with pytest.raises(TypeMismatch, match="subseteq over N"):
+        desugar(SubsetEq(N, x(), x("y")))
+
+
+@pytest.mark.parametrize("walk", [check_formula, desugar])
+def test_formula_walks_reject_a_term_in_formula_position(walk):
+    with pytest.raises(AssertionError):
+        walk(And(Eq(N, ZERO, ZERO), ZERO))

@@ -13,10 +13,13 @@ from nsdial.formulas import (
     BoundedForall,
     Eq,
     Exists,
+    Flavor,
     Forall,
     Imp,
     In,
     Or,
+    RealiserBundle,
+    TranslatedFormula,
     desugar,
 )
 from nsdial.gen import random_internal, random_upward_safe, rng
@@ -66,7 +69,7 @@ from nsdial.terms import (
     singleton,
     substitute,
 )
-from nsdial.translate import Flavor, RealiserBundle, TranslatedFormula, dst_translate
+from nsdial.translate import dst_translate
 
 import fixture_defs as fx
 

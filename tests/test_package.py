@@ -414,21 +414,38 @@ def _loaded_by(code: str) -> set[str]:
 
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
+NEGATIVE = CORPUS.parent / "negative"
 
 
-@pytest.mark.parametrize("code, absent", [
-    ("import nsdial.cli",
-     {"nsdial.reduce", "nsdial.oracle", "nsdial.proofs", "nsdial.axioms", "nsdial.extract",
-      "json", "hashlib"}),
-    (f"from nsdial.cli import run; run(['translate', '--u', {str(CORPUS / 'worked.u.fml')!r}])",
+def _run(*argv) -> str:
+    return f"from nsdial.cli import run; run({[str(a) for a in argv]!r})"
+
+
+# Only a command that translates loads nsdial.translate: Flavor and the
+# translation records live in nsdial.formulas, and load with it alone.
+@pytest.mark.parametrize("code, present, absent", [
+    ("import nsdial.cli", {"nsdial.cli"},
+     {"nsdial.translate", "nsdial.reduce", "nsdial.oracle", "nsdial.proofs", "nsdial.axioms",
+      "nsdial.extract", "json", "hashlib"}),
+    (_run("translate", "--u", CORPUS / "worked.u.fml"), {"nsdial.cli", "nsdial.translate"},
      {"nsdial.oracle", "nsdial.proofs", "nsdial.extract"}),
-    (f"from nsdial.cli import run; run(['verify', {str(CORPUS / 'overspill.u.bundle')!r},"
-     " '--nat-bound', '2', '--len-bound', '2'])",
-     {"nsdial.proofs", "nsdial.axioms", "nsdial.extract"}),
-], ids=["import", "translate", "verify"])
-def test_cli_loads_only_the_layers_a_command_uses(code, absent):
+    (_run("verify", CORPUS / "overspill.u.bundle", "--nat-bound", "2", "--len-bound", "2"),
+     {"nsdial.cli", "nsdial.oracle"},
+     {"nsdial.translate", "nsdial.proofs", "nsdial.axioms", "nsdial.extract"}),
+    (_run("check-term", CORPUS / "double_redex.term"), {"nsdial.cli", "nsdial.reduce"},
+     {"nsdial.translate", "nsdial.oracle", "nsdial.proofs", "nsdial.axioms", "nsdial.extract"}),
+    (_run("check-proof", "--u", CORPUS / "doubling.u.proof"), {"nsdial.cli", "nsdial.proofs"},
+     {"nsdial.translate", "nsdial.oracle", "nsdial.extract"}),
+    (_run("corpus", "run", NEGATIVE, "--nat-bound", "2", "--len-bound", "2"),
+     {"nsdial.cli", "nsdial.oracle"},
+     {"nsdial.translate", "nsdial.proofs", "nsdial.axioms", "nsdial.extract"}),
+    ("from nsdial import Flavor, TranslatedFormula, RealiserBundle", {"nsdial.formulas"},
+     {"nsdial.translate", "nsdial.reduce", "nsdial.cli"}),
+], ids=["import", "translate", "verify", "check-term", "check-proof", "negative-corpus",
+        "records"])
+def test_cli_loads_only_the_layers_a_command_uses(code, present, absent):
     loaded = _loaded_by(code)
-    assert "nsdial.cli" in loaded and "nsdial.translate" in loaded
+    assert present <= loaded
     assert loaded & absent == set()
 
 
@@ -485,9 +502,9 @@ EXPORTS = {
     "ftypes": ("Arrow", "FiniteType", "Ground", "N", "Star", "is_data_type"),
     "terms": ("Term", "alpha_eq", "substitute", "type_check"),
     "reduce": ("eval_nat", "eval_seq", "normalize"),
-    "formulas": ("Formula", "classify", "desugar"),
-    "translate": ("Flavor", "RealiserBundle", "TranslatedFormula", "dst_translate",
-                  "u_translate"),
+    "formulas": ("Flavor", "Formula", "RealiserBundle", "TranslatedFormula", "classify",
+                 "desugar"),
+    "translate": ("dst_translate", "u_translate"),
     "proofs": ("check_proof",),
     "extract": ("extract", "extract_dst", "extract_u", "RealiserBundle"),
     "oracle": ("CounterexampleFound", "Grid", "GridValid", "Unknown", "brute_force_witness",
