@@ -106,6 +106,57 @@ def test_imp_trans_combinator():
 _A = Eq(N, ZERO, ZERO)
 
 
+# every schema's parameters, name:kind in order, and its system (D, U or None for both);
+# the order is the one the "expects the parameters ..." refusal prints
+_SCHEMA_PARAMS = {
+    "k": ("a:f b:f", None),
+    "s": ("a:f b:f c:f", None),
+    "and-intro": ("a:f b:f", None),
+    "and-elim-l": ("a:f b:f", None),
+    "and-elim-r": ("a:f b:f", None),
+    "or-intro-l": ("a:f b:f", None),
+    "or-intro-r": ("a:f b:f", None),
+    "or-elim": ("a:f b:f c:f", None),
+    "ex-falso": ("a:f", None),
+    "forall-inst": ("var:n var_type:y body:f term:t", None),
+    "exists-intro": ("var:n var_type:y body:f term:t", None),
+    "eq-refl": ("type:y t:t", None),
+    "eq-sym": ("type:y t:t u:t", None),
+    "eq-trans": ("type:y t:t u:t v:t", None),
+    "eq-cong": ("type:y result_type:y fn:t t:t u:t", None),
+    "defeq": ("type:y t:t u:t", None),
+    "succ-nonzero": ("t:t", None),
+    "succ-inj": ("t:t u:t", None),
+    "seq-axiom": ("type:y", None),
+    "extensionality": ("domain:y codomain:y", None),
+    "ia": ("var:n body:f", None),
+    "forallst-elim": ("var:n var_type:y body:f", None),
+    "forallst-intro": ("var:n var_type:y body:f", None),
+    "existsst-elim": ("var:n var_type:y body:f", None),
+    "existsst-intro": ("var:n var_type:y body:f", None),
+    "st-ext": ("type:y x:t y:t", None),
+    "st-closed": ("type:y term:t", None),
+    "st-app": ("domain:y codomain:y fn:t arg:t", None),
+    "os-star": ("type:y var:n body:f", None),
+    "us-star": ("type:y var:n body:f", None),
+    "ncr": ("x_type:y y_type:y x:n y:n body:f", D),
+    "hac-st": ("x_type:y y_type:y x:n y:n body:f", D),
+    "hip-forallst": ("x_type:y y_type:y x:n premise:f y:n conclusion:f", D),
+    "nu": ("x_type:y y_type:y x:n y:n body:f", U),
+    "ac-st": ("x_type:y y_type:y x:n y:n body:f", U),
+    "ip-forallst": ("x_type:y y_type:y x:n premise:f y:n conclusion:f", U),
+    "delta": ("formula:f", None),
+}
+
+
+def test_every_schema_keeps_its_parameters_and_system():
+    assert [schema.value for schema in Schema] == list(_SCHEMA_PARAMS)
+    for schema in Schema:
+        params, system = _SCHEMA_PARAMS[schema.value]
+        assert " ".join(f"{n}:{k}" for n, k in schema.params.items()) == params
+        assert schema.system is system
+
+
 @pytest.mark.parametrize("params", [dict(a=_A, b=_A, c=_A), dict(a=_A)], ids=["extra", "missing"])
 def test_axiom_parameters_must_match_the_schema(params):
     with pytest.raises(BadInstantiation):
@@ -367,8 +418,57 @@ _CHECK, _EXTRACT = ("check-proof", "extract"), ("extract",)
             _two_witness_external_induction,
             "UnsupportedSchema: external induction with more than one witness needs tuple coding",
         ),
+        (
+            _CHECK,
+            "(axiom forall-inst (var x) (var_type N) (body (eq N (var x) zero)) (term (nil N)))",
+            "BadInstantiation: bad instantiation of Schema.FORALL_INST: witness type mismatch",
+        ),
+        (
+            _CHECK,
+            "(axiom exists-intro (var x) (var_type N) (body (eq N (var x) zero)) (term (nil N)))",
+            "BadInstantiation: bad instantiation of Schema.EXISTS_INTRO: witness type mismatch",
+        ),
+        (
+            _CHECK,
+            "(axiom defeq (type N) (t zero) (u (app succ zero)))",
+            "BadInstantiation: bad instantiation of Schema.DEFEQ: sides do not share a normal form",
+        ),
+        (
+            _CHECK,
+            "(axiom st-closed (type N) (term (open ((x N)) (var x))))",
+            "BadInstantiation: bad instantiation of Schema.ST_CLOSED: term must be closed",
+        ),
+        (
+            _CHECK,
+            "(axiom st-closed (type (* N)) (term zero))",
+            "BadInstantiation: bad instantiation of Schema.ST_CLOSED: type annotation mismatch",
+        ),
+        (
+            _CHECK,
+            "(axiom delta (formula (eq N (var a) zero)))",
+            "BadInstantiation: bad instantiation of Schema.DELTA: delta hypotheses must be sentences",
+        ),
+        (
+            _CHECK,
+            "(axiom delta (formula (st N zero)))",
+            "FlavorViolation: delta: delta hypothesis must be internal",
+        ),
+        (
+            _CHECK,
+            "(axiom os-star (type N) (var sv) (body (st N zero)))",
+            "FlavorViolation: os-star: overspill formula must be internal",
+        ),
+        (
+            _CHECK,
+            "(axiom us-star (type N) (var sv) (body (st N zero)))",
+            "FlavorViolation: us-star: underspill formula must be internal",
+        ),
     ],
-    ids=["mp-major", "forall-rule-premise", "ind-step", "ind-base", "ia-external", "ind-st-tuple"],
+    ids=[
+        "mp-major", "forall-rule-premise", "ind-step", "ind-base", "ia-external", "ind-st-tuple",
+        "forall-inst-type", "exists-intro-type", "defeq-normal-form", "st-closed-open",
+        "st-closed-type", "delta-open", "delta-external", "os-star-external", "us-star-external",
+    ],
 )
 @pytest.mark.parametrize("flavor", ["--u", "--dst"])
 def test_refused_proof_prints_one_line_and_exits_one(
@@ -382,3 +482,57 @@ def test_refused_proof_prints_one_line_and_exits_one(
     for command in commands:
         assert run([command, flavor, str(f)]) == 1
         assert capsys.readouterr() == ("", line + "\n")
+
+
+def _choice(name: str, premise: str = "") -> str:
+    """An instance of the choice schema name over x, y : N; premise for the ip pair."""
+    body = f"(premise {premise}) (y y) (conclusion (eq N (var y) zero))" if premise else (
+        "(y y) (body (eq N (var x) (var y)))")
+    return f"(axiom {name} (x_type N) (y_type N) (x x) {body})"
+
+
+_OR_BODY = "(or (eq N (var n) zero) (eq N (var n) (var n)))"
+
+
+# None: the flavor accepts the instance
+@pytest.mark.parametrize(
+    "proof, lines",
+    [
+        (
+            f"(axiom ia (var n) (body {_OR_BODY}))",
+            {"--u": "FlavorViolation: ia: induction formula must be or-free in the uniform system",
+             "--dst": None},
+        ),
+        (
+            _choice("ncr"),
+            {"--u": "FlavorViolation: ncr belongs to the herbrandised system", "--dst": None},
+        ),
+        (
+            _choice("nu"),
+            {"--u": None, "--dst": "FlavorViolation: nu belongs to the uniform system"},
+        ),
+        (
+            _choice("hip-forallst", "(st N (var x))"),
+            {"--u": "FlavorViolation: hip-forallst belongs to the herbrandised system",
+             "--dst": "FlavorViolation: hip-forallst: premise must be internal"},
+        ),
+        (
+            _choice("ip-forallst", "(st N (var x))"),
+            {"--u": "FlavorViolation: ip-forallst: premise must be internal",
+             "--dst": "FlavorViolation: ip-forallst belongs to the uniform system"},
+        ),
+    ],
+    ids=["ia-or", "ncr", "nu", "hip-forallst-external", "ip-forallst-external"],
+)
+@pytest.mark.parametrize("flavor", ["--u", "--dst"])
+def test_refused_axiom_line_depends_on_the_flavor(tmp_path, capsys, proof, lines, flavor):
+    from nsdial.cli import run
+
+    f = tmp_path / "refused.proof"
+    f.write_text(proof)
+    line = lines[flavor]
+    for command in _CHECK:
+        assert run([command, flavor, str(f)]) == (0 if line is None else 1)
+        out, err = capsys.readouterr()
+        assert err == ("" if line is None else line + "\n")
+        assert bool(out) == (line is None)
