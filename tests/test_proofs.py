@@ -43,6 +43,11 @@ def test_mp_requires_matching_minor():
         check_proof(mp(k, wrong_minor), U)
 
 
+def test_check_proof_rejects_a_formula_in_proof_position():
+    with pytest.raises(AssertionError, match="Eq"):
+        check_proof(Eq(N, ZERO, ZERO), U)
+
+
 def test_forall_rule_eigenvariable_violation():
     # z free in the antecedent is rejected
     z = Var("z", N)
