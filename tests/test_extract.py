@@ -570,6 +570,20 @@ def test_axiom_conclusions_match_golden():
     assert lines == AXIOMS_GOLDEN.read_text().splitlines()
 
 
+def test_realiser_table_covers_the_catalogue():
+    # a schema has a rule, is identity-shaped, or has only witness-free instances
+    module = importlib.import_module("nsdial.extract")
+    ruled, identity = set(module._REALISERS), module._IDENTITY_SHAPED
+    assert not ruled & identity
+    instances = _axiom_instances()
+    for schema in set(Schema) - ruled - identity:
+        built = [name for name, p in instances.items() if p.schema is schema]
+        assert built, schema
+        for name in built:
+            for flavor in (U, D):
+                assert not tuple_types(check_proof(instances[name], flavor), flavor)[0], name
+
+
 def test_every_schema_prints_and_parses_back():
     instances = _axiom_instances().values()
     assert {p.schema for p in instances} == set(Schema)
