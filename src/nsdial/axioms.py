@@ -53,10 +53,10 @@ from .terms import (
 
 
 class BadInstantiation(NsdialError):
-    def __init__(self, schema, reason: str):
-        super().__init__(f"bad instantiation of {schema}: {reason}")
-        self.schema = schema
-        self.reason = reason
+    """A side condition fails; name is the axiom schema or proof rule as a file spells it."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"bad instantiation of {name}: {reason}")
 
 
 class FlavorViolation(NsdialError):
@@ -65,7 +65,7 @@ class FlavorViolation(NsdialError):
 
 def _require(cond: bool, schema: Schema, reason: str) -> None:
     if not cond:
-        raise BadInstantiation(schema, reason)
+        raise BadInstantiation(schema.value, reason)
 
 
 def _require_internal(f: Formula, schema: Schema, flavor: Flavor, what: str) -> None:

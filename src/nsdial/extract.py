@@ -1,9 +1,12 @@
 """Realiser extraction by induction on checked proofs.
 
-Every axiom schema in the catalogue has a realiser rule; modus ponens composes
-by application (sequence application in the herbrandised flavor), quantifier
-rules pass realisers through, and the external induction rule builds a
-primitive recursion over the base and step realisers.
+Each axiom schema whose instances have witnesses has a realiser rule. A rule
+takes the flavor and then the schema's parameters by name, as its builder
+does (axioms.Schema); the identity-shaped principles read theirs off the
+checked instance. Modus ponens composes by application (sequence application
+in the herbrandised flavor), quantifier rules pass realisers through, and the
+external induction rule builds a primitive recursion over the base and step
+realisers.
 
 Most rules are wiring over the translated tuples: a witness pick abstracts
 over the hypotheses' binders and returns one of them, and a challenge echo
@@ -144,7 +147,7 @@ def _realise(proof: Proof, concl, real, flavor: Flavor) -> list[Term]:
             step = lam(m_prev, flavor.apply(step, _vs(m_prev)))
         return [flavor.abs([("n", N)], nat_rec(wit_ty, base, step, Var("n", N)))]
 
-    raise AssertionError(proof)
+    raise AssertionError(proof)  # unreached: the branches cover the six Proof classes
 
 
 # -- small builders ----------------------------------------------------------
@@ -204,32 +207,27 @@ def _axiom_realisers(node: AxiomNode, conclusion: Formula, flavor: Flavor) -> li
         return []
     if node.schema in _IDENTITY_SHAPED:
         return _realise_identity_shaped(conclusion, flavor)
-    p = node.params_dict()
-    fn = _REALISERS.get(node.schema)
-    if fn is None:
-        # unreached: a schema without a rule has a witness-free conclusion, returned above
-        raise UnsupportedSchema(f"no realiser rule for {node.schema.value}")
-    return fn(p, flavor)
+    return _REALISERS[node.schema](flavor, **node.params_dict())
 
 
 def _axiom_special_form(proof: Proof, flavor: Flavor):
     """A us-star axiom's translation and realisers under dst, in the paper's form; else None."""
     if isinstance(proof, AxiomNode) and proof.schema is Schema.US_STAR and flavor is Flavor.DST:
-        return _us_star_dst_paper_form(proof.params_dict())
+        return _us_star_dst_paper_form(**proof.params_dict())
     return None
 
 
-def _realise_k(p, flavor):
-    xs, ys = _tuples(p["a"], flavor, "x", "y")
-    us, vs = _tuples(p["b"], flavor, "u", "v")
+def _realise_k(flavor, a, b):
+    xs, ys = _tuples(a, flavor, "x", "y")
+    us, vs = _tuples(b, flavor, "u", "v")
     voids = [flavor.abs(xs + us + ys, empty_seq(t)) for _, t in vs]
     return _picks(flavor, xs + us, xs) + voids + _echoes(flavor, xs + us + ys, ys)
 
 
-def _realise_s(p, flavor):
-    xs, ys = _tuples(p["a"], flavor, "x", "y")
-    us, vs = _tuples(p["b"], flavor, "u", "v")
-    ps, qs = _tuples(p["c"], flavor, "p", "c")
+def _realise_s(flavor, a, b, c):
+    xs, ys = _tuples(a, flavor, "x", "y")
+    us, vs = _tuples(b, flavor, "u", "v")
+    ps, qs = _tuples(c, flavor, "p", "c")
     xs_t, us_t, vs_t, qs_t = _types(xs), _types(us), _types(vs), _types(qs)
     fn = flavor.fn_type
     # premise tuple: witness functions and collectors of A -> (B -> C)
@@ -258,16 +256,16 @@ def _realise_s(p, flavor):
     return out + _echoes(flavor, over, qs)
 
 
-def _realise_and_intro(p, flavor):
-    xs, ys = _tuples(p["a"], flavor, "x", "y")
-    us, vs = _tuples(p["b"], flavor, "u", "v")
+def _realise_and_intro(flavor, a, b):
+    xs, ys = _tuples(a, flavor, "x", "y")
+    us, vs = _tuples(b, flavor, "u", "v")
     over = xs + us + ys + vs
     return _picks(flavor, xs + us, xs + us) + _echoes(flavor, over, vs + ys)
 
 
-def _realise_and_elim(p, flavor, keep_left: bool):
-    xs, ys = _tuples(p["a"], flavor, "x", "w")
-    us, vs = _tuples(p["b"], flavor, "u", "w")
+def _realise_and_elim(flavor, a, b, keep_left: bool):
+    xs, ys = _tuples(a, flavor, "x", "w")
+    us, vs = _tuples(b, flavor, "u", "w")
     (kept, ws), other = ((xs, ys), vs) if keep_left else ((us, vs), ys)
     over = xs + us + ws
     ya = _echoes(flavor, over, ws)
@@ -275,9 +273,9 @@ def _realise_and_elim(p, flavor, keep_left: bool):
     return _picks(flavor, xs + us, kept) + (ya + yb if keep_left else yb + ya)
 
 
-def _realise_or_intro(p, flavor, left: bool):
-    xs, ys = _tuples(p["a"], flavor, "x", "y")
-    us, vs = _tuples(p["b"], flavor, "u", "v")
+def _realise_or_intro(flavor, a, b, left: bool):
+    xs, ys = _tuples(a, flavor, "x", "y")
+    us, vs = _tuples(b, flavor, "u", "v")
     (src, src_univ), other = ((xs, ys), us) if left else ((us, vs), xs)
     out = [flavor.abs(src, ZERO if left else numeral(1))] if flavor is Flavor.U else []
     picks = _picks(flavor, src, src)
@@ -286,10 +284,10 @@ def _realise_or_intro(p, flavor, left: bool):
     return out + _echoes(flavor, src + ys + vs, src_univ)
 
 
-def _realise_or_elim(p, flavor):
-    xs, ys = _tuples(p["a"], flavor, "x", "y")
-    us, vs = _tuples(p["b"], flavor, "u", "v")
-    ps, qs = _tuples(p["c"], flavor, "p", "c")
+def _realise_or_elim(flavor, a, b, c):
+    xs, ys = _tuples(a, flavor, "x", "y")
+    us, vs = _tuples(b, flavor, "u", "v")
+    ps, qs = _tuples(c, flavor, "p", "c")
     xs_t, us_t, qs_t = _types(xs), _types(us), _types(qs)
     fn = flavor.fn_type
     p1 = _bnd("p", [fn(xs_t, t) for t in _types(ps)])
@@ -317,65 +315,63 @@ def _realise_or_elim(p, flavor):
     return out + _echoes(flavor, over, us + qs + xs + qs)
 
 
-def _realise_ex_falso(p, flavor):
-    return [default_term(t) for t in tuple_types(p["a"], flavor)[0]]
+def _realise_ex_falso(flavor, a):
+    return [default_term(t) for t in tuple_types(a, flavor)[0]]
 
 
-def _realise_forall_inst(p, flavor):
-    xs, ys = _tuples(p["body"], flavor, "x", "y")
+def _realise_forall_inst(flavor, body, **_):
+    xs, ys = _tuples(body, flavor, "x", "y")
     return _picks(flavor, xs, xs) + _echoes(flavor, xs + ys, ys)
 
 
-def _realise_exists_intro(p, flavor):
-    wits, chals = tuple_types(p["body"], flavor)
+def _realise_exists_intro(flavor, body, **_):
+    wits, chals = tuple_types(body, flavor)
     xs = _bnd("x", wits)
     ts = _bnd("t", [Star(t) for t in chals])
     return _picks(flavor, xs, xs) + _picks(flavor, xs + ts, ts)
 
 
-def _realise_forallst_elim(p, flavor):
-    us, vs = _tuples(p["body"], flavor, "u", "v")
-    sigma = p["var_type"]
+def _realise_forallst_elim(flavor, var_type, body, **_):
+    us, vs = _tuples(body, flavor, "u", "v")
     if flavor is Flavor.U:
-        lifted = _bnd("U", [Arrow(sigma, t) for t in _types(us)])
-        y = ("y", sigma)
+        lifted = _bnd("U", [Arrow(var_type, t) for t in _types(us)])
+        y = ("y", var_type)
         out = [flavor.abs(lifted + [y], App(f, Var(*y))) for f in _vs(lifted)]
         return out + _echoes(flavor, lifted + [y] + vs, vs + [y])
-    lifted = _bnd("U", [Star(Arrow(sigma, t)) for t in _types(us)])
-    w, w2 = ("w", Star(sigma)), ("w2", Star(sigma))
+    lifted = _bnd("U", [Star(Arrow(var_type, t)) for t in _types(us)])
+    w, w2 = ("w", Star(var_type)), ("w2", Star(var_type))
     out = []
     for n, t in lifted:
-        sapp = ConstKind.SEQAPP.instance(t)  # its types: sigma, then the witnesses' element type
-        applied = app(sapp, Var(n, t), Var("xe", sigma))
-        body = flat_map(sigma, sapp.types[1], Var(*w2), "xe", applied)
-        out.append(flavor.abs(lifted + [w2], body))
+        sapp = ConstKind.SEQAPP.instance(t)  # types: var_type, then the witnesses' element
+        applied = app(sapp, Var(n, t), Var("xe", var_type))
+        swept = flat_map(var_type, sapp.types[1], Var(*w2), "xe", applied)
+        out.append(flavor.abs(lifted + [w2], swept))
     over = lifted + [w] + vs
     return out + _echoes(flavor, over, vs) + _picks(flavor, over, [w])
 
 
-def _realise_forallst_intro(p, flavor):
-    us, vs = _tuples(p["body"], flavor, "u", "v")
-    sigma = p["var_type"]
-    xp = ("xp", sigma)
+def _realise_forallst_intro(flavor, var_type, body, **_):
+    us, vs = _tuples(body, flavor, "u", "v")
+    xp = ("xp", var_type)
     x = Var(*xp)
     if flavor is Flavor.U:
-        fns = _bnd("U", [Arrow(sigma, t) for t in _types(us)])
+        fns = _bnd("U", [Arrow(var_type, t) for t in _types(us)])
         out = [flavor.abs(fns + [xp], App(f, x)) for f in _vs(fns)]
-        coll = singleton(sigma, x)
+        coll = singleton(var_type, x)
     else:
-        fns = _bnd("T", [Star(Arrow(Star(sigma), t)) for t in _types(us)])
+        fns = _bnd("T", [Star(Arrow(Star(var_type), t)) for t in _types(us)])
         out = [
-            flavor.abs(fns + [xp], seq_app_infer(Var(n, t), singleton(sigma, x), t))
+            flavor.abs(fns + [xp], seq_app_infer(Var(n, t), singleton(var_type, x), t))
             for n, t in fns
         ]
-        coll = singleton(Star(sigma), singleton(sigma, x))
+        coll = singleton(Star(var_type), singleton(var_type, x))
     over = fns + vs + [xp]
     return out + [flavor.abs(over, coll)] + _echoes(flavor, over, vs)
 
 
-def _realise_existsst_elim(p, flavor):
-    wits, chals = tuple_types(p["body"], flavor)
-    wit = ("xw", flavor.witness_type(p["var_type"]))
+def _realise_existsst_elim(flavor, var_type, body, **_):
+    wits, chals = tuple_types(body, flavor)
+    wit = ("xw", flavor.witness_type(var_type))
     us = _bnd("u", wits)
     ts = _bnd("t", [Star(t) for t in chals])
     over = [wit] + us + ts
@@ -383,10 +379,9 @@ def _realise_existsst_elim(p, flavor):
     return _picks(flavor, [wit] + us, [wit] + us) + colls
 
 
-def _realise_existsst_intro(p, flavor):
-    us, vs = _tuples(p["body"], flavor, "u", "v")
-    sigma = p["var_type"]
-    wit = ("yw", flavor.witness_type(sigma))
+def _realise_existsst_intro(flavor, var_type, body, **_):
+    us, vs = _tuples(body, flavor, "u", "v")
+    wit = ("yw", flavor.witness_type(var_type))
     if flavor is Flavor.U:
         head = Var(*wit)
         colls = [
@@ -396,47 +391,42 @@ def _realise_existsst_intro(p, flavor):
     else:
         # pad the candidate sequence: a vacuous challenge prefix must still
         # leave something to witness the bounded existential
-        head = concat(sigma, Var(*wit), _sing_default(sigma))
+        head = concat(var_type, Var(*wit), _sing_default(var_type))
         ts = _bnd("t", [Star(t) for t in _types(vs)])
         colls = _echoes(flavor, [wit] + us + ts, ts)
     return [flavor.abs([wit] + us, head)] + _picks(flavor, [wit] + us, us) + colls
 
 
-def _realise_st_ext(p, flavor):
-    sigma = p["type"]
-    w = ("w", flavor.witness_type(sigma))
+def _realise_st_ext(flavor, type, **_):
+    w = ("w", flavor.witness_type(type))
     return _picks(flavor, [w], [w])
 
 
-def _realise_st_closed(p, flavor):
-    a = p["term"]
+def _realise_st_closed(flavor, type, term):
     if flavor is Flavor.U:
-        return [a]
-    return [singleton(p["type"], a)]
+        return [term]
+    return [singleton(type, term)]
 
 
-def _realise_st_app(p, flavor):
-    dom, cod = p["domain"], p["codomain"]
+def _realise_st_app(flavor, domain, codomain, **_):
+    fn = Arrow(domain, codomain)
     if flavor is Flavor.U:
-        fb = [("fp", Arrow(dom, cod)), ("xq", dom)]
-        return [lam(fb, App(Var("fp", Arrow(dom, cod)), Var("xq", dom)))]
-    wf = ("wf", Star(Arrow(dom, cod)))
-    wx = ("wx", Star(dom))
+        return [lam([("fp", fn), ("xq", domain)], App(Var("fp", fn), Var("xq", domain)))]
     inner = flat_map(
-        dom, cod, Var("wx", Star(dom)), "xe",
-        singleton(cod, App(Var("ge", Arrow(dom, cod)), Var("xe", dom))),
+        domain, codomain, Var("wx", Star(domain)), "xe",
+        singleton(codomain, App(Var("ge", fn), Var("xe", domain))),
     )
-    body = flat_map(Arrow(dom, cod), cod, Var("wf", Star(Arrow(dom, cod))), "ge", inner)
-    return [sabs([wf, wx], body)]
+    body = flat_map(fn, codomain, Var("wf", Star(fn)), "ge", inner)
+    return [sabs([("wf", Star(fn)), ("wx", Star(domain))], body)]
 
 
-def _realise_os_star(p, flavor):
-    sp = ("sp", Star(p["type"]))
+def _realise_os_star(flavor, type, **_):
+    sp = ("sp", Star(type))
     return _echoes(flavor, [sp], [sp])
 
 
-def _realise_us_star(p, flavor):
-    sp = ("sp", Star(p["type"]))
+def _realise_us_star(flavor, type, **_):
+    sp = ("sp", Star(type))
     return (_picks if flavor is Flavor.U else _echoes)(flavor, [sp], [sp])
 
 
@@ -454,28 +444,27 @@ def _realise_identity_shaped(instance: Imp, flavor: Flavor) -> list[Term]:
     return _picks(flavor, es, es) + _echoes(flavor, es + us, us)
 
 
-def _realise_ncr(p, flavor):
-    wits, chals = tuple_types(p["body"], flavor)
+def _realise_ncr(flavor, x_type, body, **_):
+    wits, chals = tuple_types(body, flavor)
     us = _bnd("u", wits)
     ts = _bnd("t", [Star(Star(t)) for t in chals])
-    return _realise_herbrandised(flavor, ("u0", Star(p["x_type"])), us, ts)
+    return _realise_herbrandised(flavor, ("u0", Star(x_type)), us, ts)
 
 
-def _realise_hac_st(p, flavor):
-    wits, chals = tuple_types(p["body"], flavor)
-    sx, sy = p["x_type"], p["y_type"]
-    us = _bnd("U", [Star(Arrow(sx, t)) for t in wits])
+def _realise_hac_st(flavor, x_type, y_type, body, **_):
+    wits, chals = tuple_types(body, flavor)
+    us = _bnd("U", [Star(Arrow(x_type, t)) for t in wits])
     ts = _bnd("t", [Star(Star(t)) for t in chals])
-    lead = ("U0", Star(Arrow(sx, Star(sy))))
-    return _realise_herbrandised(flavor, lead, us, ts + [("xs", Star(sx))])
+    lead = ("U0", Star(Arrow(x_type, Star(y_type))))
+    return _realise_herbrandised(flavor, lead, us, ts + [("xs", Star(x_type))])
 
 
-def _realise_hip(p, flavor):
-    wits, vs_t = tuple_types(p["conclusion"], flavor)
+def _realise_hip(flavor, x_type, y_type, conclusion, **_):
+    wits, vs_t = tuple_types(conclusion, flavor)
     us = _bnd("u", wits)
-    sx_coll = ("S", seqfn([Star(t) for t in vs_t], Star(p["x_type"])))
+    sx_coll = ("S", seqfn([Star(t) for t in vs_t], Star(x_type)))
     ts = _bnd("t", [Star(Star(t)) for t in vs_t])
-    return _realise_herbrandised(flavor, ("u0", Star(p["y_type"])), us + [sx_coll], ts)
+    return _realise_herbrandised(flavor, ("u0", Star(y_type)), us + [sx_coll], ts)
 
 
 def _realise_herbrandised(flavor, lead, wits: _Binders, chals: _Binders) -> list[Term]:
@@ -490,29 +479,24 @@ def _realise_herbrandised(flavor, lead, wits: _Binders, chals: _Binders) -> list
     return head + _picks(flavor, over, wits) + _picks(flavor, over + chals, chals)
 
 
-def _us_star_dst_paper_form(p) -> tuple[TranslatedFormula, list[Term]]:
+def _us_star_dst_paper_form(type, var, body) -> tuple[TranslatedFormula, list[Term]]:
     """US* with its printed interpretation over a sequence of candidate sequences."""
-    sigma, s, phi = p["type"], p["var"], p["body"]
-    ss, sp = Star(sigma), Star(Star(sigma))
+    ss, sp = Star(type), Star(Star(type))
     coll_ty = Star(Arrow(sp, sp))
-    taken = all_names(phi) | {s}
+    taken = all_names(body) | {var}
     tname = fresh_name("T", taken)
     sname = fresh_name("spp", taken)
     sq = fresh_name("sq", taken)
     tvar = fresh_name("t", taken)
     spp = Var(sname, sp)
     premise = Forall(
-        s,
-        ss,
-        bounded_exists(
-            sq, ss, spp, Imp(SubsetEq(sigma, Var(sq, ss), Var(s, ss)), phi)
-        ),
+        var, ss, bounded_exists(sq, ss, spp, Imp(SubsetEq(type, Var(sq, ss), Var(var, ss)), body))
     )
     applied = seq_app_infer(Var(tname, coll_ty), spp, coll_ty)
-    concl_body = bounded_exists(tvar, ss, applied, substitute(phi, s, Var(tvar, ss)))
+    concl_body = bounded_exists(tvar, ss, applied, substitute(body, var, Var(tvar, ss)))
     matrix = desugar(Imp(premise, concl_body))
     tf = TranslatedFormula(((tname, coll_ty),), ((sname, sp),), matrix, Flavor.DST)
-    flatten = flat_map(ss, sigma, Var("sq2", sp), "se", Var("se", ss))
+    flatten = flat_map(ss, type, Var("sq2", sp), "se", Var("se", ss))
     realiser = sabs([("sq2", sp)], singleton(ss, flatten))
     return tf, [realiser]
 
@@ -521,10 +505,10 @@ _REALISERS = {
     Schema.K: _realise_k,
     Schema.S: _realise_s,
     Schema.AND_INTRO: _realise_and_intro,
-    Schema.AND_ELIM_L: lambda p, fl: _realise_and_elim(p, fl, True),
-    Schema.AND_ELIM_R: lambda p, fl: _realise_and_elim(p, fl, False),
-    Schema.OR_INTRO_L: lambda p, fl: _realise_or_intro(p, fl, True),
-    Schema.OR_INTRO_R: lambda p, fl: _realise_or_intro(p, fl, False),
+    Schema.AND_ELIM_L: lambda flavor, a, b: _realise_and_elim(flavor, a, b, True),
+    Schema.AND_ELIM_R: lambda flavor, a, b: _realise_and_elim(flavor, a, b, False),
+    Schema.OR_INTRO_L: lambda flavor, a, b: _realise_or_intro(flavor, a, b, True),
+    Schema.OR_INTRO_R: lambda flavor, a, b: _realise_or_intro(flavor, a, b, False),
     Schema.OR_ELIM: _realise_or_elim,
     Schema.EX_FALSO: _realise_ex_falso,
     Schema.FORALL_INST: _realise_forall_inst,

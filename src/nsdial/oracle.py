@@ -141,6 +141,7 @@ class _Frame(Scope):
     def lookup(self, name: str) -> tuple[int, int]:
         found = self.vars.get(name)
         if found is None:
+            # unreached: _evaluator refuses a matrix with a free variable outside names
             raise NotClosed(f"free variables: [{name!r}]")
         return found
 

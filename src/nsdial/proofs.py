@@ -132,12 +132,10 @@ def _conclude(proof: Proof, flavor: Flavor, prems: list[Formula]) -> Formula:
             from .sexpr import print_formula
 
             raise BadInstantiation(
-                Schema.K, f"modus ponens major is not an implication: {print_formula(major)}"
+                "mp", f"modus ponens major is not an implication: {print_formula(major)}"
             )
         if not alpha_eq(major.left, minor):
-            raise BadInstantiation(
-                Schema.K, "modus ponens minor does not match the major premise"
-            )
+            raise BadInstantiation("mp", "modus ponens minor does not match the major premise")
         return major.right
 
     if isinstance(proof, (ForallRuleNode, ExistsRuleNode)):
@@ -154,18 +152,19 @@ def _conclude(proof: Proof, flavor: Flavor, prems: list[Formula]) -> Formula:
 
     if isinstance(proof, (InductionNode, ExternalInductionNode)):
         external = isinstance(proof, ExternalInductionNode)
+        rule = "ind-st" if external else "ind"
         base, step = prems
         binder = ForallSt if external else Forall
         if not (isinstance(step, binder) and step.var_type == N and isinstance(step.body, Imp)):
             raise BadInstantiation(
-                Schema.IA, "induction step must be a universal implication over the naturals"
+                rule, "induction step must be a universal implication over the naturals"
             )
         n, body = step.var, step.body.left
         succ_case = substitute(body, n, App(SUCC, Var(n, N)))
         if not alpha_eq(step.body.right, succ_case):
-            raise BadInstantiation(Schema.IA, "step consequent is not the successor instance")
+            raise BadInstantiation(rule, "step consequent is not the successor instance")
         if not alpha_eq(base, substitute(body, n, ZERO)):
-            raise BadInstantiation(Schema.IA, "base does not match the zero instance")
+            raise BadInstantiation(rule, "base does not match the zero instance")
         if not external:
             cl = classify(body)
             if not cl.internal:

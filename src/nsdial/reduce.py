@@ -268,6 +268,7 @@ class Scope:
     """
 
     def lookup(self, name: str) -> tuple[int, int]:
+        # unreached: a term compiled in this scope is a default term or passed _closed_type
         raise NotClosed(f"free variables: [{name!r}]")
 
     def share(self, t: Term, run, depth: int):

@@ -327,7 +327,7 @@ def print_term(t: Term) -> str:
         if not t.types:
             return t.kind._value_
         return f"({t.kind._value_} {' '.join(map(print_type, t.types))})"
-    raise AssertionError(t)
+    raise AssertionError(t)  # unreached: the branches cover the five Term classes
 
 
 # -- formulas and proofs -----------------------------------------------------

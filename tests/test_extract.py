@@ -1,6 +1,7 @@
 """Realiser extraction: printed-term fidelity per schema, composition, certification."""
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -454,7 +455,7 @@ def test_normalising_herbrandised_realisers_synthesises_no_type(monkeypatch):
 def test_extract_rejects_a_rule_with_the_wrong_terms(monkeypatch, terms, message):
     # no rule returns these; a patched rule for K reaches extract's own checks
     module = importlib.import_module("nsdial.extract")
-    monkeypatch.setitem(module._REALISERS, Schema.K, lambda p, flavor: list(terms))
+    monkeypatch.setitem(module._REALISERS, Schema.K, lambda flavor, a, b: list(terms))
     proof = parse_proof(read_one("(axiom k (a (st N (var x))) (b (eq N zero zero)))"))
     with pytest.raises(UnsupportedSchema) as info:
         extract(proof, U)
@@ -582,6 +583,15 @@ def test_realiser_table_covers_the_catalogue():
         for name in built:
             for flavor in (U, D):
                 assert not tuple_types(check_proof(instances[name], flavor), flavor)[0], name
+
+
+def test_realiser_rules_take_their_schemas_parameters_by_name():
+    module = importlib.import_module("nsdial.extract")
+    for schema, rule in module._REALISERS.items():
+        first, *named = inspect.signature(rule).parameters.values()
+        assert first.name == "flavor", schema
+        names = {p.name for p in named if p.kind is not p.VAR_KEYWORD}
+        assert names <= set(schema.params), schema
 
 
 def test_every_schema_prints_and_parses_back():

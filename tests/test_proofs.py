@@ -212,7 +212,7 @@ def test_axiom_with_other_parameter_names_is_refused_when_checked_or_printed(oth
 
     a = Eq(N, ZERO, ZERO)
     node = axiom(Schema.K, a=a, **dict.fromkeys(others, a))
-    message = "bad instantiation of Schema.K: expects the parameters a, b"
+    message = "bad instantiation of k: expects the parameters a, b"
     for run in (lambda: check_proof(node, U), lambda: print_proof(node)):
         with pytest.raises(BadInstantiation) as raised:
             run()
@@ -347,7 +347,7 @@ def _bad_forall_rule():
 
 _MP_ERROR = (
     BadInstantiation,
-    "bad instantiation of Schema.K: modus ponens minor does not match the major premise",
+    "bad instantiation of mp: modus ponens minor does not match the major premise",
 )
 _FORALL_ERROR = (EigenvariableViolation, "z occurs free in the antecedent")
 
@@ -393,7 +393,7 @@ _CHECK, _EXTRACT = ("check-proof", "extract"), ("extract",)
         (
             _CHECK,
             f"(mp {_REFL} {_REFL})",
-            "BadInstantiation: bad instantiation of Schema.K: "
+            "BadInstantiation: bad instantiation of mp: "
             "modus ponens major is not an implication: (eq N zero zero)",
         ),
         (
@@ -404,14 +404,20 @@ _CHECK, _EXTRACT = ("check-proof", "extract"), ("extract",)
         (
             _CHECK,
             f"(ind {_REFL} {_REFL})",
-            "BadInstantiation: bad instantiation of Schema.IA: "
+            "BadInstantiation: bad instantiation of ind: "
             "induction step must be a universal implication over the naturals",
         ),
         (
             _CHECK,
             _induction_from_one,
-            "BadInstantiation: bad instantiation of Schema.IA: "
+            "BadInstantiation: bad instantiation of ind: "
             "base does not match the zero instance",
+        ),
+        (
+            _CHECK,
+            f"(ind-st {_REFL} {_REFL})",
+            "BadInstantiation: bad instantiation of ind-st: "
+            "induction step must be a universal implication over the naturals",
         ),
         (
             _CHECK,
@@ -426,32 +432,32 @@ _CHECK, _EXTRACT = ("check-proof", "extract"), ("extract",)
         (
             _CHECK,
             "(axiom forall-inst (var x) (var_type N) (body (eq N (var x) zero)) (term (nil N)))",
-            "BadInstantiation: bad instantiation of Schema.FORALL_INST: witness type mismatch",
+            "BadInstantiation: bad instantiation of forall-inst: witness type mismatch",
         ),
         (
             _CHECK,
             "(axiom exists-intro (var x) (var_type N) (body (eq N (var x) zero)) (term (nil N)))",
-            "BadInstantiation: bad instantiation of Schema.EXISTS_INTRO: witness type mismatch",
+            "BadInstantiation: bad instantiation of exists-intro: witness type mismatch",
         ),
         (
             _CHECK,
             "(axiom defeq (type N) (t zero) (u (app succ zero)))",
-            "BadInstantiation: bad instantiation of Schema.DEFEQ: sides do not share a normal form",
+            "BadInstantiation: bad instantiation of defeq: sides do not share a normal form",
         ),
         (
             _CHECK,
             "(axiom st-closed (type N) (term (open ((x N)) (var x))))",
-            "BadInstantiation: bad instantiation of Schema.ST_CLOSED: term must be closed",
+            "BadInstantiation: bad instantiation of st-closed: term must be closed",
         ),
         (
             _CHECK,
             "(axiom st-closed (type (* N)) (term zero))",
-            "BadInstantiation: bad instantiation of Schema.ST_CLOSED: type annotation mismatch",
+            "BadInstantiation: bad instantiation of st-closed: type annotation mismatch",
         ),
         (
             _CHECK,
             "(axiom delta (formula (eq N (var a) zero)))",
-            "BadInstantiation: bad instantiation of Schema.DELTA: delta hypotheses must be sentences",
+            "BadInstantiation: bad instantiation of delta: delta hypotheses must be sentences",
         ),
         (
             _CHECK,
@@ -470,9 +476,10 @@ _CHECK, _EXTRACT = ("check-proof", "extract"), ("extract",)
         ),
     ],
     ids=[
-        "mp-major", "forall-rule-premise", "ind-step", "ind-base", "ia-external", "ind-st-tuple",
-        "forall-inst-type", "exists-intro-type", "defeq-normal-form", "st-closed-open",
-        "st-closed-type", "delta-open", "delta-external", "os-star-external", "us-star-external",
+        "mp-major", "forall-rule-premise", "ind-step", "ind-base", "ind-st-step", "ia-external",
+        "ind-st-tuple", "forall-inst-type", "exists-intro-type", "defeq-normal-form",
+        "st-closed-open", "st-closed-type", "delta-open", "delta-external", "os-star-external",
+        "us-star-external",
     ],
 )
 @pytest.mark.parametrize("flavor", ["--u", "--dst"])

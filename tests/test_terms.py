@@ -21,6 +21,7 @@ from nsdial.terms import (
     free_vars,
     lam,
     numeral,
+    seq_app_infer,
     seq_term,
     substitute,
     succ_chain,
@@ -41,6 +42,32 @@ def test_ground_not_applicable():
 def test_seqabs_type():
     t = SeqAbs("x", N, seq_term(N, [Var("x", N)]))
     assert type_check(t) == Star(Arrow(N, Star(N)))
+
+
+def test_seqabs_over_a_non_sequence_body_exits_two(tmp_path, capsys):
+    f = tmp_path / "bad.term"
+    f.write_text("(sabs (x N) zero)")
+    assert run(["check-term", str(f)]) == 2
+    line = "IllTyped: ill-typed at seqabs body: expected 'a sequence type', found N\n"
+    assert capsys.readouterr() == ("", line)
+
+
+def test_constant_with_the_wrong_type_parameter_count_is_ill_typed():
+    with pytest.raises(IllTyped) as raised:
+        const_type(Const(ConstKind.CONS, ()))
+    assert str(raised.value) == "ill-typed at const cons: expected '1 type params', found 0"
+
+
+def test_sequence_application_needs_a_sequence_of_functions():
+    with pytest.raises(IllTyped) as raised:
+        seq_app_infer(Var("s", Star(N)), ZERO, Star(N))
+    expected = "ill-typed at sequence application: expected 'a type of shape (s -> t*)*', found (* N)"
+    assert str(raised.value) == expected
+
+
+def test_arrow_needs_at_least_one_type():
+    with pytest.raises(ValueError, match="^arrow needs at least one type$"):
+        arrow()
 
 
 def test_unbound_variable():
